@@ -77,8 +77,13 @@ def _params_untracked(model):
             t.grad_tracked = was
 
 
-def _driving_loss_grad(model, x_cur: np.ndarray, batch, spec: AttackSpec) -> np.ndarray:
-    """d loss / d x_cur under the attack's driving loss."""
+def _driving_loss_grad(model, x_cur: np.ndarray, batch, spec: AttackSpec,
+                       z_clean: Tensor | None) -> np.ndarray:
+    """d loss / d x_cur under the attack's driving loss.
+
+    `z_clean` is the untracked embedding of `batch.x` for the CL and SCL
+    losses (None for CE); it does not change across PGD steps.
+    """
     leaf = Tensor(x_cur, grad_tracked=True)
     tau = spec.temperature
     with GradientTape() as tape:
@@ -90,7 +95,6 @@ def _driving_loss_grad(model, x_cur: np.ndarray, batch, spec: AttackSpec) -> np.
             loss = losses.cross_entropy(logits, batch.y)
         else:
             # encoder + head only; positive pair is (clean x, current iterate)
-            z_clean = losses._embed(model, batch.x)
             z_cur = losses._embed(model, leaf)
             if spec.driving_loss == "CL":
                 loss = losses.nt_xent(z_clean, z_cur, tau or losses.DEFAULT_TAU_CL)
@@ -125,8 +129,9 @@ def pgd(model, batch, spec: AttackSpec) -> Tensor:
     else:
         x = x0.copy()
     with _params_untracked(model):
+        z_clean = None if spec.driving_loss == "CE" else losses._embed(model, batch.x)
         for _ in range(spec.steps):
-            g = _driving_loss_grad(model, x, batch, spec)
+            g = _driving_loss_grad(model, x, batch, spec, z_clean)
             x = x + spec.alpha * np.sign(g)
             x = project_linf(x0, x, spec.epsilon, spec.clamp)
     return Tensor(x)

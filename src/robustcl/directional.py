@@ -137,7 +137,7 @@ def _eval_cell(model, test, key, cache_dir, scenario, scheme, need_tm2):
         "n_test": report.n_test,
         "tm2_queries": report.classifier_grad_queries_tm2,
     }
-    with open(path, "w") as f:
+    with experiment.atomic_path(path) as tmp, open(tmp, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
     return payload
 
@@ -150,7 +150,7 @@ def _final_cka(model, test, key, cache_dir, n_analysis=400):
     curve = analysis.divergence_curve(model, test, tm1_attack(),
                                       n_samples=n_analysis, seed=0)
     value = float(curve[-1])
-    with open(path, "w") as f:
+    with experiment.atomic_path(path) as tmp, open(tmp, "w") as f:
         json.dump({"final_clean_adv_cka": value}, f)
     return value
 
@@ -163,7 +163,7 @@ def _cross_upper(model_a, model_b, test, key_a, key_b, cache_dir, n_analysis=400
     grid = analysis.cross_model_cka(model_a, model_b, test, n_samples=n_analysis,
                                     seed=0, model_ids=(key_a, key_b))
     value = analysis.upper_third_mean(grid)
-    with open(path, "w") as f:
+    with experiment.atomic_path(path) as tmp, open(tmp, "w") as f:
         json.dump({"upper_third_mean": value}, f)
     return value
 

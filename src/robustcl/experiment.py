@@ -8,6 +8,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,19 @@ def build_splits(cfg: ExperimentConfig, dataset: Dataset):
     return data.split(dataset, tuple(fracs), seed)
 
 
+@contextmanager
+def atomic_path(path):
+    """Yield a temporary path beside `path` and move it onto `path` when the
+    block completes, so a crash never leaves a partly written cache file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def cell_key(cfg: ExperimentConfig, scenario: str, scheme: str, seed: int,
              dataset: Dataset, train_epsilon: float | None = None) -> str:
     """Hash identifying one trained model: config + cell + data fingerprint."""
@@ -91,11 +105,13 @@ def train_cell(cfg: ExperimentConfig, d_p: Dataset, d_f: Dataset,
     manifest["cell_key"] = key
     manifest["config_hash"] = cfg.hash()
     if ckpt is not None:
-        models.save_checkpoint(model, ckpt)
-        with open(manifest_path, "w") as f:
+        # the manifest goes last: a cache hit needs both it and the checkpoint
+        with atomic_path(ckpt) as tmp:
+            models.save_checkpoint(model, tmp)
+        with atomic_path(os.path.join(cache_dir, f"{key}.loss.csv")) as tmp:
+            training.write_loss_csv(record, tmp)
+        with atomic_path(manifest_path) as tmp, open(tmp, "w") as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
-        curve_path = os.path.join(cache_dir, f"{key}.loss.csv")
-        training.write_loss_csv(record, curve_path)
     return model, manifest
 
 

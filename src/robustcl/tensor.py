@@ -4,6 +4,14 @@ The engine is deliberately small: a handful of primitive operations, each
 recording a node on the active GradientTape, and a single backward pass that
 walks the tape in reverse. Shapes are explicit; the only broadcasting allowed
 is adding a (d,) bias row-wise to an (n, d) matrix and per-channel conv bias.
+
+Every primitive checks its output for finiteness once and names itself in
+the NonFiniteError. Each node's backward closure is called as
+`backward_fn(g, need)`: `g` is the gradient of the node's output and `need`
+holds one flag per input, that input's `grad_tracked` read at backward
+time. The closure returns one gradient per input and may return None where
+the flag is False (an untracked weight during an attack, a constant mask),
+skipping that product; backward discards every gradient whose flag is False.
 """
 
 from __future__ import annotations
@@ -22,11 +30,6 @@ class NonFiniteError(TensorError):
 def _as_array(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     return a
-
-
-def _check_finite(a: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError(f"non-finite values in output of {op}")
 
 
 class Tensor:
@@ -53,6 +56,17 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, tracked={self.grad_tracked})"
+
+    @classmethod
+    def _output(cls, data, op: str) -> "Tensor":
+        """A primitive's untracked result, checked for finiteness once."""
+        t = cls.__new__(cls)
+        t.data = _as_array(data)
+        if not np.all(np.isfinite(t.data)):
+            raise NonFiniteError(f"non-finite values in output of {op}")
+        t.grad_tracked = False
+        t.node_id = None
+        return t
 
     # Operator sugar; all routed through the primitives below.
     def __add__(self, other):
@@ -159,9 +173,11 @@ def backward(tape: GradientTape, output: Tensor):
         g = grads.get(id(out))
         if g is None:
             continue
-        in_grads = backward_fn(g)
-        for t, ig in zip(inputs, in_grads):
-            if ig is None or not t.grad_tracked:
+        need = tuple(t.grad_tracked for t in inputs)
+        if not any(need):
+            continue
+        for t, wanted, ig in zip(inputs, need, backward_fn(g, need)):
+            if not wanted:
                 continue
             tensors[id(t)] = t
             if id(t) in grads:
@@ -186,32 +202,30 @@ def backward(tape: GradientTape, output: Tensor):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape == b.shape:
-        out = Tensor(a.data + b.data)
-        _check_finite(out.data, "add")
-        return _maybe_record(out, [a, b], lambda g: (g, g))
+        out = Tensor._output(a.data + b.data, "add")
+        return _maybe_record(out, [a, b], lambda g, need: (g, g))
     # row-wise bias: (n, d) + (d,)
     if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        out = Tensor(a.data + b.data[None, :])
-        _check_finite(out.data, "add")
-        return _maybe_record(out, [a, b], lambda g: (g, g.sum(axis=0)))
+        out = Tensor._output(a.data + b.data[None, :], "add")
+        return _maybe_record(out, [a, b], lambda g, need: (
+            g, g.sum(axis=0) if need[1] else None))
     raise TensorError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise TensorError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data - b.data)
-    _check_finite(out.data, "sub")
-    return _maybe_record(out, [a, b], lambda g: (g, -g))
+    out = Tensor._output(a.data - b.data, "sub")
+    return _maybe_record(out, [a, b], lambda g, need: (g, -g if need[1] else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise TensorError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data * b.data)
-    _check_finite(out.data, "mul")
+    out = Tensor._output(a.data * b.data, "mul")
     ad, bd = a.data, b.data
-    return _maybe_record(out, [a, b], lambda g: (g * bd, g * ad))
+    return _maybe_record(out, [a, b], lambda g, need: (
+        g * bd if need[0] else None, g * ad if need[1] else None))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -219,114 +233,80 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         raise TensorError(f"div: incompatible shapes {a.shape} and {b.shape}")
     if np.any(b.data == 0.0):
         raise TensorError("div: division by zero")
-    out = Tensor(a.data / b.data)
-    _check_finite(out.data, "div")
+    out = Tensor._output(a.data / b.data, "div")
     ad, bd = a.data, b.data
-    return _maybe_record(out, [a, b], lambda g: (g / bd, -g * ad / (bd * bd)))
+    return _maybe_record(out, [a, b], lambda g, need: (
+        g / bd if need[0] else None, -g * ad / (bd * bd) if need[1] else None))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = Tensor(a.data * c)
-    _check_finite(out.data, "scale")
-    return _maybe_record(out, [a], lambda g: (g * c,))
+    out = Tensor._output(a.data * c, "scale")
+    return _maybe_record(out, [a], lambda g, need: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise TensorError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data)
-    _check_finite(out.data, "matmul")
+    out = Tensor._output(a.data @ b.data, "matmul")
     ad, bd = a.data, b.data
-    return _maybe_record(out, [a, b], lambda g: (g @ bd.T, ad.T @ g))
+    return _maybe_record(out, [a, b], lambda g, need: (
+        g @ bd.T if need[0] else None, ad.T @ g if need[1] else None))
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise TensorError("transpose: 2-D only")
-    out = Tensor(a.data.T.copy())
-    return _maybe_record(out, [a], lambda g: (g.T,))
+    out = Tensor._output(a.data.T.copy(), "transpose")
+    return _maybe_record(out, [a], lambda g, need: (g.T,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     old = a.shape
-    out = Tensor(a.data.reshape(shape).copy())
-    return _maybe_record(out, [a], lambda g: (g.reshape(old),))
+    out = Tensor._output(a.data.reshape(shape).copy(), "reshape")
+    return _maybe_record(out, [a], lambda g, need: (g.reshape(old),))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
+    out = Tensor._output(np.maximum(a.data, 0.0), "relu")
     mask = (a.data > 0.0).astype(np.float64)  # gradient at 0 is 0
-    return _maybe_record(out, [a], lambda g: (g * mask,))
+    return _maybe_record(out, [a], lambda g, need: (g * mask,))
 
 
 def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
-        out_data = np.exp(a.data)
-    _check_finite(out_data, "exp")
-    out = Tensor(out_data)
-    return _maybe_record(out, [a], lambda g: (g * out_data,))
+        out = Tensor._output(np.exp(a.data), "exp")
+    return _maybe_record(out, [a], lambda g, need: (g * out.data,))
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise TensorError("log: non-positive input")
-    out = Tensor(np.log(a.data))
-    _check_finite(out.data, "log")
+    out = Tensor._output(np.log(a.data), "log")
     ad = a.data
-    return _maybe_record(out, [a], lambda g: (g / ad,))
+    return _maybe_record(out, [a], lambda g, need: (g / ad,))
 
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     if axis is None:
-        out = Tensor(a.data.sum())
+        out = Tensor._output(a.data.sum(), "tsum")
         shape = a.shape
-        return _maybe_record(out, [a], lambda g: (np.full(shape, float(g)),))
+        return _maybe_record(out, [a], lambda g, need: (np.full(shape, float(g)),))
     if a.data.ndim != 2 or axis not in (0, 1):
         raise TensorError("tsum: axis reduction supports 2-D, axis in {0, 1}")
-    out = Tensor(a.data.sum(axis=axis))
+    out = Tensor._output(a.data.sum(axis=axis), "tsum")
     n = a.shape[axis]
     if axis == 0:
-        bwd = lambda g: (np.repeat(g[None, :], n, axis=0),)
+        bwd = lambda g, need: (np.repeat(g[None, :], n, axis=0),)
     else:
-        bwd = lambda g: (np.repeat(g[:, None], n, axis=1),)
+        bwd = lambda g, need: (np.repeat(g[:, None], n, axis=1),)
     return _maybe_record(out, [a], bwd)
 
 
 def tmean(a: Tensor, axis: int | None = None) -> Tensor:
     count = a.data.size if axis is None else a.shape[axis]
     return scale(tsum(a, axis=axis), 1.0 / count)
-
-
-def max_reduce(a: Tensor, axis: int | None = None) -> Tensor:
-    """Max over all entries (axis=None) or per row (axis=1).
-
-    Gradient routes to the first maximal entry (subgradient choice).
-    """
-    if axis is None:
-        out = Tensor(a.data.max())
-        idx = np.unravel_index(np.argmax(a.data), a.shape)
-        shape = a.shape
-
-        def bwd(g):
-            full = np.zeros(shape)
-            full[idx] = float(g)
-            return (full,)
-
-        return _maybe_record(out, [a], bwd)
-    if a.data.ndim != 2 or axis != 1:
-        raise TensorError("max_reduce: axis reduction supports 2-D, axis=1")
-    out = Tensor(a.data.max(axis=1))
-    arg = np.argmax(a.data, axis=1)
-    shape = a.shape
-
-    def bwd_rows(g):
-        full = np.zeros(shape)
-        full[np.arange(shape[0]), arg] = g
-        return (full,)
-
-    return _maybe_record(out, [a], bwd_rows)
 
 
 def l2_normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
@@ -336,9 +316,9 @@ def l2_normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
     if np.any(norms < eps):
         raise TensorError("l2_normalize_rows: zero row")
     y = a.data / norms
-    out = Tensor(y)
+    out = Tensor._output(y, "l2_normalize_rows")
 
-    def bwd(g):
+    def bwd(g, need):
         dot = (g * y).sum(axis=1, keepdims=True)
         return ((g - y * dot) / norms,)
 
@@ -348,18 +328,18 @@ def l2_normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
         raise TensorError(f"concat_rows: incompatible shapes {a.shape}, {b.shape}")
-    out = Tensor(np.concatenate([a.data, b.data], axis=0))
+    out = Tensor._output(np.concatenate([a.data, b.data], axis=0), "concat_rows")
     na = a.shape[0]
-    return _maybe_record(out, [a, b], lambda g: (g[:na], g[na:]))
+    return _maybe_record(out, [a, b], lambda g, need: (g[:na], g[na:]))
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     if a.data.ndim < 1 or not (0 <= start <= stop <= a.shape[0]):
         raise TensorError(f"slice_rows: bad range [{start}, {stop}) for {a.shape}")
-    out = Tensor(a.data[start:stop].copy())
+    out = Tensor._output(a.data[start:stop].copy(), "slice_rows")
     shape = a.shape
 
-    def bwd(g):
+    def bwd(g, need):
         full = np.zeros(shape)
         full[start:stop] = g
         return (full,)
@@ -412,16 +392,15 @@ def conv2d_3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     cols = _im2col(x.data)  # (n, h*w, ci*9)
     wmat = weight.data.reshape(co, ci * 9)
     out_data = cols @ wmat.T + bias.data[None, None, :]
-    out_data = out_data.transpose(0, 2, 1).reshape(n, co, h, w)
-    _check_finite(out_data, "conv2d_3x3")
-    out = Tensor(out_data)
+    out = Tensor._output(out_data.transpose(0, 2, 1).reshape(n, co, h, w),
+                         "conv2d_3x3")
 
-    def bwd(g):
+    def bwd(g, need):
         gmat = g.reshape(n, co, h * w).transpose(0, 2, 1)  # (n, h*w, co)
-        gw = np.einsum("npo,npk->ok", gmat, cols).reshape(co, ci, 3, 3)
-        gb = gmat.sum(axis=(0, 1))
-        gcols = gmat @ wmat  # (n, h*w, ci*9)
-        gx = _col2im(gcols, n, ci, h, w)
+        gx = _col2im(gmat @ wmat, n, ci, h, w) if need[0] else None
+        gw = (np.einsum("npo,npk->ok", gmat, cols).reshape(co, ci, 3, 3)
+              if need[1] else None)
+        gb = gmat.sum(axis=(0, 1)) if need[2] else None
         return (gx, gw, gb)
 
     return _maybe_record(out, [x, weight, bias], bwd)
@@ -437,9 +416,10 @@ def maxpool2x2(x: Tensor) -> Tensor:
     r = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
     flat = r.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
     arg = np.argmax(flat, axis=-1)
-    out = Tensor(np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0])
+    out = Tensor._output(np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0],
+                         "maxpool2x2")
 
-    def bwd(g):
+    def bwd(g, need):
         gflat = np.zeros((n, c, h // 2, w // 2, 4))
         np.put_along_axis(gflat, arg[..., None], g[..., None], axis=-1)
         gr = gflat.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)

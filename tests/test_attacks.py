@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustcl import attacks, losses, models, training
+from robustcl import tensor as T
 from robustcl.attacks import AttackError, AttackSpec, pgd, project_linf
 from robustcl.data import ViewBatch
 from robustcl.losses import LossConfig
 from robustcl.models import EncoderConfig
-from robustcl.tensor import Tensor
+from robustcl.tensor import GradientTape, Tensor
 from robustcl.training import ScenarioSpec
 
 
@@ -164,6 +165,61 @@ class TestPgd:
         batch = ViewBatch(x=Tensor(rng.random((4, 20))), y=None)
         with pytest.raises(AttackError):
             pgd(dense_model, batch, AttackSpec(epsilon=0.1, steps=1, clamp=None))
+
+
+def _reference_pgd(model, batch, spec):
+    """PGD written out step by step, re-embedding the clean batch on every
+    step inside the step's tape."""
+    x0 = batch.x.data
+    rng = np.random.default_rng(spec.seed)
+    x = x0.copy()
+    if spec.random_start:
+        x = project_linf(x0, x0 + rng.uniform(-spec.epsilon, spec.epsilon, size=x0.shape),
+                         spec.epsilon, spec.clamp)
+    with attacks._params_untracked(model):
+        for _ in range(spec.steps):
+            leaf = Tensor(x, grad_tracked=True)
+            with GradientTape() as tape:
+                if spec.driving_loss == "CE":
+                    rep, _ = models.encode(model, leaf)
+                    loss = losses.cross_entropy(models.classify(model, rep), batch.y)
+                else:
+                    z_clean = losses._embed(model, batch.x)
+                    z_cur = losses._embed(model, leaf)
+                    if spec.driving_loss == "CL":
+                        loss = losses.nt_xent(z_clean, z_cur, losses.DEFAULT_TAU_CL)
+                    else:
+                        loss = losses.supcon(T.concat_rows(z_clean, z_cur),
+                                             np.concatenate([batch.y, batch.y]),
+                                             losses.DEFAULT_TAU_SCL)
+            g = T.backward(tape, loss)[leaf]
+            x = project_linf(x0, x + spec.alpha * np.sign(g), spec.epsilon, spec.clamp)
+    return x
+
+
+class TestCleanEmbeddingOnce:
+    @pytest.mark.parametrize("driving_loss", ["CE", "CL", "SCL"])
+    def test_matches_reference_loop(self, st_model, driving_loss):
+        batch = make_batch(np.random.default_rng(7), st_model, n=8)
+        spec = AttackSpec(epsilon=0.1, steps=4, random_start=True,
+                          driving_loss=driving_loss, clamp=(0.0, 1.0), seed=3)
+        x_adv = pgd(st_model, batch, spec).data
+        assert not np.array_equal(x_adv, batch.x.data)
+        assert np.array_equal(x_adv, _reference_pgd(st_model, batch, spec))
+
+    @pytest.mark.parametrize("driving_loss, calls", [("CE", 3), ("CL", 4), ("SCL", 4)])
+    def test_encode_calls(self, st_model, rng, monkeypatch, driving_loss, calls):
+        counted = []
+        encode = models.encode
+
+        def counting_encode(*args, **kwargs):
+            counted.append(1)
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(models, "encode", counting_encode)
+        spec = AttackSpec(epsilon=0.1, steps=3, driving_loss=driving_loss, clamp=None)
+        pgd(st_model, make_batch(rng, st_model), spec)
+        assert len(counted) == calls
 
 
 class TestThreatModelII:

@@ -44,6 +44,15 @@ class TestPrimitives:
         with pytest.raises(NonFiniteError):
             T.exp(Tensor([1000.0]))
 
+    @pytest.mark.parametrize("op, make", [
+        ("add", lambda: T.add(Tensor([1e308]), Tensor([1e308]))),
+        ("exp", lambda: T.exp(Tensor([1000.0]))),
+    ])
+    def test_non_finite_error_names_the_primitive(self, op, make):
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match=f"output of {op}$"):
+            make()
+
     def test_row_bias_add(self):
         out = T.add(Tensor(np.zeros((3, 2))), Tensor([1.0, 2.0]))
         assert np.array_equal(out.data, np.tile([1.0, 2.0], (3, 1)))
@@ -128,6 +137,70 @@ class TestBackward:
             b = Tensor(rng.standard_normal(3) * 0.1)
             f = lambda t: T.tmean(T.relu(T.conv2d_3x3(t, w, b)))
         assert finite_diff_check(f, x) < 1e-4
+
+
+# (op, shape of a, shape of b) for every primitive whose backward skips the
+# gradient of an input that is not tracked
+TWO_INPUT_OPS = [
+    (T.matmul, (3, 4), (4, 2)),
+    (T.mul, (3, 4), (3, 4)),
+    (T.div, (3, 4), (3, 4)),
+    (T.sub, (3, 4), (3, 4)),
+    (T.add, (3, 4), (4,)),  # row bias
+]
+
+
+class TestBackwardSkipsUntrackedInputs:
+    @staticmethod
+    def _grads(op, a_data, b_data, track_a, track_b):
+        a = Tensor(a_data, grad_tracked=track_a)
+        b = Tensor(b_data, grad_tracked=track_b)
+        with GradientTape() as tape:
+            out = op(a, b)
+            weights = np.linspace(-1.0, 2.0, out.data.size).reshape(out.shape)
+            loss = T.tsum(T.mul(out, Tensor(weights)))
+        grads = backward(tape, loss)
+        return grads, a, b
+
+    @pytest.mark.parametrize("op, a_shape, b_shape", TWO_INPUT_OPS)
+    def test_kept_gradient_bitwise_unchanged(self, op, a_shape, b_shape, rng):
+        a_data = rng.standard_normal(a_shape)
+        b_data = rng.uniform(0.5, 2.0, size=b_shape)
+        both, a2, b2 = self._grads(op, a_data, b_data, True, True)
+        only_a, a1, b1 = self._grads(op, a_data, b_data, True, False)
+        only_b, a0, b0 = self._grads(op, a_data, b_data, False, True)
+        assert np.array_equal(only_a[a1], both[a2])
+        assert np.array_equal(only_b[b0], both[b2])
+        # an untracked input gets no entry
+        assert list(only_a) == [a1] and list(only_b) == [b0]
+
+    @pytest.mark.parametrize("op, a_shape, b_shape", TWO_INPUT_OPS)
+    def test_closure_skips_unneeded_side(self, op, a_shape, b_shape):
+        a = Tensor(np.ones(a_shape), grad_tracked=True)
+        b = Tensor(np.ones(b_shape), grad_tracked=True)
+        with GradientTape() as tape:
+            out = op(a, b)
+        (_, _, backward_fn), = tape.nodes
+        ga, gb = backward_fn(np.ones_like(out.data), (True, False))
+        assert ga is not None and gb is None
+
+    @pytest.mark.parametrize("track_b_later", [False, True])
+    def test_need_flags_read_at_backward_time(self, track_b_later):
+        a = Tensor([1.0], grad_tracked=True)
+        b = Tensor([2.0])
+        out = Tensor(3.0, grad_tracked=True)
+        seen = []
+
+        def bwd(g, need):
+            seen.append(need)
+            return (g, g)
+
+        tape = GradientTape()
+        tape.record(out, [a, b], bwd)
+        b.grad_tracked = track_b_later
+        grads = backward(tape, out)
+        assert seen == [(True, track_b_later)]
+        assert (b in grads) == track_b_later
 
 
 class TestFiniteDiffCheck:
