@@ -100,8 +100,20 @@ def package_root() -> Path:
     return Path(__file__).resolve().parents[2]
 
 
+class CheckoutError(RuntimeError):
+    """The package does not run from a repository checkout."""
+
+
 def default_cache_dir() -> str:
-    return str(package_root() / "runs" / "acceptance" / "cache")
+    """The committed cell cache; it exists only in a repository checkout."""
+    root = package_root()
+    if not (root / "pyproject.toml").is_file():
+        raise CheckoutError(
+            f"robustcl is not running from a repository checkout ({root} has no "
+            "pyproject.toml), so the committed cell cache cannot be found and "
+            "every cell would be retrained; install with `pip install -e .` or "
+            "pass an explicit cache_dir")
+    return str(root / "runs" / "acceptance" / "cache")
 
 
 def fixture_config() -> ExperimentConfig:

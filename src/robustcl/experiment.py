@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
@@ -84,7 +85,8 @@ def train_cell(cfg: ExperimentConfig, d_p: Dataset, d_f: Dataset,
                scenario: str, scheme: str, seed: int,
                cache_dir=None, train_epsilon: float | None = None):
     """Train one (scenario, scheme, seed) cell, reusing a cached checkpoint
-    with the same cell hash when available. Returns (model, manifest)."""
+    with the same cell hash when available. A corrupt checkpoint or an
+    unreadable manifest warns and retrains. Returns (model, manifest)."""
     key = cell_key(cfg, scenario, scheme, seed, d_p, train_epsilon)
     ckpt = manifest_path = None
     if cache_dir is not None:
@@ -92,9 +94,15 @@ def train_cell(cfg: ExperimentConfig, d_p: Dataset, d_f: Dataset,
         ckpt = os.path.join(cache_dir, f"{key}.ckpt")
         manifest_path = os.path.join(cache_dir, f"{key}.manifest.json")
         if os.path.exists(ckpt) and os.path.exists(manifest_path):
-            with open(manifest_path) as f:
-                manifest = json.load(f)
-            return models.load_checkpoint(ckpt), manifest
+            try:
+                with open(manifest_path) as f:
+                    manifest = json.load(f)
+                return models.load_checkpoint(ckpt), manifest
+            except (OSError, ValueError, models.CheckpointError) as exc:
+                # a corrupt entry is a cache miss: retrain and overwrite it
+                warnings.warn(f"unreadable cache entry {key} in {cache_dir} "
+                              f"({type(exc).__name__}: {exc}); retraining",
+                              RuntimeWarning, stacklevel=2)
     is_image = d_p.is_image
     spec = cfg.scenario_spec(scenario=scenario, scheme=scheme, seed=seed,
                              is_image=is_image, train_epsilon=train_epsilon)

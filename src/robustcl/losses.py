@@ -3,10 +3,23 @@ the combined pretraining / fine-tuning losses built from them.
 
 All entry points l2-normalize embeddings themselves; the cosine-similarity
 formulas silently corrupt gradients otherwise.
+
+NT-Xent, SupCon and cross-entropy are thin wrappers over one fused softmax
+cross-entropy core, `_softmax_xent`, which records a single tape node. For
+the contrastive losses that node also computes the similarity matrix of the
+l2-normalized embeddings, so NT-Xent records three nodes (`concat_rows`,
+`l2_normalize_rows`, the fused node) where the primitive graph recorded 16.
+The node repeats the primitive graph's floating-point operations in the
+same order, with the same matmul operand layouts, so losses and gradients
+are bitwise those of the graph; `tests/test_losses.py` keeps the
+graph-built losses as its oracle. The only check left is the finiteness of
+the node's output, under the op name `softmax_xent`; a non-finite
+intermediate propagates into that scalar.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +65,72 @@ def _check_tau(tau: float) -> None:
         raise LossError("temperature must be positive")
 
 
-def _row_logsumexp(s: Tensor) -> Tensor:
-    """Per-row log(sum(exp)), stabilized with a detached row max."""
-    m = s.data.max(axis=1, keepdims=True)
-    shifted = T.sub(s, Tensor(np.broadcast_to(m, s.shape).copy()))
-    return T.add(T.log(T.tsum(T.exp(shifted), axis=1)), Tensor(m[:, 0]))
+@functools.lru_cache(maxsize=8)
+def _self_mask(m: int) -> np.ndarray:
+    """Read-only (m, m) mask: -1e9 on the diagonal, 0 elsewhere."""
+    mask = np.zeros((m, m))
+    np.fill_diagonal(mask, -1e9)
+    mask.flags.writeable = False
+    return mask
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_mask(n: int) -> np.ndarray:
+    """Read-only (2n, 2n) NT-Xent positive mask: row i marks its other view."""
+    m = 2 * n
+    mask = np.zeros((m, m))
+    mask[np.arange(m), np.concatenate([np.arange(n) + n, np.arange(n)])] = 1.0
+    mask.flags.writeable = False
+    return mask
+
+
+def _softmax_xent(x: Tensor, s: np.ndarray, pos_mask: np.ndarray,
+                  counts: np.ndarray, weights: np.ndarray, c: float,
+                  to_input=None) -> Tensor:
+    """One tape node: ((lse*counts - pos) * weights).sum() * c over rows of s.
+
+    `lse` is each row's log-sum-exp of `s` (the logits, masked already) and
+    `pos` its sum over `pos_mask`. `to_input` maps d loss / d s to the
+    gradient of `x`, the node's one input; without it `s` is `x.data`. Keep
+    the operations and their order: they repeat the primitive graph kept in
+    `tests/test_losses.py`, which makes the trained bits independent of the
+    fusion.
+    """
+    mx = s.max(axis=1, keepdims=True)
+    e = s - mx
+    np.exp(e, out=e)
+    r = e.sum(axis=1)
+    lse = np.log(r) + mx[:, 0]
+    pos = (s * pos_mask).sum(axis=1)
+    out = Tensor._output(((lse * counts - pos) * weights).sum() * c, "softmax_xent")
+
+    def bwd(g, need):
+        gw = g * c * weights
+        g_s = np.multiply(e, (gw * counts / r)[:, None], out=e)
+        g_s -= gw[:, None] * pos_mask
+        return (g_s if to_input is None else to_input(g_s),)
+
+    return T._maybe_record(out, [x], bwd)
+
+
+def _similarity_xent(y: Tensor, tau: float, pos_mask: np.ndarray,
+                     counts: np.ndarray, weights: np.ndarray, c: float) -> Tensor:
+    """The fused loss over the cosine-similarity logits y y^T / tau of the
+    l2-normalized rows `y`, each row's self-similarity masked out."""
+    yd = y.data
+    yt = yd.T.copy()
+    k = float(1.0 / tau)
+    s = yd @ yt
+    s *= k
+    s += _self_mask(len(yd))
+
+    def to_input(g_s):
+        # matmul's and transpose's backward products with their operand
+        # layouts; another layout (g_s @ yd, say) can move the last bit
+        g_s *= k
+        return g_s @ yt.T + (yd.T @ g_s).T
+
+    return _softmax_xent(y, s, pos_mask, counts, weights, c, to_input)
 
 
 def nt_xent(z_a: Tensor, z_b: Tensor, tau: float) -> Tensor:
@@ -65,17 +139,9 @@ def nt_xent(z_a: Tensor, z_b: Tensor, tau: float) -> Tensor:
     if z_a.shape != z_b.shape or z_a.data.ndim != 2:
         raise LossError(f"nt_xent: incompatible shapes {z_a.shape}, {z_b.shape}")
     n = z_a.shape[0]
+    ones = np.ones(2 * n)
     z = T.l2_normalize_rows(T.concat_rows(z_a, z_b))
-    s = T.scale(T.matmul(z, T.transpose(z)), 1.0 / tau)
-    m = 2 * n
-    self_mask = np.full((m, m), 0.0)
-    np.fill_diagonal(self_mask, -1e9)
-    s_masked = T.add(s, Tensor(self_mask))
-    pos_idx = np.concatenate([np.arange(n) + n, np.arange(n)])
-    pos_mask = np.zeros((m, m))
-    pos_mask[np.arange(m), pos_idx] = 1.0
-    pos = T.tsum(T.mul(s_masked, Tensor(pos_mask)), axis=1)
-    return T.tmean(T.sub(_row_logsumexp(s_masked), pos))
+    return _similarity_xent(z, tau, _pair_mask(n), ones, ones, 1.0 / (2 * n))
 
 
 def supcon(z: Tensor, y: np.ndarray, tau: float) -> Tensor:
@@ -91,26 +157,18 @@ def supcon(z: Tensor, y: np.ndarray, tau: float) -> Tensor:
     m = z.shape[0]
     if y.shape != (m,):
         raise LossError("supcon: label count mismatch")
-    zn = T.l2_normalize_rows(z)
-    s = T.scale(T.matmul(zn, T.transpose(zn)), 1.0 / tau)
-    self_mask = np.zeros((m, m))
-    np.fill_diagonal(self_mask, -1e9)
-    s_masked = T.add(s, Tensor(self_mask))
     pos_mask = (y[:, None] == y[None, :]).astype(np.float64)
     np.fill_diagonal(pos_mask, 0.0)
     pos_counts = pos_mask.sum(axis=1)
     anchors = pos_counts > 0
     if not anchors.any():
         raise LossError("supcon: no anchor has a positive")
-    lse = _row_logsumexp(s_masked)  # (m,)
-    pos_sum = T.tsum(T.mul(s_masked, Tensor(pos_mask)), axis=1)
-    # per-anchor mean log-ratio; weight vector folds in the 1/|P(i)| factor
-    # and drops anchors without positives
+    # per-anchor mean log-ratio; the weights fold in the 1/|P(i)| factor
+    # and drop anchors without positives
     weights = np.where(anchors, 1.0 / np.maximum(pos_counts, 1.0), 0.0)
-    counts_v = Tensor(np.where(anchors, pos_counts, 1.0))
-    per_anchor = T.sub(T.mul(lse, counts_v), pos_sum)
-    weighted = T.mul(per_anchor, Tensor(weights))
-    return T.scale(T.tsum(weighted), 1.0 / float(anchors.sum()))
+    counts = np.where(anchors, pos_counts, 1.0)
+    return _similarity_xent(T.l2_normalize_rows(z), tau, pos_mask, counts, weights,
+                            1.0 / float(anchors.sum()))
 
 
 def cross_entropy(logits: Tensor, y: np.ndarray) -> Tensor:
@@ -123,8 +181,8 @@ def cross_entropy(logits: Tensor, y: np.ndarray) -> Tensor:
         raise LossError("cross_entropy: labels out of range")
     onehot = np.zeros((n, c))
     onehot[np.arange(n), y] = 1.0
-    true_logit = T.tsum(T.mul(logits, Tensor(onehot)), axis=1)
-    return T.tmean(T.sub(_row_logsumexp(logits), true_logit))
+    ones = np.ones(n)
+    return _softmax_xent(logits, logits.data, onehot, ones, ones, 1.0 / n)
 
 
 # ---------------------------------------------------------------------------

@@ -247,13 +247,19 @@ def load_checkpoint(path) -> ModelBundle:
     hlen = struct.unpack("<I", blob[9:13])[0]
     if len(blob) < 13 + hlen:
         raise CheckpointError("truncated checkpoint header")
-    header = json.loads(blob[13:13 + hlen].decode())
-    config = EncoderConfig.from_dict(header["config"])
-    model = init_model(config, header["n_classes"], header["head_dim"], header["rng_seed"])
+    try:
+        header = json.loads(blob[13:13 + hlen].decode())
+        config = EncoderConfig.from_dict(header["config"])
+        model = init_model(config, header["n_classes"], header["head_dim"],
+                           header["rng_seed"])
+        shapes = [tuple(s) for s in header["shapes"]]
+    except (ValueError, KeyError, TypeError, OverflowError, ModelError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise CheckpointError(f"malformed checkpoint header in {path}: "
+                              f"{type(exc).__name__}: {exc}") from exc
     model.freeze_encoder = freeze
     offset = 13 + hlen
     params = model.all_params()
-    shapes = [tuple(s) for s in header["shapes"]]
     if shapes != [t.shape for t in params]:
         raise CheckpointError("checkpoint shapes do not match declared config")
     for t in params:

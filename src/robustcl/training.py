@@ -37,6 +37,10 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
+    @classmethod
+    def from_config(cls, params, cfg: "OptimizerConfig") -> "Adam":
+        return cls(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+
     def step(self, grads: dict) -> None:
         self.t += 1
         for i, p in enumerate(self.params):
@@ -126,9 +130,8 @@ def pretrain(model: ModelBundle, d_p: Dataset, spec: ScenarioSpec,
     t0 = time.time()
     curve = []
     model.set_tracking(encoder=True, head=True, classifier=False)
-    opt = Adam(model.encoder_tensors() + model.head_tensors(),
-               lr=spec.optimizer.lr, beta1=spec.optimizer.beta1,
-               beta2=spec.optimizer.beta2, eps=spec.optimizer.eps)
+    opt = Adam.from_config(model.encoder_tensors() + model.head_tensors(),
+                           spec.optimizer)
     clamp = (0.0, 1.0) if d_p.is_image else None
     for epoch in range(spec.pretrain_epochs):
         losses_epoch = []
@@ -171,8 +174,7 @@ def finetune(model: ModelBundle, d_f: Dataset, spec: ScenarioSpec) -> RunRecord:
     params = model.classifier_tensors()
     if full_at:
         params = model.encoder_tensors() + params
-    opt = Adam(params, lr=spec.optimizer.lr, beta1=spec.optimizer.beta1,
-               beta2=spec.optimizer.beta2, eps=spec.optimizer.eps)
+    opt = Adam.from_config(params, spec.optimizer)
     mode = "full_at" if full_at else ("partial_at" if partial_at else "standard")
     adversarial = full_at or partial_at
     clamp = (0.0, 1.0) if d_f.is_image else None
@@ -209,8 +211,7 @@ def _train_single_phase(model: ModelBundle, d: Dataset, spec: ScenarioSpec) -> R
     params = model.encoder_tensors() + model.classifier_tensors()
     if not sl_only:
         params += model.head_tensors()
-    opt = Adam(params, lr=spec.optimizer.lr, beta1=spec.optimizer.beta1,
-               beta2=spec.optimizer.beta2, eps=spec.optimizer.eps)
+    opt = Adam.from_config(params, spec.optimizer)
     adversarial = spec.adversarial
     clamp = (0.0, 1.0) if d.is_image else None
     epochs = spec.finetune_epochs if sl_only else spec.pretrain_epochs

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from robustcl import experiment
+from robustcl import directional, experiment
 from robustcl.config import load_config
 
 TINY = [
@@ -47,3 +47,43 @@ def test_train_cell_writes_cache_then_hits_it(tmp_path):
     assert cached == manifest
     assert all(np.array_equal(a.data, b.data)
                for a, b in zip(model.all_params(), again.all_params()))
+
+
+@pytest.mark.parametrize("ext, garble", [
+    ("ckpt", lambda b: b[:9] + b"\x04\x00\x00\x00\xff\xff\xff\xff" + b[13:]),
+    ("ckpt", lambda b: b[:-16]),
+    ("manifest.json", lambda b: b[: len(b) // 2]),
+    ("manifest.json", lambda b: b"\xff" + b[1:]),
+])
+def test_train_cell_retrains_a_corrupt_cache_entry(tmp_path, ext, garble):
+    cfg = load_config(text="", overrides=TINY)
+    dataset = experiment.build_dataset(cfg)
+    d_p, d_f, _ = experiment.build_splits(cfg, dataset)
+    model, manifest = experiment.train_cell(cfg, d_p, d_f, "ST", "SL", 0, tmp_path)
+    files = {e: tmp_path / f"{manifest['cell_key']}.{e}"
+             for e in ("ckpt", "loss.csv", "manifest.json")}
+    good = {e: f.read_bytes() for e, f in files.items()}
+    files[ext].write_bytes(garble(good[ext]))
+    with pytest.warns(RuntimeWarning, match="unreadable cache entry"):
+        again, fresh = experiment.train_cell(cfg, d_p, d_f, "ST", "SL", 0, tmp_path)
+    assert all(np.array_equal(a.data, b.data)
+               for a, b in zip(model.all_params(), again.all_params()))
+    assert {k: v for k, v in fresh.items() if k != "runtime_s"} == {
+        k: v for k, v in manifest.items() if k != "runtime_s"}
+    # the entry is rewritten whole; only the manifest's wall time may differ
+    assert files["ckpt"].read_bytes() == good["ckpt"]
+    assert files["loss.csv"].read_bytes() == good["loss.csv"]
+    assert sorted(os.listdir(tmp_path)) == sorted(f.name for f in files.values())
+
+
+def test_default_cache_dir_is_the_checkouts_committed_cache():
+    path = directional.default_cache_dir()
+    assert os.path.isdir(path)
+    assert os.path.isfile(os.path.join(path, "..", "..", "..", "pyproject.toml"))
+
+
+def test_default_cache_dir_refuses_a_root_outside_a_checkout(tmp_path, monkeypatch):
+    # a non-editable install resolves the package root to site-packages
+    monkeypatch.setattr(directional, "package_root", lambda: tmp_path)
+    with pytest.raises(directional.CheckoutError, match="no pyproject.toml"):
+        directional.default_cache_dir()

@@ -7,7 +7,8 @@ from robustcl import losses, models
 from robustcl import tensor as T
 from robustcl.data import ViewBatch
 from robustcl.losses import LossConfig, LossError, cross_entropy, nt_xent, supcon
-from robustcl.tensor import GradientTape, Tensor, backward, finite_diff_check
+from robustcl.tensor import (GradientTape, NonFiniteError, Tensor, backward,
+                             finite_diff_check)
 
 
 def brute_nt_xent(za, zb, tau):
@@ -168,6 +169,170 @@ def test_losses_nonnegative(seed):
     assert supcon(Tensor(np.concatenate([za, zb])), y, 0.2).item() >= 0.0
     logits = rng.standard_normal((n, 4))
     assert cross_entropy(Tensor(logits), rng.integers(0, 4, n)).item() >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# the fused softmax cross-entropy node against the graph-built losses
+# ---------------------------------------------------------------------------
+
+def _graph_lse(s):
+    m = s.data.max(axis=1, keepdims=True)
+    shifted = T.sub(s, Tensor(np.broadcast_to(m, s.shape).copy()))
+    return T.add(T.log(T.tsum(T.exp(shifted), axis=1)), Tensor(m[:, 0]))
+
+
+def _graph_similarity(zn, tau):
+    s = T.scale(T.matmul(zn, T.transpose(zn)), 1.0 / tau)
+    self_mask = np.zeros(s.shape)
+    np.fill_diagonal(self_mask, -1e9)
+    return T.add(s, Tensor(self_mask))
+
+
+def graph_nt_xent(z_a, z_b, tau):
+    """NT-Xent as a chain of tape primitives (the oracle for the fused node)."""
+    n = z_a.shape[0]
+    m = 2 * n
+    s = _graph_similarity(T.l2_normalize_rows(T.concat_rows(z_a, z_b)), tau)
+    pos_mask = np.zeros((m, m))
+    pos_mask[np.arange(m), np.concatenate([np.arange(n) + n, np.arange(n)])] = 1.0
+    pos = T.tsum(T.mul(s, Tensor(pos_mask)), axis=1)
+    return T.tmean(T.sub(_graph_lse(s), pos))
+
+
+def graph_supcon(z, y, tau):
+    m = z.shape[0]
+    s = _graph_similarity(T.l2_normalize_rows(z), tau)
+    pos_mask = (y[:, None] == y[None, :]).astype(np.float64)
+    np.fill_diagonal(pos_mask, 0.0)
+    pos_counts = pos_mask.sum(axis=1)
+    anchors = pos_counts > 0
+    lse = _graph_lse(s)
+    pos_sum = T.tsum(T.mul(s, Tensor(pos_mask)), axis=1)
+    weights = np.where(anchors, 1.0 / np.maximum(pos_counts, 1.0), 0.0)
+    counts = Tensor(np.where(anchors, pos_counts, 1.0))
+    weighted = T.mul(T.sub(T.mul(lse, counts), pos_sum), Tensor(weights))
+    return T.scale(T.tsum(weighted), 1.0 / float(anchors.sum()))
+
+
+def graph_cross_entropy(logits, y):
+    n, c = logits.shape
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), y] = 1.0
+    true_logit = T.tsum(T.mul(logits, Tensor(onehot)), axis=1)
+    return T.tmean(T.sub(_graph_lse(logits), true_logit))
+
+
+def _run(loss_fn, arrays, tracked, upstream):
+    """Loss value, tape length and the gradient of every input (None if
+    untracked), with the loss scaled by `upstream` before backward."""
+    xs = [Tensor(a.copy(), grad_tracked=t) for a, t in zip(arrays, tracked)]
+    with GradientTape() as tape:
+        loss = loss_fn(*xs)
+        out = T.scale(loss, upstream)
+    grads = backward(tape, out)
+    return loss.data, len(tape.nodes), [grads.get(x) for x in xs]
+
+
+def _assert_bitwise(fused, graph, arrays, tracked=None, upstream=1.0):
+    tracked = tracked or [True] * len(arrays)
+    v_f, nodes_f, g_f = _run(fused, arrays, tracked, upstream)
+    v_g, nodes_g, g_g = _run(graph, arrays, tracked, upstream)
+    assert np.array_equal(v_f, v_g)
+    for a, b, t in zip(g_f, g_g, tracked):
+        assert (a is None) == (b is None) == (not t)
+        if t:
+            assert np.array_equal(a, b)
+    return nodes_f, nodes_g
+
+
+def _supcon_labels(rng, m):
+    y = rng.integers(0, max(1, m // 3), m)
+    y[1] = y[0]
+    return y
+
+
+class TestFusedLossBitIdentity:
+    @pytest.mark.parametrize("m", [2, 6, 512])
+    def test_nt_xent(self, m, rng):
+        za, zb = rng.standard_normal((2, m // 2, 16))
+        nodes, graph_nodes = _assert_bitwise(lambda a, b: nt_xent(a, b, 0.2),
+                                             lambda a, b: graph_nt_xent(a, b, 0.2),
+                                             [za, zb], upstream=0.3)
+        # concat_rows, l2_normalize_rows and the fused node, then the scale
+        assert nodes == 4 < graph_nodes
+
+    @pytest.mark.parametrize("m", [2, 6, 512])
+    def test_supcon(self, m, rng):
+        z = rng.standard_normal((m, 16))
+        y = _supcon_labels(rng, m)
+        nodes, _ = _assert_bitwise(lambda t: supcon(t, y, 0.2),
+                                   lambda t: graph_supcon(t, y, 0.2), [z], upstream=1.7)
+        assert nodes == 3
+
+    @pytest.mark.parametrize("m", [2, 6, 512])
+    def test_cross_entropy(self, m, rng):
+        logits = 3.0 * rng.standard_normal((m, 10))
+        y = rng.integers(0, 10, m)
+        nodes, _ = _assert_bitwise(lambda t: cross_entropy(t, y),
+                                   lambda t: graph_cross_entropy(t, y), [logits],
+                                   upstream=0.5)
+        assert nodes == 2
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_shapes(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d, c = (int(v) for v in rng.integers(1, 40, 3))
+        tau = float(rng.uniform(0.05, 1.0))
+        za, zb = rng.standard_normal((2, n, d))
+        _assert_bitwise(lambda a, b: nt_xent(a, b, tau),
+                        lambda a, b: graph_nt_xent(a, b, tau), [za, zb])
+        z = np.concatenate([za, zb])
+        y = _supcon_labels(rng, 2 * n)
+        _assert_bitwise(lambda t: supcon(t, y, tau),
+                        lambda t: graph_supcon(t, y, tau), [z])
+        logits = rng.standard_normal((n, c + 1))
+        y = rng.integers(0, c + 1, n)
+        _assert_bitwise(lambda t: cross_entropy(t, y),
+                        lambda t: graph_cross_entropy(t, y), [logits])
+
+    @pytest.mark.parametrize("m", [6, 512])
+    def test_attack_case_one_half_untracked(self, m, rng):
+        # PGD stacks the untracked clean embedding with the tracked adversarial one
+        za, zb = rng.standard_normal((2, m // 2, 16))
+        _assert_bitwise(lambda a, b: nt_xent(a, b, 0.5),
+                        lambda a, b: graph_nt_xent(a, b, 0.5), [za, zb],
+                        tracked=[False, True])
+        y = _supcon_labels(rng, m // 2)
+        y2 = np.concatenate([y, y])
+        _assert_bitwise(lambda a, b: supcon(T.concat_rows(a, b), y2, 0.5),
+                        lambda a, b: graph_supcon(T.concat_rows(a, b), y2, 0.5),
+                        [za, zb], tracked=[False, True])
+
+    def test_supcon_anchors_without_positives(self, rng):
+        z = rng.standard_normal((7, 5))
+        y = np.array([0, 0, 1, 2, 2, 2, 3])  # classes 1 and 3 have no positive
+        _assert_bitwise(lambda t: supcon(t, y, 0.3),
+                        lambda t: graph_supcon(t, y, 0.3), [z])
+        g = _run(lambda t: supcon(t, y, 0.3), [z], [True], 1.0)[2][0]
+        assert np.all(np.isfinite(g)) and np.any(g[2] != 0.0)
+
+    def test_non_finite_error_names_the_fused_op(self):
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match="output of softmax_xent$"):
+            cross_entropy(Tensor([[1e308, -1e308]]), np.array([1]))
+
+    def test_cached_masks_read_only_and_unchanged(self, rng):
+        n = 5
+        za, zb = rng.standard_normal((2, n, 4))
+        _run(lambda a, b: nt_xent(a, b, 0.5), [za, zb], [True, True], 1.0)
+        _run(lambda t: supcon(t, np.zeros(2 * n, dtype=int), 0.5),
+             [np.concatenate([za, zb])], [True], 1.0)
+        pair, diag = losses._pair_mask(n), losses._self_mask(2 * n)
+        assert not pair.flags.writeable and not diag.flags.writeable
+        want = np.zeros((2 * n, 2 * n))
+        want[np.arange(2 * n), (np.arange(2 * n) + n) % (2 * n)] = 1.0
+        assert np.array_equal(pair, want)
+        assert np.array_equal(diag, np.diag(np.full(2 * n, -1e9)))
 
 
 class TestModelLevelLosses:

@@ -139,6 +139,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("garble", [
+        lambda h: b"\xff" + h[1:],                       # not UTF-8
+        lambda h: b"{" + h[1:-1] + b" ",                  # not JSON
+        lambda h: h.replace(b'"head_dim"', b'"head_dix"'),  # missing key
+        lambda h: h.replace(b'"kind": "dense"', b'"kind": "dens_"'),  # bad config
+        lambda h: h.replace(b'"shapes": [', b'"shapes": [7, '),  # not a shape
+        lambda h: b"[" + h[1:-1] + b"]",                  # not an object
+    ])
+    def test_malformed_header_raises_checkpoint_error(self, tmp_path, dense_model,
+                                                      garble):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(dense_model, p)
+        blob = p.read_bytes()
+        hlen = int.from_bytes(blob[9:13], "little")
+        header = garble(blob[13:13 + hlen])
+        p.write_bytes(blob[:9] + len(header).to_bytes(4, "little") + header
+                      + blob[13 + hlen:])
+        with pytest.raises(CheckpointError, match="malformed checkpoint header"):
+            load_checkpoint(p)
+
     def test_freeze_flag_single_byte_diff(self, tmp_path, dense_model):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(dense_model, p1)

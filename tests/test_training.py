@@ -58,6 +58,17 @@ class TestAdam:
         assert abs(p.data[0] - 3.0) < 1e-3
 
 
+    def test_from_config_matches_explicit_arguments(self):
+        cfg = training.OptimizerConfig(lr=0.02, beta1=0.8, beta2=0.99, eps=1e-6)
+        p, q = Tensor(np.array([1.0, -2.0])), Tensor(np.array([1.0, -2.0]))
+        built = Adam.from_config([p], cfg)
+        explicit = Adam([q], lr=0.02, beta1=0.8, beta2=0.99, eps=1e-6)
+        for g in ([0.3, -1.0], [2.0, 0.1], [-0.5, 0.0]):
+            built.step({p: np.array(g)})
+            explicit.step({q: np.array(g)})
+        assert np.array_equal(p.data, q.data)
+
+
 class TestScenarioSpec:
     def test_unknown_scenario(self):
         with pytest.raises(TrainingError):
