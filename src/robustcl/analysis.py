@@ -4,11 +4,11 @@ divergence curves, cross-model grids, and per-layer linear probes."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import attacks, data, losses, models, training
+from . import attacks, losses, models, training
 from . import tensor as T
 from .attacks import AttackSpec
 from .data import Dataset, ViewBatch
@@ -82,11 +82,8 @@ def _analysis_batch(dataset: Dataset, n_samples: int, seed: int = 0):
 
 def _adversarial_inputs(model: ModelBundle, x: np.ndarray, y: np.ndarray,
                         attack: AttackSpec, is_image: bool) -> np.ndarray:
-    spec = attack
-    if spec.clamp is not None and not is_image:
-        spec = replace(spec, clamp=None)
     batch = ViewBatch(x=Tensor(x), y=y)
-    return attacks.pgd(model, batch, spec).data
+    return attacks.pgd(model, batch, attack.for_data(is_image)).data
 
 
 def _grid(records_a: list, records_b: list, n: int, condition: str,
@@ -242,25 +239,6 @@ def linear_probe(model: ModelBundle, train_set: Dataset, test_set: Dataset,
     return result
 
 
-def export_embeddings(model: ModelBundle, dataset: Dataset, path) -> None:
-    """CSV of final-layer representations: header label,e0,...,ek."""
-    rep, _ = models.encode(model, Tensor(dataset.inputs))
-    k = rep.shape[1]
-    with open(path, "w") as f:
-        f.write("label," + ",".join(f"e{i}" for i in range(k)) + "\n")
-        for yv, row in zip(dataset.labels, rep.data):
-            f.write(str(int(yv)) + "," + ",".join(f"{v:.10g}" for v in row) + "\n")
-
-
-def load_embeddings(path):
-    with open(path) as f:
-        f.readline()
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    labels = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    emb = np.array([[float(v) for v in r[1:]] for r in rows], dtype=np.float64)
-    return emb, labels
-
-
 def upper_third_mean(matrix: CKAMatrix) -> float:
     """Mean CKA over the top-third layer block (both axes)."""
     n_r = len(matrix.row_layers)
@@ -270,10 +248,3 @@ def upper_third_mean(matrix: CKAMatrix) -> float:
     block = matrix.values[r0:, c0:]
     return float(np.nanmean(block))
 
-
-def lower_third_mean(matrix: CKAMatrix) -> float:
-    n_r = len(matrix.row_layers)
-    n_c = len(matrix.col_layers)
-    r1 = max(1, n_r // 3)
-    c1 = max(1, n_c // 3)
-    return float(np.nanmean(matrix.values[:r1, :c1]))

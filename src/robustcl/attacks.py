@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,6 +51,12 @@ class AttackSpec:
 
     def key(self) -> tuple:
         return (self.driving_loss, self.epsilon, self.steps)
+
+    def for_data(self, is_image: bool) -> "AttackSpec":
+        """This spec, without the [0, 1] clamp when the data are vectors."""
+        if is_image or self.clamp is None:
+            return self
+        return replace(self, clamp=None)
 
 
 def project_linf(x0: np.ndarray, x: np.ndarray, epsilon: float,
@@ -136,10 +142,3 @@ def pgd(model, batch, spec: AttackSpec) -> Tensor:
             x = project_linf(x0, x, spec.epsilon, spec.clamp)
     return Tensor(x)
 
-
-def threat_model_II_attack(model, batch, spec: AttackSpec) -> Tensor:
-    """Encoder-targeted attack: the driving loss runs through encoder + head
-    only; the classifier is never queried."""
-    if spec.driving_loss not in ("CL", "SCL"):
-        raise AttackError("threat model II requires a CL or SCL driving loss")
-    return pgd(model, batch, spec)

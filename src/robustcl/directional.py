@@ -134,50 +134,52 @@ def _robust_key(spec: AttackSpec) -> str:
     return f"{spec.threat_model}|{spec.epsilon!r}|{spec.steps}"
 
 
-def _eval_cell(model, test, key, cache_dir, scenario, scheme, need_tm2):
-    path = os.path.join(cache_dir, f"{key}.eval.json")
+def _cached_json(path, compute, indent=None):
+    """The JSON object at `path`; on a miss, `compute()` it and write it
+    atomically."""
     if os.path.exists(path):
         with open(path) as f:
             return json.load(f)
-    specs = [tm1_attack()] + ([tm2_attack()] if need_tm2 else [])
-    report = evaluation.evaluate(model, test, specs, scenario=scenario,
-                                 scheme=scheme, model_id=key)
-    payload = {
-        "clean": report.clean_accuracy,
-        "robust": {_robust_key(s): report.robust[(s.threat_model, s.epsilon, s.steps)]
-                   for s in specs},
-        "n_test": report.n_test,
-        "tm2_queries": report.classifier_grad_queries_tm2,
-    }
+    payload = compute()
     with experiment.atomic_path(path) as tmp, open(tmp, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+        json.dump(payload, f, indent=indent, sort_keys=True)
     return payload
 
 
+def _eval_cell(model, test, key, cache_dir, scenario, scheme, need_tm2):
+    def compute():
+        specs = [tm1_attack()] + ([tm2_attack()] if need_tm2 else [])
+        report = evaluation.evaluate(model, test, specs, scenario=scenario,
+                                     scheme=scheme, model_id=key)
+        return {
+            "clean": report.clean_accuracy,
+            "robust": {_robust_key(s): report.robust[(s.threat_model, s.epsilon, s.steps)]
+                       for s in specs},
+            "n_test": report.n_test,
+            "tm2_queries": report.classifier_grad_queries_tm2,
+        }
+
+    return _cached_json(os.path.join(cache_dir, f"{key}.eval.json"), compute, indent=2)
+
+
 def _final_cka(model, test, key, cache_dir, n_analysis=400):
-    path = os.path.join(cache_dir, f"{key}.cka.json")
-    if os.path.exists(path):
-        with open(path) as f:
-            return json.load(f)["final_clean_adv_cka"]
-    curve = analysis.divergence_curve(model, test, tm1_attack(),
-                                      n_samples=n_analysis, seed=0)
-    value = float(curve[-1])
-    with experiment.atomic_path(path) as tmp, open(tmp, "w") as f:
-        json.dump({"final_clean_adv_cka": value}, f)
-    return value
+    def compute():
+        curve = analysis.divergence_curve(model, test, tm1_attack(),
+                                          n_samples=n_analysis, seed=0)
+        return {"final_clean_adv_cka": float(curve[-1])}
+
+    return _cached_json(os.path.join(cache_dir, f"{key}.cka.json"),
+                        compute)["final_clean_adv_cka"]
 
 
 def _cross_upper(model_a, model_b, test, key_a, key_b, cache_dir, n_analysis=400):
-    path = os.path.join(cache_dir, f"cross_{key_a}_{key_b}.json")
-    if os.path.exists(path):
-        with open(path) as f:
-            return json.load(f)["upper_third_mean"]
-    grid = analysis.cross_model_cka(model_a, model_b, test, n_samples=n_analysis,
-                                    seed=0, model_ids=(key_a, key_b))
-    value = analysis.upper_third_mean(grid)
-    with experiment.atomic_path(path) as tmp, open(tmp, "w") as f:
-        json.dump({"upper_third_mean": value}, f)
-    return value
+    def compute():
+        grid = analysis.cross_model_cka(model_a, model_b, test, n_samples=n_analysis,
+                                        seed=0, model_ids=(key_a, key_b))
+        return {"upper_third_mean": analysis.upper_third_mean(grid)}
+
+    return _cached_json(os.path.join(cache_dir, f"cross_{key_a}_{key_b}.json"),
+                        compute)["upper_third_mean"]
 
 
 def run_seed(cfg: ExperimentConfig, seed: int, cache_dir: str,

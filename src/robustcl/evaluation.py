@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,8 +42,7 @@ def _accuracy(model: ModelBundle, x: np.ndarray, y: np.ndarray,
 def robust_accuracy(model: ModelBundle, dataset: Dataset, attack: AttackSpec,
                     batch_size: int = 256) -> float:
     """Top-1 accuracy on adversarially perturbed test inputs."""
-    if attack.clamp is not None and not dataset.is_image:
-        attack = replace(attack, clamp=None)
+    attack = attack.for_data(dataset.is_image)
     correct = 0
     for start in range(0, dataset.n, batch_size):
         x = dataset.inputs[start:start + batch_size]

@@ -10,15 +10,10 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import replace
-
-import numpy as np
 
 from . import data, evaluation, models, training
 from .config import ConfigError, ExperimentConfig
 from .data import Dataset
-from .models import ModelBundle
-from .training import ScenarioSpec
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:

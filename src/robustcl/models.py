@@ -10,7 +10,6 @@ on the encoder representation.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass
 
@@ -272,15 +271,3 @@ def load_checkpoint(path) -> ModelBundle:
         raise CheckpointError("trailing bytes in checkpoint")
     return model
 
-
-def export_activations_csv(records, out_dir) -> list:
-    """One CSV per layer: header 'layer_id,d', then one activation row per sample."""
-    paths = []
-    for rec in records:
-        path = os.path.join(out_dir, f"activations_{rec.layer_id}.csv")
-        with open(path, "w") as f:
-            f.write(f"{rec.layer_id},{rec.matrix.shape[1]}\n")
-            for row in rec.matrix:
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
-        paths.append(path)
-    return paths

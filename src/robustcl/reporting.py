@@ -36,18 +36,6 @@ def write_cka_csv(matrix: CKAMatrix, path) -> None:
             f.write(rid + "," + ",".join(cells) + "\n")
 
 
-def read_cka_csv(path):
-    with open(path) as f:
-        cols = f.readline().strip().split(",")[1:]
-        rows, values, mask = [], [], []
-        for line in f:
-            parts = line.rstrip("\n").split(",")
-            rows.append(parts[0])
-            values.append([float(v) if v else np.nan for v in parts[1:]])
-            mask.append([not v for v in parts[1:]])
-    return rows, cols, np.array(values), np.array(mask, dtype=bool)
-
-
 def write_cka_pgm(matrix: CKAMatrix, path) -> None:
     """8-bit grayscale PGM; value v maps to round(255*v), masked cells to 0."""
     h, w = matrix.values.shape

@@ -1,10 +1,14 @@
-"""Scenario runner: ST / AT / Partial-AT / Full-AT over any learning scheme,
-with a two-phase pretrain + fine-tune structure and an Adam optimizer."""
+"""Scenario runner: ST / AT / Partial-AT / Full-AT over any learning scheme.
+
+`run_scenario` splits a scenario into phases: SL trains end to end in one;
+CL / SCL pretrain, and the combined schemes train end to end, before a
+fine-tuning phase. One phase runner trains each with an Adam optimizer."""
 
 from __future__ import annotations
 
 import json
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -102,175 +106,110 @@ class ScenarioSpec:
 @dataclass
 class RunRecord:
     loss_curve: list  # (epoch, phase, mean loss)
-    model: ModelBundle
     manifest: dict
 
 
-def _mean_loss_guard(value: float, where: str) -> float:
-    if not np.isfinite(value):
-        raise TrainingError(f"divergence: non-finite loss during {where}")
-    return value
+@dataclass
+class _Phase:
+    """One training phase: what it trains, on which data, with which loss."""
+    name: str  # the loss-curve label
+    dataset: Dataset
+    epochs: int
+    batch_size: int
+    data_seed: int
+    seed_prefix: tuple  # per-step seed = hash(seed_prefix + (epoch, step))
+    views: bool
+    driving_loss: str | None  # the train attack's driving loss; None: no attack
+    trains: tuple  # (encoder, head, classifier)
+    loss: Callable  # (model, batch) -> scalar Tensor
 
 
-def _train_attack_for(spec: ScenarioSpec, driving_loss: str, step_seed: int) -> AttackSpec:
-    base = spec.train_attack
-    return replace(base, driving_loss=driving_loss, seed=step_seed)
-
-
-def pretrain(model: ModelBundle, d_p: Dataset, spec: ScenarioSpec,
-             attack_counter: list | None = None) -> RunRecord:
-    """Phase 1: train encoder + head with a contrastive objective.
-
-    Under adversarial scenarios the x_adv term is regenerated every step from
-    the current parameters (online min-max training).
-    """
-    if spec.scheme not in ("CL", "SCL"):
-        raise TrainingError("pretrain requires scheme CL or SCL")
-    cfg = spec.loss
-    t0 = time.time()
-    curve = []
-    model.set_tracking(encoder=True, head=True, classifier=False)
-    opt = Adam.from_config(model.encoder_tensors() + model.head_tensors(),
-                           spec.optimizer)
-    clamp = (0.0, 1.0) if d_p.is_image else None
-    for epoch in range(spec.pretrain_epochs):
-        losses_epoch = []
-        for step, (xb, yb) in enumerate(
-                data.iter_batches(d_p, spec.effective_batch_size, spec.seed, epoch)):
-            xp, xpp = data.make_views(xb, spec.augment, seed=hash((spec.seed, epoch, step)) & 0x7FFFFFFF)
-            batch = ViewBatch(x=Tensor(xb), x_prime=Tensor(xp),
-                              x_double_prime=Tensor(xpp), y=yb)
-            step_cfg = cfg
-            if spec.adversarial:
-                aspec = _train_attack_for(spec, spec.scheme,
-                                          step_seed=(spec.seed, epoch, step).__hash__() & 0x7FFFFFFF)
-                if aspec.clamp is not None and clamp is None:
-                    aspec = replace(aspec, clamp=None)
-                batch.x_adv = attacks.pgd(model, batch, aspec)
-                if attack_counter is not None:
-                    attack_counter.append(1)
-            else:
-                step_cfg = replace(cfg, beta=0.0)
-            with GradientTape() as tape:
-                loss = losses.pretrain_loss(model, batch, step_cfg)
-            grads = T.backward(tape, loss)
-            opt.step(grads)
-            losses_epoch.append(_mean_loss_guard(loss.item(), "pretraining"))
-        curve.append((epoch, "pretrain", float(np.mean(losses_epoch))))
-    manifest = {"phase": "pretrain", "seed": spec.seed, "epochs": spec.pretrain_epochs,
-                "dataset": d_p.fingerprint(), "runtime_s": time.time() - t0}
-    return RunRecord(curve, model, manifest)
-
-
-def finetune(model: ModelBundle, d_f: Dataset, spec: ScenarioSpec) -> RunRecord:
-    """Phase 2: train the linear classifier (and, under Full-AT, the encoder)."""
-    t0 = time.time()
-    curve = []
-    models.reinit_classifier(model, seed=spec.seed + 1)
+def _phases(spec: ScenarioSpec, d_p: Dataset, d_f: Dataset) -> list:
+    """SL and the combined schemes train end-to-end in one phase; the
+    combined schemes and CL / SCL then fine-tune the classifier (and, under
+    Full-AT, the encoder) in a second phase."""
+    cfg, seed = spec.loss, spec.seed
+    # the losses are looked up at call time, so wrapped module functions apply
+    if spec.scheme == "SL":
+        mode = "full_at" if spec.adversarial else "standard"
+        return [_Phase("train", d_f, spec.finetune_epochs, spec.effective_batch_size,
+                       seed, (seed,), views=False,
+                       driving_loss="CE" if spec.adversarial else None,
+                       trains=(True, False, True),
+                       loss=lambda m, b: losses.finetune_loss(m, b, cfg, mode))]
+    if "+" in spec.scheme:  # ST only
+        first = _Phase("train", d_p, spec.pretrain_epochs, spec.effective_batch_size,
+                       seed, (seed,), views=True, driving_loss=None,
+                       trains=(True, True, True),
+                       loss=lambda m, b: losses.combined_scheme_loss(m, b, cfg))
+    else:
+        pre_cfg = cfg if spec.adversarial else replace(cfg, beta=0.0)
+        first = _Phase("pretrain", d_p, spec.pretrain_epochs, spec.effective_batch_size,
+                       seed, (seed,), views=True,
+                       driving_loss=spec.scheme if spec.adversarial else None,
+                       trains=(True, True, False),
+                       loss=lambda m, b: losses.pretrain_loss(m, b, pre_cfg))
     full_at = spec.scenario == "Full-AT"
-    partial_at = spec.scenario == "Partial-AT"
-    model.freeze_encoder = not full_at
-    model.set_tracking(encoder=full_at, head=False, classifier=True)
-    params = model.classifier_tensors()
-    if full_at:
-        params = model.encoder_tensors() + params
+    adversarial = full_at or spec.scenario == "Partial-AT"
+    mode = "full_at" if full_at else ("partial_at" if adversarial else "standard")
+    second = _Phase("finetune", d_f, spec.finetune_epochs,
+                    spec.adv_batch_size if adversarial else spec.batch_size,
+                    seed + 1, (seed, 1), views=False,
+                    driving_loss="CE" if adversarial else None,
+                    trains=(full_at, False, True),
+                    loss=lambda m, b: losses.finetune_loss(m, b, cfg, mode))
+    return [first, second]
+
+
+def _run_phase(model: ModelBundle, spec: ScenarioSpec, phase: _Phase) -> list:
+    """Train one phase; returns its (epoch, phase, mean loss) curve.
+
+    Under an attack, x_adv is regenerated every step from the current
+    parameters (online min-max training).
+    """
+    if phase.name == "finetune":
+        models.reinit_classifier(model, seed=spec.seed + 1)
+    encoder, head, classifier = phase.trains
+    model.freeze_encoder = not encoder
+    model.set_tracking(encoder=encoder, head=head, classifier=classifier)
+    params = ((model.encoder_tensors() if encoder else [])
+              + (model.head_tensors() if head else [])
+              + (model.classifier_tensors() if classifier else []))
     opt = Adam.from_config(params, spec.optimizer)
-    mode = "full_at" if full_at else ("partial_at" if partial_at else "standard")
-    adversarial = full_at or partial_at
-    clamp = (0.0, 1.0) if d_f.is_image else None
-    batch_size = spec.adv_batch_size if adversarial else spec.batch_size
-    for epoch in range(spec.finetune_epochs):
-        losses_epoch = []
-        for step, (xb, yb) in enumerate(
-                data.iter_batches(d_f, batch_size, spec.seed + 1, epoch)):
-            batch = ViewBatch(x=Tensor(xb), y=yb)
-            if adversarial:
-                aspec = _train_attack_for(spec, "CE",
-                                          step_seed=(spec.seed, 1, epoch, step).__hash__() & 0x7FFFFFFF)
-                if aspec.clamp is not None and clamp is None:
-                    aspec = replace(aspec, clamp=None)
-                batch.x_adv = attacks.pgd(model, batch, aspec)
-            with GradientTape() as tape:
-                loss = losses.finetune_loss(model, batch, spec.loss, mode)
-            grads = T.backward(tape, loss)
-            opt.step(grads)
-            losses_epoch.append(_mean_loss_guard(loss.item(), "fine-tuning"))
-        curve.append((epoch, "finetune", float(np.mean(losses_epoch))))
-    manifest = {"phase": "finetune", "seed": spec.seed, "epochs": spec.finetune_epochs,
-                "dataset": d_f.fingerprint(), "runtime_s": time.time() - t0}
-    return RunRecord(curve, model, manifest)
-
-
-def _train_single_phase(model: ModelBundle, d: Dataset, spec: ScenarioSpec) -> RunRecord:
-    """SL and the combined schemes train in one phase, end-to-end."""
-    t0 = time.time()
+    attack = None
+    if phase.driving_loss is not None:
+        attack = replace(spec.train_attack, driving_loss=phase.driving_loss)
+        attack = attack.for_data(phase.dataset.is_image)
     curve = []
-    sl_only = spec.scheme == "SL"
-    model.freeze_encoder = False
-    model.set_tracking(encoder=True, head=not sl_only, classifier=True)
-    params = model.encoder_tensors() + model.classifier_tensors()
-    if not sl_only:
-        params += model.head_tensors()
-    opt = Adam.from_config(params, spec.optimizer)
-    adversarial = spec.adversarial
-    clamp = (0.0, 1.0) if d.is_image else None
-    epochs = spec.finetune_epochs if sl_only else spec.pretrain_epochs
-    for epoch in range(epochs):
+    for epoch in range(phase.epochs):
         losses_epoch = []
         for step, (xb, yb) in enumerate(
-                data.iter_batches(d, spec.effective_batch_size, spec.seed, epoch)):
+                data.iter_batches(phase.dataset, phase.batch_size, phase.data_seed, epoch)):
+            step_seed = hash(phase.seed_prefix + (epoch, step)) & 0x7FFFFFFF
             batch = ViewBatch(x=Tensor(xb), y=yb)
-            if not sl_only:
-                xp, xpp = data.make_views(xb, spec.augment,
-                                          seed=hash((spec.seed, epoch, step)) & 0x7FFFFFFF)
+            if phase.views:
+                xp, xpp = data.make_views(xb, spec.augment, seed=step_seed)
                 batch.x_prime, batch.x_double_prime = Tensor(xp), Tensor(xpp)
-            if adversarial:
-                aspec = _train_attack_for(spec, "CE",
-                                          step_seed=(spec.seed, epoch, step).__hash__() & 0x7FFFFFFF)
-                if aspec.clamp is not None and clamp is None:
-                    aspec = replace(aspec, clamp=None)
-                batch.x_adv = attacks.pgd(model, batch, aspec)
+            if attack is not None:
+                batch.x_adv = attacks.pgd(model, batch, replace(attack, seed=step_seed))
             with GradientTape() as tape:
-                if sl_only:
-                    if adversarial:
-                        loss = losses.finetune_loss(model, batch, spec.loss, "full_at")
-                    else:
-                        loss = losses.finetune_loss(model, batch, spec.loss, "standard")
-                else:
-                    loss = losses.combined_scheme_loss(model, batch, spec.loss)
-            grads = T.backward(tape, loss)
-            opt.step(grads)
-            losses_epoch.append(_mean_loss_guard(loss.item(), "single-phase training"))
-        curve.append((epoch, "train", float(np.mean(losses_epoch))))
-    manifest = {"phase": "single", "seed": spec.seed, "epochs": epochs,
-                "dataset": d.fingerprint(), "runtime_s": time.time() - t0}
-    return RunRecord(curve, model, manifest)
-
-
-def _finetune_linear_only(model: ModelBundle, d: Dataset, spec: ScenarioSpec) -> RunRecord:
-    """Standard classifier training on frozen encoder for combined schemes."""
-    frozen = replace(spec, scenario="ST", train_attack=None)
-    return finetune(model, d, frozen)
+                loss = phase.loss(model, batch)
+            opt.step(T.backward(tape, loss))
+            value = loss.item()
+            if not np.isfinite(value):
+                raise TrainingError(f"divergence: non-finite loss in the {phase.name} phase")
+            losses_epoch.append(value)
+        curve.append((epoch, phase.name, float(np.mean(losses_epoch))))
+    return curve
 
 
 def run_scenario(model: ModelBundle, dataset_pretrain: Dataset, dataset_finetune: Dataset,
                  spec: ScenarioSpec) -> RunRecord:
-    """Compose the two training phases (or a single SL / combined phase)."""
+    """Train `model` in place through the scenario's one or two phases."""
     t0 = time.time()
     curve = []
-    if spec.scheme == "SL":
-        rec = _train_single_phase(model, dataset_finetune, spec)
-        curve += rec.loss_curve
-    elif "+" in spec.scheme:
-        rec = _train_single_phase(model, dataset_pretrain, spec)
-        curve += rec.loss_curve
-        rec2 = _finetune_linear_only(model, dataset_finetune, spec)
-        curve += rec2.loss_curve
-    else:
-        rec = pretrain(model, dataset_pretrain, spec)
-        curve += rec.loss_curve
-        rec2 = finetune(model, dataset_finetune, spec)
-        curve += rec2.loss_curve
+    for phase in _phases(spec, dataset_pretrain, dataset_finetune):
+        curve += _run_phase(model, spec, phase)
     manifest = {
         "scenario": spec.scenario,
         "scheme": spec.scheme,
@@ -281,7 +220,7 @@ def run_scenario(model: ModelBundle, dataset_pretrain: Dataset, dataset_finetune
         "finetune_epochs": spec.finetune_epochs,
         "runtime_s": time.time() - t0,
     }
-    return RunRecord(curve, model, manifest)
+    return RunRecord(curve, manifest)
 
 
 def write_loss_csv(record: RunRecord, path) -> None:

@@ -12,13 +12,15 @@ runs/acceptance/cache; run scripts/run_directional.py first to populate it
 training, about 7 minutes per seed on one core).
 """
 
+import filecmp
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from robustcl import (analysis, directional, evaluation, losses, models,
-                      tensor, training)
+from robustcl import (analysis, directional, evaluation, experiment, losses,
+                      models, tensor, training)
 from robustcl.attacks import AttackSpec, pgd, project_linf
 from robustcl.data import AugmentSpec, ViewBatch
 from robustcl.losses import LossConfig
@@ -293,29 +295,43 @@ def _tiny_spec(**kw):
     return ScenarioSpec(**kw)
 
 
+def _encoder_bytes_at_finetune(monkeypatch):
+    """Record the encoder bytes when fine-tuning starts: models.reinit_classifier
+    runs once, right after pretraining."""
+    snaps = []
+    reinit = models.reinit_classifier
+
+    def snapshotting_reinit(model, seed):
+        snaps.append(_encoder_bytes(model))
+        return reinit(model, seed)
+
+    monkeypatch.setattr(models, "reinit_classifier", snapshotting_reinit)
+    return snaps
+
+
 class TestScenarioContracts:
     def test_fixed_backbone_scenarios_leave_encoder_bitwise_unchanged(
-            self, gauss_splits):
+            self, gauss_splits, monkeypatch):
         d_p, _ = gauss_splits
+        snaps = _encoder_bytes_at_finetune(monkeypatch)
         for scenario, attack in (("ST", None),
                                  ("AT", AttackSpec(epsilon=0.05, steps=2, clamp=None)),
                                  ("Partial-AT", AttackSpec(epsilon=0.05, steps=2, clamp=None))):
             m = models.init_model(EncoderConfig("dense", (16, 8, 4), (20,)),
                                   2, 4, seed=0)
             spec = _tiny_spec(scenario=scenario, scheme="CL", train_attack=attack)
-            training.pretrain(m, d_p, spec)
-            before = _encoder_bytes(m)
-            training.finetune(m, d_p, spec)
-            assert _encoder_bytes(m) == before, scenario
+            training.run_scenario(m, d_p, d_p, spec)
+            assert _encoder_bytes(m) == snaps.pop(), scenario
+            assert not snaps
 
-    def test_full_at_changes_encoder(self, gauss_splits):
+    def test_full_at_changes_encoder(self, gauss_splits, monkeypatch):
         d_p, _ = gauss_splits
+        snaps = _encoder_bytes_at_finetune(monkeypatch)
         m = models.init_model(EncoderConfig("dense", (16, 8, 4), (20,)), 2, 4, seed=0)
         spec = _tiny_spec(scenario="Full-AT", scheme="CL",
                           train_attack=AttackSpec(epsilon=0.05, steps=2, clamp=None))
-        training.pretrain(m, d_p, spec)
-        before = _encoder_bytes(m)
-        training.finetune(m, d_p, spec)
+        training.run_scenario(m, d_p, d_p, spec)
+        [before] = snaps
         assert _encoder_bytes(m) != before
 
     def test_threat_model_ii_never_queries_classifier(self, gauss_splits):
@@ -341,6 +357,21 @@ class TestScenarioContracts:
             evaluation.write_results_csv(directional.results_rows(suite), path)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestCacheFreshness:
+    def test_st_sl_retrains_to_the_committed_bytes(self, tmp_path):
+        """The cheapest fixture cell, retrained from scratch, must reproduce
+        its committed checkpoint and loss curve byte for byte: the cache is
+        keyed by config and data, not by code, so this is what ties the
+        training code to the cached cells."""
+        cfg = directional.fixture_config()
+        d_p, d_f, _ = experiment.build_splits(cfg, experiment.build_dataset(cfg))
+        key = experiment.cell_key(cfg, "ST", "SL", 0, d_p)
+        experiment.train_cell(cfg, d_p, d_f, "ST", "SL", 0, cache_dir=str(tmp_path))
+        committed = Path(directional.default_cache_dir())
+        for name in (f"{key}.ckpt", f"{key}.loss.csv"):
+            assert filecmp.cmp(tmp_path / name, committed / name, shallow=False), name
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,6 @@ class TestCrossModel:
         grid = analysis.CKAMatrix(["a", "b", "c"], ["a", "b", "c"], vals,
                                   np.zeros((3, 3), bool), 10, "clean-clean", ("m", "m"))
         assert upper_third_mean(grid) == pytest.approx(0.8)
-        assert analysis.lower_third_mean(grid) == pytest.approx(0.0)
 
 
 class TestProbe:
@@ -204,25 +203,6 @@ class TestEpsilonSweep:
         atk = AttackSpec(epsilon=0.05, steps=2, clamp=None)
         with pytest.raises(AnalysisError):
             epsilon_sweep(lambda eps: m, d_test, [0.05, 0.0], atk)
-
-
-class TestEmbeddings:
-    def test_roundtrip(self, trained, tmp_path):
-        m, _, d_test = trained
-        p = tmp_path / "emb.csv"
-        analysis.export_embeddings(m, d_test, p)
-        emb, labels = analysis.load_embeddings(p)
-        assert emb.shape[0] == d_test.n
-        rep, _ = models.encode(m, analysis.Tensor(d_test.inputs))
-        assert np.allclose(emb, rep.data, atol=1e-6)
-        assert np.array_equal(labels, d_test.labels)
-
-    def test_export_pure(self, trained, tmp_path):
-        m, _, d_test = trained
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        analysis.export_embeddings(m, d_test, p1)
-        analysis.export_embeddings(m, d_test, p2)
-        assert p1.read_bytes() == p2.read_bytes()
 
 
 @settings(max_examples=25, deadline=None)

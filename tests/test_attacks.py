@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,16 @@ class TestSpec:
     def test_threat_model_tag(self):
         assert AttackSpec(epsilon=0.1, steps=1).threat_model == "I"
         assert AttackSpec(epsilon=0.1, steps=1, driving_loss="CL").threat_model == "II"
+
+    def test_for_data_drops_the_clamp_for_vectors_only(self):
+        spec = AttackSpec(epsilon=0.1, steps=2, random_start=True,
+                          driving_loss="SCL", clamp=(0.0, 1.0), seed=5)
+        assert spec.for_data(is_image=True) is spec
+        vec = spec.for_data(is_image=False)
+        assert vec.clamp is None and spec.clamp == (0.0, 1.0)
+        assert replace(vec, clamp=spec.clamp) == spec
+        unclamped = replace(spec, clamp=None)
+        assert unclamped.for_data(is_image=False) is unclamped
 
 
 class TestPgd:
@@ -223,18 +235,15 @@ class TestCleanEmbeddingOnce:
 
 
 class TestThreatModelII:
-    def test_requires_contrastive_driving(self, dense_model, rng):
-        batch = make_batch(rng, dense_model)
-        with pytest.raises(AttackError):
-            attacks.threat_model_II_attack(dense_model, batch,
-                                           AttackSpec(epsilon=0.1, steps=1))
+    """Encoder-targeted PGD: the CL and SCL driving losses run through the
+    encoder and head only."""
 
     def test_single_pair_degenerate(self, dense_model, rng):
         # one positive pair, no negatives: NT-Xent is identically 0
         batch = ViewBatch(x=Tensor(rng.random((1, 20))), y=np.array([0]))
         spec = AttackSpec(epsilon=0.1, steps=3, driving_loss="CL",
                           random_start=False, clamp=None)
-        x_adv = attacks.threat_model_II_attack(dense_model, batch, spec)
+        x_adv = pgd(dense_model, batch, spec)
         assert np.array_equal(x_adv.data, batch.x.data)
 
     def test_zero_classifier_queries(self, st_model, rng):
@@ -245,7 +254,7 @@ class TestThreatModelII:
             for loss_name in ("CL", "SCL"):
                 spec = AttackSpec(epsilon=0.1, steps=4, driving_loss=loss_name,
                                   random_start=True, clamp=None)
-                attacks.threat_model_II_attack(st_model, batch, spec)
+                pgd(st_model, batch, spec)
         finally:
             st_model.audit_active = False
         assert st_model.classifier_grad_queries == 0
@@ -254,7 +263,7 @@ class TestThreatModelII:
         batch = make_batch(rng, st_model)
         spec = AttackSpec(epsilon=0.05, steps=6, driving_loss="SCL",
                           random_start=True, clamp=None)
-        x_adv = attacks.threat_model_II_attack(st_model, batch, spec)
+        x_adv = pgd(st_model, batch, spec)
         assert np.max(np.abs(x_adv.data - batch.x.data)) <= 0.05 + 1e-9
 
 

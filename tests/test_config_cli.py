@@ -152,10 +152,8 @@ class TestReporting:
         m = self.grid(vals, mask)
         p = tmp_path / "g.csv"
         reporting.write_cka_csv(m, p)
-        rows, cols, loaded, loaded_mask = reporting.read_cka_csv(p)
-        assert rows == ["L0", "L1"] and cols == ["L0", "L1"]
-        assert np.array_equal(loaded_mask, mask)
-        assert np.allclose(loaded, vals, equal_nan=True)
+        # masked cells are written empty; the rest as float reprs
+        assert p.read_text().splitlines() == [",L0,L1", "L0,0.5,", "L1,0.25,1.0"]
 
     def test_probe_csv_header_once(self, tmp_path):
         p = tmp_path / "probes.csv"

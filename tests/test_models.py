@@ -169,10 +169,3 @@ class TestCheckpoint:
         diffs = [i for i, (x, y) in enumerate(zip(b1, b2)) if x != y]
         assert diffs == [8]
 
-
-def test_activation_csv_export(tmp_path, dense_model, rng):
-    _, records = models.encode(dense_model, Tensor(rng.random((4, 20))), capture=True)
-    paths = models.export_activations_csv(records, tmp_path)
-    assert len(paths) == 3
-    header = open(paths[0]).readline().strip().split(",")
-    assert header == [records[0].layer_id, "16"]

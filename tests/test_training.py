@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from robustcl import data, models, training
+from robustcl import attacks, data, losses, models, training
 from robustcl.attacks import AttackSpec
-from robustcl.data import AugmentSpec
-from robustcl.losses import LossConfig
+from robustcl.data import AugmentSpec, ViewBatch
+from robustcl.losses import LossConfig, LossError
 from robustcl.models import EncoderConfig
 from robustcl.tensor import Tensor
 from robustcl.training import (Adam, RunRecord, ScenarioSpec, TrainingError,
@@ -101,81 +101,116 @@ class TestScenarioSpec:
         assert at.effective_batch_size == 256
 
 
-class TestPretrain:
-    def test_st_generates_no_attacks(self, gauss_splits):
-        d_p, _ = gauss_splits
-        m = fresh_model()
-        counter = []
-        spec = small_spec(scenario="ST", scheme="CL", pretrain_epochs=1)
-        training.pretrain(m, d_p, spec, attack_counter=counter)
-        assert counter == []
+def count_attacks(monkeypatch):
+    """Patch attacks.pgd to record the spec of every call."""
+    specs = []
+    pgd = attacks.pgd
 
-    def test_at_attacks_every_step(self, gauss_splits):
+    def counting_pgd(model, batch, spec):
+        specs.append(spec)
+        return pgd(model, batch, spec)
+
+    monkeypatch.setattr(attacks, "pgd", counting_pgd)
+    return specs
+
+
+def snapshots_at_finetune(monkeypatch):
+    """Patch models.reinit_classifier, which runs once at the start of
+    fine-tuning, to record the encoder and head as pretraining left them."""
+    snaps = []
+    reinit = models.reinit_classifier
+
+    def snapshotting_reinit(model, seed):
+        snaps.append((encoder_snapshot(model),
+                      [t.data.copy() for t in model.head_tensors()]))
+        return reinit(model, seed)
+
+    monkeypatch.setattr(models, "reinit_classifier", snapshotting_reinit)
+    return snaps
+
+
+class TestPretrain:
+    def test_st_generates_no_attacks(self, gauss_splits, monkeypatch):
         d_p, _ = gauss_splits
-        m = fresh_model()
-        counter = []
+        specs = count_attacks(monkeypatch)
+        spec = small_spec(scenario="ST", scheme="CL", pretrain_epochs=1)
+        run_scenario(fresh_model(), d_p, d_p, spec)
+        assert specs == []
+
+    def test_at_attacks_every_step(self, gauss_splits, monkeypatch):
+        d_p, _ = gauss_splits
+        specs = count_attacks(monkeypatch)
         spec = small_spec(scenario="AT", scheme="CL", pretrain_epochs=2,
                           train_attack=AttackSpec(epsilon=0.05, steps=2, clamp=None))
-        training.pretrain(m, d_p, spec, attack_counter=counter)
+        run_scenario(fresh_model(), d_p, d_p, spec)
         steps_per_epoch = sum(1 for _ in data.iter_batches(
             d_p, spec.effective_batch_size, spec.seed, 0))
-        assert len(counter) == 2 * steps_per_epoch
+        # AT fine-tunes on clean inputs: every attack belongs to pretraining
+        assert len(specs) == 2 * steps_per_epoch
+        assert {s.driving_loss for s in specs} == {"CL"}
 
     def test_requires_contrastive_scheme(self, gauss_splits):
+        # SL trains in a single phase; the pretraining loss rejects it
         d_p, _ = gauss_splits
-        with pytest.raises(TrainingError):
-            training.pretrain(fresh_model(), d_p, small_spec(scheme="SL"))
+        x = Tensor(d_p.inputs[:4])
+        batch = ViewBatch(x=x, x_prime=x, x_double_prime=x, y=d_p.labels[:4])
+        with pytest.raises(LossError):
+            losses.pretrain_loss(fresh_model(), batch, LossConfig(scheme="SL"))
 
     def test_loss_decreases(self, gauss_splits):
         d_p, _ = gauss_splits
-        m = fresh_model()
         spec = small_spec(scenario="ST", scheme="CL", pretrain_epochs=8)
-        rec = training.pretrain(m, d_p, spec)
-        assert rec.loss_curve[-1][2] < rec.loss_curve[0][2]
+        rec = run_scenario(fresh_model(), d_p, d_p, spec)
+        pre = [loss for _, phase, loss in rec.loss_curve if phase == "pretrain"]
+        assert len(pre) == 8
+        assert pre[-1] < pre[0]
 
 
 class TestFinetune:
-    def test_standard_leaves_encoder_bitwise_unchanged(self, gauss_splits):
+    def test_standard_leaves_encoder_bitwise_unchanged(self, gauss_splits, monkeypatch):
         d_p, _ = gauss_splits
         m = fresh_model()
-        spec = small_spec(scenario="ST", scheme="CL", pretrain_epochs=1)
-        training.pretrain(m, d_p, spec)
-        snap = encoder_snapshot(m)
-        head_snap = [t.data.copy() for t in m.head_tensors()]
-        training.finetune(m, d_p, spec)
+        snaps = snapshots_at_finetune(monkeypatch)
+        run_scenario(m, d_p, d_p, small_spec(scenario="ST", scheme="CL", pretrain_epochs=1))
+        [(snap, head_snap)] = snaps
         assert encoder_unchanged(m, snap)
         assert all(np.array_equal(t.data, s) for t, s in zip(m.head_tensors(), head_snap))
         assert m.freeze_encoder
 
-    def test_partial_at_keeps_encoder_fixed(self, gauss_splits):
+    def test_partial_at_keeps_encoder_fixed(self, gauss_splits, monkeypatch):
         d_p, _ = gauss_splits
         m = fresh_model()
+        snaps = snapshots_at_finetune(monkeypatch)
         spec = small_spec(scenario="Partial-AT", scheme="CL", pretrain_epochs=1,
                           train_attack=AttackSpec(epsilon=0.05, steps=2, clamp=None))
-        training.pretrain(m, d_p, spec)
-        snap = encoder_snapshot(m)
-        training.finetune(m, d_p, spec)
+        run_scenario(m, d_p, d_p, spec)
+        [(snap, _)] = snaps
         assert encoder_unchanged(m, snap)
 
-    def test_full_at_updates_encoder(self, gauss_splits):
+    def test_full_at_updates_encoder(self, gauss_splits, monkeypatch):
         d_p, _ = gauss_splits
         m = fresh_model()
+        snaps = snapshots_at_finetune(monkeypatch)
         spec = small_spec(scenario="Full-AT", scheme="CL", pretrain_epochs=1,
                           train_attack=AttackSpec(epsilon=0.05, steps=2, clamp=None))
-        training.pretrain(m, d_p, spec)
-        snap = encoder_snapshot(m)
-        training.finetune(m, d_p, spec)
+        run_scenario(m, d_p, d_p, spec)
+        [(snap, _)] = snaps
         assert not encoder_unchanged(m, snap)
+        assert not m.freeze_encoder
 
     def test_classifier_reinitialized(self, gauss_splits):
         d_p, _ = gauss_splits
         m = fresh_model()
         w = m.classifier_params[0]
         w.data = np.full_like(w.data, 7.0)
-        spec = small_spec(scenario="ST", scheme="CL", finetune_epochs=0)
-        training.finetune(m, d_p, spec)
+        spec = small_spec(scenario="ST", scheme="CL", pretrain_epochs=1, finetune_epochs=0)
+        run_scenario(m, d_p, d_p, spec)
         w_after = m.classifier_params[0].data
         assert not np.array_equal(w_after, np.full(w_after.shape, 7.0))
+        ref = fresh_model()
+        models.reinit_classifier(ref, seed=spec.seed + 1)
+        assert all(np.array_equal(a.data, b.data) for a, b in
+                   zip(m.classifier_tensors(), ref.classifier_tensors()))
 
 
 class TestRunScenario:
@@ -200,6 +235,19 @@ class TestRunScenario:
         assert phases == ["train"] * 2 + ["finetune"] * 2
         assert m.freeze_encoder
 
+    @pytest.mark.parametrize("scenario, scheme",
+                             [("AT", "SL"), ("AT", "CL"), ("Full-AT", "SCL")])
+    def test_vector_data_attacks_drop_the_clamp(self, gauss_splits, monkeypatch,
+                                               scenario, scheme):
+        d_p, _ = gauss_splits
+        specs = count_attacks(monkeypatch)
+        attack = AttackSpec(epsilon=0.05, steps=1)
+        assert attack.clamp == (0.0, 1.0)
+        spec = small_spec(scenario=scenario, scheme=scheme, pretrain_epochs=1,
+                          finetune_epochs=1, train_attack=attack)
+        run_scenario(fresh_model(), d_p, d_p, spec)
+        assert specs and all(s.clamp is None for s in specs)
+
     def test_determinism(self, gauss_splits):
         d_p, _ = gauss_splits
 
@@ -223,7 +271,7 @@ class TestRunScenario:
 
 
 def test_loss_csv_format(tmp_path):
-    rec = RunRecord([(0, "pretrain", 1.5), (1, "finetune", 0.25)], None, {})
+    rec = RunRecord([(0, "pretrain", 1.5), (1, "finetune", 0.25)], {})
     p = tmp_path / "loss.csv"
     training.write_loss_csv(rec, p)
     lines = p.read_text().splitlines()
