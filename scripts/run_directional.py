@@ -10,13 +10,19 @@ import os
 import sys
 import time
 
-from robustcl import directional, evaluation, reporting
+# One BLAS thread, set before numpy loads: OpenBLAS reads the count once,
+# and the committed cache reproduces at one thread.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from robustcl import directional, evaluation, reporting  # noqa: E402
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, nargs="+", default=list(directional.SEEDS))
-    ap.add_argument("--cache-dir", default=directional.default_cache_dir())
+    ap.add_argument("--cache-dir", default=None,
+                    help="cell cache (default: the checkout's runs/acceptance/cache)")
     ap.add_argument("--out", default=str(directional.package_root() / "runs" / "acceptance"))
     args = ap.parse_args(argv)
 

@@ -11,7 +11,12 @@ import json
 import os
 import sys
 
-from robustcl import analysis, directional, experiment, reporting
+# One BLAS thread, set before numpy loads: OpenBLAS reads the count once,
+# and the committed cache reproduces at one thread.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from robustcl import analysis, directional, experiment, reporting  # noqa: E402
 
 
 def main(argv=None):
@@ -19,12 +24,14 @@ def main(argv=None):
     ap.add_argument("--epsilons", type=float, nargs="+",
                     default=[0.0, directional.EPS4, directional.EPS8])
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--cache-dir", default=directional.default_cache_dir())
+    ap.add_argument("--cache-dir", default=None,
+                    help="cell cache (default: the checkout's runs/acceptance/cache)")
     ap.add_argument("--out",
                     default=str(directional.package_root() / "runs" / "eps_sweep"))
     ap.add_argument("--n-samples", type=int, default=400)
     args = ap.parse_args(argv)
 
+    cache_dir = args.cache_dir or directional.default_cache_dir()
     cfg = directional.fixture_config()
     dataset = experiment.build_dataset(cfg)
     d_p, d_f, test = experiment.build_splits(cfg, dataset)
@@ -34,7 +41,7 @@ def main(argv=None):
         scenario = "ST" if eps == 0.0 else "AT"
         train_eps = None if eps == 0.0 else eps
         model, _ = experiment.train_cell(cfg, d_p, d_f, scenario, "CL",
-                                         args.seed, args.cache_dir, train_eps)
+                                         args.seed, cache_dir, train_eps)
         return model
 
     os.makedirs(args.out, exist_ok=True)
@@ -45,8 +52,7 @@ def main(argv=None):
     for entry in entries:
         tag = f"eps_{entry['epsilon']:g}".replace(".", "p")
         reporting.write_cka_csv(entry["heatmap"], os.path.join(args.out, f"{tag}.csv"))
-        reporting.write_cka_pgm(entry["heatmap"], os.path.join(args.out, f"{tag}.pgm"))
-        reporting.write_cka_svg(entry["heatmap"], os.path.join(args.out, f"{tag}.svg"))
+        reporting.render_heatmap(entry["heatmap"], os.path.join(args.out, tag))
         with open(os.path.join(args.out, f"{tag}_divergence.csv"), "w") as f:
             f.write("layer_index,clean_adv_cka\n")
             for i, v in enumerate(entry["divergence"]):

@@ -3,7 +3,6 @@ divergence curves, cross-model grids, and per-layer linear probes."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,33 +144,24 @@ def cross_model_cka(model_a: ModelBundle, model_b: ModelBundle, dataset: Dataset
 
 
 def epsilon_sweep(train_fn, dataset: Dataset, eps_list, attack: AttackSpec,
-                  n_samples: int = 512, seed: int = 0, checkpoint_dir=None):
+                  n_samples: int = 512, seed: int = 0):
     """Train one model per training budget and analyze each under a fixed
     evaluation attack.
 
     train_fn(eps) must return a trained model; eps 0 is the standard-training
     member of the family. Returns (entries, manifest) where each entry holds
-    the training epsilon, divergence curve, clean-adv heatmap, and checkpoint
-    path (when checkpoint_dir is given).
+    the training epsilon, clean-adv heatmap and divergence curve (the
+    heatmap's diagonal).
     """
     eps_list = [float(e) for e in eps_list]
     if eps_list != sorted(eps_list):
         raise AnalysisError("eps_list must be sorted ascending")
     entries = []
     for eps in eps_list:
-        model = train_fn(eps)
-        curve = divergence_curve(model, dataset, attack, n_samples, seed)
-        grid = cka_heatmap(model, dataset, attack, n_samples, seed,
+        grid = cka_heatmap(train_fn(eps), dataset, attack, n_samples, seed,
                            model_id=f"eps={eps:g}")
-        path = None
-        if checkpoint_dir is not None:
-            os.makedirs(checkpoint_dir, exist_ok=True)
-            path = os.path.join(checkpoint_dir, f"eps_{eps:g}.ckpt")
-            models.save_checkpoint(model, path)
-        entries.append({"epsilon": eps, "divergence": curve,
-                        "heatmap": grid, "checkpoint": path})
+        entries.append({"epsilon": eps, "divergence": grid.diagonal(), "heatmap": grid})
     manifest = {"epsilons": eps_list,
-                "checkpoints": [e["checkpoint"] for e in entries],
                 "n_samples": entries[0]["heatmap"].n_samples if entries else 0,
                 "attack": {"epsilon": attack.epsilon, "steps": attack.steps,
                            "driving_loss": attack.driving_loss}}

@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 
-from . import analysis, data, evaluation, experiment, models, reporting, training
+from . import analysis, data, evaluation, experiment, models, reporting
 from .config import ConfigError, ExperimentConfig, load_config
 
 
@@ -67,28 +68,25 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    """Train the configured cell through the cell cache under
+    <output_dir>/cache (shared with `sweep`) and copy the entry out."""
     cfg = _load(args)
     out = _out_dir(cfg)
     dataset = experiment.build_dataset(cfg)
-    d_p, d_f, test = experiment.build_splits(cfg, dataset)
+    d_p, d_f, _ = experiment.build_splits(cfg, dataset)
     scenario = cfg.get("scenario", "scenario")
     scheme = cfg.get("loss", "scheme")
     seed = cfg.getint("experiment", "seed")
-    spec = cfg.scenario_spec(scenario=scenario, scheme=scheme, seed=seed,
-                             is_image=dataset.is_image)
-    enc_cfg = cfg.encoder_config(dataset.input_shape if dataset.is_image
-                                 else (dataset.inputs.shape[1],))
-    model = models.init_model(enc_cfg, dataset.n_classes,
-                              cfg.getint("model", "head_dim"), seed)
-    record = training.run_scenario(model, d_p, d_f, spec)
-    ckpt = os.path.join(out, "model.ckpt")
-    models.save_checkpoint(model, ckpt)
-    curve = os.path.join(out, "loss.csv")
-    training.write_loss_csv(record, curve)
-    record.manifest["config_hash"] = cfg.hash()
-    training.write_manifest(record.manifest, os.path.join(out, "train_manifest.json"))
-    _write_manifest(cfg, out, [ckpt, curve, os.path.join(out, "train_manifest.json")])
-    print(f"trained {scenario}/{scheme} (seed {seed}) -> {ckpt}")
+    cache_dir = os.path.join(out, "cache")
+    _, manifest = experiment.train_cell(cfg, d_p, d_f, scenario, scheme, seed, cache_dir)
+    files = []
+    for ext, name in (("ckpt", "model.ckpt"), ("loss.csv", "loss.csv"),
+                      ("manifest.json", "train_manifest.json")):
+        dst = os.path.join(out, name)
+        shutil.copyfile(os.path.join(cache_dir, f"{manifest['cell_key']}.{ext}"), dst)
+        files.append(dst)
+    _write_manifest(cfg, out, files)
+    print(f"trained {scenario}/{scheme} (seed {seed}) -> {files[0]}")
     return 0
 
 
@@ -106,8 +104,7 @@ def cmd_evaluate(args) -> int:
     dataset = experiment.build_dataset(cfg)
     _, _, test = experiment.build_splits(cfg, dataset)
     scheme = cfg.get("loss", "scheme")
-    attacks_list = cfg.eval_attacks(scheme, is_image=dataset.is_image)
-    report = evaluation.evaluate(model, test, attacks_list,
+    report = evaluation.evaluate(model, test, cfg.eval_attacks(scheme),
                                  scenario=cfg.get("scenario", "scenario"),
                                  scheme=scheme)
     # runtime_s reports the (cached) training cost so reruns of this command
@@ -140,19 +137,17 @@ def cmd_cka(args) -> int:
     reporting.write_cka_csv(clean, csv_path)
     files.append(csv_path)
     files += reporting.render_heatmap(clean, os.path.join(out, "cka_clean_clean"))
-    eval_attacks = cfg.eval_attacks(scheme, is_image=dataset.is_image)
+    eval_attacks = cfg.eval_attacks(scheme)
     if eval_attacks:
-        attack = eval_attacks[-1]
-        grid = analysis.cka_heatmap(model, test, attack, n_samples)
+        grid = analysis.cka_heatmap(model, test, eval_attacks[-1], n_samples)
         csv_path = os.path.join(out, "cka_clean_adv.csv")
         reporting.write_cka_csv(grid, csv_path)
         files.append(csv_path)
         files += reporting.render_heatmap(grid, os.path.join(out, "cka_clean_adv"))
-        curve = analysis.divergence_curve(model, test, attack, n_samples)
         dpath = os.path.join(out, "divergence.csv")
         with open(dpath, "w") as f:
             f.write("layer_id,cka_clean_adv\n")
-            for lid, v in zip(model.layer_ids(), curve):
+            for lid, v in zip(model.layer_ids(), grid.diagonal()):
                 f.write(f"{lid},{float(v)!r}\n")
         files.append(dpath)
     _write_manifest(cfg, out, files)

@@ -181,19 +181,18 @@ class ExperimentConfig:
             erase_patch_size=self.getint("augment", "erase_patch_size"),
         )
 
-    def train_attack(self, driving_loss: str = "CE", is_image: bool = True) -> AttackSpec:
+    def train_attack(self) -> AttackSpec:
+        """The training adversary; each phase sets its driving loss, and
+        `AttackSpec.for_data` drops the clamp on vector data."""
         step = self.get("attack_train", "step_size").strip()
         return AttackSpec(
             epsilon=self.getfloat("attack_train", "epsilon"),
             steps=self.getint("attack_train", "steps"),
             step_size=float(step) if step else None,
             random_start=self.getbool("attack_train", "random_start"),
-            driving_loss=driving_loss,
-            clamp=(0.0, 1.0) if is_image else None,
         )
 
-    def eval_attacks(self, scheme: str, is_image: bool = True) -> list:
-        clamp = (0.0, 1.0) if is_image else None
+    def eval_attacks(self, scheme: str) -> list:
         rs = self.getbool("attack_eval", "random_start")
         specs = []
         for eps in self.getlist("attack_eval", "epsilons", float):
@@ -201,26 +200,24 @@ class ExperimentConfig:
                 if tm == "I":
                     specs.append(AttackSpec(epsilon=eps,
                                             steps=self.getint("attack_eval", "steps"),
-                                            random_start=rs, driving_loss="CE",
-                                            clamp=clamp))
+                                            random_start=rs, driving_loss="CE"))
                 elif tm == "II":
                     driving = "SCL" if "SCL" in scheme else "CL"
                     specs.append(AttackSpec(epsilon=eps,
                                             steps=self.getint("attack_eval", "steps_tm2"),
-                                            random_start=rs, driving_loss=driving,
-                                            clamp=clamp))
+                                            random_start=rs, driving_loss=driving))
                 else:
                     raise ConfigError(f"unknown threat model {tm!r}")
         return specs
 
     def scenario_spec(self, scenario: str | None = None, scheme: str | None = None,
-                      seed: int | None = None, is_image: bool = True,
+                      seed: int | None = None,
                       train_epsilon: float | None = None) -> ScenarioSpec:
         scenario = scenario or self.get("scenario", "scenario")
         scheme = scheme or self.get("loss", "scheme")
         attack = None
         if scenario != "ST":
-            attack = self.train_attack(is_image=is_image)
+            attack = self.train_attack()
             if train_epsilon is not None:
                 from dataclasses import replace
 
@@ -286,8 +283,3 @@ def validate(cfg: ExperimentConfig) -> None:
     for tm in cfg.getlist("attack_eval", "threat_models"):
         if tm not in ("I", "II"):
             raise ConfigError(f"[attack_eval] threat_models: unknown {tm!r}")
-
-
-def dump_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as f:
-        f.write(cfg.canonical())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from pathlib import Path
 
 from . import analysis, evaluation, experiment
@@ -136,10 +137,15 @@ def _robust_key(spec: AttackSpec) -> str:
 
 def _cached_json(path, compute, indent=None):
     """The JSON object at `path`; on a miss, `compute()` it and write it
-    atomically."""
+    atomically. An unreadable file warns and counts as a miss."""
     if os.path.exists(path):
-        with open(path) as f:
-            return json.load(f)
+        try:
+            with open(path) as f:
+                return json.load(f)
+        except (OSError, ValueError) as exc:
+            warnings.warn(f"unreadable cache file {path} "
+                          f"({type(exc).__name__}: {exc}); recomputing",
+                          RuntimeWarning, stacklevel=2)
     payload = compute()
     with experiment.atomic_path(path) as tmp, open(tmp, "w") as f:
         json.dump(payload, f, indent=indent, sort_keys=True)

@@ -9,7 +9,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from . import data, evaluation, models, training
 from .config import ConfigError, ExperimentConfig
@@ -98,10 +98,9 @@ def train_cell(cfg: ExperimentConfig, d_p: Dataset, d_f: Dataset,
                 warnings.warn(f"unreadable cache entry {key} in {cache_dir} "
                               f"({type(exc).__name__}: {exc}); retraining",
                               RuntimeWarning, stacklevel=2)
-    is_image = d_p.is_image
     spec = cfg.scenario_spec(scenario=scenario, scheme=scheme, seed=seed,
-                             is_image=is_image, train_epsilon=train_epsilon)
-    enc_cfg = cfg.encoder_config(d_p.input_shape if is_image else (d_p.inputs.shape[1],))
+                             train_epsilon=train_epsilon)
+    enc_cfg = cfg.encoder_config(d_p.input_shape)
     model = models.init_model(enc_cfg, d_p.n_classes, cfg.getint("model", "head_dim"), seed)
     record = training.run_scenario(model, d_p, d_f, spec)
     manifest = dict(record.manifest)
@@ -126,8 +125,7 @@ def _sweep_cell(args):
     t0 = time.time()
     try:
         model, manifest = train_cell(cfg, d_p, d_f, scenario, scheme, seed, cache_dir)
-        attacks_list = cfg.eval_attacks(scheme, is_image=dataset.is_image)
-        report = evaluation.evaluate(model, test, attacks_list,
+        report = evaluation.evaluate(model, test, cfg.eval_attacks(scheme),
                                      scenario=scenario, scheme=scheme,
                                      model_id=f"{scenario}/{scheme}/s{seed}")
         runtime = manifest.get("runtime_s", time.time() - t0)
@@ -137,7 +135,8 @@ def _sweep_cell(args):
 
 
 def scenario_sweep(cfg: ExperimentConfig, cache_dir=None, workers: int = 1):
-    """Train + evaluate every (scenario, scheme, seed) grid cell.
+    """Train + evaluate every (scenario, scheme, seed) grid cell, in a pool
+    of `workers` processes when there is more than one.
 
     Returns (rows for results.csv, list of per-cell error strings)."""
     scenarios = cfg.getlist("sweep", "scenarios")
@@ -148,15 +147,8 @@ def scenario_sweep(cfg: ExperimentConfig, cache_dir=None, workers: int = 1):
     cells = [(cfg.sections, sc, sch, seed, cache_dir)
              for sc in scenarios for sch in schemes for seed in seeds]
     rows, errors = [], []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for cell_rows, err in pool.map(_sweep_cell, cells):
-                rows.extend(cell_rows)
-                if err:
-                    errors.append(err)
-    else:
-        for cell in cells:
-            cell_rows, err = _sweep_cell(cell)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for cell_rows, err in (pool.map if pool else map)(_sweep_cell, cells):
             rows.extend(cell_rows)
             if err:
                 errors.append(err)

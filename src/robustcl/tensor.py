@@ -51,9 +51,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detached(self) -> "Tensor":
-        return Tensor(self.data.copy(), grad_tracked=False)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, tracked={self.grad_tracked})"
 

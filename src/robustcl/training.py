@@ -6,7 +6,6 @@ fine-tuning phase. One phase runner trains each with an Adam optimizer."""
 
 from __future__ import annotations
 
-import json
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -228,9 +227,3 @@ def write_loss_csv(record: RunRecord, path) -> None:
         f.write("epoch,phase,loss\n")
         for epoch, phase, loss in record.loss_curve:
             f.write(f"{epoch},{phase},{loss!r}\n")
-
-
-def write_manifest(manifest: dict, path) -> None:
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -1,8 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from robustcl import data, models
-from robustcl.models import EncoderConfig
+# One BLAS thread, set before numpy loads: OpenBLAS reads the count once.
+# The committed cache reproduces at one thread, and a second thread only
+# slows the suite down when the other core is busy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from robustcl import attacks, data, models  # noqa: E402
+from robustcl.models import EncoderConfig  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +38,17 @@ def conv_model():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def pgd_specs(monkeypatch):
+    """Patch attacks.pgd to record the spec of every call."""
+    specs = []
+    pgd = attacks.pgd
+
+    def counting_pgd(model, batch, spec):
+        specs.append(spec)
+        return pgd(model, batch, spec)
+
+    monkeypatch.setattr(attacks, "pgd", counting_pgd)
+    return specs

@@ -186,17 +186,30 @@ class TestProbe:
 
 
 class TestEpsilonSweep:
-    def test_structure_and_checkpoints(self, trained, tmp_path):
-        m, d_train, d_test = trained
+    def test_structure(self, trained):
+        m, _, d_test = trained
         atk = AttackSpec(epsilon=0.05, steps=3, clamp=None, random_start=False)
         entries, manifest = epsilon_sweep(lambda eps: m, d_test, [0.0, 0.05],
-                                          atk, n_samples=64,
-                                          checkpoint_dir=tmp_path)
+                                          atk, n_samples=64)
         assert [e["epsilon"] for e in entries] == [0.0, 0.05]
-        assert all(e["checkpoint"] is not None for e in entries)
-        assert len(manifest["checkpoints"]) == 2
-        loaded = models.load_checkpoint(entries[0]["checkpoint"])
-        assert loaded.config == m.config
+        assert manifest["epsilons"] == [0.0, 0.05]
+        assert manifest["n_samples"] == 64
+        for e in entries:
+            assert e["heatmap"].condition == "clean-adv"
+            assert len(e["divergence"]) == len(m.layer_ids())
+
+    def test_attacks_once_per_model(self, trained, pgd_specs):
+        m, _, d_test = trained
+        atk = AttackSpec(epsilon=0.05, steps=3, clamp=None, random_start=False)
+        entries, _ = epsilon_sweep(lambda eps: m, d_test, [0.0, 0.05], atk,
+                                   n_samples=64)
+        assert len(pgd_specs) == 2
+        curve = divergence_curve(m, d_test, atk, n_samples=64)
+        assert len(pgd_specs) == 3
+        # the sweep's curve is its grid's diagonal, bit for bit
+        for e in entries:
+            assert np.array_equal(e["divergence"], curve)
+            assert np.array_equal(e["divergence"], e["heatmap"].diagonal())
 
     def test_unsorted_rejected(self, trained):
         m, _, d_test = trained

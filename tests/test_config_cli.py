@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from robustcl import cli, reporting
+from robustcl import cli, evaluation, reporting
 from robustcl.analysis import CKAMatrix, ProbeResult
 from robustcl.config import (ConfigError, DEFAULTS, ExperimentConfig,
                              load_config)
@@ -95,12 +95,14 @@ class TestConfig:
 
     def test_eval_attacks_tm2(self):
         cfg = load_config(text="[attack_eval]\nepsilons = 0.1\nthreat_models = I,II\n")
-        specs = cfg.eval_attacks("SCL", is_image=True)
+        specs = cfg.eval_attacks("SCL")
         tms = {(s.threat_model, s.steps, s.driving_loss) for s in specs}
         assert ("I", 20, "CE") in tms
         assert ("II", 40, "SCL") in tms
-        specs_cl = cfg.eval_attacks("CL", is_image=True)
+        specs_cl = cfg.eval_attacks("CL")
         assert any(s.driving_loss == "CL" for s in specs_cl)
+        # the specs keep the default clamp; AttackSpec.for_data drops it for vectors
+        assert all(s.clamp == (0.0, 1.0) for s in specs + specs_cl)
 
 
 class TestReporting:
@@ -194,6 +196,11 @@ class TestCli:
         assert run_cli(tmp_path, "evaluate", FAST_VECTOR) == 0
         results = tmp_path / "results.csv"
         first = results.read_bytes()
+        trained = {name: (tmp_path / name).read_bytes()
+                   for name in ("model.ckpt", "loss.csv", "train_manifest.json")}
+        # a rerun of train hits the cell cache, so results.csv reproduces
+        assert run_cli(tmp_path, "train", FAST_VECTOR) == 0
+        assert {name: (tmp_path / name).read_bytes() for name in trained} == trained
         assert run_cli(tmp_path, "evaluate", FAST_VECTOR) == 0
         assert results.read_bytes() == first
 
@@ -205,10 +212,13 @@ class TestCli:
         rc = run_cli(tmp_path, "train", ["dataset.source=torrent"])
         assert rc == 1
 
-    def test_cka_and_probe_and_report(self, tmp_path):
+    def test_cka_and_probe_and_report(self, tmp_path, pgd_specs):
         assert run_cli(tmp_path, "train", FAST_VECTOR) == 0
         overrides = FAST_VECTOR + ["analysis.n_samples=60"]
+        attacks_in_training = len(pgd_specs)
         assert run_cli(tmp_path, "cka", overrides) == 0
+        # one attack yields both the clean-adv grid and its diagonal
+        assert len(pgd_specs) == attacks_in_training + 1
         for name in ("cka_clean_clean.csv", "cka_clean_clean.pgm",
                      "cka_clean_clean.svg", "cka_clean_adv.csv", "divergence.csv"):
             assert (tmp_path / name).exists()
@@ -230,6 +240,21 @@ class TestCli:
         first = results.read_bytes()
         assert run_cli(tmp_path, "sweep", overrides) == 0
         assert results.read_bytes() == first
+
+    def test_sweep_pool_matches_in_process(self, tmp_path):
+        overrides = FAST_VECTOR + ["sweep.scenarios=ST,AT", "sweep.schemes=SL,CL",
+                                   "sweep.seeds=0,1"]
+        runs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            assert run_cli(out, "sweep", overrides + [f"sweep.workers={workers}"]) == 0
+            rows = evaluation.read_results_csv(out / "results.csv")
+            cache = {p.name: p.read_bytes() for p in (out / "cache").iterdir()
+                     if p.name.endswith((".ckpt", ".loss.csv"))}
+            runs[workers] = ([{k: v for k, v in r.items() if k != "runtime_s"}
+                              for r in rows], cache)
+        assert len(runs[1][0]) == 8 and len(runs[1][1]) == 16
+        assert runs[2] == runs[1]
 
     def test_env_output_dir(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env_out"

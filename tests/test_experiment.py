@@ -76,6 +76,30 @@ def test_train_cell_retrains_a_corrupt_cache_entry(tmp_path, ext, garble):
     assert sorted(os.listdir(tmp_path)) == sorted(f.name for f in files.values())
 
 
+@pytest.mark.parametrize("garble", [
+    lambda b: b[: len(b) // 2],
+    lambda b: b"\xff" + b[1:],
+], ids=["truncated", "not-utf8"])
+def test_directional_cache_recomputes_a_corrupt_file(tmp_path, garble):
+    path = tmp_path / "k.eval.json"
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return {"clean": 0.75, "robust": {"I|0.03|20": 0.5}}
+
+    payload = directional._cached_json(path, compute, indent=2)
+    good = path.read_bytes()
+    assert directional._cached_json(path, compute, indent=2) == payload
+    assert len(calls) == 1
+    path.write_bytes(garble(good))
+    with pytest.warns(RuntimeWarning, match="unreadable cache file"):
+        again = directional._cached_json(path, compute, indent=2)
+    assert again == payload and len(calls) == 2
+    assert path.read_bytes() == good
+    assert os.listdir(tmp_path) == ["k.eval.json"]
+
+
 def test_default_cache_dir_is_the_checkouts_committed_cache():
     path = directional.default_cache_dir()
     assert os.path.isdir(path)

@@ -1,9 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
-from robustcl import attacks, data, losses, models, training
+from robustcl import data, losses, models, training
 from robustcl.attacks import AttackSpec
 from robustcl.data import AugmentSpec, ViewBatch
 from robustcl.losses import LossConfig, LossError
@@ -101,19 +99,6 @@ class TestScenarioSpec:
         assert at.effective_batch_size == 256
 
 
-def count_attacks(monkeypatch):
-    """Patch attacks.pgd to record the spec of every call."""
-    specs = []
-    pgd = attacks.pgd
-
-    def counting_pgd(model, batch, spec):
-        specs.append(spec)
-        return pgd(model, batch, spec)
-
-    monkeypatch.setattr(attacks, "pgd", counting_pgd)
-    return specs
-
-
 def snapshots_at_finetune(monkeypatch):
     """Patch models.reinit_classifier, which runs once at the start of
     fine-tuning, to record the encoder and head as pretraining left them."""
@@ -130,16 +115,16 @@ def snapshots_at_finetune(monkeypatch):
 
 
 class TestPretrain:
-    def test_st_generates_no_attacks(self, gauss_splits, monkeypatch):
+    def test_st_generates_no_attacks(self, gauss_splits, pgd_specs):
         d_p, _ = gauss_splits
-        specs = count_attacks(monkeypatch)
+        specs = pgd_specs
         spec = small_spec(scenario="ST", scheme="CL", pretrain_epochs=1)
         run_scenario(fresh_model(), d_p, d_p, spec)
         assert specs == []
 
-    def test_at_attacks_every_step(self, gauss_splits, monkeypatch):
+    def test_at_attacks_every_step(self, gauss_splits, pgd_specs):
         d_p, _ = gauss_splits
-        specs = count_attacks(monkeypatch)
+        specs = pgd_specs
         spec = small_spec(scenario="AT", scheme="CL", pretrain_epochs=2,
                           train_attack=AttackSpec(epsilon=0.05, steps=2, clamp=None))
         run_scenario(fresh_model(), d_p, d_p, spec)
@@ -237,10 +222,10 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("scenario, scheme",
                              [("AT", "SL"), ("AT", "CL"), ("Full-AT", "SCL")])
-    def test_vector_data_attacks_drop_the_clamp(self, gauss_splits, monkeypatch,
+    def test_vector_data_attacks_drop_the_clamp(self, gauss_splits, pgd_specs,
                                                scenario, scheme):
         d_p, _ = gauss_splits
-        specs = count_attacks(monkeypatch)
+        specs = pgd_specs
         attack = AttackSpec(epsilon=0.05, steps=1)
         assert attack.clamp == (0.0, 1.0)
         spec = small_spec(scenario=scenario, scheme=scheme, pretrain_epochs=1,
@@ -277,9 +262,3 @@ def test_loss_csv_format(tmp_path):
     lines = p.read_text().splitlines()
     assert lines[0] == "epoch,phase,loss"
     assert lines[1] == "0,pretrain,1.5"
-
-
-def test_manifest_roundtrip(tmp_path):
-    p = tmp_path / "m.json"
-    training.write_manifest({"b": 1, "a": [2, 3]}, p)
-    assert json.loads(p.read_text()) == {"b": 1, "a": [2, 3]}
