@@ -23,8 +23,10 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, nargs="+", default=list(directional.SEEDS))
     ap.add_argument("--cache-dir", default=None,
                     help="cell cache (default: the checkout's runs/acceptance/cache)")
-    ap.add_argument("--out", default=str(directional.package_root() / "runs" / "acceptance"))
+    ap.add_argument("--out", default=None,
+                    help="results directory (default: the checkout's runs/acceptance)")
     args = ap.parse_args(argv)
+    out = args.out or directional.checkout_path("runs", "acceptance", instead="--out")
 
     t0 = time.time()
 
@@ -33,12 +35,12 @@ def main(argv=None):
 
     suite = directional.run_suite(seeds=tuple(args.seeds),
                                   cache_dir=args.cache_dir, log=log)
-    os.makedirs(args.out, exist_ok=True)
+    os.makedirs(out, exist_ok=True)
     rows = directional.results_rows(suite)
-    results_path = os.path.join(args.out, "results.csv")
+    results_path = os.path.join(out, "results.csv")
     evaluation.write_results_csv(rows, results_path)
     badge_list = directional.badges(suite)
-    reporting.write_report(args.out, results_rows=rows, badges=badge_list)
+    reporting.write_report(out, results_rows=rows, badges=badge_list)
     log(f"wrote {results_path} and report.md")
     for name, ok, detail in badge_list:
         print(f"{'PASS' if ok else 'FAIL'}  {name}\n      {detail}")

@@ -26,12 +26,13 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--cache-dir", default=None,
                     help="cell cache (default: the checkout's runs/acceptance/cache)")
-    ap.add_argument("--out",
-                    default=str(directional.package_root() / "runs" / "eps_sweep"))
+    ap.add_argument("--out", default=None,
+                    help="artifact directory (default: the checkout's runs/eps_sweep)")
     ap.add_argument("--n-samples", type=int, default=400)
     args = ap.parse_args(argv)
 
     cache_dir = args.cache_dir or directional.default_cache_dir()
+    out = args.out or directional.checkout_path("runs", "eps_sweep", instead="--out")
     cfg = directional.fixture_config()
     dataset = experiment.build_dataset(cfg)
     d_p, d_f, test = experiment.build_splits(cfg, dataset)
@@ -44,25 +45,25 @@ def main(argv=None):
                                          args.seed, cache_dir, train_eps)
         return model
 
-    os.makedirs(args.out, exist_ok=True)
+    os.makedirs(out, exist_ok=True)
     entries, manifest = analysis.epsilon_sweep(
         train_fn, test, sorted(args.epsilons), directional.tm1_attack(),
         n_samples=args.n_samples, seed=0)
 
     for entry in entries:
         tag = f"eps_{entry['epsilon']:g}".replace(".", "p")
-        reporting.write_cka_csv(entry["heatmap"], os.path.join(args.out, f"{tag}.csv"))
-        reporting.render_heatmap(entry["heatmap"], os.path.join(args.out, tag))
-        with open(os.path.join(args.out, f"{tag}_divergence.csv"), "w") as f:
+        reporting.write_cka_csv(entry["heatmap"], os.path.join(out, f"{tag}.csv"))
+        reporting.render_heatmap(entry["heatmap"], os.path.join(out, tag))
+        with open(os.path.join(out, f"{tag}_divergence.csv"), "w") as f:
             f.write("layer_index,clean_adv_cka\n")
             for i, v in enumerate(entry["divergence"]):
                 f.write(f"{i},{float(v)!r}\n")
         print(f"eps={entry['epsilon']:.5f}  final-layer clean-adv CKA "
               f"{float(entry['divergence'][-1]):.3f}")
 
-    with open(os.path.join(args.out, "sweep_manifest.json"), "w") as f:
+    with open(os.path.join(out, "sweep_manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
-    print(f"artifacts in {args.out}")
+    print(f"artifacts in {out}")
     return 0
 
 

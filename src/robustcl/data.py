@@ -271,19 +271,18 @@ def _augment_once(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator,
     n = out.shape[0]
     if is_image:
         _, c, h, w = out.shape
-        if spec.crop_shift_max_pixels > 0:
-            s = spec.crop_shift_max_pixels
-            for i in range(n):
-                dy, dx = rng.integers(-s, s + 1, size=2)
-                out[i] = np.roll(out[i], (int(dy), int(dx)), axis=(1, 2))
-                if dy > 0:
-                    out[i, :, :dy, :] = 0
-                elif dy < 0:
-                    out[i, :, dy:, :] = 0
-                if dx > 0:
-                    out[i, :, :, :dx] = 0
-                elif dx < 0:
-                    out[i, :, :, dx:] = 0
+        s = spec.crop_shift_max_pixels
+        if s > 0:
+            # One (n, 2) draw equals n draws of size 2: numpy fills a bounded
+            # integer array element by element from PCG64, rejections included,
+            # so the shifts and the generator state after them are the same.
+            # The erase loop below stays per sample: its draws are conditional
+            # and interleave with random(). Window (s - dy, s - dx) of the
+            # zero-padded batch is out[r, c] = x[r - dy, c - dx], 0 outside.
+            d = rng.integers(-s, s + 1, size=(n, 2))
+            padded = np.pad(x, ((0, 0), (0, 0), (s, s), (s, s)))
+            out = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(2, 3))[
+                np.arange(n), :, s - d[:, 0], s - d[:, 1]]
         if spec.horizontal_flip_prob > 0:
             flips = rng.random(n) < spec.horizontal_flip_prob
             out[flips] = out[flips][:, :, :, ::-1]

@@ -105,16 +105,21 @@ class CheckoutError(RuntimeError):
     """The package does not run from a repository checkout."""
 
 
-def default_cache_dir() -> str:
-    """The committed cell cache; it exists only in a repository checkout."""
+def checkout_path(*parts, instead: str) -> str:
+    """`parts` under the repository checkout the package runs from. Outside a
+    checkout (a non-editable install) raise CheckoutError, naming `instead`,
+    the explicit path to pass, rather than write beside the package."""
     root = package_root()
     if not (root / "pyproject.toml").is_file():
         raise CheckoutError(
             f"robustcl is not running from a repository checkout ({root} has no "
-            "pyproject.toml), so the committed cell cache cannot be found and "
-            "every cell would be retrained; install with `pip install -e .` or "
-            "pass an explicit cache_dir")
-    return str(root / "runs" / "acceptance" / "cache")
+            f"pyproject.toml); install with `pip install -e .` or pass {instead}")
+    return str(root.joinpath(*parts))
+
+
+def default_cache_dir() -> str:
+    """The committed cell cache; without it every cell would be retrained."""
+    return checkout_path("runs", "acceptance", "cache", instead="an explicit cache_dir")
 
 
 def fixture_config() -> ExperimentConfig:
@@ -135,13 +140,17 @@ def _robust_key(spec: AttackSpec) -> str:
     return f"{spec.threat_model}|{spec.epsilon!r}|{spec.steps}"
 
 
-def _cached_json(path, compute, indent=None):
+def _cached_json(path, compute, keys=(), indent=None):
     """The JSON object at `path`; on a miss, `compute()` it and write it
-    atomically. An unreadable file warns and counts as a miss."""
+    atomically. A file that is unreadable, not an object or without one of
+    `keys` warns and counts as a miss."""
     if os.path.exists(path):
         try:
             with open(path) as f:
-                return json.load(f)
+                payload = json.load(f)
+            if isinstance(payload, dict) and all(k in payload for k in keys):
+                return payload
+            raise ValueError(f"not a JSON object with the keys {list(keys)}")
         except (OSError, ValueError) as exc:
             warnings.warn(f"unreadable cache file {path} "
                           f"({type(exc).__name__}: {exc}); recomputing",
@@ -165,7 +174,8 @@ def _eval_cell(model, test, key, cache_dir, scenario, scheme, need_tm2):
             "tm2_queries": report.classifier_grad_queries_tm2,
         }
 
-    return _cached_json(os.path.join(cache_dir, f"{key}.eval.json"), compute, indent=2)
+    return _cached_json(os.path.join(cache_dir, f"{key}.eval.json"), compute,
+                        keys=("clean", "robust", "n_test"), indent=2)
 
 
 def _final_cka(model, test, key, cache_dir, n_analysis=400):
@@ -174,8 +184,8 @@ def _final_cka(model, test, key, cache_dir, n_analysis=400):
                                           n_samples=n_analysis, seed=0)
         return {"final_clean_adv_cka": float(curve[-1])}
 
-    return _cached_json(os.path.join(cache_dir, f"{key}.cka.json"),
-                        compute)["final_clean_adv_cka"]
+    return _cached_json(os.path.join(cache_dir, f"{key}.cka.json"), compute,
+                        keys=("final_clean_adv_cka",))["final_clean_adv_cka"]
 
 
 def _cross_upper(model_a, model_b, test, key_a, key_b, cache_dir, n_analysis=400):
@@ -184,8 +194,8 @@ def _cross_upper(model_a, model_b, test, key_a, key_b, cache_dir, n_analysis=400
                                         seed=0, model_ids=(key_a, key_b))
         return {"upper_third_mean": analysis.upper_third_mean(grid)}
 
-    return _cached_json(os.path.join(cache_dir, f"cross_{key_a}_{key_b}.json"),
-                        compute)["upper_third_mean"]
+    return _cached_json(os.path.join(cache_dir, f"cross_{key_a}_{key_b}.json"), compute,
+                        keys=("upper_third_mean",))["upper_third_mean"]
 
 
 def run_seed(cfg: ExperimentConfig, seed: int, cache_dir: str,

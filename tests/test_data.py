@@ -174,6 +174,99 @@ class TestViews:
             AugmentSpec(horizontal_flip_prob=1.5)
 
 
+def _oracle_augment_once(x, spec, rng):
+    """One image view with the crop shift drawn and applied one sample at a
+    time (roll, then zero what wrapped around): the oracle for the batched
+    gather in `data._augment_once`. Flip, erase and noise as there."""
+    out = x.copy()
+    n, _, h, w = out.shape
+    s = spec.crop_shift_max_pixels
+    if s > 0:
+        for i in range(n):
+            dy, dx = rng.integers(-s, s + 1, size=2)
+            out[i] = np.roll(out[i], (int(dy), int(dx)), axis=(1, 2))
+            if dy > 0:
+                out[i, :, :dy, :] = 0
+            elif dy < 0:
+                out[i, :, dy:, :] = 0
+            if dx > 0:
+                out[i, :, :, :dx] = 0
+            elif dx < 0:
+                out[i, :, :, dx:] = 0
+    if spec.horizontal_flip_prob > 0:
+        flips = rng.random(n) < spec.horizontal_flip_prob
+        out[flips] = out[flips][:, :, :, ::-1]
+    if spec.erase_patch_prob > 0:
+        p = spec.erase_patch_size
+        for i in range(n):
+            if rng.random() < spec.erase_patch_prob:
+                r = int(rng.integers(0, max(1, h - p)))
+                cc = int(rng.integers(0, max(1, w - p)))
+                out[i, :, r:r + p, cc:cc + p] = 0.0
+    if spec.gaussian_noise_sigma > 0:
+        out += rng.standard_normal(out.shape) * spec.gaussian_noise_sigma
+    np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
+def _oracle_views(x, spec, seed):
+    if spec.is_identity():
+        return x.copy(), x.copy()
+    rng = np.random.default_rng(seed)
+    return _oracle_augment_once(x, spec, rng), _oracle_augment_once(x, spec, rng)
+
+
+class TestViewsOracle:
+    SHAPES = [(1, 1, 8, 8), (1, 3, 8, 12), (5, 1, 12, 8), (16, 3, 16, 12), (33, 1, 16, 16)]
+
+    # s = 17 shifts some samples by at least the image height: all zeros
+    @pytest.mark.parametrize("s", [0, 1, 2, 5, 17])
+    @pytest.mark.parametrize("flip,erase", [(0.0, 0.0), (0.5, 0.0), (0.0, 0.3), (0.5, 0.3)])
+    def test_views_are_byte_equal_to_the_per_sample_loop(self, s, flip, erase):
+        for seed in range(40):
+            shape = self.SHAPES[seed % len(self.SHAPES)]
+            x = np.random.default_rng(1000 + seed).random(shape)
+            spec = AugmentSpec(gaussian_noise_sigma=0.1 * (seed % 2),
+                               crop_shift_max_pixels=s, horizontal_flip_prob=flip,
+                               erase_patch_prob=erase)
+            got = make_views(x, spec, seed=seed)
+            want = _oracle_views(x, spec, seed)
+            for g, o in zip(got, want):
+                assert g.shape == o.shape and g.dtype == o.dtype
+                assert g.tobytes() == o.tobytes(), (seed, shape)
+
+    def test_shift_only_copies_and_zeroes(self):
+        # noise, flips and erase off: every pixel of a view is a source
+        # pixel at (r - dy, c - dx) or 0, with one shift per sample
+        x = np.random.default_rng(0).random((64, 2, 8, 12)) + 1.0
+        spec = AugmentSpec(gaussian_noise_sigma=0, crop_shift_max_pixels=3,
+                           horizontal_flip_prob=0, erase_patch_prob=0)
+        view = make_views(x / 2.0, spec, seed=4)[0] * 2.0
+        d = np.random.default_rng(4).integers(-3, 4, size=(64, 2))
+        for i, (dy, dx) in enumerate(d):
+            want = np.zeros_like(x[i])
+            rows = slice(max(dy, 0), 8 + min(dy, 0))
+            cols = slice(max(dx, 0), 12 + min(dx, 0))
+            want[:, rows, cols] = x[i, :, max(-dy, 0):8 - max(dy, 0),
+                                    max(-dx, 0):12 - max(dx, 0)]
+            assert np.array_equal(view[i], want), (i, dy, dx)
+
+
+@pytest.mark.parametrize("lo,hi", [(-2, 3), (-17, 18), (-5, 3 * 2**30)])
+@pytest.mark.parametrize("n", [1, 2, 7, 128])
+def test_one_bounded_draw_equals_per_sample_draws(lo, hi, n):
+    # the contract the batched crop shift rests on; [-5, 3 * 2**30) rejects
+    # about a quarter of the 32-bit draws on numpy's Lemire path
+    for seed in range(30):
+        batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        d = batched.integers(lo, hi, size=(n, 2))
+        want = np.stack([single.integers(lo, hi, size=2) for _ in range(n)])
+        assert np.array_equal(d, want)
+        assert batched.bit_generator.state == single.bit_generator.state
+        assert batched.random() == single.random()
+        assert batched.integers(0, 7, size=3).tolist() == single.integers(0, 7, size=3).tolist()
+
+
 class TestSplit:
     def test_sizes_and_stratification(self):
         ds = gen_synthetic("blobs_k", 1000, 4, 10, seed=0)

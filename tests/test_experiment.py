@@ -1,10 +1,13 @@
+import importlib.util
 import json
 import os
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from robustcl import directional, experiment
+from robustcl import analysis, directional, evaluation, experiment
 from robustcl.config import load_config
 
 TINY = [
@@ -111,3 +114,80 @@ def test_default_cache_dir_refuses_a_root_outside_a_checkout(tmp_path, monkeypat
     monkeypatch.setattr(directional, "package_root", lambda: tmp_path)
     with pytest.raises(directional.CheckoutError, match="no pyproject.toml"):
         directional.default_cache_dir()
+
+
+def _stub_directional_computations(monkeypatch):
+    tm1 = directional.tm1_attack()
+    monkeypatch.setattr(analysis, "divergence_curve",
+                        lambda *a, **k: np.array([0.9, 0.25]))
+    monkeypatch.setattr(analysis, "cross_model_cka", lambda *a, **k: None)
+    monkeypatch.setattr(analysis, "upper_third_mean", lambda grid: 0.5)
+    monkeypatch.setattr(evaluation, "evaluate", lambda *a, **k: SimpleNamespace(
+        clean_accuracy=0.75, n_test=500, classifier_grad_queries_tm2=0,
+        robust={(tm1.threat_model, tm1.epsilon, tm1.steps): 0.375}))
+
+
+# (cache file, call returning the cached value, the value, a payload that
+# parses but lacks a key the caller reads)
+CACHED_RESULTS = {
+    "cka": ("k.cka.json", lambda d: directional._final_cka(None, None, "k", d), 0.25,
+            {"upper_third_mean": 0.5}),
+    "cross": ("cross_a_b.json",
+              lambda d: directional._cross_upper(None, None, None, "a", "b", d), 0.5,
+              {"final_clean_adv_cka": 0.25}),
+    "eval": ("k.eval.json",
+             lambda d: directional._eval_cell(None, None, "k", d, "ST", "SL", False)["n_test"],
+             500, {"clean": 0.75, "robust": {}}),
+}
+
+
+@pytest.mark.parametrize("stale", ["empty", "array", "partial"])
+@pytest.mark.parametrize("kind", sorted(CACHED_RESULTS))
+def test_directional_cache_recomputes_a_payload_without_its_keys(
+        tmp_path, monkeypatch, kind, stale):
+    name, call, value, partial = CACHED_RESULTS[kind]
+    _stub_directional_computations(monkeypatch)
+    path = tmp_path / name
+    assert call(str(tmp_path)) == value
+    good = path.read_bytes()
+    path.write_text(json.dumps({"empty": {}, "array": [], "partial": partial}[stale]))
+    with pytest.warns(RuntimeWarning, match="unreadable cache file"):
+        assert call(str(tmp_path)) == value
+    assert path.read_bytes() == good
+    assert os.listdir(tmp_path) == [name]
+
+
+def _script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["run_directional", "run_epsilon_sweep"])
+def test_scripts_write_nothing_outside_a_checkout(tmp_path, monkeypatch, name):
+    root = tmp_path / "site-packages"  # no pyproject.toml: an installed package
+    root.mkdir()
+    monkeypatch.setattr(directional, "package_root", lambda: root)
+    monkeypatch.chdir(tmp_path)
+
+    def work(*a, **k):
+        raise AssertionError("work started before --out was resolved")
+
+    monkeypatch.setattr(directional, "run_suite", work)
+    monkeypatch.setattr(experiment, "build_dataset", work)
+    with pytest.raises(directional.CheckoutError, match="pass --out"):
+        _script(name).main(["--cache-dir", str(tmp_path / "cache")])
+    assert os.listdir(tmp_path) == ["site-packages"]
+    assert os.listdir(root) == []
+
+
+def test_run_directional_writes_under_the_checkout_by_default(tmp_path, monkeypatch):
+    (tmp_path / "pyproject.toml").write_text("")
+    monkeypatch.setattr(directional, "package_root", lambda: tmp_path)
+    monkeypatch.setattr(directional, "run_suite", lambda **k: {"seeds": {}})
+    monkeypatch.setattr(directional, "results_rows", lambda suite: [])
+    monkeypatch.setattr(directional, "badges", lambda suite: [])
+    assert _script("run_directional").main(["--cache-dir", str(tmp_path / "cache")]) == 0
+    assert sorted(os.listdir(tmp_path / "runs" / "acceptance")) == ["report.md", "results.csv"]
