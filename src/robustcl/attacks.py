@@ -1,4 +1,15 @@
-"""l_inf PGD attack engine driven by CE, CL, or SCL losses."""
+"""l_inf PGD attack engine driven by CE, CL, or SCL losses.
+
+A CE step builds its loss on a tape through encoder and classifier. A CL or
+SCL step (Threat Model II: encoder and head only) runs the encoder on the
+iterate alone and seeds that tape with the gradient of the contrastive
+loss with respect to the iterate's embedding, from a
+`losses.ContrastiveTarget` built once per attack around the clean batch's
+embedding. That gradient is bitwise the one a tape through the stacked
+clean and adversarial embeddings and the loss would give, so the attack's
+output does not depend on the shortcut. The epsilon-ball bounds are also
+computed once per attack.
+"""
 
 from __future__ import annotations
 
@@ -38,6 +49,8 @@ class AttackSpec:
             raise AttackError(f"unknown driving loss {self.driving_loss!r}")
         if self.step_size is not None and self.step_size <= 0:
             raise AttackError("step_size must be positive")
+        if self.temperature is not None and self.temperature <= 0:
+            raise AttackError("temperature must be positive")
 
     @property
     def alpha(self) -> float:
@@ -64,7 +77,12 @@ def project_linf(x0: np.ndarray, x: np.ndarray, epsilon: float,
     """Clip x into the epsilon-ball around x0, then into the clamp box."""
     if x0.shape != x.shape:
         raise AttackError(f"project_linf: shape mismatch {x0.shape} vs {x.shape}")
-    out = np.clip(x, x0 - epsilon, x0 + epsilon)
+    return _clip(x, x0 - epsilon, x0 + epsilon, clamp)
+
+
+def _clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+          clamp: tuple | None) -> np.ndarray:
+    out = np.clip(x, lo, hi)
     if clamp is not None:
         out = np.clip(out, clamp[0], clamp[1])
     return out
@@ -83,34 +101,33 @@ def _params_untracked(model):
             t.grad_tracked = was
 
 
-def _driving_loss_grad(model, x_cur: np.ndarray, batch, spec: AttackSpec,
-                       z_clean: Tensor | None) -> np.ndarray:
-    """d loss / d x_cur under the attack's driving loss.
-
-    `z_clean` is the untracked embedding of `batch.x` for the CL and SCL
-    losses (None for CE); it does not change across PGD steps.
-    """
-    leaf = Tensor(x_cur, grad_tracked=True)
+def _target(model, batch, spec: AttackSpec) -> losses.ContrastiveTarget:
+    """The attack's CL or SCL driving loss over the clean batch's embedding."""
+    if spec.driving_loss == "SCL" and batch.y is None:
+        raise AttackError("SCL attack requires labels")
     tau = spec.temperature
+    if tau is None:
+        tau = losses.DEFAULT_TAU_CL if spec.driving_loss == "CL" else losses.DEFAULT_TAU_SCL
+    z_clean = losses._embed(model, batch.x).data
+    return losses.ContrastiveTarget(z_clean, spec.driving_loss, tau, batch.y)
+
+
+def _driving_loss_grad(model, x_cur: np.ndarray, batch,
+                       target: losses.ContrastiveTarget | None) -> np.ndarray:
+    """d loss / d x_cur under the attack's driving loss: cross-entropy
+    through the classifier without a `target`, else the target's
+    contrastive loss through the encoder and head only, its gradient with
+    respect to the embedding seeding the tape."""
+    leaf = Tensor(x_cur, grad_tracked=True)
     with GradientTape() as tape:
-        if spec.driving_loss == "CE":
+        if target is None:
             if batch.y is None:
                 raise AttackError("CE attack requires labels")
             rep, _ = models.encode(model, leaf)
-            logits = models.classify(model, rep)
-            loss = losses.cross_entropy(logits, batch.y)
+            out = losses.cross_entropy(models.classify(model, rep), batch.y)
         else:
-            # encoder + head only; positive pair is (clean x, current iterate)
-            z_cur = losses._embed(model, leaf)
-            if spec.driving_loss == "CL":
-                loss = losses.nt_xent(z_clean, z_cur, tau or losses.DEFAULT_TAU_CL)
-            else:
-                if batch.y is None:
-                    raise AttackError("SCL attack requires labels")
-                z = T.concat_rows(z_clean, z_cur)
-                y2 = np.concatenate([batch.y, batch.y])
-                loss = losses.supcon(z, y2, tau or losses.DEFAULT_TAU_SCL)
-    grads = T.backward(tape, loss)
+            out = losses._embed(model, leaf)
+    grads = T.backward(tape, out, None if target is None else target.grad(out.data))
     g = grads.get(leaf)
     if g is None:
         return np.zeros_like(x_cur)
@@ -123,22 +140,26 @@ def pgd(model, batch, spec: AttackSpec) -> Tensor:
     """Iterated signed-gradient ascent with l_inf projection.
 
     sign(0) = 0, so zero-gradient coordinates stay put; steps=0 with
-    random_start=False returns the input unchanged.
+    random_start=False returns the input unchanged. A CL or SCL attack
+    embeds the clean batch once, into a `losses.ContrastiveTarget`, and
+    each step embeds only the iterate.
     """
     x0 = batch.x.data
     if spec.epsilon == 0.0 or (spec.steps == 0 and not spec.random_start):
         return Tensor(x0.copy())
+    lo, hi = x0 - spec.epsilon, x0 + spec.epsilon
     rng = np.random.default_rng(spec.seed)
     if spec.random_start:
         x = x0 + rng.uniform(-spec.epsilon, spec.epsilon, size=x0.shape)
-        x = project_linf(x0, x, spec.epsilon, spec.clamp)
+        x = _clip(x, lo, hi, spec.clamp)
     else:
         x = x0.copy()
+    if spec.steps == 0:
+        return Tensor(x)
     with _params_untracked(model):
-        z_clean = None if spec.driving_loss == "CE" else losses._embed(model, batch.x)
+        target = None if spec.driving_loss == "CE" else _target(model, batch, spec)
         for _ in range(spec.steps):
-            g = _driving_loss_grad(model, x, batch, spec, z_clean)
+            g = _driving_loss_grad(model, x, batch, target)
             x = x + spec.alpha * np.sign(g)
-            x = project_linf(x0, x, spec.epsilon, spec.clamp)
+            x = _clip(x, lo, hi, spec.clamp)
     return Tensor(x)
-

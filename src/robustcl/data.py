@@ -267,10 +267,9 @@ def gen_bar_images(n: int, size: int = 16, n_classes: int = 10, seed: int = 0,
 
 def _augment_once(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator,
                   is_image: bool) -> np.ndarray:
-    out = x.copy()
-    n = out.shape[0]
+    n = x.shape[0]
     if is_image:
-        _, c, h, w = out.shape
+        _, c, h, w = x.shape
         s = spec.crop_shift_max_pixels
         if s > 0:
             # One (n, 2) draw equals n draws of size 2: numpy fills a bounded
@@ -283,6 +282,8 @@ def _augment_once(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator,
             padded = np.pad(x, ((0, 0), (0, 0), (s, s), (s, s)))
             out = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(2, 3))[
                 np.arange(n), :, s - d[:, 0], s - d[:, 1]]
+        else:
+            out = x.copy()
         if spec.horizontal_flip_prob > 0:
             flips = rng.random(n) < spec.horizontal_flip_prob
             out[flips] = out[flips][:, :, :, ::-1]
@@ -297,6 +298,7 @@ def _augment_once(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator,
             out += rng.standard_normal(out.shape) * spec.gaussian_noise_sigma
         np.clip(out, 0.0, 1.0, out=out)
     else:
+        out = x.copy()
         if spec.gaussian_noise_sigma > 0:
             out += rng.standard_normal(out.shape) * spec.gaussian_noise_sigma
         if spec.feature_dropout_prob > 0:

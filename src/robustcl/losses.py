@@ -15,6 +15,16 @@ are bitwise those of the graph; `tests/test_losses.py` keeps the
 graph-built losses as its oracle. The only check left is the finiteness of
 the node's output, under the op name `softmax_xent`; a non-finite
 intermediate propagates into that scalar.
+
+A PGD attack driven by NT-Xent or SupCon uses `ContrastiveTarget` instead:
+built once per attack around the clean embedding, it returns the loss's
+gradient with respect to the iterate's embedding and records nothing. The
+attack seeds its encoder tape with that gradient (`tensor.backward(tape,
+z, grad)`), so a step records no concat, normalize or loss node and
+computes no loss value. The target and the node share one copy of the
+logits, row-softmax and input-gradient arithmetic, and the target's
+gradient is bitwise the node's (`tests/test_losses.py` checks it at
+attack batch sizes).
 """
 
 from __future__ import annotations
@@ -66,15 +76,6 @@ def _check_tau(tau: float) -> None:
 
 
 @functools.lru_cache(maxsize=8)
-def _self_mask(m: int) -> np.ndarray:
-    """Read-only (m, m) mask: -1e9 on the diagonal, 0 elsewhere."""
-    mask = np.zeros((m, m))
-    np.fill_diagonal(mask, -1e9)
-    mask.flags.writeable = False
-    return mask
-
-
-@functools.lru_cache(maxsize=8)
 def _pair_mask(n: int) -> np.ndarray:
     """Read-only (2n, 2n) NT-Xent positive mask: row i marks its other view."""
     m = 2 * n
@@ -82,6 +83,73 @@ def _pair_mask(n: int) -> np.ndarray:
     mask[np.arange(m), np.concatenate([np.arange(n) + n, np.arange(n)])] = 1.0
     mask.flags.writeable = False
     return mask
+
+
+def _nt_xent_terms(n: int):
+    """(pos_mask, counts, weights, c) of NT-Xent over n stacked pairs."""
+    ones = np.ones(2 * n)
+    return _pair_mask(n), ones, ones, 1.0 / (2 * n)
+
+
+def _supcon_terms(y: np.ndarray, m: int):
+    """(pos_mask, counts, weights, c) of SupCon over m rows labelled `y`."""
+    y = np.asarray(y)
+    if y.shape != (m,):
+        raise LossError("supcon: label count mismatch")
+    pos_mask = (y[:, None] == y[None, :]).astype(np.float64)
+    np.fill_diagonal(pos_mask, 0.0)
+    pos_counts = pos_mask.sum(axis=1)
+    anchors = pos_counts > 0
+    if not anchors.any():
+        raise LossError("supcon: no anchor has a positive")
+    # per-anchor mean log-ratio; the weights fold in the 1/|P(i)| factor
+    # and drop anchors without positives
+    weights = np.where(anchors, 1.0 / np.maximum(pos_counts, 1.0), 0.0)
+    counts = np.where(anchors, pos_counts, 1.0)
+    return pos_mask, counts, weights, 1.0 / float(anchors.sum())
+
+
+# The arithmetic of the fused node, shared by `_softmax_xent`,
+# `_similarity_xent` and `ContrastiveTarget`.
+
+def _similarity_logits(yd: np.ndarray, k: float, out=None):
+    """(s, yt): s = (yd @ yt) * k with yt = yd.T copied, the rows of `yd`
+    l2-normalized, and -1e9 added to the diagonal, each row's
+    self-similarity. Adding 0 off the diagonal would change no bit that
+    reaches a gradient: it only turns -0.0 into 0.0, and exp(s - max)
+    takes both to the same value."""
+    yt = yd.T.copy()
+    s = np.matmul(yd, yt, out=out)
+    s *= k
+    s.reshape(-1)[::len(yd) + 1] += -1e9
+    return s, yt
+
+
+def _row_softmax(s: np.ndarray, out=None):
+    """(mx, e, r): row maxima (m, 1), e = exp(s - mx) and its row sums."""
+    mx = s.max(axis=1, keepdims=True)
+    e = np.subtract(s, mx, out=out)
+    np.exp(e, out=e)
+    return mx, e, e.sum(axis=1)
+
+
+def _logit_grad(e: np.ndarray, r: np.ndarray, gw_counts: np.ndarray,
+                pos_term: np.ndarray) -> np.ndarray:
+    """d loss / d s, written over `e`: e * (gw*counts / r) - gw * pos_mask,
+    with gw = g * c * weights and `pos_term` = gw[:, None] * pos_mask."""
+    g_s = np.multiply(e, (gw_counts / r)[:, None], out=e)
+    g_s -= pos_term
+    return g_s
+
+
+def _similarity_input_grad(g_s: np.ndarray, yd: np.ndarray, yt: np.ndarray,
+                           k: float) -> np.ndarray:
+    """d loss / d yd from d loss / d s, scaling `g_s` in place. These are
+    matmul's and transpose's backward products with their operand layouts;
+    another layout (g_s @ yd, say) or a block of rows can move the last
+    bit."""
+    g_s *= k
+    return g_s @ yt.T + (yd.T @ g_s).T
 
 
 def _softmax_xent(x: Tensor, s: np.ndarray, pos_mask: np.ndarray,
@@ -96,18 +164,14 @@ def _softmax_xent(x: Tensor, s: np.ndarray, pos_mask: np.ndarray,
     `tests/test_losses.py`, which makes the trained bits independent of the
     fusion.
     """
-    mx = s.max(axis=1, keepdims=True)
-    e = s - mx
-    np.exp(e, out=e)
-    r = e.sum(axis=1)
+    mx, e, r = _row_softmax(s)
     lse = np.log(r) + mx[:, 0]
     pos = (s * pos_mask).sum(axis=1)
     out = Tensor._output(((lse * counts - pos) * weights).sum() * c, "softmax_xent")
 
     def bwd(g, need):
         gw = g * c * weights
-        g_s = np.multiply(e, (gw * counts / r)[:, None], out=e)
-        g_s -= gw[:, None] * pos_mask
+        g_s = _logit_grad(e, r, gw * counts, gw[:, None] * pos_mask)
         return (g_s if to_input is None else to_input(g_s),)
 
     return T._maybe_record(out, [x], bwd)
@@ -117,20 +181,10 @@ def _similarity_xent(y: Tensor, tau: float, pos_mask: np.ndarray,
                      counts: np.ndarray, weights: np.ndarray, c: float) -> Tensor:
     """The fused loss over the cosine-similarity logits y y^T / tau of the
     l2-normalized rows `y`, each row's self-similarity masked out."""
-    yd = y.data
-    yt = yd.T.copy()
     k = float(1.0 / tau)
-    s = yd @ yt
-    s *= k
-    s += _self_mask(len(yd))
-
-    def to_input(g_s):
-        # matmul's and transpose's backward products with their operand
-        # layouts; another layout (g_s @ yd, say) can move the last bit
-        g_s *= k
-        return g_s @ yt.T + (yd.T @ g_s).T
-
-    return _softmax_xent(y, s, pos_mask, counts, weights, c, to_input)
+    s, yt = _similarity_logits(y.data, k)
+    return _softmax_xent(y, s, pos_mask, counts, weights, c,
+                         lambda g_s: _similarity_input_grad(g_s, y.data, yt, k))
 
 
 def nt_xent(z_a: Tensor, z_b: Tensor, tau: float) -> Tensor:
@@ -138,10 +192,8 @@ def nt_xent(z_a: Tensor, z_b: Tensor, tau: float) -> Tensor:
     _check_tau(tau)
     if z_a.shape != z_b.shape or z_a.data.ndim != 2:
         raise LossError(f"nt_xent: incompatible shapes {z_a.shape}, {z_b.shape}")
-    n = z_a.shape[0]
-    ones = np.ones(2 * n)
     z = T.l2_normalize_rows(T.concat_rows(z_a, z_b))
-    return _similarity_xent(z, tau, _pair_mask(n), ones, ones, 1.0 / (2 * n))
+    return _similarity_xent(z, tau, *_nt_xent_terms(z_a.shape[0]))
 
 
 def supcon(z: Tensor, y: np.ndarray, tau: float) -> Tensor:
@@ -153,22 +205,59 @@ def supcon(z: Tensor, y: np.ndarray, tau: float) -> Tensor:
     _check_tau(tau)
     if z.data.ndim != 2 or z.shape[0] < 2:
         raise LossError("supcon: need an (m, d) matrix with m >= 2")
-    y = np.asarray(y)
-    m = z.shape[0]
-    if y.shape != (m,):
-        raise LossError("supcon: label count mismatch")
-    pos_mask = (y[:, None] == y[None, :]).astype(np.float64)
-    np.fill_diagonal(pos_mask, 0.0)
-    pos_counts = pos_mask.sum(axis=1)
-    anchors = pos_counts > 0
-    if not anchors.any():
-        raise LossError("supcon: no anchor has a positive")
-    # per-anchor mean log-ratio; the weights fold in the 1/|P(i)| factor
-    # and drop anchors without positives
-    weights = np.where(anchors, 1.0 / np.maximum(pos_counts, 1.0), 0.0)
-    counts = np.where(anchors, pos_counts, 1.0)
-    return _similarity_xent(T.l2_normalize_rows(z), tau, pos_mask, counts, weights,
-                            1.0 / float(anchors.sum()))
+    terms = _supcon_terms(y, z.shape[0])
+    return _similarity_xent(T.l2_normalize_rows(z), tau, *terms)
+
+
+class ContrastiveTarget:
+    """The NT-Xent ("CL") or SupCon ("SCL") loss a PGD attack ascends, over
+    the clean embedding `z_clean` stacked with an iterate's embedding.
+
+    Everything that does not change across the attack's steps is built
+    once: the l2-normalized clean rows, the positive mask and its counts
+    and weights (SupCon pairs labels `y` with themselves), the constant
+    `gw * pos_mask` term of the logit gradient (the loss is the output, so
+    its upstream gradient is 1) and the m x m work buffer. `grad(z)` then
+    returns d loss / d z alone: the attack reads no loss value, so none is
+    computed, and nothing is recorded on a tape. The caller seeds the
+    encoder tape with it (`tensor.backward(tape, z, grad)`).
+
+    The arithmetic is the fused node's, in the same order and with every
+    matmul at its full (2n, 2n) shape, so the gradient is bitwise the one a
+    tape through `nt_xent` / `supcon` and the stacking gives. Blocks of
+    those products do not reproduce the full product's bits under BLAS.
+    """
+
+    def __init__(self, z_clean: np.ndarray, driving_loss: str, tau: float,
+                 y: np.ndarray | None = None):
+        _check_tau(tau)
+        n = len(z_clean)
+        if driving_loss == "CL":
+            pos_mask, counts, weights, c = _nt_xent_terms(n)
+        elif driving_loss == "SCL":
+            if y is None:
+                raise LossError("supcon: labels required")
+            pos_mask, counts, weights, c = _supcon_terms(np.concatenate([y, y]), 2 * n)
+        else:
+            raise LossError(f"unknown contrastive loss {driving_loss!r}")
+        y_clean, _ = T.unit_rows(z_clean)
+        gw = c * weights
+        self._n = n
+        self._k = float(1.0 / tau)
+        self._gw_counts = gw * counts
+        self._pos_term = gw[:, None] * pos_mask
+        self._y = np.concatenate([y_clean, np.empty_like(y_clean)])
+        self._s = np.empty((2 * n, 2 * n))
+
+    def grad(self, z: np.ndarray) -> np.ndarray:
+        """d loss / d z for the iterate's embedding `z` (n rows)."""
+        y_cur, norms = T.unit_rows(z)
+        self._y[self._n:] = y_cur
+        s, yt = _similarity_logits(self._y, self._k, out=self._s)
+        _, e, r = _row_softmax(s, out=s)
+        g_s = _logit_grad(e, r, self._gw_counts, self._pos_term)
+        g_y = _similarity_input_grad(g_s, self._y, yt, self._k)
+        return T.unit_rows_grad(g_y[self._n:], y_cur, norms)
 
 
 def cross_entropy(logits: Tensor, y: np.ndarray) -> Tensor:

@@ -150,18 +150,32 @@ def _maybe_record(out: Tensor, inputs, backward_fn) -> Tensor:
     return out
 
 
-def backward(tape: GradientTape, output: Tensor):
+def backward(tape: GradientTape, output: Tensor, grad: np.ndarray | None = None):
     """Reverse pass over `tape`; returns {leaf Tensor: gradient ndarray}.
 
     The map contains an entry for every grad_tracked tensor reachable from
     `output`, keyed by object identity. A tape can be consumed only once.
+
+    Without `grad`, `output` must be a scalar and the pass starts from
+    d output / d output = 1. With `grad`, the pass starts from that array,
+    of `output`'s shape: the gradient of some scalar with respect to
+    `output`, computed off the tape. The leaf gradients are then those of
+    that scalar, bit for bit those of a tape that went on to compute it,
+    as long as `grad` repeats the arithmetic of that tape's backward pass
+    down to `output`. PGD seeds an encoder tape this way with the gradient
+    of its contrastive driving loss (`losses.ContrastiveTarget`).
     """
     if tape.consumed:
         raise TensorError("tape already consumed by a previous backward pass")
-    if output.data.shape not in ((), (1,)):
-        raise TensorError(f"backward requires a scalar output, got {output.shape}")
+    if grad is None:
+        if output.data.shape not in ((), (1,)):
+            raise TensorError(f"backward requires a scalar output, got {output.shape}")
+        grad = np.ones_like(output.data)
+    elif np.shape(grad) != output.shape:
+        raise TensorError(f"backward: gradient of shape {np.shape(grad)} "
+                          f"for an output of shape {output.shape}")
     tape.consumed = True
-    grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
+    grads: dict[int, np.ndarray] = {id(output): grad}
     tensors: dict[int, Tensor] = {id(output): output}
     produced = set()
     for out, _, _ in tape.nodes:
@@ -306,20 +320,28 @@ def tmean(a: Tensor, axis: int | None = None) -> Tensor:
     return scale(tsum(a, axis=axis), 1.0 / count)
 
 
-def l2_normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
-    if a.data.ndim != 2:
+def unit_rows(a: np.ndarray, eps: float = 1e-12):
+    """(a / norms, norms) with norms the (m, 1) row norms of the 2-D array
+    `a`. Row-wise arithmetic: a block of rows gets the bits it gets inside
+    the whole array."""
+    if a.ndim != 2:
         raise TensorError("l2_normalize_rows: 2-D only")
-    norms = np.sqrt((a.data ** 2).sum(axis=1, keepdims=True))
+    norms = np.sqrt((a ** 2).sum(axis=1, keepdims=True))
     if np.any(norms < eps):
         raise TensorError("l2_normalize_rows: zero row")
-    y = a.data / norms
+    return a / norms, norms
+
+
+def unit_rows_grad(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Backward of `unit_rows`: d / d a, given d / d y for y = unit_rows(a)."""
+    dot = (g * y).sum(axis=1, keepdims=True)
+    return (g - y * dot) / norms
+
+
+def l2_normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
+    y, norms = unit_rows(a.data, eps)
     out = Tensor._output(y, "l2_normalize_rows")
-
-    def bwd(g, need):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return ((g - y * dot) / norms,)
-
-    return _maybe_record(out, [a], bwd)
+    return _maybe_record(out, [a], lambda g, need: (unit_rows_grad(g, y, norms),))
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:

@@ -13,6 +13,8 @@ training, about 7 minutes per seed on one core).
 """
 
 import filecmp
+import functools
+import json
 import time
 from pathlib import Path
 
@@ -372,6 +374,46 @@ class TestCacheFreshness:
         committed = Path(directional.default_cache_dir())
         for name in (f"{key}.ckpt", f"{key}.loss.csv"):
             assert filecmp.cmp(tmp_path / name, committed / name, shallow=False), name
+
+    @pytest.fixture(scope="class")
+    def committed(self):
+        """(cache dir, fixture pretraining and test splits, checkpoint
+        loader) of the committed cache."""
+        cfg = directional.fixture_config()
+        d_p, _, test = experiment.build_splits(cfg, experiment.build_dataset(cfg))
+        cache = Path(directional.default_cache_dir())
+        return cache, d_p, test, functools.cache(
+            lambda key: models.load_checkpoint(cache / f"{key}.ckpt"))
+
+    def test_cka_and_cross_cka_json_recompute_exactly(self, committed, tmp_path):
+        """Every cached CKA value is what its committed checkpoints give; a
+        warm cache only reads these files."""
+        cache, _, test, model = committed
+        stale = []
+        cka = sorted(cache.glob("*.cka.json"))
+        for path in cka:
+            key = path.name.split(".")[0]
+            got = directional._final_cka(model(key), test, key, str(tmp_path))
+            if got != json.loads(path.read_text())["final_clean_adv_cka"]:
+                stale.append((path.name, got))
+        cross = sorted(cache.glob("cross_*.json"))
+        for path in cross:
+            a, b = path.stem.split("_")[1:]
+            got = directional._cross_upper(model(a), model(b), test, a, b, str(tmp_path))
+            if got != json.loads(path.read_text())["upper_third_mean"]:
+                stale.append((path.name, got))
+        assert (len(cka), len(cross)) == (12, 6)
+        assert stale == []
+
+    def test_at_cl_seed0_evaluation_reproduces_its_eval_json(self, committed, tmp_path):
+        """TM-I and TM-II (the CL-driven attack) on the 500 test images of
+        the committed AT/CL seed-0 model give its cached evaluation exactly."""
+        cache, d_p, test, model = committed
+        key = experiment.cell_key(directional.fixture_config(), "AT", "CL", 0, d_p)
+        assert key == "c06d7bea7c50898f"
+        got = directional._eval_cell(model(key), test, key, str(tmp_path), "AT", "CL",
+                                     need_tm2=True)
+        assert got == json.loads((cache / f"{key}.eval.json").read_text())
 
 
 # ---------------------------------------------------------------------------

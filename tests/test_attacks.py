@@ -68,6 +68,11 @@ class TestSpec:
         with pytest.raises(AttackError):
             AttackSpec(epsilon=0.1, steps=5, step_size=0.0)
 
+    @pytest.mark.parametrize("tau", [0.0, -0.2])
+    def test_temperature_must_be_positive(self, tau):
+        with pytest.raises(AttackError, match="temperature"):
+            AttackSpec(epsilon=0.1, steps=5, driving_loss="CL", temperature=tau)
+
     def test_default_step_size(self):
         spec = AttackSpec(epsilon=0.2, steps=5)
         assert spec.alpha == pytest.approx(2.5 * 0.2 / 5)
@@ -219,6 +224,17 @@ class TestCleanEmbeddingOnce:
         assert not np.array_equal(x_adv, batch.x.data)
         assert np.array_equal(x_adv, _reference_pgd(st_model, batch, spec))
 
+    @pytest.mark.parametrize("n", [208, 244])
+    @pytest.mark.parametrize("driving_loss", ["CL", "SCL"])
+    def test_matches_reference_loop_at_training_batch_sizes(self, st_model, n,
+                                                            driving_loss):
+        # 244 is the last batch of a TM-II evaluation of 500 test images
+        batch = make_batch(np.random.default_rng(n), st_model, n=n)
+        spec = AttackSpec(epsilon=0.1, steps=3, random_start=True,
+                          driving_loss=driving_loss, clamp=(0.0, 1.0), seed=3)
+        x_adv = pgd(st_model, batch, spec).data
+        assert x_adv.tobytes() == _reference_pgd(st_model, batch, spec).tobytes()
+
     @pytest.mark.parametrize("driving_loss, calls", [("CE", 3), ("CL", 4), ("SCL", 4)])
     def test_encode_calls(self, st_model, rng, monkeypatch, driving_loss, calls):
         counted = []
@@ -265,6 +281,42 @@ class TestThreatModelII:
                           random_start=True, clamp=None)
         x_adv = pgd(st_model, batch, spec)
         assert np.max(np.abs(x_adv.data - batch.x.data)) <= 0.05 + 1e-9
+
+
+class TestContrastiveAttackErrors:
+    """A CL or SCL attack fails where, and as, it failed when every step
+    built the whole loss on its tape."""
+
+    def test_scl_without_labels(self, st_model, rng):
+        batch = ViewBatch(x=Tensor(rng.random((4, 20))), y=None)
+        with pytest.raises(AttackError, match="SCL attack requires labels"):
+            pgd(st_model, batch, AttackSpec(epsilon=0.1, steps=1, driving_loss="SCL",
+                                            clamp=None))
+
+    @pytest.mark.parametrize("driving_loss", ["CL", "SCL"])
+    def test_zero_steps_with_random_start_raise_nothing(self, st_model, rng,
+                                                        driving_loss):
+        x = rng.random((4, 20))
+        spec = AttackSpec(epsilon=0.1, steps=0, random_start=True,
+                          driving_loss=driving_loss, clamp=None)
+        x_adv = pgd(st_model, ViewBatch(x=Tensor(x), y=None), spec).data
+        assert 0.0 < np.max(np.abs(x_adv - x)) <= 0.1
+
+    def test_zero_embedding_row(self, dense_model, rng):
+        (_, _), (w2, b2) = dense_model.head_params
+        w2.data = np.zeros_like(w2.data)
+        b2.data = np.zeros_like(b2.data)
+        batch = make_batch(rng, dense_model)
+        with pytest.raises(T.TensorError, match="zero row"):
+            pgd(dense_model, batch, AttackSpec(epsilon=0.1, steps=1,
+                                               driving_loss="CL", clamp=None))
+
+    def test_non_finite_gradient(self, st_model, rng, monkeypatch):
+        monkeypatch.setattr(losses.ContrastiveTarget, "grad",
+                            lambda self, z: np.full(z.shape, np.nan))
+        with pytest.raises(AttackError, match="non-finite attack gradient"):
+            pgd(st_model, make_batch(rng, st_model),
+                AttackSpec(epsilon=0.1, steps=1, driving_loss="CL", clamp=None))
 
 
 def _ce_value(model, x, y):

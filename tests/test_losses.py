@@ -327,12 +327,70 @@ class TestFusedLossBitIdentity:
         _run(lambda a, b: nt_xent(a, b, 0.5), [za, zb], [True, True], 1.0)
         _run(lambda t: supcon(t, np.zeros(2 * n, dtype=int), 0.5),
              [np.concatenate([za, zb])], [True], 1.0)
-        pair, diag = losses._pair_mask(n), losses._self_mask(2 * n)
-        assert not pair.flags.writeable and not diag.flags.writeable
+        pair = losses._pair_mask(n)
+        assert not pair.flags.writeable
         want = np.zeros((2 * n, 2 * n))
         want[np.arange(2 * n), (np.arange(2 * n) + n) % (2 * n)] = 1.0
         assert np.array_equal(pair, want)
-        assert np.array_equal(diag, np.diag(np.full(2 * n, -1e9)))
+
+
+# ---------------------------------------------------------------------------
+# the per-attack contrastive target against the fused node
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _tape_attack_grad(z_clean, z, driving_loss, tau, y):
+    """d loss / d z through a tape, as PGD took it before the target: the
+    untracked clean rows stacked with the tracked iterate rows."""
+    clean, leaf = Tensor(z_clean), Tensor(z, grad_tracked=True)
+    with GradientTape() as tape:
+        if driving_loss == "CL":
+            loss = nt_xent(clean, leaf, tau)
+        else:
+            loss = supcon(T.concat_rows(clean, leaf), np.concatenate([y, y]), tau)
+    return backward(tape, loss)[leaf]
+
+
+class TestContrastiveTarget:
+    @pytest.mark.parametrize("tau", [None, 0.2])
+    @pytest.mark.parametrize("driving_loss", ["CL", "SCL"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 208, 244, 256])
+    def test_grad_is_the_fused_nodes_bit_for_bit(self, n, driving_loss, tau, rng):
+        if tau is None:
+            tau = losses.DEFAULT_TAU_CL if driving_loss == "CL" else losses.DEFAULT_TAU_SCL
+        z_clean = rng.standard_normal((n, 16))
+        kept = z_clean.copy()
+        y = rng.integers(0, 10, n)
+        target = losses.ContrastiveTarget(z_clean, driving_loss, tau, y)
+        for _ in range(3):  # the target's buffers are reused across steps
+            z = z_clean + 0.3 * rng.standard_normal((n, 16))
+            assert _same_bits(target.grad(z),
+                              _tape_attack_grad(z_clean, z, driving_loss, tau, y))
+        assert _same_bits(z_clean, kept)
+
+    def test_zero_rows_raise_like_the_fused_node(self, rng):
+        z = rng.standard_normal((4, 3))
+        zero = z.copy()
+        zero[2] = 0.0
+        with pytest.raises(T.TensorError, match="zero row"):
+            losses.ContrastiveTarget(zero, "CL", 0.5)
+        target = losses.ContrastiveTarget(z, "SCL", 0.1, np.arange(4))
+        with pytest.raises(T.TensorError, match="zero row"):
+            target.grad(zero)
+
+    def test_invalid_arguments(self, rng):
+        z = rng.standard_normal((4, 3))
+        with pytest.raises(LossError, match="temperature"):
+            losses.ContrastiveTarget(z, "CL", 0.0)
+        with pytest.raises(LossError, match="labels required"):
+            losses.ContrastiveTarget(z, "SCL", 0.1)
+        with pytest.raises(LossError, match="label count"):
+            losses.ContrastiveTarget(z, "SCL", 0.1, np.arange(3))
+        with pytest.raises(LossError, match="unknown contrastive loss"):
+            losses.ContrastiveTarget(z, "CE", 0.1)
 
 
 class TestModelLevelLosses:

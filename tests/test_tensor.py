@@ -95,6 +95,34 @@ class TestBackward:
         with pytest.raises(TensorError):
             backward(tape, y)
 
+    def test_seeded_gradient_continues_the_tape(self, rng):
+        # a tape stopped at h and seeded with d loss / d h gives the leaf
+        # gradient of a tape that went on to loss = sum(h * c)
+        x_data = rng.standard_normal((3, 5))
+        w = Tensor(rng.standard_normal((5, 4)))
+        c = rng.standard_normal((3, 4))
+
+        def head(tape_out):
+            x = Tensor(x_data.copy(), grad_tracked=True)
+            with GradientTape() as tape:
+                h = T.relu(T.matmul(x, w))
+                out = tape_out(h)
+            return tape, out, x
+
+        tape, loss, x = head(lambda h: T.tsum(T.mul(h, Tensor(c))))
+        full = backward(tape, loss)[x]
+        tape, h, x = head(lambda h: h)
+        seeded = backward(tape, h, grad=c)[x]
+        assert seeded.tobytes() == full.tobytes()
+
+    def test_seed_shape_must_match_the_output(self):
+        x = Tensor([1.0, 2.0], grad_tracked=True)
+        with GradientTape() as tape:
+            y = T.mul(x, x)
+        with pytest.raises(TensorError, match="gradient of shape"):
+            backward(tape, y, grad=np.ones(3))
+        assert not tape.consumed
+
     def test_network_matches_finite_differences(self, rng):
         w = Tensor(rng.standard_normal((6, 4)))
         x = Tensor(rng.standard_normal((3, 6)))
