@@ -175,7 +175,6 @@ def linear_probe(model: ModelBundle, train_set: Dataset, test_set: Dataset,
     ids = model.layer_ids()
     if layer_id == "input":
         get = lambda x: np.asarray(x).reshape(len(x), -1)
-        d = int(np.prod(model.config.input_shape))
     else:
         if layer_id not in ids:
             raise AnalysisError(f"unknown layer {layer_id!r}; have {ids}")
@@ -185,48 +184,36 @@ def linear_probe(model: ModelBundle, train_set: Dataset, test_set: Dataset,
             recs = _capture(model, np.asarray(x))
             return recs[k].matrix
 
-        d = None
-    saved = [t.data.copy() for t in model.all_params()]
-    was_tracked = [(t, t.grad_tracked) for t in model.all_params()]
-    for t, _ in was_tracked:
-        t.grad_tracked = False
-    try:
-        a_train = get(train_set.inputs)
-        a_test = get(test_set.inputs)
-        std = a_train.std()
-        if std < 1e-12:
-            raise DegenerateActivationsError(f"constant activations at {layer_id}")
-        d = a_train.shape[1]
-        c = train_set.n_classes
-        rng = np.random.default_rng(seed)
-        bound = 1.0 / np.sqrt(d)
-        w = Tensor(rng.uniform(-bound, bound, (d, c)), grad_tracked=True)
-        b = Tensor(rng.uniform(-bound, bound, (c,)), grad_tracked=True)
-        opt = training.Adam([w, b], lr=lr)
-        n = a_train.shape[0]
-        for epoch in range(probe_epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, batch_size):
-                idx = order[start:start + batch_size]
-                if len(idx) < 2:
-                    continue
-                with GradientTape() as tape:
-                    logits = T.add(T.matmul(Tensor(a_train[idx]), w), b)
-                    loss = losses.cross_entropy(logits, train_set.labels[idx])
-                opt.step(T.backward(tape, loss))
+    a_train = get(train_set.inputs)
+    a_test = get(test_set.inputs)
+    std = a_train.std()
+    if std < 1e-12:
+        raise DegenerateActivationsError(f"constant activations at {layer_id}")
+    d = a_train.shape[1]
+    c = train_set.n_classes
+    rng = np.random.default_rng(seed)
+    bound = 1.0 / np.sqrt(d)
+    w = Tensor(rng.uniform(-bound, bound, (d, c)), grad_tracked=True)
+    b = Tensor(rng.uniform(-bound, bound, (c,)), grad_tracked=True)
+    opt = training.Adam([w, b], lr=lr)
+    n = a_train.shape[0]
+    for epoch in range(probe_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            if len(idx) < 2:
+                continue
+            with GradientTape() as tape:
+                logits = T.add(T.matmul(Tensor(a_train[idx]), w), b)
+                loss = losses.cross_entropy(logits, train_set.labels[idx])
+            opt.step(T.backward(tape, loss))
 
-        def acc(a, yv):
-            logits = a @ w.data + b.data
-            return float((np.argmax(logits, axis=1) == yv).mean())
+    def acc(a, yv):
+        logits = a @ w.data + b.data
+        return float((np.argmax(logits, axis=1) == yv).mean())
 
-        result = ProbeResult(layer_id, acc(a_train, train_set.labels),
-                             acc(a_test, test_set.labels), n)
-    finally:
-        for t, saved_data in zip(model.all_params(), saved):
-            t.data = saved_data
-        for tt, was in was_tracked:
-            tt.grad_tracked = was
-    return result
+    return ProbeResult(layer_id, acc(a_train, train_set.labels),
+                       acc(a_test, test_set.labels), n)
 
 
 def upper_third_mean(matrix: CKAMatrix) -> float:

@@ -8,7 +8,8 @@ loss with respect to the iterate's embedding, from a
 embedding. That gradient is bitwise the one a tape through the stacked
 clean and adversarial embeddings and the loss would give, so the attack's
 output does not depend on the shortcut. The epsilon-ball bounds are also
-computed once per attack.
+computed once per attack, and each step moves and projects the iterate in
+place.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ class AttackSpec:
     @property
     def threat_model(self) -> str:
         return "I" if self.driving_loss == "CE" else "II"
-
-    def key(self) -> tuple:
-        return (self.driving_loss, self.epsilon, self.steps)
 
     def for_data(self, is_image: bool) -> "AttackSpec":
         """This spec, without the [0, 1] clamp when the data are vectors."""
@@ -160,6 +158,8 @@ def pgd(model, batch, spec: AttackSpec) -> Tensor:
         target = None if spec.driving_loss == "CE" else _target(model, batch, spec)
         for _ in range(spec.steps):
             g = _driving_loss_grad(model, x, batch, target)
-            x = x + spec.alpha * np.sign(g)
-            x = _clip(x, lo, hi, spec.clamp)
+            x += spec.alpha * np.sign(g)  # x is the attack's own array
+            np.clip(x, lo, hi, out=x)
+            if spec.clamp is not None:
+                np.clip(x, spec.clamp[0], spec.clamp[1], out=x)
     return Tensor(x)

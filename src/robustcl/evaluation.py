@@ -32,10 +32,8 @@ def _accuracy(model: ModelBundle, x: np.ndarray, y: np.ndarray,
               batch_size: int = 512) -> float:
     correct = 0
     for start in range(0, len(x), batch_size):
-        xb = Tensor(x[start:start + batch_size])
-        rep, _ = models.encode(model, xb)
-        logits = models.classify(model, rep)
-        correct += int((np.argmax(logits.data, axis=1) == y[start:start + batch_size]).sum())
+        stop = start + batch_size
+        correct += int((_predict(model, x[start:stop]) == y[start:stop]).sum())
     return correct / len(x)
 
 

@@ -102,7 +102,7 @@ def append_probe_csv(result, path) -> None:
 
 
 def write_report(output_dir, results_rows=None, heatmap_svgs=None,
-                 badges=None, curves=None, path_name="report.md") -> str:
+                 badges=None, path_name="report.md") -> str:
     """Collate results, heatmaps, and directional-check badges into one
     markdown report with the SVGs embedded inline."""
     lines = ["# Experiment report", ""]
@@ -121,12 +121,6 @@ def write_report(output_dir, results_rows=None, heatmap_svgs=None,
         lines.append("|" + "---|" * len(cols))
         for row in results_rows:
             lines.append("| " + " | ".join(str(row[c]) for c in cols) + " |")
-        lines.append("")
-    if curves:
-        lines.append("## Accuracy curves")
-        lines.append("")
-        for name, pts in curves:
-            lines.append(f"- {name}: " + ", ".join(f"eps={e:g}: {a:.3f}" for e, a in pts))
         lines.append("")
     if heatmap_svgs:
         lines.append("## CKA heatmaps")

@@ -1,9 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The engine is deliberately small: a handful of primitive operations, each
-recording a node on the active GradientTape, and a single backward pass that
-walks the tape in reverse. Shapes are explicit; the only broadcasting allowed
-is adding a (d,) bias row-wise to an (n, d) matrix and per-channel conv bias.
+The engine is deliberately small: a handful of primitive functions (no
+operator overloads), each recording an (out, inputs, backward_fn) node on
+the active GradientTape, and a single backward pass that walks the tape in
+reverse, freeing each intermediate gradient once its node has run. Shapes
+are explicit; the only broadcasting allowed is adding a (d,) bias row-wise
+to an (n, d) matrix and per-channel conv bias. `reshape` returns a view of
+its input where numpy can, so callers must not write into its result.
 
 Every primitive checks its output for finiteness once and names itself in
 the NonFiniteError. Each node's backward closure is called as
@@ -27,22 +30,16 @@ class NonFiniteError(TensorError):
     """A primitive produced (or was given) NaN/Inf values."""
 
 
-def _as_array(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 class Tensor:
     """A dense float64 array, optionally tracked on the active gradient tape."""
 
-    __slots__ = ("data", "grad_tracked", "node_id")
+    __slots__ = ("data", "grad_tracked")
 
     def __init__(self, data, grad_tracked: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(self.data)):
             raise NonFiniteError("tensor constructed from non-finite data")
         self.grad_tracked = bool(grad_tracked)
-        self.node_id = None
 
     @property
     def shape(self):
@@ -58,53 +55,11 @@ class Tensor:
     def _output(cls, data, op: str) -> "Tensor":
         """A primitive's untracked result, checked for finiteness once."""
         t = cls.__new__(cls)
-        t.data = _as_array(data)
+        t.data = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(t.data)):
             raise NonFiniteError(f"non-finite values in output of {op}")
         t.grad_tracked = False
-        t.node_id = None
         return t
-
-    # Operator sugar; all routed through the primitives below.
-    def __add__(self, other):
-        return add(self, _coerce(other, self))
-
-    def __radd__(self, other):
-        return add(_coerce(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other, self))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self), self)
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if np.isscalar(other):
-            return scale(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-
-def _coerce(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    a = np.asarray(x, dtype=np.float64)
-    if a.shape == ():
-        a = np.full(like.shape, float(a))
-    return Tensor(a)
 
 
 class GradientTape:
@@ -113,7 +68,6 @@ class GradientTape:
     def __init__(self):
         self.nodes = []  # (out_ref, [in_refs], backward_fn)
         self.consumed = False
-        self._next_id = 0
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -123,16 +77,8 @@ class GradientTape:
         _TAPE_STACK.pop()
         return False
 
-    def _assign_id(self, t: Tensor) -> None:
-        if t.node_id is None:
-            t.node_id = self._next_id
-            self._next_id += 1
-
     def record(self, out: Tensor, inputs, backward_fn) -> None:
-        for t in inputs:
-            self._assign_id(t)
-        self._assign_id(out)
-        self.nodes.append((out, list(inputs), backward_fn))
+        self.nodes.append((out, inputs, backward_fn))
 
 
 _TAPE_STACK: list[GradientTape] = []
@@ -153,8 +99,12 @@ def _maybe_record(out: Tensor, inputs, backward_fn) -> Tensor:
 def backward(tape: GradientTape, output: Tensor, grad: np.ndarray | None = None):
     """Reverse pass over `tape`; returns {leaf Tensor: gradient ndarray}.
 
-    The map contains an entry for every grad_tracked tensor reachable from
-    `output`, keyed by object identity. A tape can be consumed only once.
+    The map contains an entry for every grad_tracked leaf reachable from
+    `output` (a tensor no node of this tape produced), keyed by object
+    identity. Every consumer of a node's output comes later on the tape, so
+    the output's gradient is complete when its node is reached; the pass
+    pops it there, and what stays in the map is the leaves. A tape can be
+    consumed only once.
 
     Without `grad`, `output` must be a scalar and the pass starts from
     d output / d output = 1. With `grad`, the pass starts from that array,
@@ -175,36 +125,20 @@ def backward(tape: GradientTape, output: Tensor, grad: np.ndarray | None = None)
         raise TensorError(f"backward: gradient of shape {np.shape(grad)} "
                           f"for an output of shape {output.shape}")
     tape.consumed = True
-    grads: dict[int, np.ndarray] = {id(output): grad}
-    tensors: dict[int, Tensor] = {id(output): output}
-    produced = set()
-    for out, _, _ in tape.nodes:
-        produced.add(id(out))
+    grads = {output: grad}
     for out, inputs, backward_fn in reversed(tape.nodes):
-        g = grads.get(id(out))
+        g = grads.pop(out, None)
         if g is None:
             continue
         need = tuple(t.grad_tracked for t in inputs)
         if not any(need):
             continue
         for t, wanted, ig in zip(inputs, need, backward_fn(g, need)):
-            if not wanted:
-                continue
-            tensors[id(t)] = t
-            if id(t) in grads:
-                grads[id(t)] = grads[id(t)] + ig
-            else:
-                grads[id(t)] = ig
-    result = {}
-    for key, g in grads.items():
-        t = tensors.get(key)
-        if t is None:
-            continue
-        if key not in produced and t.grad_tracked:
-            result[t] = g
-    if id(output) not in produced and output.grad_tracked:
-        result[output] = grads[id(output)]
-    return result
+            if wanted:
+                grads[t] = grads[t] + ig if t in grads else ig
+    if not output.grad_tracked:
+        grads.pop(output, None)
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +209,7 @@ def transpose(a: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     old = a.shape
-    out = Tensor._output(a.data.reshape(shape).copy(), "reshape")
+    out = Tensor._output(a.data.reshape(shape), "reshape")
     return _maybe_record(out, [a], lambda g, need: (g.reshape(old),))
 
 

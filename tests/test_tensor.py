@@ -80,6 +80,35 @@ class TestBackward:
             pass
         assert backward(tape, c) == {}
 
+    def test_tracked_leaf_as_output(self):
+        a = Tensor(2.0, grad_tracked=True)
+        with GradientTape() as tape:
+            T.scale(a, 3.0)
+        grads = backward(tape, a)
+        assert list(grads) == [a] and np.array_equal(grads[a], 1.0)
+
+    def test_output_of_an_earlier_tape_is_a_leaf(self):
+        x = Tensor([1.0, 2.0], grad_tracked=True)
+        with GradientTape():
+            h = T.scale(x, 3.0)
+        with GradientTape() as tape:
+            out = T.tsum(T.mul(h, h))
+        grads = backward(tape, out)
+        assert list(grads) == [h] and np.array_equal(grads[h], [6.0, 12.0])
+
+    def test_paths_accumulate_last_consumer_first(self, rng):
+        x_data = rng.standard_normal(64)
+        c = rng.standard_normal(64)
+        x = Tensor(x_data, grad_tracked=True)
+        with GradientTape() as tape:
+            p, q, r = T.scale(x, 3.0), T.exp(x), T.mul(x, Tensor(c))
+            out = T.tsum(T.add(T.add(p, q), r))
+        g = backward(tape, out)[x]
+        # the consumers of x are reached in reverse tape order: r, q, p
+        expected = (c + np.exp(x_data)) + 3.0
+        assert not np.array_equal(expected, c + (np.exp(x_data) + 3.0))
+        assert g.tobytes() == expected.tobytes()
+
     def test_non_scalar_output_rejected(self):
         x = Tensor([1.0, 2.0], grad_tracked=True)
         with GradientTape() as tape:
