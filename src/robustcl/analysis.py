@@ -204,7 +204,7 @@ def linear_probe(model: ModelBundle, train_set: Dataset, test_set: Dataset,
             if len(idx) < 2:
                 continue
             with GradientTape() as tape:
-                logits = T.add(T.matmul(Tensor(a_train[idx]), w), b)
+                logits = T.dense(Tensor(a_train[idx]), w, b)
                 loss = losses.cross_entropy(logits, train_set.labels[idx])
             opt.step(T.backward(tape, loss))
 

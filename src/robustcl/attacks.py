@@ -8,8 +8,8 @@ loss with respect to the iterate's embedding, from a
 embedding. That gradient is bitwise the one a tape through the stacked
 clean and adversarial embeddings and the loss would give, so the attack's
 output does not depend on the shortcut. The epsilon-ball bounds are also
-computed once per attack, and each step moves and projects the iterate in
-place.
+computed and clamped once per attack, and each step moves the iterate and
+clips it into them in place.
 """
 
 from __future__ import annotations
@@ -75,12 +75,7 @@ def project_linf(x0: np.ndarray, x: np.ndarray, epsilon: float,
     """Clip x into the epsilon-ball around x0, then into the clamp box."""
     if x0.shape != x.shape:
         raise AttackError(f"project_linf: shape mismatch {x0.shape} vs {x.shape}")
-    return _clip(x, x0 - epsilon, x0 + epsilon, clamp)
-
-
-def _clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-          clamp: tuple | None) -> np.ndarray:
-    out = np.clip(x, lo, hi)
+    out = np.clip(x, x0 - epsilon, x0 + epsilon)
     if clamp is not None:
         out = np.clip(out, clamp[0], clamp[1])
     return out
@@ -145,11 +140,16 @@ def pgd(model, batch, spec: AttackSpec) -> Tensor:
     x0 = batch.x.data
     if spec.epsilon == 0.0 or (spec.steps == 0 and not spec.random_start):
         return Tensor(x0.copy())
+    # clip(clip(x, x0 -+ eps), clamp) == clip(x, clip(x0 -+ eps, clamp)), bit
+    # for bit unless x0 holds -0.0, so each step clips once, into the clamped ball
     lo, hi = x0 - spec.epsilon, x0 + spec.epsilon
+    if spec.clamp is not None:
+        np.clip(lo, *spec.clamp, out=lo)
+        np.clip(hi, *spec.clamp, out=hi)
     rng = np.random.default_rng(spec.seed)
     if spec.random_start:
         x = x0 + rng.uniform(-spec.epsilon, spec.epsilon, size=x0.shape)
-        x = _clip(x, lo, hi, spec.clamp)
+        np.clip(x, lo, hi, out=x)
     else:
         x = x0.copy()
     if spec.steps == 0:
@@ -157,9 +157,9 @@ def pgd(model, batch, spec: AttackSpec) -> Tensor:
     with _params_untracked(model):
         target = None if spec.driving_loss == "CE" else _target(model, batch, spec)
         for _ in range(spec.steps):
-            g = _driving_loss_grad(model, x, batch, target)
-            x += spec.alpha * np.sign(g)  # x is the attack's own array
+            g = _driving_loss_grad(model, x, batch, target)  # a fresh array
+            np.sign(g, out=g)
+            g *= spec.alpha
+            x += g  # x is the attack's own array
             np.clip(x, lo, hi, out=x)
-            if spec.clamp is not None:
-                np.clip(x, spec.clamp[0], spec.clamp[1], out=x)
     return Tensor(x)

@@ -4,7 +4,8 @@ Two desk-scale encoders are provided: a dense multi-layer perceptron for
 vector data and a small convolutional network (3x3 conv + relu + 2x2 pool
 blocks followed by one dense layer) for image data. The projection head is a
 two-layer MLP with a relu in between; the classifier is a single affine map
-on the encoder representation.
+on the encoder representation. Every affine layer, with its relu where it
+has one, is one `tensor.dense` node on the tape.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def encode(model: ModelBundle, x: Tensor, capture: bool = False):
             raise ModelError(f"dense encoder expects (n, {cfg.input_shape[0]}), got {x.shape}")
         h = x
         for i, (w, b) in enumerate(model.encoder_params):
-            h = T.relu(T.add(T.matmul(h, w), b))
+            h = T.dense(h, w, b, relu=True)
             if capture:
                 records.append(ActivationRecord(ids[i], h.data.copy()))
         return h, records
@@ -191,7 +192,7 @@ def encode(model: ModelBundle, x: Tensor, capture: bool = False):
     n = h.shape[0]
     h = T.reshape(h, (n, int(np.prod(h.shape[1:]))))
     w, b = model.encoder_params[-1]
-    h = T.relu(T.add(T.matmul(h, w), b))
+    h = T.dense(h, w, b, relu=True)
     if capture:
         records.append(ActivationRecord(ids[-1], h.data.copy()))
     return h, records
@@ -199,15 +200,15 @@ def encode(model: ModelBundle, x: Tensor, capture: bool = False):
 
 def project(model: ModelBundle, representation: Tensor) -> Tensor:
     (w1, b1), (w2, b2) = model.head_params
-    h = T.relu(T.add(T.matmul(representation, w1), b1))
-    return T.add(T.matmul(h, w2), b2)
+    h = T.dense(representation, w1, b1, relu=True)
+    return T.dense(h, w2, b2)
 
 
 def classify(model: ModelBundle, representation: Tensor) -> Tensor:
     if model.audit_active and representation.grad_tracked:
         model.classifier_grad_queries += 1
     w, b = model.classifier_params
-    return T.add(T.matmul(representation, w), b)
+    return T.dense(representation, w, b)
 
 
 # ---------------------------------------------------------------------------

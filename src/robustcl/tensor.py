@@ -8,6 +8,11 @@ are explicit; the only broadcasting allowed is adding a (d,) bias row-wise
 to an (n, d) matrix and per-channel conv bias. `reshape` returns a view of
 its input where numpy can, so callers must not write into its result.
 
+`dense` is an affine layer (matmul, bias add and an optional relu) in one
+node, with the arithmetic of that three-node chain; every model layer goes
+through it. `matmul`, `add` and `relu` stay for the loss sums, the conv
+path and the tests' graph oracles.
+
 Every primitive checks its output for finiteness once and names itself in
 the NonFiniteError. Each node's backward closure is called as
 `backward_fn(g, need)`: `g` is the gradient of the node's output and `need`
@@ -56,7 +61,7 @@ class Tensor:
         """A primitive's untracked result, checked for finiteness once."""
         t = cls.__new__(cls)
         t.data = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(t.data)):
+        if not np.isfinite(t.data).all():
             raise NonFiniteError(f"non-finite values in output of {op}")
         t.grad_tracked = False
         return t
@@ -197,6 +202,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     return _maybe_record(out, [a, b], lambda g, need: (
         g @ bd.T if need[0] else None, ad.T @ g if need[1] else None))
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """An affine layer, x @ w + b over (n, k) x (k, d) + (d,), optionally
+    followed by relu, as one node.
+
+    The arithmetic and its order are those of relu(add(matmul(x, w), b)):
+    the bias is added into the product's buffer, the pre-activation is
+    checked for finiteness once (before relu could hide an inf), and relu
+    clamps that buffer in place. Backward masks g (gradient 0 at 0, as in
+    `relu`), then forms g @ w.T, x.T @ g and g.sum(axis=0) as `need` asks.
+    """
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != (w.shape[1],)):
+        raise TensorError(f"dense: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
+    xd, wd = x.data, w.data
+    h = xd @ wd
+    h += b.data
+    out = Tensor._output(h, "dense")
+    mask = None
+    if relu:
+        mask = h > 0.0
+        np.maximum(h, 0.0, out=h)
+
+    def bwd(g, need):
+        if mask is not None:
+            g = g * mask
+        return (g @ wd.T if need[0] else None, xd.T @ g if need[1] else None,
+                g.sum(axis=0) if need[2] else None)
+
+    return _maybe_record(out, [x, w, b], bwd)
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -28,7 +28,13 @@ class TrainingError(Exception):
 
 
 class Adam:
-    """Adam with bias correction; state advances even on zero gradients."""
+    """Adam with bias correction; state advances even on zero gradients.
+
+    The moments are updated in place and the step is formed in two
+    per-parameter buffers, with the operand order of the textbook update
+    (b2 * v + ((1 - b2) * g) * g, then (lr * m_hat) / (sqrt(v_hat) + eps)),
+    so the result is bitwise that of the allocating form. Each parameter's
+    `data` is rebound to a new array, never written in place."""
 
     def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -39,6 +45,8 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self._m_hat = [np.empty_like(p.data) for p in self.params]
+        self._v_hat = [np.empty_like(p.data) for p in self.params]
 
     @classmethod
     def from_config(cls, params, cfg: "OptimizerConfig") -> "Adam":
@@ -46,15 +54,27 @@ class Adam:
 
     def step(self, grads: dict) -> None:
         self.t += 1
-        for i, p in enumerate(self.params):
+        b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for p, m, v, m_hat, v_hat in zip(self.params, self.m, self.v,
+                                         self._m_hat, self._v_hat):
             g = grads.get(p)
             if g is None:
                 g = np.zeros_like(p.data)
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1 - self.beta2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= b1
+            np.multiply(g, 1 - b1, out=m_hat)
+            m += m_hat
+            v *= b2
+            np.multiply(g, 1 - b2, out=v_hat)
+            v_hat *= g
+            v += v_hat
+            np.divide(m, c1, out=m_hat)
+            np.divide(v, c2, out=v_hat)
+            m_hat *= self.lr
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += self.eps
+            m_hat /= v_hat
+            p.data = p.data - m_hat
 
 
 @dataclass

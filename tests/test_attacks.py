@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustcl import attacks, losses, models, training
@@ -55,6 +55,28 @@ class TestProject:
     def test_shape_mismatch(self):
         with pytest.raises(AttackError):
             project_linf(np.zeros(3), np.zeros(4), 0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1.0, 2.0), st.floats(-2.0, 3.0)),
+                min_size=1, max_size=16),
+       st.floats(0.0, 0.5))
+@example([(1.5, 0.7), (-0.3, 0.2), (1.05, 1.2), (-0.02, -1.0)], 0.1)  # x0 outside [0, 1]
+@example([(0.5, 0.9), (0.98, 1.5), (0.01, -0.5)], 0.03)
+@example([(0.0, -0.0)], 0.5)
+def test_clamped_ball_bounds_clip_like_ball_then_box(pairs, epsilon):
+    """pgd clips once, into clip(x0 -+ eps, 0, 1): for x0 inside [0, 1] or
+    not, that is bitwise the ball clip followed by the box clip, except
+    for the sign of a zero when x or x0 holds -0.0 (np.clip keeps -0.0 at
+    a scalar bound of 0.0 but not at an array one). A PGD iterate holds
+    -0.0 only where its clean batch does."""
+    x0, x = np.array(pairs).T
+    lo = np.clip(x0 - epsilon, 0.0, 1.0)
+    hi = np.clip(x0 + epsilon, 0.0, 1.0)
+    once, twice = np.clip(x, lo, hi), project_linf(x0, x, epsilon, clamp=(0.0, 1.0))
+    assert np.array_equal(once, twice)
+    if not (np.signbit(np.concatenate([x0, x])) & (np.concatenate([x0, x]) == 0.0)).any():
+        assert once.tobytes() == twice.tobytes()
 
 
 class TestSpec:
@@ -233,6 +255,18 @@ class TestCleanEmbeddingOnce:
         spec = AttackSpec(epsilon=0.1, steps=3, random_start=True,
                           driving_loss=driving_loss, clamp=(0.0, 1.0), seed=3)
         x_adv = pgd(st_model, batch, spec).data
+        assert x_adv.tobytes() == _reference_pgd(st_model, batch, spec).tobytes()
+
+    @pytest.mark.parametrize("driving_loss", ["CE", "CL"])
+    def test_matches_reference_loop_with_inputs_outside_the_clamp(self, st_model,
+                                                                driving_loss):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-0.3, 1.3, size=(8, 20))
+        batch = ViewBatch(x=Tensor(x), y=rng.integers(0, 2, size=8))
+        spec = AttackSpec(epsilon=0.1, steps=4, random_start=True,
+                          driving_loss=driving_loss, clamp=(0.0, 1.0), seed=5)
+        x_adv = pgd(st_model, batch, spec).data
+        assert ((x < 0.0) | (x > 1.0)).any()
         assert x_adv.tobytes() == _reference_pgd(st_model, batch, spec).tobytes()
 
     @pytest.mark.parametrize("driving_loss, calls", [("CE", 3), ("CL", 4), ("SCL", 4)])

@@ -260,6 +260,91 @@ class TestBackwardSkipsUntrackedInputs:
         assert (b in grads) == track_b_later
 
 
+def _chain(x, w, b, relu):
+    h = T.add(T.matmul(x, w), b)
+    return T.relu(h) if relu else h
+
+
+class TestDense:
+    """`dense` is relu(add(matmul(x, w), b)) (or add(matmul(x, w), b)) in
+    one node, and bitwise equal to that chain."""
+
+    @staticmethod
+    def _run(layer, data, tracked, seed_grad, relu):
+        leaves = [Tensor(d.copy(), grad_tracked=t) for d, t in zip(data, tracked)]
+        with GradientTape() as tape:
+            out = layer(*leaves, relu=relu)
+        grads = backward(tape, out, grad=seed_grad)
+        return out, [grads.get(t) for t in leaves], len(tape.nodes)
+
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("tracked", [(a, b, c) for a in (True, False)
+                                         for b in (True, False) for c in (True, False)])
+    def test_output_and_gradients_bitwise_equal_the_chain(self, tracked, relu, rng):
+        # small integers make exact zeros in the pre-activation, where relu's
+        # gradient is 0, and a negative seed there gives -0.0 in both
+        data = [rng.integers(-2, 3, size=(9, 5)).astype(float),
+                rng.integers(-2, 3, size=(5, 7)).astype(float),
+                rng.integers(-2, 3, size=7).astype(float)]
+        assert (data[0] @ data[1] + data[2] == 0.0).any()
+        seed_grad = rng.standard_normal((9, 7))
+        out, grads, nodes = self._run(T.dense, data, tracked, seed_grad, relu)
+        want, want_grads, _ = self._run(_chain, data, tracked, seed_grad, relu)
+        assert out.data.tobytes() == want.data.tobytes()
+        assert out.grad_tracked == any(tracked)
+        assert nodes == (1 if any(tracked) else 0)
+        for got, exp, t in zip(grads, want_grads, tracked):
+            assert (got is None) == (not t) == (exp is None)
+            if t:
+                assert got.tobytes() == exp.tobytes()
+
+    def test_closure_skips_unneeded_products(self, rng):
+        leaves = [Tensor(rng.standard_normal(s), grad_tracked=True)
+                  for s in ((3, 4), (4, 2), (2,))]
+        with GradientTape() as tape:
+            out = T.dense(*leaves, relu=True)
+        (_, _, backward_fn), = tape.nodes
+        gx, gw, gb = backward_fn(np.ones_like(out.data), (True, False, False))
+        assert gx is not None and gw is None and gb is None
+
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("x, w", [
+        ([[1e308, 1e308]], [[1e308], [1e308]]),  # +inf
+        ([[1e308, 1e308]], [[-1e308], [-1e308]]),  # -inf, which relu would hide
+        ([[1e308, 1e308]], [[1e308], [-1e308]]),  # inf - inf = nan
+    ])
+    def test_non_finite_pre_activation_raises(self, x, w, relu):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NonFiniteError, match="output of dense$"):
+            T.dense(Tensor(x), Tensor(w), Tensor([0.0]), relu=relu)
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((3,), (3, 2), (2,)),  # 1-D input
+        ((2, 3), (4, 2), (2,)),  # inner dimensions differ
+        ((2, 3), (3, 2), (3,)),  # bias width differs
+        ((2, 3), (3, 2), (1, 2)),  # bias not 1-D
+        ((2, 3, 1), (3, 2), (2,)),  # 3-D input
+    ])
+    def test_shape_errors(self, x_shape, w_shape, b_shape):
+        with pytest.raises(TensorError, match="^dense: incompatible shapes"):
+            T.dense(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)),
+                    Tensor(np.ones(b_shape)))
+
+    @pytest.mark.parametrize("wrt", [0, 1, 2])
+    def test_matches_finite_differences(self, wrt, rng):
+        data = [rng.standard_normal((4, 6)), rng.standard_normal((6, 3)),
+                rng.standard_normal(3)]
+        head = Tensor(rng.standard_normal((3, 2)))
+
+        def f(t):
+            args = [Tensor(d) for d in data]
+            args[wrt] = t
+            h = T.dense(*args, relu=True)
+            return T.tmean(T.exp(T.scale(T.matmul(h, head), 0.1)))
+
+        assert finite_diff_check(f, Tensor(data[wrt])) < 1e-6
+
+
 class TestFiniteDiffCheck:
     def test_sum_of_squares(self, rng):
         x = Tensor(rng.standard_normal(10))

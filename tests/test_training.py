@@ -55,6 +55,27 @@ class TestAdam:
             opt.step({p: 2.0 * (p.data - 3.0)})
         assert abs(p.data[0] - 3.0) < 1e-3
 
+    def test_in_place_update_bitwise_equals_the_allocating_form(self, rng):
+        shapes = [(5, 3), (3,), (4,)]
+        params = [Tensor(rng.standard_normal(s)) for s in shapes]
+        opt = Adam(params, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
+        data = [p.data.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        for t in range(1, 6):
+            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-4, 4) for s in shapes]
+            grads[2] = None if t % 2 else grads[2]  # absent: a zero gradient
+            before = [p.data for p in params]
+            opt.step({p: g for p, g in zip(params, grads) if g is not None})
+            for i, g in enumerate(grads):
+                g = np.zeros(shapes[i]) if g is None else g
+                m[i] = 0.8 * m[i] + (1 - 0.8) * g
+                v[i] = 0.99 * v[i] + (1 - 0.99) * g * g
+                m_hat = m[i] / (1 - 0.8 ** t)
+                v_hat = v[i] / (1 - 0.99 ** t)
+                data[i] = data[i] - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-6)
+                assert params[i].data.tobytes() == data[i].tobytes(), (t, i)
+                assert params[i].data is not before[i]  # rebound, not written
 
     def test_from_config_matches_explicit_arguments(self):
         cfg = training.OptimizerConfig(lr=0.02, beta1=0.8, beta2=0.99, eps=1e-6)
