@@ -52,10 +52,6 @@ def build_info() -> dict:
             "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"])}
 
 
-def cell_id(scenario: str, scheme: str, train_eps) -> str:
-    return f"{scenario}/{scheme}" + ("" if train_eps is None else f"/eps={train_eps:.4f}")
-
-
 def sha256(arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -97,8 +93,7 @@ def golden_cell(cfg, d_p, d_f, test, scenario: str, scheme: str, train_eps) -> d
 def main():
     cfg, d_p, d_f, test = fixture()
     cells = {}
-    for scenario, scheme, train_eps, _ in directional.CELLS:
-        name = cell_id(scenario, scheme, train_eps)
+    for name, (scenario, scheme, train_eps, _) in directional.CELLS.items():
         cells[name] = golden_cell(cfg, d_p, d_f, test, scenario, scheme, train_eps)
         print(name, cells[name]["eval"], flush=True)
     GOLDEN.write_text(json.dumps(

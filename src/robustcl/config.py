@@ -86,10 +86,8 @@ DEFAULTS = {
         "erase_patch_size": "4",
     },
     "analysis": {
-        "cka": "true",
         "n_samples": "512",
         "probe_layers": "",
-        "eps_sweep": "",
     },
     "sweep": {
         "scenarios": "ST",

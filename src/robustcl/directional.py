@@ -81,20 +81,24 @@ steps = 10
 
 SEEDS = (0, 1, 2)
 
-# (scenario, scheme, train_epsilon override, needs Threat-Model-II eval)
-CELLS = [
-    ("ST", "SL", None, False),
-    ("ST", "CL", None, False),
-    ("ST", "SCL", None, False),
-    ("ST", "SL+CL", None, False),
-    ("ST", "CL+SCL", None, False),
-    ("AT", "CL", None, True),
-    ("AT", "SCL", None, False),
-    ("AT", "SL", None, False),
-    ("AT", "CL", EPS4, False),
-    ("Full-AT", "CL", None, False),
-    ("Full-AT", "SCL", None, False),
-]
+# cell name -> (scenario, scheme, train_epsilon override, needs Threat-Model-II eval)
+CELLS = {
+    "ST/SL": ("ST", "SL", None, False),
+    "ST/CL": ("ST", "CL", None, False),
+    "ST/SCL": ("ST", "SCL", None, False),
+    "ST/SL+CL": ("ST", "SL+CL", None, False),
+    "ST/CL+SCL": ("ST", "CL+SCL", None, False),
+    "AT/CL": ("AT", "CL", None, True),
+    "AT/SCL": ("AT", "SCL", None, False),
+    "AT/SL": ("AT", "SL", None, False),
+    "AT/CL/eps=0.0157": ("AT", "CL", EPS4, False),
+    "Full-AT/CL": ("Full-AT", "CL", None, False),
+    "Full-AT/SCL": ("Full-AT", "SCL", None, False),
+}
+# the cells whose final-layer clean-vs-adversarial CKA is cached
+FINAL_CKA = ("ST/CL", "AT/CL/eps=0.0157", "AT/CL", "ST/SL")
+# scenario -> the (CL, SL) cell pair whose cross-scheme CKA is cached
+CROSS = {"AT": ("AT/CL", "AT/SL"), "ST": ("ST/CL", "ST/SL")}
 
 
 def package_root() -> Path:
@@ -200,64 +204,42 @@ def _cross_upper(model_a, model_b, test, key_a, key_b, cache_dir, n_analysis=400
 
 def run_seed(cfg: ExperimentConfig, seed: int, cache_dir: str,
              log=None, n_analysis: int = 400) -> dict:
-    """Train/evaluate every fixture cell for one seed (cached)."""
+    """Train/evaluate every fixture cell for one seed (cached); every result
+    is keyed by cell name, or by scenario for the cross-scheme CKA."""
     os.makedirs(cache_dir, exist_ok=True)
     dataset = experiment.build_dataset(cfg)
     d_p, d_f, test = experiment.build_splits(cfg, dataset)
-    out = {"seed": seed, "cells": {}}
-    handles = {}
-    for scenario, scheme, train_eps, need_tm2 in CELLS:
-        key = experiment.cell_key(cfg, scenario, scheme, seed, d_p, train_eps)
+    cells, trained = {}, {}
+    for name, (scenario, scheme, train_eps, need_tm2) in CELLS.items():
         if log:
-            log(f"seed {seed}: {scenario}/{scheme}"
-                + (f" eps={train_eps:.4f}" if train_eps else ""))
+            log(f"seed {seed}: {name}")
         model, manifest = experiment.train_cell(
             cfg, d_p, d_f, scenario, scheme, seed, cache_dir, train_eps)
-        payload = _eval_cell(model, test, key, cache_dir, scenario, scheme, need_tm2)
-        cell_id = (scenario, scheme, train_eps)
-        out["cells"][cell_id] = {
-            "key": key, "eval": payload,
+        key = manifest["cell_key"]
+        cells[name] = {
+            "key": key,
+            "eval": _eval_cell(model, test, key, cache_dir, scenario, scheme, need_tm2),
             "runtime_s": manifest.get("runtime_s", 0.0),
         }
-        handles[cell_id] = model
-    tm1 = _robust_key(tm1_attack())
-    cka = {}
-    for eps, cell_id in ((0.0, ("ST", "CL", None)),
-                         (EPS4, ("AT", "CL", EPS4)),
-                         (EPS8, ("AT", "CL", None))):
-        cka[repr(eps)] = _final_cka(handles[cell_id], test,
-                                    out["cells"][cell_id]["key"], cache_dir,
-                                    n_analysis)
-    out["cka_final_by_train_eps"] = cka
-    out["cka_final_st_sl"] = _final_cka(handles[("ST", "SL", None)], test,
-                                        out["cells"][("ST", "SL", None)]["key"],
-                                        cache_dir, n_analysis)
-    out["cross_upper_at"] = _cross_upper(
-        handles[("AT", "CL", None)], handles[("AT", "SL", None)], test,
-        out["cells"][("AT", "CL", None)]["key"],
-        out["cells"][("AT", "SL", None)]["key"], cache_dir, n_analysis)
-    out["cross_upper_st"] = _cross_upper(
-        handles[("ST", "CL", None)], handles[("ST", "SL", None)], test,
-        out["cells"][("ST", "CL", None)]["key"],
-        out["cells"][("ST", "SL", None)]["key"], cache_dir, n_analysis)
-    out["tm1_key"] = tm1
-    out["tm2_key"] = _robust_key(tm2_attack())
-    return out
+        trained[name] = model
+    return {
+        "cells": cells,
+        "final_cka": {name: _final_cka(trained[name], test, cells[name]["key"],
+                                       cache_dir, n_analysis)
+                      for name in FINAL_CKA},
+        "cross_upper": {scenario: _cross_upper(trained[a], trained[b], test,
+                                               cells[a]["key"], cells[b]["key"],
+                                               cache_dir, n_analysis)
+                        for scenario, (a, b) in CROSS.items()},
+    }
 
 
 def run_suite(seeds=SEEDS, cache_dir=None, cfg=None, log=None,
               n_analysis: int = 400) -> dict:
     cfg = cfg or fixture_config()
     cache_dir = cache_dir or default_cache_dir()
-    return {"config_hash": cfg.hash(),
-            "seeds": {seed: run_seed(cfg, seed, cache_dir, log=log,
-                                     n_analysis=n_analysis)
+    return {"seeds": {seed: run_seed(cfg, seed, cache_dir, log=log, n_analysis=n_analysis)
                       for seed in seeds}}
-
-
-def _tm1(seed_result, scenario, scheme, train_eps=None):
-    cell = seed_result["cells"][(scenario, scheme, train_eps)]
-    return cell["eval"]["robust"][seed_result["tm1_key"]]
 
 
 def _check_per_seed(suite, fn):
@@ -272,37 +254,38 @@ def _check_per_seed(suite, fn):
 
 def badges(suite) -> list:
     """One (name, passed, detail) triple per directional claim."""
+    tm1_id, tm2_id = _robust_key(tm1_attack()), _robust_key(tm2_attack())
+
+    def tm1(res, name):
+        return res["cells"][name]["eval"]["robust"][tm1_id]
 
     def c6(res):
-        cl = _tm1(res, "ST", "CL")
-        floor = min(_tm1(res, "ST", "SCL"), _tm1(res, "ST", "SL"))
-        combo_ok = (_tm1(res, "ST", "SL+CL") >= cl + 0.03
-                    and _tm1(res, "ST", "CL+SCL") >= cl + 0.03)
+        cl = tm1(res, "ST/CL")
+        floor = min(tm1(res, "ST/SCL"), tm1(res, "ST/SL"))
+        combo_ok = (tm1(res, "ST/SL+CL") >= cl + 0.03
+                    and tm1(res, "ST/CL+SCL") >= cl + 0.03)
         ok = cl <= floor - 0.05 and combo_ok
         return ok, f"CL {cl:.3f} vs floor {floor:.3f}, combos>{cl + 0.03:.3f}: {combo_ok}"
 
     def c7(res):
-        gap_cl = _tm1(res, "Full-AT", "CL") - _tm1(res, "AT", "CL")
-        gap_scl = abs(_tm1(res, "Full-AT", "SCL") - _tm1(res, "AT", "SCL"))
+        gap_cl = tm1(res, "Full-AT/CL") - tm1(res, "AT/CL")
+        gap_scl = abs(tm1(res, "Full-AT/SCL") - tm1(res, "AT/SCL"))
         ok = gap_cl >= 0.05 and gap_scl <= 0.05
         return ok, f"Full-AT(CL)-AT(CL) {gap_cl:+.3f}, |dSCL| {gap_scl:.3f}"
 
     def c8(res):
-        by_eps = res["cka_final_by_train_eps"]
-        v0, v4, v8 = by_eps[repr(0.0)], by_eps[repr(EPS4)], by_eps[repr(EPS8)]
+        v0, v4, v8 = (res["final_cka"][name] for name in ("ST/CL", "AT/CL/eps=0.0157", "AT/CL"))
         ok = (v8 - v0 >= 0.2) and (v4 >= v0 - 0.02) and (v8 >= v4 - 0.02)
         return ok, f"final CKA by train eps: {v0:.3f} -> {v4:.3f} -> {v8:.3f}"
 
     def c9(res):
-        gap = res["cross_upper_at"] - res["cross_upper_st"]
-        return gap >= 0.1, (f"upper-third cross CKA AT {res['cross_upper_at']:.3f} "
-                            f"vs ST {res['cross_upper_st']:.3f}")
+        at, st = res["cross_upper"]["AT"], res["cross_upper"]["ST"]
+        return at - st >= 0.1, f"upper-third cross CKA AT {at:.3f} vs ST {st:.3f}"
 
     def c10(res):
-        cell = res["cells"][("AT", "CL", None)]
-        tm1 = cell["eval"]["robust"][res["tm1_key"]]
-        tm2 = cell["eval"]["robust"][res["tm2_key"]]
-        return tm2 - tm1 >= 0.10, f"TM-II {tm2:.3f} vs TM-I {tm1:.3f}"
+        robust = res["cells"]["AT/CL"]["eval"]["robust"]
+        tm1_acc, tm2_acc = robust[tm1_id], robust[tm2_id]
+        return tm2_acc - tm1_acc >= 0.10, f"TM-II {tm2_acc:.3f} vs TM-I {tm1_acc:.3f}"
 
     checks = [
         ("scheme ordering under standard training", c6),
@@ -315,11 +298,18 @@ def badges(suite) -> list:
 
 
 def results_rows(suite) -> list:
-    """Flatten the suite into results.csv rows (deterministic order)."""
+    """Flatten the suite into results.csv rows, ordered by scenario, scheme
+    and training epsilon (None first)."""
+
+    def order(name):
+        scenario, scheme, train_eps, _ = CELLS[name]
+        return scenario, scheme, train_eps or 0
+
     rows = []
     for seed, res in sorted(suite["seeds"].items()):
-        for (scenario, scheme, train_eps), cell in sorted(
-                res["cells"].items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2] or 0)):
+        for name in sorted(res["cells"], key=order):
+            scenario, scheme, _, _ = CELLS[name]
+            cell = res["cells"][name]
             robust = {}
             for rk, acc in cell["eval"]["robust"].items():
                 tm, eps, steps = rk.split("|")

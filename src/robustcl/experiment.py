@@ -80,8 +80,9 @@ def train_cell(cfg: ExperimentConfig, d_p: Dataset, d_f: Dataset,
                scenario: str, scheme: str, seed: int,
                cache_dir=None, train_epsilon: float | None = None):
     """Train one (scenario, scheme, seed) cell, reusing a cached checkpoint
-    with the same cell hash when available. A corrupt checkpoint or an
-    unreadable manifest warns and retrains. Returns (model, manifest)."""
+    with the same cell hash when available. A corrupt checkpoint, or a
+    manifest that is unreadable or not an object holding this `cell_key`,
+    warns and retrains. Returns (model, manifest)."""
     key = cell_key(cfg, scenario, scheme, seed, d_p, train_epsilon)
     ckpt = manifest_path = None
     if cache_dir is not None:
@@ -92,6 +93,8 @@ def train_cell(cfg: ExperimentConfig, d_p: Dataset, d_f: Dataset,
             try:
                 with open(manifest_path) as f:
                     manifest = json.load(f)
+                if not isinstance(manifest, dict) or manifest.get("cell_key") != key:
+                    raise ValueError(f"not a manifest with cell_key {key}")
                 return models.load_checkpoint(ckpt), manifest
             except (OSError, ValueError, models.CheckpointError) as exc:
                 # a corrupt entry is a cache miss: retrain and overwrite it

@@ -57,6 +57,10 @@ def test_train_cell_writes_cache_then_hits_it(tmp_path):
     ("ckpt", lambda b: b[:-16]),
     ("manifest.json", lambda b: b[: len(b) // 2]),
     ("manifest.json", lambda b: b"\xff" + b[1:]),
+    ("manifest.json", lambda b: b"[]"),
+    ("manifest.json", lambda b: b"{}"),
+    ("manifest.json", lambda b: b.replace(json.loads(b)["cell_key"].encode(),
+                                          b"c06d7bea7c50898f")),
 ])
 def test_train_cell_retrains_a_corrupt_cache_entry(tmp_path, ext, garble):
     cfg = load_config(text="", overrides=TINY)

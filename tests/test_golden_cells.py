@@ -18,8 +18,7 @@ record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record)
 
 GOLDEN = json.loads(record.GOLDEN.read_text())
-CELLS = [(record.cell_id(sc, sch, eps), sc, sch, eps)
-         for sc, sch, eps, _ in record.directional.CELLS]
+CELLS = [(name, sc, sch, eps) for name, (sc, sch, eps, _) in record.directional.CELLS.items()]
 
 
 def test_the_file_covers_every_cell_at_the_recorded_settings():

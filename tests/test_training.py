@@ -193,6 +193,31 @@ class TestFinetune:
         [(snap, _)] = snaps
         assert encoder_unchanged(m, snap)
 
+    @pytest.mark.parametrize("scenario, scheme, attacked", [
+        ("Partial-AT", "CL", True), ("Partial-AT", "SCL", True), ("AT", "CL", False)])
+    def test_partial_at_finetunes_under_attack(self, gauss_splits, pgd_specs, monkeypatch,
+                                               scenario, scheme, attacked):
+        d_p, _ = gauss_splits
+        specs = pgd_specs
+        at_finetune = []  # attacks run by the time fine-tuning starts
+        reinit = models.reinit_classifier
+
+        def marking_reinit(model, seed):
+            at_finetune.append(len(specs))
+            return reinit(model, seed)
+
+        monkeypatch.setattr(models, "reinit_classifier", marking_reinit)
+        spec = small_spec(scenario=scenario, scheme=scheme, pretrain_epochs=1,
+                          train_attack=AttackSpec(epsilon=0.05, steps=2, clamp=None))
+        run_scenario(fresh_model(), d_p, d_p, spec)
+        [boundary] = at_finetune
+        assert {s.driving_loss for s in specs[:boundary]} == {scheme}
+        finetune_steps = sum(1 for epoch in range(spec.finetune_epochs) for _ in
+                             data.iter_batches(d_p, spec.adv_batch_size, spec.seed + 1, epoch))
+        finetune = specs[boundary:]
+        assert len(finetune) == (finetune_steps if attacked else 0)
+        assert all(s.driving_loss == "CE" for s in finetune)
+
     def test_full_at_updates_encoder(self, gauss_splits, monkeypatch):
         d_p, _ = gauss_splits
         m = fresh_model()
