@@ -100,27 +100,42 @@ def _grid(records_a: list, records_b: list, n: int, condition: str,
                      values, mask, n, condition, model_ids)
 
 
+def _clean_and_adv(model: ModelBundle, dataset: Dataset, attack: AttackSpec | None,
+                   n_samples: int, seed: int):
+    """(n, clean layer records, adversarial layer records or None)."""
+    n_samples = min(n_samples, dataset.n)
+    x, y = _analysis_batch(dataset, n_samples, seed)
+    clean = _capture(model, x)
+    if attack is None:
+        return n_samples, clean, None
+    x_adv = _adversarial_inputs(model, x, y, attack, dataset.is_image)
+    return n_samples, clean, _capture(model, x_adv)
+
+
 def cka_heatmap(model: ModelBundle, dataset: Dataset, attack: AttackSpec | None = None,
                 n_samples: int = 512, seed: int = 0,
                 model_id: str = "model") -> CKAMatrix:
     """All-layer-pairs CKA grid; with an attack, rows come from clean
     activations and columns from adversarial ones."""
-    n_samples = min(n_samples, dataset.n)
-    x, y = _analysis_batch(dataset, n_samples, seed)
-    clean = _capture(model, x)
-    if attack is None:
+    n_samples, clean, adv = _clean_and_adv(model, dataset, attack, n_samples, seed)
+    if adv is None:
         return _grid(clean, clean, n_samples, "clean-clean", (model_id, model_id))
-    x_adv = _adversarial_inputs(model, x, y, attack, dataset.is_image)
-    adv = _capture(model, x_adv)
     return _grid(clean, adv, n_samples, "clean-adv", (model_id, model_id))
 
 
 def divergence_curve(model: ModelBundle, dataset: Dataset, attack: AttackSpec,
                      n_samples: int = 512, seed: int = 0) -> np.ndarray:
     """Per-layer CKA between each layer on clean data and the same layer on
-    adversarial data (the diagonal of the clean-adv grid)."""
-    grid = cka_heatmap(model, dataset, attack, n_samples, seed)
-    return grid.diagonal()
+    adversarial data: the diagonal of the clean-adv grid, NaN where a layer
+    is degenerate, computed without the grid's off-diagonal cells."""
+    _, clean, adv = _clean_and_adv(model, dataset, attack, n_samples, seed)
+    curve = np.full(len(clean), np.nan)
+    for i, (rc, ra) in enumerate(zip(clean, adv)):
+        try:
+            curve[i] = linear_cka(rc.matrix, ra.matrix)
+        except DegenerateActivationsError:
+            pass
+    return curve
 
 
 def cross_model_cka(model_a: ModelBundle, model_b: ModelBundle, dataset: Dataset,

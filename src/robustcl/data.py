@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,10 +24,15 @@ class Dataset:
     labels: np.ndarray  # (n,) ints in [0, C)
     name: str
     n_classes: int
+    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        # read-only views, not copies: the fingerprint is computed once, so a
+        # write through the dataset after hashing must raise, not go stale
+        self.inputs = np.asarray(self.inputs, dtype=np.float64).view()
+        self.labels = np.asarray(self.labels, dtype=np.int64).view()
+        self.inputs.flags.writeable = False
+        self.labels.flags.writeable = False
         n = self.inputs.shape[0]
         if n < 1 or self.labels.shape != (n,):
             raise DataError("inputs/labels size mismatch")
@@ -50,12 +56,12 @@ class Dataset:
         return self.inputs.shape[1:]
 
     def fingerprint(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.inputs, dtype="<f8").tobytes())
-        h.update(np.ascontiguousarray(self.labels, dtype="<i8").tobytes())
-        return h.hexdigest()[:16]
+        if self._fingerprint is None:
+            h = hashlib.sha256()
+            h.update(np.ascontiguousarray(self.inputs, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(self.labels, dtype="<i8").tobytes())
+            self._fingerprint = h.hexdigest()[:16]
+        return self._fingerprint
 
     def subset(self, idx: np.ndarray, name: str | None = None) -> "Dataset":
         return Dataset(self.inputs[idx].copy(), self.labels[idx].copy(),
@@ -226,6 +232,13 @@ def gen_bar_images(n: int, size: int = 16, n_classes: int = 10, seed: int = 0,
     4x4-pixel blocks on every image: a perfectly predictive but non-robust
     feature (coarse enough to survive small crop shifts) that an adversary
     with epsilon >= shortcut_amp can erase or impersonate.
+
+    Only the random draws run per image, in loop order: two jitter integers,
+    then the image's noise. The arithmetic then runs once over the batch,
+    each pixel getting the same operations in the same order as one image
+    at a time would, so the bytes do not depend on the batching. The noise
+    buffer is freed before quantizing, which then works in place: a live
+    copy of the batch at that point raises the peak memory of every set-up.
     """
     if n < n_classes or n_classes > 10:
         raise DataError("gen_bar_images supports up to 10 classes, n >= n_classes")
@@ -240,23 +253,28 @@ def gen_bar_images(n: int, size: int = 16, n_classes: int = 10, seed: int = 0,
     coarse = (mask_rng.random((n_classes, grid, grid)) < 0.5).astype(np.float64)
     class_masks = np.kron(coarse, np.ones((block, block)))[:, :size, :size]
     labels = (np.arange(n) % n_classes).astype(np.int64)
-    rows = size // 5
+    jitter = np.empty((n, 2), dtype=np.int64)
+    noise = np.empty((n, size, size))
+    for i in range(n):
+        jitter[i, 0] = rng.integers(-1, 2)
+        jitter[i, 1] = rng.integers(-1, 2)
+        rng.standard_normal(out=noise[i])
+    r = np.clip(1 + (labels % 5) * (size - 3) // 5 + jitter[:, 0], 0, size - 1)
+    c = np.clip(2 + (labels // 5) * (size - 6) + jitter[:, 1], 0, size - 1)
     images = np.zeros((n, 1, size, size))
-    for i, k in enumerate(labels):
-        img = np.zeros((size, size))
-        r = 1 + (k % 5) * (size - 3) // 5
-        c = 2 + (k // 5) * (size - 6)
-        jr = int(rng.integers(-1, 2))
-        jc = int(rng.integers(-1, 2))
-        r = int(np.clip(r + jr, 0, size - 1))
-        c = int(np.clip(c + jc, 0, size - 1))
-        img[r, :] += contrast
-        img[:, c] += contrast
-        img += shortcut_amp * class_masks[k]
-        img += rng.standard_normal((size, size)) * noise_sigma
-        images[i, 0] = np.clip(img, 0.0, 1.0)
+    img = images[:, 0]
+    idx = np.arange(n)
+    img[idx, r, :] += contrast
+    img[idx, :, c] += contrast
+    img += (shortcut_amp * class_masks)[labels]
+    noise *= noise_sigma
+    img += noise
+    del noise
+    np.clip(img, 0.0, 1.0, out=img)
     # quantize like an 8-bit image file would
-    images = np.round(images * 255.0) / 255.0
+    img *= 255.0
+    np.round(img, out=img)
+    img /= 255.0
     perm = rng.permutation(n)
     return Dataset(images[perm], labels[perm], f"bars{size}_c{n_classes}", n_classes)
 

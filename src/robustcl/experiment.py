@@ -8,8 +8,7 @@ import json
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 from . import data, evaluation, models, training
 from .config import ConfigError, ExperimentConfig
@@ -149,10 +148,18 @@ def scenario_sweep(cfg: ExperimentConfig, cache_dir=None, workers: int = 1):
         raise ConfigError("sweep grid is empty")
     cells = [(cfg.sections, sc, sch, seed, cache_dir)
              for sc in scenarios for sch in schemes for seed in seeds]
+    if workers > 1:
+        # imported here: the pool module pulls in multiprocessing, socket and
+        # logging, which every import of this module would pay otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers) as pool:
+            results = list(pool.map(_sweep_cell, cells))
+    else:
+        results = map(_sweep_cell, cells)
     rows, errors = [], []
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for cell_rows, err in (pool.map if pool else map)(_sweep_cell, cells):
-            rows.extend(cell_rows)
-            if err:
-                errors.append(err)
+    for cell_rows, err in results:
+        rows.extend(cell_rows)
+        if err:
+            errors.append(err)
     return rows, errors

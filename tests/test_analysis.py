@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,8 +109,25 @@ class TestHeatmap:
         atk = AttackSpec(epsilon=0.1, steps=5, clamp=None, random_start=False)
         curve = divergence_curve(m, d_test, atk, n_samples=128, seed=0)
         grid = cka_heatmap(m, d_test, attack=atk, n_samples=128, seed=0)
-        assert np.allclose(curve, grid.diagonal(), equal_nan=True)
+        assert curve.tobytes() == grid.diagonal().tobytes()
         assert len(curve) == len(m.layer_ids())
+
+    def test_divergence_computes_only_matched_layers(self, trained, monkeypatch):
+        # zeroing the middle layer makes it and every layer after it constant:
+        # the curve holds NaN there, as the grid's diagonal does
+        m, _, d_test = trained
+        dead = copy.deepcopy(m)
+        for t in dead.encoder_params[1]:
+            t.data[...] = 0.0
+        atk = AttackSpec(epsilon=0.1, steps=5, clamp=None, random_start=False)
+        grid = cka_heatmap(dead, d_test, attack=atk, n_samples=128, seed=0)
+        calls = []
+        cka = analysis.linear_cka
+        monkeypatch.setattr(analysis, "linear_cka", lambda x, y: calls.append(1) or cka(x, y))
+        curve = divergence_curve(dead, d_test, atk, n_samples=128, seed=0)
+        assert curve.tobytes() == grid.diagonal().tobytes()
+        assert len(calls) == len(dead.layer_ids()) == 3
+        assert not np.isnan(curve[0]) and np.isnan(curve[1:]).all()
 
     def test_divergence_epsilon_zero_all_ones(self, trained):
         m, _, d_test = trained

@@ -252,6 +252,67 @@ class TestViewsOracle:
             assert np.array_equal(view[i], want), (i, dy, dx)
 
 
+def _oracle_bar_images(n, size=16, n_classes=10, seed=0, contrast=0.45,
+                       noise_sigma=0.12, shortcut_amp=0.0):
+    """The bar-image generator one image at a time: the oracle for the
+    batched arithmetic in `data.gen_bar_images`."""
+    rng = np.random.default_rng(seed)
+    mask_rng = np.random.default_rng(seed + 1000003)
+    grid = -(-size // 4)
+    coarse = (mask_rng.random((n_classes, grid, grid)) < 0.5).astype(np.float64)
+    class_masks = np.kron(coarse, np.ones((4, 4)))[:, :size, :size]
+    labels = (np.arange(n) % n_classes).astype(np.int64)
+    images = np.zeros((n, 1, size, size))
+    for i, k in enumerate(labels):
+        img = np.zeros((size, size))
+        r = 1 + (k % 5) * (size - 3) // 5
+        c = 2 + (k // 5) * (size - 6)
+        jr = int(rng.integers(-1, 2))
+        jc = int(rng.integers(-1, 2))
+        r = int(np.clip(r + jr, 0, size - 1))
+        c = int(np.clip(c + jc, 0, size - 1))
+        img[r, :] += contrast
+        img[:, c] += contrast
+        img += shortcut_amp * class_masks[k]
+        img += rng.standard_normal((size, size)) * noise_sigma
+        images[i, 0] = np.clip(img, 0.0, 1.0)
+    images = np.round(images * 255.0) / 255.0
+    perm = rng.permutation(n)
+    return images[perm], labels[perm]
+
+
+class TestBarImagesOracle:
+    # size 3 pushes the column bar of classes 5-9 below 0, so the clip acts
+    @pytest.mark.parametrize("size", [3, 8, 12, 16, 20, 28])
+    @pytest.mark.parametrize("n_classes", [2, 7, 10])
+    def test_bytes_equal_the_per_image_loop(self, size, n_classes):
+        cases = [
+            # (n, seed, contrast, noise_sigma, shortcut_amp)
+            (n_classes, 0, 0.45, 0.12, 0.0),
+            (n_classes, 5, 0.45, 0.12, 0.3),
+            (3 * n_classes + 1, 1, 0.45, 0.12, 0.04),
+            (40, 2, 0.0, 0.12, 0.04),
+            (40, 3, 0.45, 0.0, 0.3),
+            (40, 4, 0.0, 0.0, 0.0),
+            (57, 11, 0.9, 0.5, 0.08),
+        ]
+        for n, seed, contrast, noise_sigma, amp in cases:
+            kw = dict(size=size, n_classes=n_classes, seed=seed, contrast=contrast,
+                      noise_sigma=noise_sigma, shortcut_amp=amp)
+            ds = gen_bar_images(n, **kw)
+            x, y = _oracle_bar_images(n, **kw)
+            assert ds.inputs.dtype == x.dtype and ds.inputs.shape == x.shape
+            assert ds.inputs.tobytes() == x.tobytes(), (n, kw)
+            assert ds.labels.tobytes() == y.tobytes(), (n, kw)
+            assert (ds.name, ds.n_classes) == (f"bars{size}_c{n_classes}", n_classes)
+
+    def test_fixture_fingerprint_is_pinned(self):
+        from robustcl import directional, experiment
+
+        ds = experiment.build_dataset(directional.fixture_config())
+        assert ds.fingerprint() == "338056a0914c3e5c"
+
+
 @pytest.mark.parametrize("lo,hi", [(-2, 3), (-17, 18), (-5, 3 * 2**30)])
 @pytest.mark.parametrize("n", [1, 2, 7, 128])
 def test_one_bounded_draw_equals_per_sample_draws(lo, hi, n):
@@ -296,6 +357,27 @@ class TestSplit:
         ds = gen_synthetic("blobs_k", 10, 3, 10, seed=0)
         with pytest.raises(DataError):
             split(ds, (0.4, 0.3, 0.3), seed=0)
+
+
+class TestDatasetFingerprint:
+    def test_arrays_are_read_only_views(self):
+        x, y = np.zeros((3, 2)), np.array([0, 1, 0])
+        ds = Dataset(x, y, "ro", 2)
+        assert np.shares_memory(ds.inputs, x) and np.shares_memory(ds.labels, y)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.inputs[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.labels[0] = 1
+
+    def test_hashes_once(self, monkeypatch):
+        import hashlib
+
+        ds = gen_bar_images(20, size=8, n_classes=2, seed=0)
+        sha256, calls = hashlib.sha256, []
+        monkeypatch.setattr(hashlib, "sha256", lambda *a: calls.append(1) or sha256(*a))
+        first = ds.fingerprint()
+        assert ds.fingerprint() == first and len(calls) == 1
+        assert ds.subset(np.arange(ds.n)).fingerprint() == first and len(calls) == 2
 
 
 def test_dataset_rejects_nonfinite():

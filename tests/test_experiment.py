@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,6 +17,17 @@ TINY = [
     "model.layer_widths=5,4", "model.head_dim=3",
     "scenario.pretrain_epochs=1", "scenario.finetune_epochs=1",
 ]
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the sweep imports the pool only when it runs more than one worker
+    src = str(Path(experiment.__file__).resolve().parents[1])
+    probe = ("import sys, robustcl.experiment, robustcl.directional, robustcl.cli; "
+             "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 class TestAtomicPath:
