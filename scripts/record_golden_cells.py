@@ -4,8 +4,9 @@
     python3 scripts/record_golden_cells.py
 
 Trains each of the directional study's 11 cells (`directional.CELLS`) at
-seed 0 for one pretraining and one fine-tuning epoch on the image fixture
-and writes `tests/golden_cells.json`. Per cell and per training phase it
+seed 0 for one pretraining and one fine-tuning epoch on the image fixture,
+and the `EXTRA_CELLS` that cover the paths the study does not train (the
+conv encoder, Partial-AT, vector data), and writes `tests/golden_cells.json`. Per cell and per training phase it
 holds the phase's loss curve and the sha256 of every parameter after the
 phase; per cell, the clean, TM-I and TM-II accuracy on the first 64 test
 images and the sha256 of each attack's adversarial images (after one epoch
@@ -41,6 +42,14 @@ GOLDEN = ROOT / "tests" / "golden_cells.json"
 SEED = 0
 EPOCHS = (1, 1)  # (pretrain, fine-tune)
 N_TEST = 64
+# name -> (fixture overrides, scenario, scheme), trained like the study's cells
+EXTRA_CELLS = {
+    "conv_small/ST/CL": (("model.kind=conv_small", "model.layer_widths=4,8,32"), "ST", "CL"),
+    "Partial-AT/CL": ((), "Partial-AT", "CL"),
+    "Partial-AT/SCL": ((), "Partial-AT", "SCL"),
+    "two_gaussians/AT/CL": (("dataset.source=synthetic", "dataset.kind=two_gaussians",
+                             "dataset.n=500", "dataset.classes=2"), "AT", "CL"),
+}
 
 
 def build_info() -> dict:
@@ -59,10 +68,11 @@ def sha256(arrays) -> str:
     return h.hexdigest()
 
 
-def fixture():
+def fixture(overrides=()):
     """(config, pretraining split, fine-tuning split, 64 test images)."""
     cfg = config.load_config(text=directional.FIXTURE_TEXT, overrides=[
-        f"scenario.pretrain_epochs={EPOCHS[0]}", f"scenario.finetune_epochs={EPOCHS[1]}"])
+        f"scenario.pretrain_epochs={EPOCHS[0]}", f"scenario.finetune_epochs={EPOCHS[1]}",
+        *overrides])
     d_p, d_f, test = experiment.build_splits(cfg, experiment.build_dataset(cfg))
     return cfg, d_p, d_f, test.subset(np.arange(N_TEST))
 
@@ -79,7 +89,9 @@ def golden_cell(cfg, d_p, d_f, test, scenario: str, scheme: str, train_eps) -> d
         curve = training._run_phase(model, spec, phase)
         phases[phase.name] = {"loss_curve": [loss for _, _, loss in curve],
                               "params_sha256": sha256(p.data for p in model.all_params())}
-    tm1, tm2 = directional.tm1_attack(), directional.tm2_attack()
+    # vector data drop the [0, 1] clamp, as `evaluation.robust_accuracy` does
+    tm1, tm2 = (a.for_data(test.is_image)
+                for a in (directional.tm1_attack(), directional.tm2_attack()))
     report = evaluation.evaluate(model, test, [tm1, tm2], scenario=scenario, scheme=scheme)
     batch = ViewBatch(x=Tensor(test.inputs), y=test.labels)
     return {"phases": phases,
@@ -96,9 +108,13 @@ def main():
     for name, (scenario, scheme, train_eps, _) in directional.CELLS.items():
         cells[name] = golden_cell(cfg, d_p, d_f, test, scenario, scheme, train_eps)
         print(name, cells[name]["eval"], flush=True)
+    extra = {}
+    for name, (overrides, scenario, scheme) in EXTRA_CELLS.items():
+        extra[name] = golden_cell(*fixture(overrides), scenario, scheme, None)
+        print(name, extra[name]["eval"], flush=True)
     GOLDEN.write_text(json.dumps(
         {"build": build_info(), "seed": SEED, "epochs": list(EPOCHS), "n_test": N_TEST,
-         "cells": cells}, indent=2) + "\n")
+         "cells": cells, "extra_cells": extra}, indent=2) + "\n")
 
 
 if __name__ == "__main__":

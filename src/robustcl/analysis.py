@@ -207,9 +207,8 @@ def linear_probe(model: ModelBundle, train_set: Dataset, test_set: Dataset,
     d = a_train.shape[1]
     c = train_set.n_classes
     rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(d)
-    w = Tensor(rng.uniform(-bound, bound, (d, c)), grad_tracked=True)
-    b = Tensor(rng.uniform(-bound, bound, (c,)), grad_tracked=True)
+    w, b = models._affine_init(rng, d, (d, c), (c,))
+    w.grad_tracked = b.grad_tracked = True
     opt = training.Adam([w, b], lr=lr)
     n = a_train.shape[0]
     for epoch in range(probe_epochs):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import losses, models
+from . import losses
 from . import tensor as T
 from .tensor import GradientTape, Tensor
 
@@ -70,17 +70,6 @@ class AttackSpec:
         return replace(self, clamp=None)
 
 
-def project_linf(x0: np.ndarray, x: np.ndarray, epsilon: float,
-                 clamp: tuple | None = None) -> np.ndarray:
-    """Clip x into the epsilon-ball around x0, then into the clamp box."""
-    if x0.shape != x.shape:
-        raise AttackError(f"project_linf: shape mismatch {x0.shape} vs {x.shape}")
-    out = np.clip(x, x0 - epsilon, x0 + epsilon)
-    if clamp is not None:
-        out = np.clip(out, clamp[0], clamp[1])
-    return out
-
-
 @contextmanager
 def _params_untracked(model):
     """Attacks differentiate w.r.t. inputs only; keep the tape lean."""
@@ -116,8 +105,7 @@ def _driving_loss_grad(model, x_cur: np.ndarray, batch,
         if target is None:
             if batch.y is None:
                 raise AttackError("CE attack requires labels")
-            rep, _ = models.encode(model, leaf)
-            out = losses.cross_entropy(models.classify(model, rep), batch.y)
+            out = losses._ce_through(model, leaf, batch.y)
         else:
             out = losses._embed(model, leaf)
     grads = T.backward(tape, out, None if target is None else target.grad(out.data))

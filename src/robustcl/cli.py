@@ -90,19 +90,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model_for(cfg: ExperimentConfig, args):
-    ckpt = args.checkpoint or os.path.join(cfg.get("experiment", "output_dir"), "model.ckpt")
+def _trained_model(args):
+    """(config, output dir, model, (D_p, D_f, test)) for the commands that
+    read a trained model: --checkpoint, or <output_dir>/model.ckpt."""
+    cfg = _load(args)
+    out = _out_dir(cfg)
+    ckpt = args.checkpoint or os.path.join(out, "model.ckpt")
     if not os.path.exists(ckpt):
         raise ValidationFailure(f"checkpoint not found: {ckpt}")
-    return models.load_checkpoint(ckpt)
+    model = models.load_checkpoint(ckpt)
+    return cfg, out, model, experiment.build_splits(cfg, experiment.build_dataset(cfg))
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(cfg)
-    model = _load_model_for(cfg, args)
-    dataset = experiment.build_dataset(cfg)
-    _, _, test = experiment.build_splits(cfg, dataset)
+    cfg, out, model, (_, _, test) = _trained_model(args)
     scheme = cfg.get("loss", "scheme")
     report = evaluation.evaluate(model, test, cfg.eval_attacks(scheme),
                                  scenario=cfg.get("scenario", "scenario"),
@@ -124,11 +125,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_cka(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(cfg)
-    model = _load_model_for(cfg, args)
-    dataset = experiment.build_dataset(cfg)
-    _, _, test = experiment.build_splits(cfg, dataset)
+    cfg, out, model, (_, _, test) = _trained_model(args)
     n_samples = cfg.getint("analysis", "n_samples")
     scheme = cfg.get("loss", "scheme")
     files = []
@@ -156,11 +153,7 @@ def cmd_cka(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(cfg)
-    model = _load_model_for(cfg, args)
-    dataset = experiment.build_dataset(cfg)
-    d_p, _, test = experiment.build_splits(cfg, dataset)
+    cfg, out, model, (d_p, _, test) = _trained_model(args)
     layers = cfg.getlist("analysis", "probe_layers") or model.layer_ids()
     path = os.path.join(out, "probes.csv")
     if os.path.exists(path):
@@ -218,6 +211,8 @@ COMMANDS = {
     "sweep": cmd_sweep,
     "report": cmd_report,
 }
+# the commands that read a trained model, and so take --checkpoint
+READS_CHECKPOINT = ("evaluate", "cka", "probe")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", "-c", default=None, help="INI config path")
         p.add_argument("--override", "-o", action="append", default=[],
                        metavar="SECTION.KEY=VALUE")
-        p.add_argument("--checkpoint", default=None, help="model checkpoint path")
+        if name in READS_CHECKPOINT:
+            p.add_argument("--checkpoint", default=None,
+                           help="model checkpoint path (default <output_dir>/model.ckpt)")
     return parser
 
 

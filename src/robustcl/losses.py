@@ -316,12 +316,7 @@ def pretrain_loss(model, batch, cfg: LossConfig) -> Tensor:
             raise LossError("pretrain_loss: beta > 0 requires x_adv")
         adv = contrastive_pair_loss(model, batch.x, batch.x_adv, cfg.scheme, y, cfg)
         terms.append(T.scale(adv, cfg.beta))
-    if not terms:
-        return Tensor(0.0)
-    total = terms[0]
-    for t in terms[1:]:
-        total = T.add(total, t)
-    return total
+    return functools.reduce(T.add, terms) if terms else Tensor(0.0)
 
 
 def _ce_through(model, x: Tensor, y: np.ndarray) -> Tensor:
@@ -377,9 +372,4 @@ def combined_scheme_loss(model, batch, cfg: LossConfig) -> Tensor:
             loss = contrastive_pair_loss(model, batch.x_prime, batch.x_double_prime,
                                          part, batch.y, cfg)
             terms.append(T.scale(loss, w))
-    if not terms:
-        return Tensor(0.0)
-    total = terms[0]
-    for t in terms[1:]:
-        total = T.add(total, t)
-    return total
+    return functools.reduce(T.add, terms) if terms else Tensor(0.0)

@@ -2,10 +2,12 @@
 
 Two desk-scale encoders are provided: a dense multi-layer perceptron for
 vector data and a small convolutional network (3x3 conv + relu + 2x2 pool
-blocks followed by one dense layer) for image data. The projection head is a
-two-layer MLP with a relu in between; the classifier is a single affine map
-on the encoder representation. Every affine layer, with its relu where it
-has one, is one `tensor.dense` node on the tape.
+blocks followed by one dense layer) for image data. Both are one list of
+layers, `EncoderConfig.layers`: conv blocks, then dense layers, which
+`init_model`, `encode` and `layer_ids` each walk in one loop. The
+projection head is a two-layer MLP with a relu in between; the classifier
+is a single affine map on the encoder representation. Every affine layer,
+with its relu where it has one, is one `tensor.dense` node on the tape.
 """
 
 from __future__ import annotations
@@ -60,6 +62,14 @@ class EncoderConfig:
     def repr_dim(self) -> int:
         return self.layer_widths[-1]
 
+    @property
+    def layers(self) -> tuple:
+        """(kind, width) per layer: a conv_small encoder's "conv" blocks,
+        then its one "dense" layer; a dense encoder's "dense" layers."""
+        n_conv = len(self.layer_widths) - 1 if self.kind == "conv_small" else 0
+        return tuple(("conv" if i < n_conv else "dense", w)
+                     for i, w in enumerate(self.layer_widths))
+
     def to_dict(self) -> dict:
         return {"kind": self.kind, "layer_widths": list(self.layer_widths),
                 "input_shape": list(self.input_shape)}
@@ -89,13 +99,7 @@ class ModelBundle:
     audit_active: bool = False
 
     def all_params(self):
-        out = []
-        for w, b in self.encoder_params:
-            out.extend([w, b])
-        for w, b in self.head_params:
-            out.extend([w, b])
-        out.extend(self.classifier_params)
-        return out
+        return self.encoder_tensors() + self.head_tensors() + self.classifier_tensors()
 
     def encoder_tensors(self):
         return [t for pair in self.encoder_params for t in pair]
@@ -115,10 +119,7 @@ class ModelBundle:
             t.grad_tracked = classifier
 
     def layer_ids(self):
-        if self.config.kind == "dense":
-            return [f"L{i}_dense{w}" for i, w in enumerate(self.config.layer_widths)]
-        blocks = [f"L{i}_conv{c}" for i, c in enumerate(self.config.layer_widths[:-1])]
-        return blocks + [f"L{len(blocks)}_dense{self.config.repr_dim}"]
+        return [f"L{i}_{kind}{w}" for i, (kind, w) in enumerate(self.config.layers)]
 
 
 def _affine_init(rng: np.random.Generator, fan_in: int, shape_w, shape_b):
@@ -134,22 +135,16 @@ def init_model(config: EncoderConfig, n_classes: int, head_dim: int, seed: int) 
         raise ModelError("need n_classes >= 2 and head_dim >= 1")
     rng = np.random.default_rng(seed)
     enc = []
-    if config.kind == "dense":
-        prev = config.input_shape[0]
-        for w in config.layer_widths:
-            enc.append(_affine_init(rng, prev, (prev, w), (w,)))
-            prev = w
-    else:
-        ci, h, w = config.input_shape
-        for co in config.layer_widths[:-1]:
-            fan_in = ci * 9
-            bound = 1.0 / np.sqrt(fan_in)
-            wt = Tensor(rng.uniform(-bound, bound, size=(co, ci, 3, 3)))
-            bt = Tensor(rng.uniform(-bound, bound, size=(co,)))
-            enc.append((wt, bt))
-            ci, h, w = co, h // 2, w // 2
-        flat = ci * h * w
-        enc.append(_affine_init(rng, flat, (flat, config.repr_dim), (config.repr_dim,)))
+    shape = config.input_shape  # of one sample entering the next layer
+    for kind, width in config.layers:
+        if kind == "conv":
+            ci, h, w = shape
+            enc.append(_affine_init(rng, ci * 9, (width, ci, 3, 3), (width,)))
+            shape = (width, h // 2, w // 2)
+        else:
+            fan_in = int(np.prod(shape))
+            enc.append(_affine_init(rng, fan_in, (fan_in, width), (width,)))
+            shape = (width,)
     d = config.repr_dim
     head = [_affine_init(rng, d, (d, d), (d,)),
             _affine_init(rng, d, (d, head_dim), (head_dim,))]
@@ -166,35 +161,27 @@ def reinit_classifier(model: ModelBundle, seed: int) -> None:
 
 
 def encode(model: ModelBundle, x: Tensor, capture: bool = False):
-    """Forward through the encoder; optionally capture per-layer activations."""
+    """Forward through the encoder; optionally capture per-layer activations,
+    each flattened to one row per sample."""
     cfg = model.config
+    if cfg.kind == "dense" and x.data.ndim > 2:  # image batches are flattened in-graph
+        x = T.reshape(x, (x.shape[0], -1))
+    if x.shape[1:] != cfg.input_shape:
+        raise ModelError(f"{cfg.kind} encoder expects samples of shape {cfg.input_shape}, "
+                         f"got a batch of shape {x.shape}")
+    n = x.shape[0]
     records: list[ActivationRecord] = []
-    ids = model.layer_ids()
-    if cfg.kind == "dense":
-        if x.data.ndim > 2:  # image batches are flattened in-graph
-            x = T.reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
-        if x.data.ndim != 2 or x.shape[1] != cfg.input_shape[0]:
-            raise ModelError(f"dense encoder expects (n, {cfg.input_shape[0]}), got {x.shape}")
-        h = x
-        for i, (w, b) in enumerate(model.encoder_params):
-            h = T.dense(h, w, b, relu=True)
-            if capture:
-                records.append(ActivationRecord(ids[i], h.data.copy()))
-        return h, records
-    # conv_small
-    if x.data.ndim != 4 or x.shape[1:] != cfg.input_shape:
-        raise ModelError(f"conv encoder expects (n, {cfg.input_shape}), got {x.shape}")
     h = x
-    for i, (w, b) in enumerate(model.encoder_params[:-1]):
-        h = T.maxpool2x2(T.relu(T.conv2d_3x3(h, w, b)))
+    for (kind, _), (w, b), layer_id in zip(cfg.layers, model.encoder_params,
+                                           model.layer_ids()):
+        if kind == "conv":
+            h = T.maxpool2x2(T.relu(T.conv2d_3x3(h, w, b)))
+        else:
+            if h.data.ndim > 2:
+                h = T.reshape(h, (n, -1))
+            h = T.dense(h, w, b, relu=True)
         if capture:
-            records.append(ActivationRecord(ids[i], h.data.reshape(h.shape[0], -1).copy()))
-    n = h.shape[0]
-    h = T.reshape(h, (n, int(np.prod(h.shape[1:]))))
-    w, b = model.encoder_params[-1]
-    h = T.dense(h, w, b, relu=True)
-    if capture:
-        records.append(ActivationRecord(ids[-1], h.data.copy()))
+            records.append(ActivationRecord(layer_id, h.data.reshape(n, -1).copy()))
     return h, records
 
 

@@ -10,8 +10,10 @@ its input where numpy can, so callers must not write into its result.
 
 `dense` is an affine layer (matmul, bias add and an optional relu) in one
 node, with the arithmetic of that three-node chain; every model layer goes
-through it. `matmul`, `add` and `relu` stay for the loss sums, the conv
-path and the tests' graph oracles.
+through it. The tests' graph oracles take their other primitives and the
+finite-difference checker from `tests/graph_oracle.py`; only they call
+`sub`, `mul`, `exp` and `log`, kept here because perfbench's tests expect
+more than 40 functions for its layer table to wrap by name.
 
 Every primitive checks its output for finiteness once and names itself in
 the NonFiniteError. Each node's backward closure is called as
@@ -89,15 +91,11 @@ class GradientTape:
 _TAPE_STACK: list[GradientTape] = []
 
 
-def active_tape() -> GradientTape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def _maybe_record(out: Tensor, inputs, backward_fn) -> Tensor:
-    tape = active_tape()
-    if tape is not None and any(t.grad_tracked for t in inputs):
+    """Record the node on the innermost active tape if an input is tracked."""
+    if _TAPE_STACK and any(t.grad_tracked for t in inputs):
         out.grad_tracked = True
-        tape.record(out, inputs, backward_fn)
+        _TAPE_STACK[-1].record(out, inputs, backward_fn)
     return out
 
 
@@ -178,30 +176,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         g * bd if need[0] else None, g * ad if need[1] else None))
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise TensorError(f"div: incompatible shapes {a.shape} and {b.shape}")
-    if np.any(b.data == 0.0):
-        raise TensorError("div: division by zero")
-    out = Tensor._output(a.data / b.data, "div")
-    ad, bd = a.data, b.data
-    return _maybe_record(out, [a, b], lambda g, need: (
-        g / bd if need[0] else None, -g * ad / (bd * bd) if need[1] else None))
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor._output(a.data * c, "scale")
     return _maybe_record(out, [a], lambda g, need: (g * c,))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise TensorError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor._output(a.data @ b.data, "matmul")
-    ad, bd = a.data, b.data
-    return _maybe_record(out, [a, b], lambda g, need: (
-        g @ bd.T if need[0] else None, ad.T @ g if need[1] else None))
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -235,13 +213,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     return _maybe_record(out, [x, w, b], bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise TensorError("transpose: 2-D only")
-    out = Tensor._output(a.data.T.copy(), "transpose")
-    return _maybe_record(out, [a], lambda g, need: (g.T,))
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     old = a.shape
@@ -267,27 +238,6 @@ def log(a: Tensor) -> Tensor:
     out = Tensor._output(np.log(a.data), "log")
     ad = a.data
     return _maybe_record(out, [a], lambda g, need: (g / ad,))
-
-
-def tsum(a: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        out = Tensor._output(a.data.sum(), "tsum")
-        shape = a.shape
-        return _maybe_record(out, [a], lambda g, need: (np.full(shape, float(g)),))
-    if a.data.ndim != 2 or axis not in (0, 1):
-        raise TensorError("tsum: axis reduction supports 2-D, axis in {0, 1}")
-    out = Tensor._output(a.data.sum(axis=axis), "tsum")
-    n = a.shape[axis]
-    if axis == 0:
-        bwd = lambda g, need: (np.repeat(g[None, :], n, axis=0),)
-    else:
-        bwd = lambda g, need: (np.repeat(g[:, None], n, axis=1),)
-    return _maybe_record(out, [a], bwd)
-
-
-def tmean(a: Tensor, axis: int | None = None) -> Tensor:
-    count = a.data.size if axis is None else a.shape[axis]
-    return scale(tsum(a, axis=axis), 1.0 / count)
 
 
 def unit_rows(a: np.ndarray, eps: float = 1e-12):
@@ -320,20 +270,6 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor._output(np.concatenate([a.data, b.data], axis=0), "concat_rows")
     na = a.shape[0]
     return _maybe_record(out, [a, b], lambda g, need: (g[:na], g[na:]))
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim < 1 or not (0 <= start <= stop <= a.shape[0]):
-        raise TensorError(f"slice_rows: bad range [{start}, {stop}) for {a.shape}")
-    out = Tensor._output(a.data[start:stop].copy(), "slice_rows")
-    shape = a.shape
-
-    def bwd(g, need):
-        full = np.zeros(shape)
-        full[start:stop] = g
-        return (full,)
-
-    return _maybe_record(out, [a], bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -415,44 +351,3 @@ def maxpool2x2(x: Tensor) -> Tensor:
         return (gr.reshape(n, c, h, w),)
 
     return _maybe_record(out, [x], bwd)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-def grad_of(f, x: Tensor) -> np.ndarray:
-    """Run f under a fresh tape and return d f(x) / d x."""
-    leaf = Tensor(x.data.copy(), grad_tracked=True)
-    with GradientTape() as tape:
-        out = f(leaf)
-    grads = backward(tape, out)
-    return grads.get(leaf, np.zeros_like(leaf.data))
-
-
-def finite_diff_check(f, x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between autodiff and central finite differences.
-
-    f maps a Tensor to a scalar Tensor. Error per coordinate is
-    |g_auto - g_fd| / max(1, |g_fd|).
-    """
-    if h <= 0:
-        raise TensorError("finite_diff_check: h must be positive")
-    g_auto = grad_of(f, x)
-    base = x.data
-    g_fd = np.zeros_like(base)
-    it = np.nditer(base, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        xp = base.copy()
-        xp[idx] += h
-        xm = base.copy()
-        xm[idx] -= h
-        fp = f(Tensor(xp)).item()
-        fm = f(Tensor(xm)).item()
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NonFiniteError("finite_diff_check: f non-finite near x")
-        g_fd[idx] = (fp - fm) / (2 * h)
-        it.iternext()
-    denom = np.maximum(1.0, np.abs(g_fd))
-    return float(np.max(np.abs(g_auto - g_fd) / denom))

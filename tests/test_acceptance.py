@@ -23,9 +23,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graph_oracle import finite_diff_check, project_linf
 from robustcl import (analysis, directional, evaluation, experiment, losses,
-                      models, tensor, training)
-from robustcl.attacks import AttackSpec, pgd, project_linf
+                      models, training)
+from robustcl.attacks import AttackSpec, pgd
 from robustcl.data import AugmentSpec, ViewBatch
 from robustcl.losses import LossConfig
 from robustcl.models import EncoderConfig
@@ -85,7 +86,7 @@ class TestAutodiffFiniteDifferences:
                         m.encoder_params[0] = old
 
             target = m.encoder_params[0][0] if kind == "ce_wrt_weight" else x
-            err = tensor.finite_diff_check(f, Tensor(target.data.copy()))
+            err = finite_diff_check(f, Tensor(target.data.copy()))
             worst = max(worst, err)
         elapsed = time.monotonic() - t0
         assert worst < 1e-4, f"max relative error {worst:.2e}"

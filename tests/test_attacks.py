@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graph_oracle import project_linf
 from robustcl import attacks, losses, models, training
 from robustcl import tensor as T
-from robustcl.attacks import AttackError, AttackSpec, pgd, project_linf
+from robustcl.attacks import AttackError, AttackSpec, pgd
 from robustcl.data import ViewBatch
 from robustcl.losses import LossConfig
 from robustcl.models import EncoderConfig

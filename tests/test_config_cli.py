@@ -1,9 +1,10 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
-from robustcl import cli, evaluation, reporting
+from robustcl import cli, evaluation, experiment, models, reporting
 from robustcl.analysis import CKAMatrix, ProbeResult
 from robustcl.config import (ConfigError, DEFAULTS, ExperimentConfig,
                              load_config)
@@ -189,6 +190,23 @@ class TestCli:
         assert "config.canonical.ini" in files
         assert any(f.endswith(".csv") for f in files)
 
+    @pytest.mark.parametrize("generate, source", [
+        (["dataset.source=synthetic_images", "dataset.n=200", "dataset.classes=10"],
+         {"source": "idx", "images_path": "-images-idx3-ubyte",
+          "labels_path": "-labels-idx1-ubyte"}),
+        (["dataset.n=100", "dataset.dim=4"], {"source": "csv", "csv_path": ".csv"}),
+    ], ids=["images-idx", "vectors-csv"])
+    def test_generated_files_rebuild_the_dataset(self, tmp_path, generate, source):
+        assert run_cli(tmp_path, "gen-data", generate) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        overrides = [f"dataset.source={source['source']}"]
+        for key, suffix in source.items():
+            if key != "source":
+                path, = [f for f in manifest["files"] if f.endswith(suffix)]
+                overrides.append(f"dataset.{key}={path}")
+        rebuilt = experiment.build_dataset(load_config(text="", overrides=overrides))
+        assert rebuilt.fingerprint() == manifest["dataset_fingerprint"]
+
     def test_train_then_evaluate(self, tmp_path):
         assert run_cli(tmp_path, "train", FAST_VECTOR) == 0
         for name in ("model.ckpt", "loss.csv", "train_manifest.json"):
@@ -211,6 +229,34 @@ class TestCli:
     def test_bad_config_exit_code(self, tmp_path):
         rc = run_cli(tmp_path, "train", ["dataset.source=torrent"])
         assert rc == 1
+
+    def test_empty_sweep_grid_exits_1(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "sweep", FAST_VECTOR + ["sweep.schemes="]) == 1
+        assert "config error: sweep grid is empty" in capsys.readouterr().err
+
+    def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"not a checkpoint")
+        assert run_cli(tmp_path, "evaluate", FAST_VECTOR, checkpoint=str(bad)) == 2
+        assert "runtime failure: CheckpointError" in capsys.readouterr().err
+
+    def test_evaluate_reads_the_given_checkpoint(self, tmp_path, monkeypatch):
+        cfg = load_config(text="", overrides=FAST_VECTOR)
+        ckpt = tmp_path / "elsewhere.ckpt"
+        models.save_checkpoint(models.init_model(cfg.encoder_config((10,)), 2, 4, 0), ckpt)
+        loaded = []
+        load = models.load_checkpoint
+        monkeypatch.setattr(models, "load_checkpoint",
+                            lambda path: loaded.append(path) or load(path))
+        assert run_cli(tmp_path / "out", "evaluate", FAST_VECTOR, checkpoint=str(ckpt)) == 0
+        assert loaded == [str(ckpt)]
+        assert (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "sweep", "report"])
+    def test_checkpoint_is_a_usage_error_where_no_model_is_read(self, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--checkpoint", "x"])
+        assert exc.value.code == 2
 
     def test_cka_and_probe_and_report(self, tmp_path, pgd_specs):
         assert run_cli(tmp_path, "train", FAST_VECTOR) == 0
@@ -240,6 +286,18 @@ class TestCli:
         first = results.read_bytes()
         assert run_cli(tmp_path, "sweep", overrides) == 0
         assert results.read_bytes() == first
+
+    def test_sweep_records_a_failing_cell_and_goes_on(self, tmp_path):
+        # SL trains end to end, so it has no Partial-AT cell: that cell fails
+        overrides = FAST_VECTOR + ["sweep.scenarios=Partial-AT", "sweep.schemes=SL,CL",
+                                   "sweep.seeds=0"]
+        assert run_cli(tmp_path, "sweep", overrides) == 0
+        errors = (tmp_path / "sweep_errors.txt").read_text().splitlines()
+        assert len(errors) == 1 and errors[0].startswith("Partial-AT/SL/s0: ")
+        rows = evaluation.read_results_csv(tmp_path / "results.csv")
+        assert [(r["scenario"], r["scheme"]) for r in rows] == [("Partial-AT", "CL")]
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert str(tmp_path / "sweep_errors.txt") in manifest["files"]
 
     def test_sweep_pool_matches_in_process(self, tmp_path):
         overrides = FAST_VECTOR + ["sweep.scenarios=ST,AT", "sweep.schemes=SL,CL",

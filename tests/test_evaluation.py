@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from robustcl import evaluation, models, training
+from robustcl import attacks, evaluation, models, training
 from robustcl.attacks import AttackSpec
 from robustcl.evaluation import (EvaluationError, evaluate, results_rows,
                                  robust_accuracy, write_results_csv,
                                  read_results_csv, RESULTS_COLUMNS)
 from robustcl.losses import LossConfig
 from robustcl.models import EncoderConfig
+from robustcl.tensor import GradientTape, Tensor
 from robustcl.training import OptimizerConfig, ScenarioSpec
 
 
@@ -73,6 +74,26 @@ class TestEvaluate:
         rep = evaluate(m, d_test, [spec], scheme="CL")
         assert rep.classifier_grad_queries_tm2 == 0
         assert 0.0 <= rep.robust[("II", 0.1, 3)] <= 1.0
+
+    def test_tm2_classifier_queries_are_reported(self, trained, monkeypatch):
+        # an attack that reads the classifier's gradient is counted under
+        # Threat Model II only
+        m, d_test = trained
+        pgd = attacks.pgd
+
+        def querying_pgd(model, batch, spec):
+            with GradientTape():
+                rep, _ = models.encode(model, Tensor(batch.x.data, grad_tracked=True))
+                models.classify(model, rep)
+            return pgd(model, batch, spec)
+
+        monkeypatch.setattr(attacks, "pgd", querying_pgd)
+        specs = [AttackSpec(epsilon=0.1, steps=2, driving_loss=loss, clamp=None)
+                 for loss in ("CE", "CL")]
+        rep = evaluate(m, d_test, specs, scheme="CL")
+        n_batches = -(-d_test.n // 256)  # robust_accuracy's batch size
+        assert rep.classifier_grad_queries_tm2 == n_batches > 0
+        assert not m.audit_active
 
     def test_empty_test_set_rejected(self, gauss_data):
         # empty datasets are rejected at construction time

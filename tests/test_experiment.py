@@ -50,6 +50,15 @@ class TestAtomicPath:
         assert os.listdir(tmp_path) == ["out.json"]
 
 
+def test_build_splits_with_a_fine_tuning_fraction():
+    cfg = load_config(text="", overrides=["dataset.n=100", "dataset.dim=4",
+                                          "dataset.split=0.5,0.3,0.2"])
+    d_p, d_f, test = experiment.build_splits(cfg, experiment.build_dataset(cfg))
+    assert (d_p.n, d_f.n, test.n) == (50, 30, 20)
+    rows = [{r.tobytes() for r in d.inputs} for d in (d_p, d_f, test)]
+    assert len(set.union(*rows)) == 100  # the three splits are disjoint
+
+
 def test_train_cell_writes_cache_then_hits_it(tmp_path):
     cfg = load_config(text="", overrides=TINY)
     dataset = experiment.build_dataset(cfg)

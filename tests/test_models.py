@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import graph_oracle as G
 from robustcl import models
 from robustcl import tensor as T
 from robustcl.models import (CheckpointError, EncoderConfig, ModelError,
@@ -82,7 +83,7 @@ class TestForward:
         dense_model.set_tracking(encoder=False, head=False, classifier=True)
         with GradientTape() as tape:
             rep, _ = models.encode(dense_model, Tensor(rng.random((4, 20))))
-            out = T.tmean(models.classify(dense_model, rep))
+            out = G.tmean(models.classify(dense_model, rep))
         grads = backward(tape, out)
         keys = set(grads)
         assert keys <= set(dense_model.classifier_tensors())
@@ -91,6 +92,24 @@ class TestForward:
     def test_shape_mismatch(self, dense_model):
         with pytest.raises(ModelError):
             models.encode(dense_model, Tensor(np.ones((2, 7))))
+
+    def test_conv_shape_mismatch(self, conv_model):
+        for shape in ((2, 64), (2, 1, 8, 6), (2, 2, 8, 8)):
+            with pytest.raises(ModelError, match="conv_small encoder expects"):
+                models.encode(conv_model, Tensor(np.ones(shape)))
+
+    def test_conv_layers_capture_one_row_per_sample(self, conv_model, rng):
+        assert conv_model.config.layers == (("conv", 4), ("dense", 8))
+        assert conv_model.layer_ids() == ["L0_conv4", "L1_dense8"]
+        rep, records = models.encode(conv_model, Tensor(rng.random((3, 1, 8, 8))),
+                                     capture=True)
+        assert [r.layer_id for r in records] == conv_model.layer_ids()
+        assert [r.matrix.shape for r in records] == [(3, 4 * 4 * 4), (3, 8)]
+        assert np.array_equal(records[-1].matrix, rep.data)
+
+    def test_dense_layers(self, dense_model):
+        assert dense_model.config.layers == (("dense", 16), ("dense", 8), ("dense", 4))
+        assert dense_model.layer_ids() == ["L0_dense16", "L1_dense8", "L2_dense4"]
 
     def test_dense_flattens_image_batches(self, rng):
         cfg = EncoderConfig("dense", (8, 4), (64,))
@@ -106,9 +125,29 @@ class TestForward:
         x = Tensor(rng.random((3, 1, 8, 8)), grad_tracked=True)
         with GradientTape() as tape:
             rep, _ = models.encode(m, x)
-            out = T.tmean(rep)
+            out = G.tmean(rep)
         grads = backward(tape, out)
         assert x in grads and grads[x].shape == (3, 1, 8, 8)
+
+
+class TestClassifierAudit:
+    """Under audit, `classify` counts the calls through which a gradient
+    could reach the classifier: those on a tracked representation."""
+
+    def test_tracked_classify_under_audit_is_counted(self, dense_model, rng):
+        x = rng.random((4, 20))
+        with GradientTape():
+            tracked, _ = models.encode(dense_model, Tensor(x, grad_tracked=True))
+        untracked, _ = models.encode(dense_model, Tensor(x))
+        assert tracked.grad_tracked and not untracked.grad_tracked
+        models.classify(dense_model, tracked)
+        assert dense_model.classifier_grad_queries == 0  # audit off
+        dense_model.audit_active = True
+        models.classify(dense_model, untracked)
+        assert dense_model.classifier_grad_queries == 0
+        models.classify(dense_model, tracked)
+        models.classify(dense_model, tracked)
+        assert dense_model.classifier_grad_queries == 2
 
 
 class TestCheckpoint:
