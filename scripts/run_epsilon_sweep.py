@@ -2,8 +2,9 @@
 """Sweep the training attack budget for CL pretraining and record how the
 clean-vs-adversarial representation similarity moves with it.
 
-Reuses the directional-study cell cache, so the default budgets come for
-free after scripts/run_directional.py has run.
+Each budget is a directional-study cell (eps 0 is ST/CL), read through the
+study's cell cache, so the default budgets come for free after
+scripts/run_directional.py has run.
 """
 
 import argparse
@@ -34,33 +35,23 @@ def main(argv=None):
     cache_dir = args.cache_dir or directional.default_cache_dir()
     out = args.out or directional.checkout_path("runs", "eps_sweep", instead="--out")
     cfg = directional.fixture_config()
-    dataset = experiment.build_dataset(cfg)
-    d_p, d_f, test = experiment.build_splits(cfg, dataset)
-
-    def train_fn(eps):
-        # eps 0 is the standard-training member of the family
-        scenario = "ST" if eps == 0.0 else "AT"
-        train_eps = None if eps == 0.0 else eps
-        model, _ = experiment.train_cell(cfg, d_p, d_f, scenario, "CL",
-                                         args.seed, cache_dir, train_eps)
-        return model
+    d_p, d_f, test = experiment.build_splits(cfg, experiment.build_dataset(cfg))
+    attack = directional.tm1_attack()
+    epsilons = sorted(args.epsilons)
 
     os.makedirs(out, exist_ok=True)
-    entries, manifest = analysis.epsilon_sweep(
-        train_fn, test, sorted(args.epsilons), directional.tm1_attack(),
-        n_samples=args.n_samples, seed=0)
+    for eps in epsilons:
+        model, _ = experiment.train_cell(cfg, d_p, d_f, "AT" if eps else "ST", "CL",
+                                         args.seed, cache_dir, eps or None)
+        grid = analysis.cka_heatmap(model, test, attack, args.n_samples, seed=0)
+        tag = f"eps_{eps:g}".replace(".", "p")
+        reporting.write_cka_grid(grid, os.path.join(out, tag))
+        reporting.write_divergence_csv(grid, os.path.join(out, f"{tag}_divergence.csv"))
+        print(f"eps={eps:.5f}  final-layer clean-adv CKA {grid.diagonal()[-1]:.3f}")
 
-    for entry in entries:
-        tag = f"eps_{entry['epsilon']:g}".replace(".", "p")
-        reporting.write_cka_csv(entry["heatmap"], os.path.join(out, f"{tag}.csv"))
-        reporting.render_heatmap(entry["heatmap"], os.path.join(out, tag))
-        with open(os.path.join(out, f"{tag}_divergence.csv"), "w") as f:
-            f.write("layer_index,clean_adv_cka\n")
-            for i, v in enumerate(entry["divergence"]):
-                f.write(f"{i},{float(v)!r}\n")
-        print(f"eps={entry['epsilon']:.5f}  final-layer clean-adv CKA "
-              f"{float(entry['divergence'][-1]):.3f}")
-
+    manifest = {"epsilons": epsilons, "n_samples": grid.n_samples,
+                "attack": {"epsilon": attack.epsilon, "steps": attack.steps,
+                           "driving_loss": attack.driving_loss}}
     with open(os.path.join(out, "sweep_manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
     print(f"artifacts in {out}")

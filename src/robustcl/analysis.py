@@ -113,14 +113,13 @@ def _clean_and_adv(model: ModelBundle, dataset: Dataset, attack: AttackSpec | No
 
 
 def cka_heatmap(model: ModelBundle, dataset: Dataset, attack: AttackSpec | None = None,
-                n_samples: int = 512, seed: int = 0,
-                model_id: str = "model") -> CKAMatrix:
+                n_samples: int = 512, seed: int = 0) -> CKAMatrix:
     """All-layer-pairs CKA grid; with an attack, rows come from clean
     activations and columns from adversarial ones."""
     n_samples, clean, adv = _clean_and_adv(model, dataset, attack, n_samples, seed)
     if adv is None:
-        return _grid(clean, clean, n_samples, "clean-clean", (model_id, model_id))
-    return _grid(clean, adv, n_samples, "clean-adv", (model_id, model_id))
+        return _grid(clean, clean, n_samples, "clean-clean", ("model", "model"))
+    return _grid(clean, adv, n_samples, "clean-adv", ("model", "model"))
 
 
 def divergence_curve(model: ModelBundle, dataset: Dataset, attack: AttackSpec,
@@ -156,31 +155,6 @@ def cross_model_cka(model_a: ModelBundle, model_b: ModelBundle, dataset: Dataset
     ra = _capture(model_a, xa)
     rb = _capture(model_b, xb)
     return _grid(ra, rb, n_samples, condition, model_ids)
-
-
-def epsilon_sweep(train_fn, dataset: Dataset, eps_list, attack: AttackSpec,
-                  n_samples: int = 512, seed: int = 0):
-    """Train one model per training budget and analyze each under a fixed
-    evaluation attack.
-
-    train_fn(eps) must return a trained model; eps 0 is the standard-training
-    member of the family. Returns (entries, manifest) where each entry holds
-    the training epsilon, clean-adv heatmap and divergence curve (the
-    heatmap's diagonal).
-    """
-    eps_list = [float(e) for e in eps_list]
-    if eps_list != sorted(eps_list):
-        raise AnalysisError("eps_list must be sorted ascending")
-    entries = []
-    for eps in eps_list:
-        grid = cka_heatmap(train_fn(eps), dataset, attack, n_samples, seed,
-                           model_id=f"eps={eps:g}")
-        entries.append({"epsilon": eps, "divergence": grid.diagonal(), "heatmap": grid})
-    manifest = {"epsilons": eps_list,
-                "n_samples": entries[0]["heatmap"].n_samples if entries else 0,
-                "attack": {"epsilon": attack.epsilon, "steps": attack.steps,
-                           "driving_loss": attack.driving_loss}}
-    return entries, manifest
 
 
 def linear_probe(model: ModelBundle, train_set: Dataset, test_set: Dataset,

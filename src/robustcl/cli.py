@@ -1,6 +1,6 @@
 """Command-line surface: gen-data, train, evaluate, cka, probe, sweep, report.
 
-Exit codes: 0 success, 1 validation error, 2 runtime failure. All outputs go
+Exit codes: 0 success, 1 config or validation error, 2 runtime failure. All outputs go
 under [experiment] output_dir (overridable via ROBUSTCL_OUTPUT_DIR).
 """
 
@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import sys
 
 from . import analysis, data, evaluation, experiment, models, reporting
@@ -21,10 +20,7 @@ class ValidationFailure(Exception):
 
 
 def _load(args) -> ExperimentConfig:
-    try:
-        cfg = load_config(args.config, overrides=args.override)
-    except ConfigError as exc:
-        raise ValidationFailure(str(exc))
+    cfg = load_config(args.config, overrides=args.override)
     env_out = os.environ.get("ROBUSTCL_OUTPUT_DIR")
     if env_out:
         cfg.sections["experiment"]["output_dir"] = env_out
@@ -67,56 +63,58 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _own_cell(cfg: ExperimentConfig) -> tuple:
+    """The (scenario, scheme, seed) cell that a config names."""
+    return (cfg.get("scenario", "scenario"), cfg.get("loss", "scheme"),
+            cfg.getint("experiment", "seed"))
+
+
 def cmd_train(args) -> int:
-    """Train the configured cell through the cell cache under
-    <output_dir>/cache (shared with `sweep`) and copy the entry out."""
+    """Train the configured cell into the cell cache under <output_dir>/cache
+    (shared with `sweep`)."""
     cfg = _load(args)
     out = _out_dir(cfg)
-    dataset = experiment.build_dataset(cfg)
-    d_p, d_f, _ = experiment.build_splits(cfg, dataset)
-    scenario = cfg.get("scenario", "scenario")
-    scheme = cfg.get("loss", "scheme")
-    seed = cfg.getint("experiment", "seed")
+    d_p, d_f, _ = experiment.build_splits(cfg, experiment.build_dataset(cfg))
+    scenario, scheme, seed = _own_cell(cfg)
     cache_dir = os.path.join(out, "cache")
     _, manifest = experiment.train_cell(cfg, d_p, d_f, scenario, scheme, seed, cache_dir)
-    files = []
-    for ext, name in (("ckpt", "model.ckpt"), ("loss.csv", "loss.csv"),
-                      ("manifest.json", "train_manifest.json")):
-        dst = os.path.join(out, name)
-        shutil.copyfile(os.path.join(cache_dir, f"{manifest['cell_key']}.{ext}"), dst)
-        files.append(dst)
-    _write_manifest(cfg, out, files)
-    print(f"trained {scenario}/{scheme} (seed {seed}) -> {files[0]}")
+    key = manifest["cell_key"]
+    _write_manifest(cfg, out, experiment.entry_paths(cache_dir, key).values(),
+                    {"cell_key": key})
+    print(f"trained {scenario}/{scheme} (seed {seed}) -> cell {key} in {cache_dir}")
     return 0
 
 
 def _trained_model(args):
-    """(config, output dir, model, (D_p, D_f, test)) for the commands that
-    read a trained model: --checkpoint, or <output_dir>/model.ckpt."""
+    """(config, output dir, model, its cache manifest, (D_p, D_f, test)) for
+    the commands that read a trained model: the file --checkpoint names
+    (with an empty manifest), or the config's own cell in <output_dir>/cache."""
     cfg = _load(args)
     out = _out_dir(cfg)
-    ckpt = args.checkpoint or os.path.join(out, "model.ckpt")
-    if not os.path.exists(ckpt):
-        raise ValidationFailure(f"checkpoint not found: {ckpt}")
-    model = models.load_checkpoint(ckpt)
-    return cfg, out, model, experiment.build_splits(cfg, experiment.build_dataset(cfg))
+    splits = experiment.build_splits(cfg, experiment.build_dataset(cfg))
+    if args.checkpoint:
+        if not os.path.exists(args.checkpoint):
+            raise ValidationFailure(f"checkpoint not found: {args.checkpoint}")
+        return cfg, out, models.load_checkpoint(args.checkpoint), {}, splits
+    cache_dir = os.path.join(out, "cache")
+    key = experiment.cell_key(cfg, *_own_cell(cfg), splits[0])
+    hit = experiment.cached_cell(cache_dir, key)
+    if hit is None:
+        raise ValidationFailure(f"no trained cell {key} for this config in {cache_dir}; "
+                                f"run `train` with it first, or pass --checkpoint")
+    return (cfg, out, *hit, splits)
 
 
 def cmd_evaluate(args) -> int:
-    cfg, out, model, (_, _, test) = _trained_model(args)
+    cfg, out, model, manifest, (_, _, test) = _trained_model(args)
     scheme = cfg.get("loss", "scheme")
     report = evaluation.evaluate(model, test, cfg.eval_attacks(scheme),
                                  scenario=cfg.get("scenario", "scenario"),
                                  scheme=scheme)
     # runtime_s reports the (cached) training cost so reruns of this command
     # reproduce results.csv byte for byte
-    runtime = 0.0
-    train_manifest = os.path.join(out, "train_manifest.json")
-    if os.path.exists(train_manifest):
-        with open(train_manifest) as f:
-            runtime = json.load(f).get("runtime_s", 0.0)
     rows = evaluation.results_rows(report, cfg.getint("experiment", "seed"),
-                                   runtime)
+                                   manifest.get("runtime_s", 0.0))
     path = os.path.join(out, "results.csv")
     evaluation.write_results_csv(rows, path)
     _write_manifest(cfg, out, [path])
@@ -125,27 +123,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_cka(args) -> int:
-    cfg, out, model, (_, _, test) = _trained_model(args)
+    cfg, out, model, _, (_, _, test) = _trained_model(args)
     n_samples = cfg.getint("analysis", "n_samples")
-    scheme = cfg.get("loss", "scheme")
-    files = []
     clean = analysis.cka_heatmap(model, test, None, n_samples)
-    csv_path = os.path.join(out, "cka_clean_clean.csv")
-    reporting.write_cka_csv(clean, csv_path)
-    files.append(csv_path)
-    files += reporting.render_heatmap(clean, os.path.join(out, "cka_clean_clean"))
-    eval_attacks = cfg.eval_attacks(scheme)
+    files = reporting.write_cka_grid(clean, os.path.join(out, "cka_clean_clean"))
+    eval_attacks = cfg.eval_attacks(cfg.get("loss", "scheme"))
     if eval_attacks:
         grid = analysis.cka_heatmap(model, test, eval_attacks[-1], n_samples)
-        csv_path = os.path.join(out, "cka_clean_adv.csv")
-        reporting.write_cka_csv(grid, csv_path)
-        files.append(csv_path)
-        files += reporting.render_heatmap(grid, os.path.join(out, "cka_clean_adv"))
+        files += reporting.write_cka_grid(grid, os.path.join(out, "cka_clean_adv"))
         dpath = os.path.join(out, "divergence.csv")
-        with open(dpath, "w") as f:
-            f.write("layer_id,cka_clean_adv\n")
-            for lid, v in zip(model.layer_ids(), grid.diagonal()):
-                f.write(f"{lid},{float(v)!r}\n")
+        reporting.write_divergence_csv(grid, dpath)
         files.append(dpath)
     _write_manifest(cfg, out, files)
     print(f"wrote {len(files)} CKA artifact(s) under {out}")
@@ -153,7 +140,7 @@ def cmd_cka(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    cfg, out, model, (d_p, _, test) = _trained_model(args)
+    cfg, out, model, _, (d_p, _, test) = _trained_model(args)
     layers = cfg.getlist("analysis", "probe_layers") or model.layer_ids()
     path = os.path.join(out, "probes.csv")
     if os.path.exists(path):
@@ -226,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECTION.KEY=VALUE")
         if name in READS_CHECKPOINT:
             p.add_argument("--checkpoint", default=None,
-                           help="model checkpoint path (default <output_dir>/model.ckpt)")
+                           help="model checkpoint (default: the config's cached cell)")
     return parser
 
 

@@ -8,11 +8,11 @@ import hashlib
 import io
 from dataclasses import dataclass
 
-from .attacks import AttackSpec
-from .data import AugmentSpec
-from .losses import LossConfig
+from .attacks import AttackError, AttackSpec
+from .data import AugmentSpec, DataError
+from .losses import LossConfig, LossError
 from .models import EncoderConfig
-from .training import OptimizerConfig, ScenarioSpec
+from .training import OptimizerConfig, ScenarioSpec, TrainingError
 
 
 class ConfigError(Exception):
@@ -98,6 +98,13 @@ DEFAULTS = {
 }
 
 
+def _parse(section: str, key: str, cast, value: str):
+    try:
+        return cast(value)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key}: not {cast.__name__}: {value!r}") from None
+
+
 @dataclass
 class ExperimentConfig:
     sections: dict  # section -> {key: str value}, fully materialized
@@ -106,10 +113,10 @@ class ExperimentConfig:
         return self.sections[section][key]
 
     def getfloat(self, section, key) -> float:
-        return float(self.get(section, key))
+        return _parse(section, key, float, self.get(section, key))
 
     def getint(self, section, key) -> int:
-        return int(self.get(section, key))
+        return _parse(section, key, int, self.get(section, key))
 
     def getbool(self, section, key) -> bool:
         v = self.get(section, key).strip().lower()
@@ -123,7 +130,7 @@ class ExperimentConfig:
         v = self.get(section, key).strip()
         if not v:
             return []
-        return [cast(part.strip()) for part in v.split(",")]
+        return [_parse(section, key, cast, part.strip()) for part in v.split(",")]
 
     def canonical(self) -> str:
         buf = io.StringIO()
@@ -160,10 +167,10 @@ class ExperimentConfig:
         beta = self.getfloat("loss", "beta")
         beta_scl = self.get("loss", "beta_scl").strip()
         if beta_scl and scheme == "SCL":
-            beta = float(beta_scl)
+            beta = self.getfloat("loss", "beta_scl")
         return LossConfig(
             scheme=scheme,
-            temperature=float(temp) if temp else None,
+            temperature=self.getfloat("loss", "temperature") if temp else None,
             alpha=self.getfloat("loss", "alpha"),
             beta=beta,
             combo_weights=tuple(self.getlist("loss", "combo_weights", float)) or (1.0, 1.0),
@@ -186,7 +193,7 @@ class ExperimentConfig:
         return AttackSpec(
             epsilon=self.getfloat("attack_train", "epsilon"),
             steps=self.getint("attack_train", "steps"),
-            step_size=float(step) if step else None,
+            step_size=self.getfloat("attack_train", "step_size") if step else None,
             random_start=self.getbool("attack_train", "random_start"),
         )
 
@@ -269,6 +276,8 @@ def load_config(path=None, text: str | None = None, overrides=None) -> Experimen
 
 
 def validate(cfg: ExperimentConfig) -> None:
+    """Raise ConfigError unless every key parses and the views that need no
+    dataset (the scenario, its training attack, the evaluation attacks) build."""
     source = cfg.get("dataset", "source")
     if source not in ("synthetic", "synthetic_images", "idx", "csv"):
         raise ConfigError(f"[dataset] source: unknown value {source!r}")
@@ -277,7 +286,18 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("[dataset] split must be three fractions summing to 1")
     if cfg.get("model", "kind") not in ("dense", "conv_small"):
         raise ConfigError("[model] kind must be dense or conv_small")
-    cfg.loss_config()  # raises on bad scheme/temperature
-    for tm in cfg.getlist("attack_eval", "threat_models"):
-        if tm not in ("I", "II"):
-            raise ConfigError(f"[attack_eval] threat_models: unknown {tm!r}")
+    # the typed keys that none of the views below parses
+    for key in ("n", "dim", "classes", "size"):
+        cfg.getint("dataset", key)
+    for key in ("separation", "contrast", "noise_sigma", "shortcut_amp"):
+        cfg.getfloat("dataset", key)
+    cfg.getlist("model", "layer_widths", int)
+    for section, key in (("model", "head_dim"), ("analysis", "n_samples"), ("sweep", "workers")):
+        cfg.getint(section, key)
+    cfg.getlist("sweep", "seeds", int)
+    try:
+        cfg.scenario_spec()
+        cfg.train_attack()
+        cfg.eval_attacks(cfg.get("loss", "scheme"))
+    except (AttackError, DataError, LossError, TrainingError) as exc:
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc

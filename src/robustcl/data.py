@@ -122,6 +122,8 @@ def load_idx(path_images, path_labels, name: str = "idx") -> Dataset:
     magic, n, h, w = struct.unpack(">IIII", blob[:16])
     if magic != IDX_IMAGES_MAGIC:
         raise DataError(f"bad IDX image magic {magic:#010x}")
+    if n == 0:
+        raise DataError(f"IDX image file {path_images} holds no images")
     if len(blob) != 16 + n * h * w:
         raise DataError("truncated IDX image payload")
     images = np.frombuffer(blob, dtype=np.uint8, offset=16).reshape(n, 1, h, w)
@@ -165,8 +167,13 @@ def load_csv(path, name: str = "csv") -> Dataset:
         if not header or header[0] != "label":
             raise DataError("CSV header must start with 'label'")
         rows = [line.strip().split(",") for line in f if line.strip()]
-    labels = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    feats = np.array([[float(v) for v in r[1:]] for r in rows], dtype=np.float64)
+    if not rows:
+        raise DataError(f"CSV file {path} holds no samples")
+    try:
+        labels = np.array([int(r[0]) for r in rows], dtype=np.int64)
+        feats = np.array([[float(v) for v in r[1:]] for r in rows], dtype=np.float64)
+    except ValueError as exc:  # a non-numeric field, or rows of unequal length
+        raise DataError(f"malformed CSV file {path}: {exc}") from None
     return Dataset(feats, labels, name, int(labels.max()) + 1)
 
 

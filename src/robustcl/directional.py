@@ -9,9 +9,7 @@ seeds.
 
 from __future__ import annotations
 
-import json
 import os
-import warnings
 from pathlib import Path
 
 from . import analysis, evaluation, experiment
@@ -144,27 +142,6 @@ def _robust_key(spec: AttackSpec) -> str:
     return f"{spec.threat_model}|{spec.epsilon!r}|{spec.steps}"
 
 
-def _cached_json(path, compute, keys=(), indent=None):
-    """The JSON object at `path`; on a miss, `compute()` it and write it
-    atomically. A file that is unreadable, not an object or without one of
-    `keys` warns and counts as a miss."""
-    if os.path.exists(path):
-        try:
-            with open(path) as f:
-                payload = json.load(f)
-            if isinstance(payload, dict) and all(k in payload for k in keys):
-                return payload
-            raise ValueError(f"not a JSON object with the keys {list(keys)}")
-        except (OSError, ValueError) as exc:
-            warnings.warn(f"unreadable cache file {path} "
-                          f"({type(exc).__name__}: {exc}); recomputing",
-                          RuntimeWarning, stacklevel=2)
-    payload = compute()
-    with experiment.atomic_path(path) as tmp, open(tmp, "w") as f:
-        json.dump(payload, f, indent=indent, sort_keys=True)
-    return payload
-
-
 def _eval_cell(model, test, key, cache_dir, scenario, scheme, need_tm2):
     def compute():
         specs = [tm1_attack()] + ([tm2_attack()] if need_tm2 else [])
@@ -178,8 +155,8 @@ def _eval_cell(model, test, key, cache_dir, scenario, scheme, need_tm2):
             "tm2_queries": report.classifier_grad_queries_tm2,
         }
 
-    return _cached_json(os.path.join(cache_dir, f"{key}.eval.json"), compute,
-                        keys=("clean", "robust", "n_test"), indent=2)
+    return experiment.cached_json(os.path.join(cache_dir, f"{key}.eval.json"), compute,
+                                  keys=("clean", "robust", "n_test"), indent=2)
 
 
 def _final_cka(model, test, key, cache_dir, n_analysis=400):
@@ -188,8 +165,8 @@ def _final_cka(model, test, key, cache_dir, n_analysis=400):
                                           n_samples=n_analysis, seed=0)
         return {"final_clean_adv_cka": float(curve[-1])}
 
-    return _cached_json(os.path.join(cache_dir, f"{key}.cka.json"), compute,
-                        keys=("final_clean_adv_cka",))["final_clean_adv_cka"]
+    return experiment.cached_json(os.path.join(cache_dir, f"{key}.cka.json"), compute,
+                                  keys=("final_clean_adv_cka",))["final_clean_adv_cka"]
 
 
 def _cross_upper(model_a, model_b, test, key_a, key_b, cache_dir, n_analysis=400):
@@ -198,15 +175,14 @@ def _cross_upper(model_a, model_b, test, key_a, key_b, cache_dir, n_analysis=400
                                         seed=0, model_ids=(key_a, key_b))
         return {"upper_third_mean": analysis.upper_third_mean(grid)}
 
-    return _cached_json(os.path.join(cache_dir, f"cross_{key_a}_{key_b}.json"), compute,
-                        keys=("upper_third_mean",))["upper_third_mean"]
+    return experiment.cached_json(os.path.join(cache_dir, f"cross_{key_a}_{key_b}.json"),
+                                  compute, keys=("upper_third_mean",))["upper_third_mean"]
 
 
 def run_seed(cfg: ExperimentConfig, seed: int, cache_dir: str,
              log=None, n_analysis: int = 400) -> dict:
     """Train/evaluate every fixture cell for one seed (cached); every result
     is keyed by cell name, or by scenario for the cross-scheme CKA."""
-    os.makedirs(cache_dir, exist_ok=True)
     dataset = experiment.build_dataset(cfg)
     d_p, d_f, test = experiment.build_splits(cfg, dataset)
     cells, trained = {}, {}

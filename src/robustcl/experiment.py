@@ -66,7 +66,11 @@ def atomic_path(path):
 
 def cell_key(cfg: ExperimentConfig, scenario: str, scheme: str, seed: int,
              dataset: Dataset, train_epsilon: float | None = None) -> str:
-    """Hash identifying one trained model: config + cell + data fingerprint."""
+    """Hash identifying one trained model: config + cell + data fingerprint.
+    A `train_epsilon` that trains the same model as None (the configured
+    epsilon, or any value under ST, which trains no attack) keys as None."""
+    if scenario == "ST" or train_epsilon == cfg.getfloat("attack_train", "epsilon"):
+        train_epsilon = None
     h = hashlib.sha256()
     relevant = {s: cfg.sections[s] for s in
                 ("dataset", "model", "loss", "scenario", "attack_train", "augment")}
@@ -75,31 +79,66 @@ def cell_key(cfg: ExperimentConfig, scenario: str, scheme: str, seed: int,
     return h.hexdigest()[:16]
 
 
+def entry_paths(cache_dir, key: str) -> dict:
+    """The files of cell-cache entry `key`, by suffix."""
+    return {ext: os.path.join(cache_dir, f"{key}.{ext}")
+            for ext in ("ckpt", "loss.csv", "manifest.json")}
+
+
+def _read_cached(path, keys=(), load=lambda payload: payload):
+    """`load` of the JSON object at `path`, or None when there is no such
+    file. A file that is unreadable, lacks one of `keys` or that `load`
+    rejects warns and is also None: a miss, recomputed and overwritten."""
+    if not os.path.exists(path):
+        return None
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+        if not isinstance(payload, dict) or not all(k in payload for k in keys):
+            raise ValueError(f"not a JSON object with the keys {list(keys)}")
+        return load(payload)
+    except (OSError, ValueError, models.CheckpointError) as exc:
+        warnings.warn(f"unreadable cache file {path} "
+                      f"({type(exc).__name__}: {exc}); recomputing",
+                      RuntimeWarning, stacklevel=2)
+        return None
+
+
+def cached_json(path, compute, keys=(), indent=None) -> dict:
+    """The JSON object cached at `path` (`_read_cached`); on a miss,
+    `compute()` it and write it atomically."""
+    payload = _read_cached(path, keys)
+    if payload is None:
+        payload = compute()
+        with atomic_path(path) as tmp, open(tmp, "w") as f:
+            json.dump(payload, f, indent=indent, sort_keys=True)
+    return payload
+
+
+def cached_cell(cache_dir, key: str):
+    """(model, manifest) of cell-cache entry `key`, or None on a miss; a
+    corrupt checkpoint or a manifest of another key warns and is a miss."""
+    paths = entry_paths(cache_dir, key)
+
+    def load(manifest):
+        if manifest["cell_key"] != key:
+            raise ValueError(f"manifest of cell {manifest['cell_key']}, not {key}")
+        return models.load_checkpoint(paths["ckpt"]), manifest
+
+    return _read_cached(paths["manifest.json"], ("cell_key",), load)
+
+
 def train_cell(cfg: ExperimentConfig, d_p: Dataset, d_f: Dataset,
                scenario: str, scheme: str, seed: int,
                cache_dir=None, train_epsilon: float | None = None):
-    """Train one (scenario, scheme, seed) cell, reusing a cached checkpoint
-    with the same cell hash when available. A corrupt checkpoint, or a
-    manifest that is unreadable or not an object holding this `cell_key`,
-    warns and retrains. Returns (model, manifest)."""
+    """Train one (scenario, scheme, seed) cell, reusing the cache entry with
+    the same cell key when it reads back (`cached_cell`); a miss trains and
+    writes the entry. Returns (model, manifest)."""
     key = cell_key(cfg, scenario, scheme, seed, d_p, train_epsilon)
-    ckpt = manifest_path = None
     if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        ckpt = os.path.join(cache_dir, f"{key}.ckpt")
-        manifest_path = os.path.join(cache_dir, f"{key}.manifest.json")
-        if os.path.exists(ckpt) and os.path.exists(manifest_path):
-            try:
-                with open(manifest_path) as f:
-                    manifest = json.load(f)
-                if not isinstance(manifest, dict) or manifest.get("cell_key") != key:
-                    raise ValueError(f"not a manifest with cell_key {key}")
-                return models.load_checkpoint(ckpt), manifest
-            except (OSError, ValueError, models.CheckpointError) as exc:
-                # a corrupt entry is a cache miss: retrain and overwrite it
-                warnings.warn(f"unreadable cache entry {key} in {cache_dir} "
-                              f"({type(exc).__name__}: {exc}); retraining",
-                              RuntimeWarning, stacklevel=2)
+        hit = cached_cell(cache_dir, key)
+        if hit is not None:
+            return hit
     spec = cfg.scenario_spec(scenario=scenario, scheme=scheme, seed=seed,
                              train_epsilon=train_epsilon)
     enc_cfg = cfg.encoder_config(d_p.input_shape)
@@ -108,13 +147,15 @@ def train_cell(cfg: ExperimentConfig, d_p: Dataset, d_f: Dataset,
     manifest = dict(record.manifest)
     manifest["cell_key"] = key
     manifest["config_hash"] = cfg.hash()
-    if ckpt is not None:
+    if cache_dir is not None:
+        os.makedirs(cache_dir, exist_ok=True)
+        paths = entry_paths(cache_dir, key)
         # the manifest goes last: a cache hit needs both it and the checkpoint
-        with atomic_path(ckpt) as tmp:
+        with atomic_path(paths["ckpt"]) as tmp:
             models.save_checkpoint(model, tmp)
-        with atomic_path(os.path.join(cache_dir, f"{key}.loss.csv")) as tmp:
+        with atomic_path(paths["loss.csv"]) as tmp:
             training.write_loss_csv(record, tmp)
-        with atomic_path(manifest_path) as tmp, open(tmp, "w") as f:
+        with atomic_path(paths["manifest.json"]) as tmp, open(tmp, "w") as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
     return model, manifest
 

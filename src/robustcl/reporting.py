@@ -82,13 +82,20 @@ def write_cka_svg(matrix: CKAMatrix, path, cell: int = 32) -> None:
         f.write("\n".join(parts))
 
 
-def render_heatmap(matrix: CKAMatrix, path_base) -> tuple:
-    """Write PGM + SVG renderings next to each other; returns both paths."""
-    pgm = str(path_base) + ".pgm"
-    svg = str(path_base) + ".svg"
-    write_cka_pgm(matrix, pgm)
-    write_cka_svg(matrix, svg)
-    return pgm, svg
+def write_cka_grid(matrix: CKAMatrix, path_base) -> list:
+    """Write the grid as <path_base>.csv, .pgm and .svg; returns the paths."""
+    paths = [f"{path_base}.{ext}" for ext in ("csv", "pgm", "svg")]
+    for write, path in zip((write_cka_csv, write_cka_pgm, write_cka_svg), paths):
+        write(matrix, path)
+    return paths
+
+
+def write_divergence_csv(matrix: CKAMatrix, path) -> None:
+    """Each layer's clean-vs-adversarial CKA: the diagonal of a clean-adv grid."""
+    with open(path, "w") as f:
+        f.write("layer_id,cka_clean_adv\n")
+        for lid, v in zip(matrix.row_layers, matrix.diagonal()):
+            f.write(f"{lid},{float(v)!r}\n")
 
 
 def append_probe_csv(result, path) -> None:

@@ -4,8 +4,8 @@ The engine is deliberately small: a handful of primitive functions (no
 operator overloads), each recording an (out, inputs, backward_fn) node on
 the active GradientTape, and a single backward pass that walks the tape in
 reverse, freeing each intermediate gradient once its node has run. Shapes
-are explicit; the only broadcasting allowed is adding a (d,) bias row-wise
-to an (n, d) matrix and per-channel conv bias. `reshape` returns a view of
+are explicit; only `dense` (a (d,) bias row-wise on an (n, d) product) and
+`conv2d_3x3` (a per-channel bias) broadcast. `reshape` returns a view of
 its input where numpy can, so callers must not write into its result.
 
 `dense` is an affine layer (matmul, bias add and an optional relu) in one
@@ -149,15 +149,10 @@ def backward(tape: GradientTape, output: Tensor, grad: np.ndarray | None = None)
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape == b.shape:
-        out = Tensor._output(a.data + b.data, "add")
-        return _maybe_record(out, [a, b], lambda g, need: (g, g))
-    # row-wise bias: (n, d) + (d,)
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        out = Tensor._output(a.data + b.data[None, :], "add")
-        return _maybe_record(out, [a, b], lambda g, need: (
-            g, g.sum(axis=0) if need[1] else None))
-    raise TensorError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    if a.shape != b.shape:
+        raise TensorError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    out = Tensor._output(a.data + b.data, "add")
+    return _maybe_record(out, [a, b], lambda g, need: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

@@ -3,11 +3,11 @@
 The package's tape runs each affine layer as one `tensor.dense` node and
 each softmax cross-entropy as one fused loss node. The tests build the same
 computations from the tensor module's elementwise primitives and the
-matrix, reduction and slicing primitives here, as oracles that the fused
-nodes must match bit for bit (`test_losses.py`, `test_tensor.py`), and
-check gradients against central finite differences. These primitives
-record on the real tape through `tensor._maybe_record`, so the oracles run
-the package's `backward`.
+row-bias add, matrix, reduction and slicing primitives here, as oracles
+that the fused nodes must match bit for bit (`test_losses.py`,
+`test_tensor.py`), and check gradients against central finite
+differences. These primitives record on the real tape through
+`tensor._maybe_record`, so the oracles run the package's `backward`.
 
     import graph_oracle as G
     err = G.finite_diff_check(lambda t: G.tsum(T.mul(t, t)), x)
@@ -17,9 +17,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from robustcl import tensor as T
 from robustcl.attacks import AttackError
 from robustcl.tensor import (GradientTape, NonFiniteError, Tensor, TensorError,
                              _maybe_record, backward, scale)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """`tensor.add`, plus a (d,) bias added row-wise to an (n, d) matrix:
+    the bias add of the matmul, add, relu chain that `tensor.dense` fuses."""
+    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
+        out = Tensor._output(a.data + b.data[None, :], "add")
+        return _maybe_record(out, [a, b], lambda g, need: (
+            g, g.sum(axis=0) if need[1] else None))
+    return T.add(a, b)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from robustcl import analysis, data, models, training
 from robustcl.analysis import (AnalysisError, DegenerateActivationsError,
                                cka_heatmap, cross_model_cka, divergence_curve,
-                               epsilon_sweep, linear_cka, linear_probe,
-                               upper_third_mean)
+                               linear_cka, linear_probe, upper_third_mean)
 from robustcl.attacks import AttackSpec
 from robustcl.losses import LossConfig
 from robustcl.models import EncoderConfig
@@ -202,39 +201,6 @@ class TestProbe:
         m, d_train, d_test = trained
         with pytest.raises(AnalysisError):
             linear_probe(m, d_train, d_test, "layer99")
-
-
-class TestEpsilonSweep:
-    def test_structure(self, trained):
-        m, _, d_test = trained
-        atk = AttackSpec(epsilon=0.05, steps=3, clamp=None, random_start=False)
-        entries, manifest = epsilon_sweep(lambda eps: m, d_test, [0.0, 0.05],
-                                          atk, n_samples=64)
-        assert [e["epsilon"] for e in entries] == [0.0, 0.05]
-        assert manifest["epsilons"] == [0.0, 0.05]
-        assert manifest["n_samples"] == 64
-        for e in entries:
-            assert e["heatmap"].condition == "clean-adv"
-            assert len(e["divergence"]) == len(m.layer_ids())
-
-    def test_attacks_once_per_model(self, trained, pgd_specs):
-        m, _, d_test = trained
-        atk = AttackSpec(epsilon=0.05, steps=3, clamp=None, random_start=False)
-        entries, _ = epsilon_sweep(lambda eps: m, d_test, [0.0, 0.05], atk,
-                                   n_samples=64)
-        assert len(pgd_specs) == 2
-        curve = divergence_curve(m, d_test, atk, n_samples=64)
-        assert len(pgd_specs) == 3
-        # the sweep's curve is its grid's diagonal, bit for bit
-        for e in entries:
-            assert np.array_equal(e["divergence"], curve)
-            assert np.array_equal(e["divergence"], e["heatmap"].diagonal())
-
-    def test_unsorted_rejected(self, trained):
-        m, _, d_test = trained
-        atk = AttackSpec(epsilon=0.05, steps=2, clamp=None)
-        with pytest.raises(AnalysisError):
-            epsilon_sweep(lambda eps: m, d_test, [0.05, 0.0], atk)
 
 
 @settings(max_examples=25, deadline=None)

@@ -209,18 +209,46 @@ class TestCli:
 
     def test_train_then_evaluate(self, tmp_path):
         assert run_cli(tmp_path, "train", FAST_VECTOR) == 0
-        for name in ("model.ckpt", "loss.csv", "train_manifest.json"):
-            assert (tmp_path / name).exists()
+        # the cell lives only in the cache; the run manifest names its entry
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        entry = experiment.entry_paths(str(tmp_path / "cache"), manifest["cell_key"])
+        assert manifest["files"] == sorted(entry.values())
+        assert sorted(os.listdir(tmp_path)) == [
+            "cache", "config.canonical.ini", "run_manifest.json"]
         assert run_cli(tmp_path, "evaluate", FAST_VECTOR) == 0
         results = tmp_path / "results.csv"
         first = results.read_bytes()
-        trained = {name: (tmp_path / name).read_bytes()
-                   for name in ("model.ckpt", "loss.csv", "train_manifest.json")}
+        trained = {p: open(p, "rb").read() for p in entry.values()}
         # a rerun of train hits the cell cache, so results.csv reproduces
         assert run_cli(tmp_path, "train", FAST_VECTOR) == 0
-        assert {name: (tmp_path / name).read_bytes() for name in trained} == trained
+        assert {p: open(p, "rb").read() for p in trained} == trained
         assert run_cli(tmp_path, "evaluate", FAST_VECTOR) == 0
         assert results.read_bytes() == first
+
+    @pytest.mark.parametrize("command", ["evaluate", "cka", "probe"])
+    @pytest.mark.parametrize("changed", [
+        ["loss.scheme=SCL", "scenario.scenario=AT"],
+        ["model.layer_widths=8,4"],
+    ], ids=["other-cell", "other-model"])
+    def test_a_config_that_names_no_trained_cell_exits_1(
+            self, tmp_path, capsys, command, changed):
+        # ST/CL is trained; the changed config names a cell that is not
+        assert run_cli(tmp_path, "train", FAST_VECTOR + ["loss.scheme=CL"]) == 0
+        assert run_cli(tmp_path, command, FAST_VECTOR + ["loss.scheme=CL"] + changed) == 1
+        assert "error: no trained cell" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("override", [
+        "scenario.batch_size=abc", "dataset.n=abc", "model.layer_widths=a,b",
+        "scenario.scenario=XX", "augment.erase_patch_prob=2", "loss.scheme=XX",
+        "attack_train.epsilon=-1", "attack_eval.epsilons=x", "analysis.n_samples=x",
+        "sweep.workers=x",
+    ])
+    def test_a_value_that_does_not_parse_or_build_is_a_config_error(
+            self, tmp_path, capsys, override):
+        assert run_cli(tmp_path, "train", [override]) == 1
+        assert "config error: " in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_evaluate_missing_checkpoint(self, tmp_path):
         rc = run_cli(tmp_path, "evaluate", FAST_VECTOR)

@@ -1,10 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from robustcl.data import (AugmentSpec, DataError, Dataset, gen_bar_images,
-                           gen_synthetic, load_csv, load_idx, make_views,
-                           split, write_csv, write_idx)
+from robustcl.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, AugmentSpec,
+                           DataError, Dataset, gen_bar_images, gen_synthetic,
+                           load_csv, load_idx, make_views, split, write_csv,
+                           write_idx)
 
 
 class TestIdx:
@@ -52,6 +55,14 @@ class TestIdx:
         with pytest.raises(DataError, match="truncated"):
             load_idx(ip, lp)
 
+    def test_zero_images(self, tmp_path):
+        ip, lp = tmp_path / "img", tmp_path / "lbl"
+        ip.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 0, 8, 8))
+        lp.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, 0))
+        with pytest.raises(DataError, match="holds no images") as exc:
+            load_idx(ip, lp)
+        assert str(ip) in str(exc.value)
+
 
 class TestCsv:
     def test_roundtrip(self, tmp_path, gauss_data):
@@ -66,6 +77,17 @@ class TestCsv:
         p.write_text("x,y\n1,2\n")
         with pytest.raises(DataError):
             load_csv(p)
+
+    @pytest.mark.parametrize("text, match", [
+        ("label,f0,f1\n", "holds no samples"),
+        ("label,f0,f1\n0,1.0,2.0\n1,3.0\n", "malformed CSV file"),
+    ], ids=["header-only", "ragged"])
+    def test_malformed_file_names_itself(self, tmp_path, text, match):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(DataError, match=match) as exc:
+            load_csv(p)
+        assert str(p) in str(exc.value)
 
 
 class TestSynthetic:

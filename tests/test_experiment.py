@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +75,21 @@ def test_train_cell_writes_cache_then_hits_it(tmp_path):
                for a, b in zip(model.all_params(), again.all_params()))
 
 
+def test_cell_key_names_each_model_once():
+    cfg = directional.fixture_config()
+    d_p, _, _ = experiment.build_splits(cfg, experiment.build_dataset(cfg))
+
+    def key(scenario, train_epsilon):
+        return experiment.cell_key(cfg, scenario, "CL", 0, d_p, train_epsilon)
+
+    # the committed AT/CL seed-0 cell, under the configured budget spelled out
+    assert key("AT", None) == key("AT", directional.EPS8) == "c06d7bea7c50898f"
+    # ST trains no attack, so no budget renames it
+    assert key("ST", directional.EPS4) == key("ST", 0.0) == key("ST", None)
+    # another budget trains another model
+    assert key("AT", directional.EPS4) not in (key("AT", None), key("ST", None))
+
+
 @pytest.mark.parametrize("ext, garble", [
     ("ckpt", lambda b: b[:9] + b"\x04\x00\x00\x00\xff\xff\xff\xff" + b[13:]),
     ("ckpt", lambda b: b[:-16]),
@@ -93,7 +109,7 @@ def test_train_cell_retrains_a_corrupt_cache_entry(tmp_path, ext, garble):
              for e in ("ckpt", "loss.csv", "manifest.json")}
     good = {e: f.read_bytes() for e, f in files.items()}
     files[ext].write_bytes(garble(good[ext]))
-    with pytest.warns(RuntimeWarning, match="unreadable cache entry"):
+    with pytest.warns(RuntimeWarning, match="unreadable cache file"):
         again, fresh = experiment.train_cell(cfg, d_p, d_f, "ST", "SL", 0, tmp_path)
     assert all(np.array_equal(a.data, b.data)
                for a, b in zip(model.all_params(), again.all_params()))
@@ -117,13 +133,13 @@ def test_directional_cache_recomputes_a_corrupt_file(tmp_path, garble):
         calls.append(1)
         return {"clean": 0.75, "robust": {"I|0.03|20": 0.5}}
 
-    payload = directional._cached_json(path, compute, indent=2)
+    payload = experiment.cached_json(path, compute, indent=2)
     good = path.read_bytes()
-    assert directional._cached_json(path, compute, indent=2) == payload
+    assert experiment.cached_json(path, compute, indent=2) == payload
     assert len(calls) == 1
     path.write_bytes(garble(good))
     with pytest.warns(RuntimeWarning, match="unreadable cache file"):
-        again = directional._cached_json(path, compute, indent=2)
+        again = experiment.cached_json(path, compute, indent=2)
     assert again == payload and len(calls) == 2
     assert path.read_bytes() == good
     assert os.listdir(tmp_path) == ["k.eval.json"]
@@ -207,6 +223,37 @@ def test_scripts_write_nothing_outside_a_checkout(tmp_path, monkeypatch, name):
         _script(name).main(["--cache-dir", str(tmp_path / "cache")])
     assert os.listdir(tmp_path) == ["site-packages"]
     assert os.listdir(root) == []
+
+
+def test_eps_sweep_reads_the_studys_cells(tmp_path):
+    """At its default budgets the sweep trains nothing: eps 0, 4/255 and
+    8/255 are the seed-0 cells that badge c8 reads, and each final
+    divergence value is that cell's committed final clean-adv CKA."""
+    committed = Path(directional.default_cache_dir())
+    cfg = directional.fixture_config()
+    d_p, _, _ = experiment.build_splits(cfg, experiment.build_dataset(cfg))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    keys = []
+    for name in ("ST/CL", "AT/CL/eps=0.0157", "AT/CL"):
+        scenario, scheme, train_eps, _ = directional.CELLS[name]
+        keys.append(experiment.cell_key(cfg, scenario, scheme, 0, d_p, train_eps))
+        for path in experiment.entry_paths(committed, keys[-1]).values():
+            shutil.copy(path, cache)
+    before = sorted(os.listdir(cache))
+    out = tmp_path / "out"
+    assert _script("run_epsilon_sweep").main(
+        ["--cache-dir", str(cache), "--out", str(out)]) == 0
+    assert sorted(os.listdir(cache)) == before
+    tags = ("eps_0", "eps_0p0156863", "eps_0p0313725")
+    assert sorted(os.listdir(out)) == sorted(
+        [f"{t}{suffix}" for t in tags for suffix in (".csv", ".pgm", ".svg", "_divergence.csv")]
+        + ["sweep_manifest.json"])
+    for tag, key in zip(tags, keys):
+        rows = (out / f"{tag}_divergence.csv").read_text().splitlines()
+        assert rows[0] == "layer_id,cka_clean_adv"
+        final = json.loads((committed / f"{key}.cka.json").read_text())
+        assert float(rows[-1].split(",")[1]) == final["final_clean_adv_cka"]
 
 
 def test_run_directional_writes_under_the_checkout_by_default(tmp_path, monkeypatch):
