@@ -23,14 +23,11 @@ import os
 import sys
 from pathlib import Path
 
-# One BLAS thread, set before numpy loads: OpenBLAS reads the count once.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
+import robustcl  # noqa: E402, F401  (first: pins one BLAS thread before numpy loads)
 import numpy as np  # noqa: E402
 
 from robustcl import (attacks, config, directional, evaluation, experiment,  # noqa: E402

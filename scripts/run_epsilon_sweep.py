@@ -12,12 +12,7 @@ import json
 import os
 import sys
 
-# One BLAS thread, set before numpy loads: OpenBLAS reads the count once,
-# and the committed cache reproduces at one thread.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-from robustcl import analysis, directional, experiment, reporting  # noqa: E402
+from robustcl import analysis, directional, experiment, reporting
 
 
 def main(argv=None):

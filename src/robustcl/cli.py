@@ -157,9 +157,7 @@ def cmd_probe(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     out = _out_dir(cfg)
-    cache_dir = os.path.join(out, "cache")
-    workers = cfg.getint("sweep", "workers")
-    rows, errors = experiment.scenario_sweep(cfg, cache_dir=cache_dir, workers=workers)
+    rows, errors = experiment.scenario_sweep(cfg, os.path.join(out, "cache"))
     path = os.path.join(out, "results.csv")
     evaluation.write_results_csv(rows, path)
     files = [path]

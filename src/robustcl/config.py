@@ -9,9 +9,9 @@ import io
 from dataclasses import dataclass
 
 from .attacks import AttackError, AttackSpec
-from .data import AugmentSpec, DataError
+from .data import AugmentSpec, DataError, check_bar_images, check_synthetic
 from .losses import LossConfig, LossError
-from .models import EncoderConfig
+from .models import EncoderConfig, ModelError
 from .training import OptimizerConfig, ScenarioSpec, TrainingError
 
 
@@ -93,7 +93,6 @@ DEFAULTS = {
         "scenarios": "ST",
         "schemes": "SL",
         "seeds": "0",
-        "workers": "1",
     },
 }
 
@@ -276,8 +275,9 @@ def load_config(path=None, text: str | None = None, overrides=None) -> Experimen
 
 
 def validate(cfg: ExperimentConfig) -> None:
-    """Raise ConfigError unless every key parses and the views that need no
-    dataset (the scenario, its training attack, the evaluation attacks) build."""
+    """Raise ConfigError unless every key parses, a synthetic source's
+    generator and the encoder accept their arguments, and the scenario, its
+    training attack and the evaluation attacks build."""
     source = cfg.get("dataset", "source")
     if source not in ("synthetic", "synthetic_images", "idx", "csv"):
         raise ConfigError(f"[dataset] source: unknown value {source!r}")
@@ -286,18 +286,23 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("[dataset] split must be three fractions summing to 1")
     if cfg.get("model", "kind") not in ("dense", "conv_small"):
         raise ConfigError("[model] kind must be dense or conv_small")
-    # the typed keys that none of the views below parses
-    for key in ("n", "dim", "classes", "size"):
-        cfg.getint("dataset", key)
-    for key in ("separation", "contrast", "noise_sigma", "shortcut_amp"):
-        cfg.getfloat("dataset", key)
+    # every typed key parses, whichever source reads it
+    n, dim, classes, size = (cfg.getint("dataset", k) for k in ("n", "dim", "classes", "size"))
+    separation, _, _, shortcut_amp = (cfg.getfloat("dataset", k) for k in (
+        "separation", "contrast", "noise_sigma", "shortcut_amp"))
     cfg.getlist("model", "layer_widths", int)
-    for section, key in (("model", "head_dim"), ("analysis", "n_samples"), ("sweep", "workers")):
+    for section, key in (("model", "head_dim"), ("analysis", "n_samples")):
         cfg.getint(section, key)
     cfg.getlist("sweep", "seeds", int)
     try:
+        if source == "synthetic":
+            check_synthetic(cfg.get("dataset", "kind"), n, dim, classes, separation)
+            cfg.encoder_config((dim,))
+        elif source == "synthetic_images":
+            check_bar_images(n, classes, shortcut_amp)
+            cfg.encoder_config((1, size, size))
         cfg.scenario_spec()
         cfg.train_attack()
         cfg.eval_attacks(cfg.get("loss", "scheme"))
-    except (AttackError, DataError, LossError, TrainingError) as exc:
+    except (AttackError, DataError, LossError, ModelError, TrainingError) as exc:
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc

@@ -191,6 +191,28 @@ def write_csv(dataset: Dataset, path) -> None:
 # synthetic generators
 # ---------------------------------------------------------------------------
 
+def check_synthetic(kind: str, n: int, dim: int, n_classes: int, separation: float) -> None:
+    """Raise DataError unless `gen_synthetic` can generate these arguments."""
+    if n < n_classes:
+        raise DataError("need n >= n_classes")
+    if separation <= 0:
+        raise DataError("separation must be positive")
+    if kind == "two_gaussians" and n_classes != 2:
+        raise DataError("two_gaussians requires n_classes == 2")
+    if kind == "rings" and dim < 2:
+        raise DataError("rings requires dim >= 2")
+    if kind not in ("two_gaussians", "rings", "blobs_k"):
+        raise DataError(f"unknown synthetic kind {kind!r}")
+
+
+def check_bar_images(n: int, n_classes: int, shortcut_amp: float) -> None:
+    """Raise DataError unless `gen_bar_images` can generate these arguments."""
+    if n < n_classes or n_classes > 10:
+        raise DataError("gen_bar_images supports up to 10 classes, n >= n_classes")
+    if shortcut_amp < 0:
+        raise DataError("shortcut_amp must be non-negative")
+
+
 def gen_synthetic(kind: str, n: int, dim: int, n_classes: int, seed: int,
                   separation: float = 4.0) -> Dataset:
     """Deterministic synthetic vector datasets.
@@ -199,30 +221,21 @@ def gen_synthetic(kind: str, n: int, dim: int, n_classes: int, seed: int,
     rings: concentric circles in the first two coordinates.
     blobs_k: n_classes gaussian blobs, labels assigned round-robin.
     """
-    if n < n_classes:
-        raise DataError("need n >= n_classes")
-    if separation <= 0:
-        raise DataError("separation must be positive")
+    check_synthetic(kind, n, dim, n_classes, separation)
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % n_classes
     if kind == "two_gaussians":
-        if n_classes != 2:
-            raise DataError("two_gaussians requires n_classes == 2")
         x = rng.standard_normal((n, dim))
         x[:, 0] += np.where(labels == 0, -separation / 2.0, separation / 2.0)
     elif kind == "rings":
-        if dim < 2:
-            raise DataError("rings requires dim >= 2")
         radii = 1.0 + labels * (separation / 2.0)
         theta = rng.uniform(0, 2 * np.pi, size=n)
         x = rng.standard_normal((n, dim)) * 0.2
         x[:, 0] += radii * np.cos(theta)
         x[:, 1] += radii * np.sin(theta)
-    elif kind == "blobs_k":
+    else:
         centers = rng.uniform(-separation, separation, size=(n_classes, dim))
         x = centers[labels] + rng.standard_normal((n, dim))
-    else:
-        raise DataError(f"unknown synthetic kind {kind!r}")
     perm = rng.permutation(n)
     return Dataset(x[perm], labels[perm], f"{kind}_d{dim}_c{n_classes}", n_classes)
 
@@ -247,10 +260,7 @@ def gen_bar_images(n: int, size: int = 16, n_classes: int = 10, seed: int = 0,
     buffer is freed before quantizing, which then works in place: a live
     copy of the batch at that point raises the peak memory of every set-up.
     """
-    if n < n_classes or n_classes > 10:
-        raise DataError("gen_bar_images supports up to 10 classes, n >= n_classes")
-    if shortcut_amp < 0:
-        raise DataError("shortcut_amp must be non-negative")
+    check_bar_images(n, n_classes, shortcut_amp)
     rng = np.random.default_rng(seed)
     # class patterns come from their own stream so the image noise stream is
     # independent of whether the shortcut feature is enabled

@@ -179,31 +179,25 @@ def _cross_upper(model_a, model_b, test, key_a, key_b, cache_dir, n_analysis=400
                                   compute, keys=("upper_third_mean",))["upper_third_mean"]
 
 
-def run_seed(cfg: ExperimentConfig, seed: int, cache_dir: str,
-             log=None, n_analysis: int = 400) -> dict:
-    """Train/evaluate every fixture cell for one seed (cached); every result
-    is keyed by cell name, or by scenario for the cross-scheme CKA."""
-    dataset = experiment.build_dataset(cfg)
-    d_p, d_f, test = experiment.build_splits(cfg, dataset)
-    cells, trained = {}, {}
-    for name, (scenario, scheme, train_eps, need_tm2) in CELLS.items():
-        if log:
-            log(f"seed {seed}: {name}")
-        model, manifest = experiment.train_cell(
-            cfg, d_p, d_f, scenario, scheme, seed, cache_dir, train_eps)
+def _seed_results(trained: dict, test, cache_dir: str, n_analysis: int) -> dict:
+    """One seed's evaluations and CKA values (cached) of its `trained`
+    cells, name -> (model, manifest); every result is keyed by cell name,
+    or by scenario for the cross-scheme CKA."""
+    cells = {}
+    for name, (model, manifest) in trained.items():
+        scenario, scheme, _, need_tm2 = CELLS[name]
         key = manifest["cell_key"]
         cells[name] = {
             "key": key,
             "eval": _eval_cell(model, test, key, cache_dir, scenario, scheme, need_tm2),
-            "runtime_s": manifest.get("runtime_s", 0.0),
+            "runtime_s": manifest["runtime_s"],
         }
-        trained[name] = model
     return {
         "cells": cells,
-        "final_cka": {name: _final_cka(trained[name], test, cells[name]["key"],
+        "final_cka": {name: _final_cka(trained[name][0], test, cells[name]["key"],
                                        cache_dir, n_analysis)
                       for name in FINAL_CKA},
-        "cross_upper": {scenario: _cross_upper(trained[a], trained[b], test,
+        "cross_upper": {scenario: _cross_upper(trained[a][0], trained[b][0], test,
                                                cells[a]["key"], cells[b]["key"],
                                                cache_dir, n_analysis)
                         for scenario, (a, b) in CROSS.items()},
@@ -212,10 +206,21 @@ def run_seed(cfg: ExperimentConfig, seed: int, cache_dir: str,
 
 def run_suite(seeds=SEEDS, cache_dir=None, cfg=None, log=None,
               n_analysis: int = 400) -> dict:
+    """Train every seed's `CELLS` in one `experiment.train_cells` call, then
+    evaluate them seed by seed."""
     cfg = cfg or fixture_config()
     cache_dir = cache_dir or default_cache_dir()
-    return {"seeds": {seed: run_seed(cfg, seed, cache_dir, log=log, n_analysis=n_analysis)
-                      for seed in seeds}}
+    d_p, d_f, test = experiment.build_splits(cfg, experiment.build_dataset(cfg))
+    jobs = [(scenario, scheme, seed, train_eps) for seed in seeds
+            for scenario, scheme, train_eps, _ in CELLS.values()]
+    results = iter(experiment.train_cells(cfg, d_p, d_f, jobs, cache_dir, log))
+    suite = {}
+    for seed in seeds:
+        trained = dict(zip(CELLS, results))
+        if failed := [f"{name}: {got}" for name, got in trained.items() if isinstance(got, str)]:
+            raise RuntimeError(f"seed {seed}: " + "; ".join(failed))
+        suite[seed] = _seed_results(trained, test, cache_dir, n_analysis)
+    return {"seeds": suite}
 
 
 def _check_per_seed(suite, fn):

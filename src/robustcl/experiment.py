@@ -1,12 +1,11 @@
 """Orchestration: build datasets and models from a config, train scenario
-cells with on-disk caching, and run evaluation sweeps."""
+cells with on-disk caching on the usable CPUs, and run evaluation sweeps."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-import time
 import warnings
 from contextlib import contextmanager
 
@@ -160,47 +159,81 @@ def train_cell(cfg: ExperimentConfig, d_p: Dataset, d_f: Dataset,
     return model, manifest
 
 
-def _sweep_cell(args):
-    cfg_sections, scenario, scheme, seed, cache_dir = args
-    cfg = ExperimentConfig(cfg_sections)
-    dataset = build_dataset(cfg)
-    d_p, d_f, test = build_splits(cfg, dataset)
-    t0 = time.time()
+# a scenario's place in the training queue: the costliest cells start first
+_SCENARIO_RANK = {"Full-AT": 0, "AT": 1, "Partial-AT": 1, "ST": 2}
+
+
+def _train_job(job, cfg, d_p, d_f, cache_dir):
+    """`train_cell` of one job, or its error as a string, so that the other jobs go on."""
+    scenario, scheme, seed, train_eps = job
     try:
-        model, manifest = train_cell(cfg, d_p, d_f, scenario, scheme, seed, cache_dir)
-        report = evaluation.evaluate(model, test, cfg.eval_attacks(scheme),
-                                     scenario=scenario, scheme=scheme,
-                                     model_id=f"{scenario}/{scheme}/s{seed}")
-        runtime = manifest.get("runtime_s", time.time() - t0)
-        return evaluation.results_rows(report, seed, runtime), None
-    except Exception as exc:  # sweep continues; failure recorded per cell
-        return [], f"{scenario}/{scheme}/s{seed}: {exc}"
+        return train_cell(cfg, d_p, d_f, scenario, scheme, seed, cache_dir, train_eps)
+    except Exception as exc:
+        return str(exc)
 
 
-def scenario_sweep(cfg: ExperimentConfig, cache_dir=None, workers: int = 1):
-    """Train + evaluate every (scenario, scheme, seed) grid cell, in a pool
-    of `workers` processes when there is more than one.
+def _train_pooled(jobs, workers, *args):
+    """Yield (index, `_train_job` result) as each of `jobs` (index -> job)
+    finishes on `workers` processes, forked so they start pinned and loaded."""
+    # imported here, or every import of this module would load the pool modules
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    Returns (rows for results.csv, list of per-cell error strings)."""
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+        futures = {pool.submit(_train_job, job, *args): i for i, job in jobs.items()}
+        for future in as_completed(futures):
+            yield futures[future], future.result()
+
+
+def train_cells(cfg: ExperimentConfig, d_p: Dataset, d_f: Dataset, jobs, cache_dir,
+                log=None) -> list:
+    """(model, manifest), or the error string, of each (scenario, scheme,
+    seed, train_epsilon) job, in job order. Cached cells are read here; the
+    others train through `train_cell`, costliest scenario first, on one
+    worker per usable CPU, or here when fewer than two would be busy."""
+    results = [cached_cell(cache_dir, cell_key(cfg, scenario, scheme, seed, d_p, train_eps))
+               for scenario, scheme, seed, train_eps in jobs]
+    misses = {i: jobs[i] for i in sorted((i for i, hit in enumerate(results) if hit is None),
+                                         key=lambda i: _SCENARIO_RANK.get(jobs[i][0], 0))}
+    args = (cfg, d_p, d_f, cache_dir)
+    workers = min(len(misses), len(os.sched_getaffinity(0)))
+    if workers < 2:
+        done = ((i, _train_job(job, *args)) for i, job in misses.items())
+    else:
+        if log:
+            log(f"training {len(misses)} cells on {workers} workers")
+        done = _train_pooled(misses, workers, *args)
+    for i, got in done:
+        results[i] = got
+        if log:
+            scenario, scheme, seed, eps = jobs[i]
+            name = f"{scenario}/{scheme}" + ("" if eps is None else f"/eps={eps:.4f}")
+            log(f"seed {seed}: {name} " + (f"failed: {got}" if isinstance(got, str) else
+                                           f"trained in {got[1]['runtime_s']:.0f} s"))
+    return results
+
+
+def scenario_sweep(cfg: ExperimentConfig, cache_dir):
+    """Train (`train_cells`) and evaluate every (scenario, scheme, seed)
+    grid cell. Returns (rows for results.csv, list of per-cell error
+    strings)."""
     scenarios = cfg.getlist("sweep", "scenarios")
     schemes = cfg.getlist("sweep", "schemes")
     seeds = cfg.getlist("sweep", "seeds", int)
     if not scenarios or not schemes or not seeds:
         raise ConfigError("sweep grid is empty")
-    cells = [(cfg.sections, sc, sch, seed, cache_dir)
-             for sc in scenarios for sch in schemes for seed in seeds]
-    if workers > 1:
-        # imported here: the pool module pulls in multiprocessing, socket and
-        # logging, which every import of this module would pay otherwise
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers) as pool:
-            results = list(pool.map(_sweep_cell, cells))
-    else:
-        results = map(_sweep_cell, cells)
+    d_p, d_f, test = build_splits(cfg, build_dataset(cfg))
+    jobs = [(sc, sch, seed, None) for sc in scenarios for sch in schemes for seed in seeds]
     rows, errors = [], []
-    for cell_rows, err in results:
-        rows.extend(cell_rows)
-        if err:
-            errors.append(err)
+    for (scenario, scheme, seed, _), got in zip(jobs, train_cells(cfg, d_p, d_f, jobs,
+                                                                  cache_dir)):
+        cell = f"{scenario}/{scheme}/s{seed}"
+        try:
+            if isinstance(got, str):
+                raise RuntimeError(got)
+            report = evaluation.evaluate(got[0], test, cfg.eval_attacks(scheme),
+                                         scenario=scenario, scheme=scheme, model_id=cell)
+            rows.extend(evaluation.results_rows(report, seed, got[1]["runtime_s"]))
+        except Exception as exc:  # sweep continues; failure recorded per cell
+            errors.append(f"{cell}: {exc}")
     return rows, errors

@@ -1,16 +1,9 @@
-import os
+import robustcl  # noqa: F401  (first: pins one BLAS thread before numpy loads)
+import numpy as np
+import pytest
 
-# One BLAS thread, set before numpy loads: OpenBLAS reads the count once.
-# The committed cache reproduces at one thread, and a second thread only
-# slows the suite down when the other core is busy.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import numpy as np  # noqa: E402
-import pytest  # noqa: E402
-
-from robustcl import attacks, data, models  # noqa: E402
-from robustcl.models import EncoderConfig  # noqa: E402
+from robustcl import attacks, data, models
+from robustcl.models import EncoderConfig
 
 
 @pytest.fixture(scope="session")

@@ -242,7 +242,7 @@ class TestCli:
         "scenario.batch_size=abc", "dataset.n=abc", "model.layer_widths=a,b",
         "scenario.scenario=XX", "augment.erase_patch_prob=2", "loss.scheme=XX",
         "attack_train.epsilon=-1", "attack_eval.epsilons=x", "analysis.n_samples=x",
-        "sweep.workers=x",
+        "sweep.seeds=x", "dataset.n=1", "dataset.classes=1", "model.layer_widths=5",
     ])
     def test_a_value_that_does_not_parse_or_build_is_a_config_error(
             self, tmp_path, capsys, override):
@@ -315,30 +315,34 @@ class TestCli:
         assert run_cli(tmp_path, "sweep", overrides) == 0
         assert results.read_bytes() == first
 
-    def test_sweep_records_a_failing_cell_and_goes_on(self, tmp_path):
-        # SL trains end to end, so it has no Partial-AT cell: that cell fails
-        overrides = FAST_VECTOR + ["sweep.scenarios=Partial-AT", "sweep.schemes=SL,CL",
+    def test_sweep_records_a_failing_cell_and_goes_on(self, tmp_path, monkeypatch):
+        # SL trains end to end, so it has no Partial-AT cell: that cell fails.
+        # The pool trains Partial-AT cells before ST ones; rows keep grid order.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        overrides = FAST_VECTOR + ["sweep.scenarios=ST,Partial-AT", "sweep.schemes=SL,CL",
                                    "sweep.seeds=0"]
         assert run_cli(tmp_path, "sweep", overrides) == 0
         errors = (tmp_path / "sweep_errors.txt").read_text().splitlines()
         assert len(errors) == 1 and errors[0].startswith("Partial-AT/SL/s0: ")
         rows = evaluation.read_results_csv(tmp_path / "results.csv")
-        assert [(r["scenario"], r["scheme"]) for r in rows] == [("Partial-AT", "CL")]
+        assert [(r["scenario"], r["scheme"]) for r in rows] == [
+            ("ST", "SL"), ("ST", "CL"), ("Partial-AT", "CL")]
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert str(tmp_path / "sweep_errors.txt") in manifest["files"]
 
-    def test_sweep_pool_matches_in_process(self, tmp_path):
+    def test_sweep_pool_matches_in_process(self, tmp_path, monkeypatch):
         overrides = FAST_VECTOR + ["sweep.scenarios=ST,AT", "sweep.schemes=SL,CL",
                                    "sweep.seeds=0,1"]
         runs = {}
-        for workers in (1, 2):
-            out = tmp_path / f"workers{workers}"
-            assert run_cli(out, "sweep", overrides + [f"sweep.workers={workers}"]) == 0
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = tmp_path / f"cpus{cpus}"
+            assert run_cli(out, "sweep", overrides) == 0
             rows = evaluation.read_results_csv(out / "results.csv")
             cache = {p.name: p.read_bytes() for p in (out / "cache").iterdir()
                      if p.name.endswith((".ckpt", ".loss.csv"))}
-            runs[workers] = ([{k: v for k, v in r.items() if k != "runtime_s"}
-                              for r in rows], cache)
+            runs[cpus] = ([{k: v for k, v in r.items() if k != "runtime_s"}
+                           for r in rows], cache)
         assert len(runs[1][0]) == 8 and len(runs[1][1]) == 16
         assert runs[2] == runs[1]
 

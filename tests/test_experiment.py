@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from robustcl import analysis, directional, evaluation, experiment
+from robustcl import analysis, directional, evaluation, experiment, models
 from robustcl.config import load_config
 
 TINY = [
@@ -21,7 +21,7 @@ TINY = [
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # the sweep imports the pool only when it runs more than one worker
+    # the cell executor imports the pool only when it trains on two workers
     src = str(Path(experiment.__file__).resolve().parents[1])
     probe = ("import sys, robustcl.experiment, robustcl.directional, robustcl.cli; "
              "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
@@ -29,6 +29,16 @@ def test_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_import_pins_one_blas_thread():
+    src = str(Path(experiment.__file__).resolve().parents[1])
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    probe = f"import os, robustcl.cli; print([os.environ[v] for v in {names}])"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src,
+                                          "OPENBLAS_NUM_THREADS": "4"})
+    assert out.stdout.strip() == "['1', '1', '1']"
 
 
 class TestAtomicPath:
@@ -88,6 +98,54 @@ def test_cell_key_names_each_model_once():
     assert key("ST", directional.EPS4) == key("ST", 0.0) == key("ST", None)
     # another budget trains another model
     assert key("AT", directional.EPS4) not in (key("AT", None), key("ST", None))
+
+
+def test_train_cells_trains_the_costliest_scenarios_first(tmp_path, monkeypatch):
+    """Misses train Full-AT, then AT and Partial-AT, then ST, each rank in job
+    order; results come back in job order, a failed job as its error."""
+    trained = []
+
+    def train_cell(cfg, d_p, d_f, scenario, scheme, seed, cache_dir=None,
+                   train_epsilon=None):
+        trained.append((scenario, scheme))
+        if scenario == "Partial-AT":
+            raise ValueError("no such cell")
+        return f"{scenario}/{scheme}", {"runtime_s": 2.0}
+
+    monkeypatch.setattr(experiment, "train_cell", train_cell)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cfg = load_config(text="", overrides=TINY)
+    d_p = experiment.build_dataset(cfg)
+    jobs = [("ST", "SL", 0, None), ("AT", "CL", 0, 0.01), ("Partial-AT", "SL", 0, None),
+            ("Full-AT", "CL", 0, None), ("AT", "SCL", 0, None)]
+    lines = []
+    results = experiment.train_cells(cfg, d_p, d_p, jobs, str(tmp_path), log=lines.append)
+    assert trained == [("Full-AT", "CL"), ("AT", "CL"), ("Partial-AT", "SL"),
+                       ("AT", "SCL"), ("ST", "SL")]
+    assert results == [("ST/SL", {"runtime_s": 2.0}), ("AT/CL", {"runtime_s": 2.0}),
+                       "no such cell", ("Full-AT/CL", {"runtime_s": 2.0}),
+                       ("AT/SCL", {"runtime_s": 2.0})]
+    assert lines[:3] == ["seed 0: Full-AT/CL trained in 2 s",
+                         "seed 0: AT/CL/eps=0.0100 trained in 2 s",
+                         "seed 0: Partial-AT/SL failed: no such cell"]
+
+
+def test_a_warm_suite_reads_each_checkpoint_once_and_starts_no_pool(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*a, **k):
+        raise AssertionError("a warm cache started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    loaded = []
+    load = models.load_checkpoint
+    monkeypatch.setattr(models, "load_checkpoint",
+                        lambda path: loaded.append(path) or load(path))
+    lines = []
+    suite = directional.run_suite(seeds=(0,), log=lines.append)
+    assert len(loaded) == len(directional.CELLS) == 11
+    assert sorted(suite["seeds"][0]["cells"]) == sorted(directional.CELLS)
+    assert lines == []
 
 
 @pytest.mark.parametrize("ext, garble", [
