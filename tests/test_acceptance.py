@@ -10,7 +10,8 @@ at least 2 of 3 seeds. These tests read the cell cache under
 runs/acceptance/cache; run scripts/run_directional.py first to populate it
 (a cold cache retrains all 33 cells: their manifests record 1293 s of
 training, written by an older, slower build of the training code; the
-current code trains a cold seed 0 in about 250 s on one core).
+current code trains a cold seed 0 in about 120 s on two cores, one worker
+per core, and in about 240 s on one).
 """
 
 import filecmp
