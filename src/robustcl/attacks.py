@@ -63,6 +63,11 @@ class AttackSpec:
     def threat_model(self) -> str:
         return "I" if self.driving_loss == "CE" else "II"
 
+    @property
+    def robust_key(self) -> tuple:
+        """The key of this attack's accuracy in `EvalReport.robust`."""
+        return self.threat_model, self.epsilon, self.steps
+
     def for_data(self, is_image: bool) -> "AttackSpec":
         """This spec, without the [0, 1] clamp when the data are vectors."""
         if is_image or self.clamp is None:

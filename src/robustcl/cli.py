@@ -106,15 +106,16 @@ def _trained_model(args):
 
 
 def cmd_evaluate(args) -> int:
+    """Evaluate the config's cell (cached beside it) or the --checkpoint model (uncached)."""
     cfg, out, model, manifest, (_, _, test) = _trained_model(args)
-    scheme = cfg.get("loss", "scheme")
-    report = evaluation.evaluate(model, test, cfg.eval_attacks(scheme),
-                                 scenario=cfg.get("scenario", "scenario"),
-                                 scheme=scheme)
+    scenario, scheme, seed = _own_cell(cfg)
+    key = manifest.get("cell_key")  # None for a --checkpoint model
+    report = experiment.evaluate_cell(model, test, cfg.eval_attacks(scheme), scenario,
+                                      scheme, key, os.path.join(out, "cache") if key else None)
     # runtime_s reports the (cached) training cost so reruns of this command
     # reproduce results.csv byte for byte
-    rows = evaluation.results_rows(report, cfg.getint("experiment", "seed"),
-                                   manifest.get("runtime_s", 0.0))
+    rows = evaluation.results_rows(report, seed, manifest.get("runtime_s", 0.0),
+                                   cfg.train_epsilon(scenario))
     path = os.path.join(out, "results.csv")
     evaluation.write_results_csv(rows, path)
     _write_manifest(cfg, out, [path])

@@ -6,7 +6,10 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .attacks import AttackError, AttackSpec
 from .data import AugmentSpec, DataError, check_bar_images, check_synthetic
@@ -150,8 +153,6 @@ class ExperimentConfig:
         input_shape = tuple(input_shape)
         if kind == "dense" and len(input_shape) > 1:
             # dense encoders flatten image inputs in-graph
-            import numpy as np
-
             input_shape = (int(np.prod(input_shape)),)
         return EncoderConfig(kind,
                              tuple(self.getlist("model", "layer_widths", int)),
@@ -214,18 +215,20 @@ class ExperimentConfig:
                     raise ConfigError(f"unknown threat model {tm!r}")
         return specs
 
+    def train_epsilon(self, scenario: str, override: float | None = None):
+        """The attack budget a cell of `scenario` trains at: `override`, else
+        the configured one; None under ST, which trains no attack."""
+        if scenario == "ST":
+            return None
+        return self.getfloat("attack_train", "epsilon") if override is None else override
+
     def scenario_spec(self, scenario: str | None = None, scheme: str | None = None,
                       seed: int | None = None,
                       train_epsilon: float | None = None) -> ScenarioSpec:
         scenario = scenario or self.get("scenario", "scenario")
         scheme = scheme or self.get("loss", "scheme")
-        attack = None
-        if scenario != "ST":
-            attack = self.train_attack()
-            if train_epsilon is not None:
-                from dataclasses import replace
-
-                attack = replace(attack, epsilon=train_epsilon)
+        eps = self.train_epsilon(scenario, train_epsilon)
+        attack = None if eps is None else replace(self.train_attack(), epsilon=eps)
         return ScenarioSpec(
             scenario=scenario,
             scheme=scheme,
@@ -276,8 +279,9 @@ def load_config(path=None, text: str | None = None, overrides=None) -> Experimen
 
 def validate(cfg: ExperimentConfig) -> None:
     """Raise ConfigError unless every key parses, a synthetic source's
-    generator and the encoder accept their arguments, and the scenario, its
-    training attack and the evaluation attacks build."""
+    generator accepts its arguments, a file source's files exist, the
+    encoder accepts its widths (and a synthetic source's input shape), and
+    the scenario, its training attack and the evaluation attacks build."""
     source = cfg.get("dataset", "source")
     if source not in ("synthetic", "synthetic_images", "idx", "csv"):
         raise ConfigError(f"[dataset] source: unknown value {source!r}")
@@ -290,7 +294,7 @@ def validate(cfg: ExperimentConfig) -> None:
     n, dim, classes, size = (cfg.getint("dataset", k) for k in ("n", "dim", "classes", "size"))
     separation, _, _, shortcut_amp = (cfg.getfloat("dataset", k) for k in (
         "separation", "contrast", "noise_sigma", "shortcut_amp"))
-    cfg.getlist("model", "layer_widths", int)
+    widths = cfg.getlist("model", "layer_widths", int)
     for section, key in (("model", "head_dim"), ("analysis", "n_samples")):
         cfg.getint(section, key)
     cfg.getlist("sweep", "seeds", int)
@@ -301,6 +305,12 @@ def validate(cfg: ExperimentConfig) -> None:
         elif source == "synthetic_images":
             check_bar_images(n, classes, shortcut_amp)
             cfg.encoder_config((1, size, size))
+        else:
+            # no input shape before the files load: check they exist, and the widths
+            for key in ("images_path", "labels_path") if source == "idx" else ("csv_path",):
+                if not os.path.isfile(path := cfg.get("dataset", key)):
+                    raise ConfigError(f"[dataset] {key}: no such file: {path!r}")
+            EncoderConfig("dense", widths, (1,))
         cfg.scenario_spec()
         cfg.train_attack()
         cfg.eval_attacks(cfg.get("loss", "scheme"))

@@ -15,7 +15,6 @@ from pathlib import Path
 from . import analysis, evaluation, experiment
 from .attacks import AttackSpec
 from .config import ExperimentConfig, load_config
-from .evaluation import EvalReport
 
 EPS4 = 4 / 255
 EPS8 = 8 / 255
@@ -138,27 +137,6 @@ def tm2_attack() -> AttackSpec:
                       driving_loss="CL", clamp=(0.0, 1.0), seed=0)
 
 
-def _robust_key(spec: AttackSpec) -> str:
-    return f"{spec.threat_model}|{spec.epsilon!r}|{spec.steps}"
-
-
-def _eval_cell(model, test, key, cache_dir, scenario, scheme, need_tm2):
-    def compute():
-        specs = [tm1_attack()] + ([tm2_attack()] if need_tm2 else [])
-        report = evaluation.evaluate(model, test, specs, scenario=scenario,
-                                     scheme=scheme, model_id=key)
-        return {
-            "clean": report.clean_accuracy,
-            "robust": {_robust_key(s): report.robust[(s.threat_model, s.epsilon, s.steps)]
-                       for s in specs},
-            "n_test": report.n_test,
-            "tm2_queries": report.classifier_grad_queries_tm2,
-        }
-
-    return experiment.cached_json(os.path.join(cache_dir, f"{key}.eval.json"), compute,
-                                  keys=("clean", "robust", "n_test"), indent=2)
-
-
 def _final_cka(model, test, key, cache_dir, n_analysis=400):
     def compute():
         curve = analysis.divergence_curve(model, test, tm1_attack(),
@@ -179,27 +157,27 @@ def _cross_upper(model_a, model_b, test, key_a, key_b, cache_dir, n_analysis=400
                                   compute, keys=("upper_third_mean",))["upper_third_mean"]
 
 
-def _seed_results(trained: dict, test, cache_dir: str, n_analysis: int) -> dict:
-    """One seed's evaluations and CKA values (cached) of its `trained`
-    cells, name -> (model, manifest); every result is keyed by cell name,
-    or by scenario for the cross-scheme CKA."""
+def _seed_results(cfg, trained: dict, test, cache_dir: str, n_analysis: int) -> dict:
+    """One seed's evaluations (`experiment.evaluate_cell`) and CKA values,
+    all cached, of its `trained` cells, name -> (model, manifest); every
+    result is keyed by cell name, or by scenario for the cross-scheme CKA."""
     cells = {}
     for name, (model, manifest) in trained.items():
-        scenario, scheme, _, need_tm2 = CELLS[name]
-        key = manifest["cell_key"]
+        scenario, scheme, train_eps, need_tm2 = CELLS[name]
+        specs = [tm1_attack()] + ([tm2_attack()] if need_tm2 else [])
         cells[name] = {
-            "key": key,
-            "eval": _eval_cell(model, test, key, cache_dir, scenario, scheme, need_tm2),
+            "report": experiment.evaluate_cell(model, test, specs, scenario, scheme,
+                                               manifest["cell_key"], cache_dir),
             "runtime_s": manifest["runtime_s"],
+            "train_epsilon": cfg.train_epsilon(scenario, train_eps),
         }
+    key = {name: manifest["cell_key"] for name, (_, manifest) in trained.items()}
     return {
         "cells": cells,
-        "final_cka": {name: _final_cka(trained[name][0], test, cells[name]["key"],
-                                       cache_dir, n_analysis)
+        "final_cka": {name: _final_cka(trained[name][0], test, key[name], cache_dir, n_analysis)
                       for name in FINAL_CKA},
         "cross_upper": {scenario: _cross_upper(trained[a][0], trained[b][0], test,
-                                               cells[a]["key"], cells[b]["key"],
-                                               cache_dir, n_analysis)
+                                               key[a], key[b], cache_dir, n_analysis)
                         for scenario, (a, b) in CROSS.items()},
     }
 
@@ -219,7 +197,7 @@ def run_suite(seeds=SEEDS, cache_dir=None, cfg=None, log=None,
         trained = dict(zip(CELLS, results))
         if failed := [f"{name}: {got}" for name, got in trained.items() if isinstance(got, str)]:
             raise RuntimeError(f"seed {seed}: " + "; ".join(failed))
-        suite[seed] = _seed_results(trained, test, cache_dir, n_analysis)
+        suite[seed] = _seed_results(cfg, trained, test, cache_dir, n_analysis)
     return {"seeds": suite}
 
 
@@ -235,10 +213,10 @@ def _check_per_seed(suite, fn):
 
 def badges(suite) -> list:
     """One (name, passed, detail) triple per directional claim."""
-    tm1_id, tm2_id = _robust_key(tm1_attack()), _robust_key(tm2_attack())
+    tm1_id, tm2_id = tm1_attack().robust_key, tm2_attack().robust_key
 
     def tm1(res, name):
-        return res["cells"][name]["eval"]["robust"][tm1_id]
+        return res["cells"][name]["report"].robust[tm1_id]
 
     def c6(res):
         cl = tm1(res, "ST/CL")
@@ -264,7 +242,7 @@ def badges(suite) -> list:
         return at - st >= 0.1, f"upper-third cross CKA AT {at:.3f} vs ST {st:.3f}"
 
     def c10(res):
-        robust = res["cells"]["AT/CL"]["eval"]["robust"]
+        robust = res["cells"]["AT/CL"]["report"].robust
         tm1_acc, tm2_acc = robust[tm1_id], robust[tm2_id]
         return tm2_acc - tm1_acc >= 0.10, f"TM-II {tm2_acc:.3f} vs TM-I {tm1_acc:.3f}"
 
@@ -289,14 +267,7 @@ def results_rows(suite) -> list:
     rows = []
     for seed, res in sorted(suite["seeds"].items()):
         for name in sorted(res["cells"], key=order):
-            scenario, scheme, _, _ = CELLS[name]
             cell = res["cells"][name]
-            robust = {}
-            for rk, acc in cell["eval"]["robust"].items():
-                tm, eps, steps = rk.split("|")
-                robust[(tm, float(eps), int(steps))] = acc
-            report = EvalReport(cell["key"], scenario, scheme,
-                                cell["eval"]["clean"], robust,
-                                cell["eval"]["n_test"])
-            rows.extend(evaluation.results_rows(report, seed, cell["runtime_s"]))
+            rows.extend(evaluation.results_rows(cell["report"], seed, cell["runtime_s"],
+                                                cell["train_epsilon"]))
     return rows

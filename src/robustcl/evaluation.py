@@ -13,10 +13,6 @@ from .models import ModelBundle
 from .tensor import Tensor
 
 
-class EvaluationError(Exception):
-    pass
-
-
 @dataclass
 class EvalReport:
     model_id: str
@@ -65,20 +61,16 @@ def evaluate(model: ModelBundle, test_data: Dataset, attack_list,
     the SL scheme; classifier gradient queries during TM-II attacks are
     audited and must stay at zero.
     """
-    if test_data.n < 1:
-        raise EvaluationError("empty test set")
     clean = _accuracy(model, test_data.inputs, test_data.labels)
     robust = {}
     tm2_queries = 0
     for spec in attack_list:
-        key = (spec.threat_model, spec.epsilon, spec.steps)
+        key = spec.robust_key
         if spec.threat_model == "II" and scheme == "SL":
             robust[key] = None
-            continue
-        if spec.epsilon == 0.0:
+        elif spec.epsilon == 0.0:
             robust[key] = clean
-            continue
-        if spec.threat_model == "II":
+        elif spec.threat_model == "II":
             before = model.classifier_grad_queries
             model.audit_active = True
             try:
@@ -92,27 +84,22 @@ def evaluate(model: ModelBundle, test_data: Dataset, attack_list,
                       classifier_grad_queries_tm2=tm2_queries)
 
 
-def results_rows(report: EvalReport, seed: int, runtime_s: float) -> list:
-    """Rows for results.csv: scenario, scheme, threat_model, epsilon, steps,
-    clean_acc, robust_acc, seed, runtime_s."""
-    rows = []
-    for (tm, eps, steps), acc in sorted(report.robust.items()):
-        rows.append({
-            "scenario": report.scenario,
-            "scheme": report.scheme,
-            "threat_model": tm,
-            "epsilon": repr(float(eps)),
-            "steps": steps,
-            "clean_acc": repr(float(report.clean_accuracy)),
-            "robust_acc": "NA" if acc is None else repr(float(acc)),
-            "seed": seed,
-            "runtime_s": repr(round(float(runtime_s), 3)),
-        })
-    return rows
+def results_rows(report: EvalReport, seed: int, runtime_s: float,
+                 train_epsilon: float | None = None) -> list:
+    """Rows for results.csv, one per attack, keyed by `RESULTS_COLUMNS`;
+    `train_epsilon` is the budget the model trained at, None under ST. A
+    missing number (that, or a robust accuracy that does not apply) is NA."""
+    def num(v):
+        return "NA" if v is None else repr(float(v))
+
+    return [dict(zip(RESULTS_COLUMNS, (
+        report.scenario, report.scheme, num(train_epsilon), tm, num(eps), steps,
+        num(report.clean_accuracy), num(acc), seed, repr(round(float(runtime_s), 3)))))
+        for (tm, eps, steps), acc in sorted(report.robust.items())]
 
 
-RESULTS_COLUMNS = ["scenario", "scheme", "threat_model", "epsilon", "steps",
-                   "clean_acc", "robust_acc", "seed", "runtime_s"]
+RESULTS_COLUMNS = ["scenario", "scheme", "train_epsilon", "threat_model", "epsilon",
+                   "steps", "clean_acc", "robust_acc", "seed", "runtime_s"]
 
 
 def write_results_csv(rows, path) -> None:
@@ -125,8 +112,4 @@ def write_results_csv(rows, path) -> None:
 def read_results_csv(path) -> list:
     with open(path) as f:
         header = f.readline().strip().split(",")
-        rows = []
-        for line in f:
-            if line.strip():
-                rows.append(dict(zip(header, line.strip().split(","))))
-    return rows
+        return [dict(zip(header, line.strip().split(","))) for line in f if line.strip()]

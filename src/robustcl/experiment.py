@@ -1,5 +1,6 @@
 """Orchestration: build datasets and models from a config, train scenario
-cells with on-disk caching on the usable CPUs, and run evaluation sweeps."""
+cells on the usable CPUs and evaluate them, both cached on disk, and run
+evaluation sweeps."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import json
 import os
 import warnings
 from contextlib import contextmanager
+from dataclasses import asdict
 
 from . import data, evaluation, models, training
 from .config import ConfigError, ExperimentConfig
@@ -103,12 +105,15 @@ def _read_cached(path, keys=(), load=lambda payload: payload):
         return None
 
 
-def cached_json(path, compute, keys=(), indent=None) -> dict:
-    """The JSON object cached at `path` (`_read_cached`); on a miss,
-    `compute()` it and write it atomically."""
-    payload = _read_cached(path, keys)
+def cached_json(path, compute, keys=(), indent=None, record=None) -> dict:
+    """The JSON object cached at `path` (`_read_cached`), also a miss if it
+    lacks a field of `record` or holds another value there (compared as
+    JSON); on a miss, `compute()` it, add `record` and write it atomically."""
+    record = json.loads(json.dumps(record or {}))  # tuples compare as lists
+    payload = _read_cached(path, keys, lambda got: got if all(
+        got.get(k) == v for k, v in record.items()) else None)
     if payload is None:
-        payload = compute()
+        payload = {**compute(), **record}
         with atomic_path(path) as tmp, open(tmp, "w") as f:
             json.dump(payload, f, indent=indent, sort_keys=True)
     return payload
@@ -143,9 +148,7 @@ def train_cell(cfg: ExperimentConfig, d_p: Dataset, d_f: Dataset,
     enc_cfg = cfg.encoder_config(d_p.input_shape)
     model = models.init_model(enc_cfg, d_p.n_classes, cfg.getint("model", "head_dim"), seed)
     record = training.run_scenario(model, d_p, d_f, spec)
-    manifest = dict(record.manifest)
-    manifest["cell_key"] = key
-    manifest["config_hash"] = cfg.hash()
+    manifest = {**record.manifest, "cell_key": key}
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
         paths = entry_paths(cache_dir, key)
@@ -213,17 +216,41 @@ def train_cells(cfg: ExperimentConfig, d_p: Dataset, d_f: Dataset, jobs, cache_d
     return results
 
 
+def evaluate_cell(model, test: Dataset, specs, scenario: str, scheme: str,
+                  key: str | None = None, cache_dir=None) -> evaluation.EvalReport:
+    """`evaluation.evaluate` of cell `key` under the attack `specs`, cached
+    in `<cache_dir>/<key>.eval.json` when there is a `cache_dir`. The file
+    records every field of the specs: one of other specs is a miss."""
+    if cache_dir is None:
+        return evaluation.evaluate(model, test, specs, scenario, scheme, key or "model")
+
+    def robust_id(spec):
+        return f"{spec.threat_model}|{spec.epsilon!r}|{spec.steps}"
+
+    def compute():
+        report = evaluation.evaluate(model, test, specs, scenario, scheme, key)
+        return {"clean": report.clean_accuracy, "n_test": report.n_test,
+                "robust": {robust_id(s): report.robust[s.robust_key] for s in specs},
+                "tm2_queries": report.classifier_grad_queries_tm2}
+
+    payload = cached_json(os.path.join(cache_dir, f"{key}.eval.json"), compute,
+                          ("clean", "robust", "n_test", "tm2_queries"), indent=2,
+                          record={"specs": [asdict(s) for s in specs]})
+    robust = {s.robust_key: payload["robust"][robust_id(s)] for s in specs}
+    return evaluation.EvalReport(key, scenario, scheme, payload["clean"], robust,
+                                 payload["n_test"], payload["tm2_queries"])
+
+
 def scenario_sweep(cfg: ExperimentConfig, cache_dir):
-    """Train (`train_cells`) and evaluate every (scenario, scheme, seed)
-    grid cell. Returns (rows for results.csv, list of per-cell error
-    strings)."""
-    scenarios = cfg.getlist("sweep", "scenarios")
-    schemes = cfg.getlist("sweep", "schemes")
-    seeds = cfg.getlist("sweep", "seeds", int)
-    if not scenarios or not schemes or not seeds:
+    """Train (`train_cells`) and evaluate (`evaluate_cell`) every (scenario,
+    scheme, seed) grid cell, both cached in `cache_dir`. Returns (rows for
+    results.csv, list of per-cell error strings)."""
+    jobs = [(sc, sch, seed, None) for sc in cfg.getlist("sweep", "scenarios")
+            for sch in cfg.getlist("sweep", "schemes")
+            for seed in cfg.getlist("sweep", "seeds", int)]
+    if not jobs:
         raise ConfigError("sweep grid is empty")
     d_p, d_f, test = build_splits(cfg, build_dataset(cfg))
-    jobs = [(sc, sch, seed, None) for sc in scenarios for sch in schemes for seed in seeds]
     rows, errors = [], []
     for (scenario, scheme, seed, _), got in zip(jobs, train_cells(cfg, d_p, d_f, jobs,
                                                                   cache_dir)):
@@ -231,9 +258,11 @@ def scenario_sweep(cfg: ExperimentConfig, cache_dir):
         try:
             if isinstance(got, str):
                 raise RuntimeError(got)
-            report = evaluation.evaluate(got[0], test, cfg.eval_attacks(scheme),
-                                         scenario=scenario, scheme=scheme, model_id=cell)
-            rows.extend(evaluation.results_rows(report, seed, got[1]["runtime_s"]))
+            model, manifest = got
+            report = evaluate_cell(model, test, cfg.eval_attacks(scheme), scenario, scheme,
+                                   manifest["cell_key"], cache_dir)
+            rows.extend(evaluation.results_rows(report, seed, manifest["runtime_s"],
+                                                cfg.train_epsilon(scenario)))
         except Exception as exc:  # sweep continues; failure recorded per cell
             errors.append(f"{cell}: {exc}")
     return rows, errors

@@ -415,9 +415,10 @@ class TestCacheFreshness:
         cache, d_p, test, model = committed
         key = experiment.cell_key(directional.fixture_config(), "AT", "CL", 0, d_p)
         assert key == "c06d7bea7c50898f"
-        got = directional._eval_cell(model(key), test, key, str(tmp_path), "AT", "CL",
-                                     need_tm2=True)
-        assert got == json.loads((cache / f"{key}.eval.json").read_text())
+        specs = [directional.tm1_attack(), directional.tm2_attack()]
+        experiment.evaluate_cell(model(key), test, specs, "AT", "CL", key, str(tmp_path))
+        got = (tmp_path / f"{key}.eval.json").read_text()
+        assert json.loads(got) == json.loads((cache / f"{key}.eval.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +473,11 @@ class TestEndToEndDeterminism:
 
     def test_warm_script_rewrites_the_committed_results_and_report(self, tmp_path):
         """`scripts/run_directional.py` on the committed cache writes the
-        committed results.csv and report.md byte for byte."""
+        committed results.csv and report.md byte for byte, and writes no
+        file in the cache."""
         root = Path(__file__).resolve().parents[1]
+        cache = Path(directional.default_cache_dir())
+        before = {p.name: p.stat().st_mtime_ns for p in cache.iterdir()}
         spec = importlib.util.spec_from_file_location(
             "run_directional", root / "scripts" / "run_directional.py")
         script = importlib.util.module_from_spec(spec)
@@ -482,3 +486,4 @@ class TestEndToEndDeterminism:
         committed = root / "runs" / "acceptance"
         for name in ("results.csv", "report.md"):
             assert filecmp.cmp(tmp_path / name, committed / name, shallow=False), name
+        assert {p.name: p.stat().st_mtime_ns for p in cache.iterdir()} == before

@@ -14,7 +14,7 @@ import copy
 
 import pytest
 
-from robustcl import directional, experiment
+from robustcl import directional, evaluation, experiment
 
 EPS4 = directional.EPS4
 MARGIN = 0.01
@@ -113,8 +113,6 @@ def _stub_leaves(monkeypatch, values_by_seed):
     """Stub the suite's dataset, training, evaluation and CKA leaves to read
     `values_by_seed[seed]`; a cell's key names its cell and seed."""
     cells = {}  # key -> (seed, (scenario, scheme, train_eps))
-    tm1_key = directional._robust_key(directional.tm1_attack())
-    tm2_key = directional._robust_key(directional.tm2_attack())
 
     def cell_key(cfg, scenario, scheme, seed, dataset, train_epsilon=None):
         key = f"{scenario}|{scheme}|{train_epsilon}|{seed}"
@@ -130,13 +128,12 @@ def _stub_leaves(monkeypatch, values_by_seed):
         seed, cell = cells[key]
         return values_by_seed[seed], cell
 
-    def eval_cell(model, test, key, cache_dir, scenario, scheme, need_tm2):
+    def evaluate_cell(model, test, specs, scenario, scheme, key=None, cache_dir=None):
         assert model == f"model {key}"
         values, cell = lookup(key)
-        robust = {tm1_key: values["tm1"][cell]}
-        if need_tm2:
-            robust[tm2_key] = values["tm2"]
-        return {"clean": 0.9, "robust": robust, "n_test": 500, "tm2_queries": 0}
+        robust = {s.robust_key: values["tm1"][cell] if s.threat_model == "I" else values["tm2"]
+                  for s in specs}
+        return evaluation.EvalReport(key, scenario, scheme, 0.9, robust, 500)
 
     def final_cka(model, test, key, cache_dir, n_analysis=400):
         values, cell = lookup(key)
@@ -152,7 +149,7 @@ def _stub_leaves(monkeypatch, values_by_seed):
                         lambda cfg, dataset: ("d_p", "d_f", "test"))
     monkeypatch.setattr(experiment, "cell_key", cell_key)
     monkeypatch.setattr(experiment, "train_cell", train_cell)
-    monkeypatch.setattr(directional, "_eval_cell", eval_cell)
+    monkeypatch.setattr(experiment, "evaluate_cell", evaluate_cell)
     monkeypatch.setattr(directional, "_final_cka", final_cka)
     monkeypatch.setattr(directional, "_cross_upper", cross_upper)
 

@@ -250,6 +250,34 @@ class TestCli:
         assert "config error: " in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("source, broken", [
+        ("idx", ["model.layer_widths=5"]),
+        ("idx", ["model.layer_widths=8,0"]),
+        ("idx", ["dataset.images_path=absent"]),
+        ("idx", ["dataset.labels_path=absent"]),
+        ("csv", ["model.layer_widths=5"]),
+        ("csv", ["dataset.csv_path=absent"]),
+    ], ids=["idx-one-layer", "idx-zero-width", "idx-no-images", "idx-no-labels",
+            "csv-one-layer", "csv-no-file"])
+    def test_a_file_source_is_checked_before_any_work(self, tmp_path, capsys, source,
+                                                      broken):
+        if source == "idx":
+            assert run_cli(tmp_path / "data", "gen-data", [
+                "dataset.source=synthetic_images", "dataset.n=40"]) == 0
+            files = {"images_path": "images-idx3-ubyte", "labels_path": "labels-idx1-ubyte"}
+        else:
+            assert run_cli(tmp_path / "data", "gen-data", ["dataset.n=40"]) == 0
+            files = {"csv_path": ".csv"}
+        generated = json.loads((tmp_path / "data" / "run_manifest.json").read_text())["files"]
+        overrides = [f"dataset.source={source}"] + [
+            f"dataset.{key}={path}" for key, suffix in files.items()
+            for path in generated if path.endswith(suffix)]
+        assert run_cli(tmp_path / "out", "train", overrides + ["model.layer_widths=8,4"]) == 0
+        capsys.readouterr()
+        assert run_cli(tmp_path / "out_broken", "train", overrides + broken) == 1
+        assert "config error: " in capsys.readouterr().err
+        assert not (tmp_path / "out_broken").exists()
+
     def test_evaluate_missing_checkpoint(self, tmp_path):
         rc = run_cli(tmp_path, "evaluate", FAST_VECTOR)
         assert rc == 1
@@ -279,6 +307,8 @@ class TestCli:
         assert run_cli(tmp_path / "out", "evaluate", FAST_VECTOR, checkpoint=str(ckpt)) == 0
         assert loaded == [str(ckpt)]
         assert (tmp_path / "out" / "results.csv").exists()
+        # a model from outside the cache is evaluated, not cached
+        assert not (tmp_path / "out" / "cache").exists()
 
     @pytest.mark.parametrize("command", ["gen-data", "train", "sweep", "report"])
     def test_checkpoint_is_a_usage_error_where_no_model_is_read(self, command):
@@ -314,6 +344,29 @@ class TestCli:
         first = results.read_bytes()
         assert run_cli(tmp_path, "sweep", overrides) == 0
         assert results.read_bytes() == first
+
+    def test_warm_reruns_evaluate_nothing_until_an_attack_changes(self, tmp_path,
+                                                                  monkeypatch):
+        overrides = FAST_VECTOR + ["sweep.scenarios=ST", "sweep.schemes=SL,CL",
+                                   "sweep.seeds=0"]
+        calls = []
+        evaluate = evaluation.evaluate
+        monkeypatch.setattr(evaluation, "evaluate",
+                            lambda *a, **k: calls.append(a[4]) or evaluate(*a, **k))
+        # the config's own cell is the sweep's ST/SL, so evaluate reads its evaluation
+        for command in ("sweep", "evaluate"):
+            assert run_cli(tmp_path, command, overrides) == 0
+        assert calls == ["SL", "CL"]
+        before = {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
+        for command in ("sweep", "evaluate"):
+            assert run_cli(tmp_path, command, overrides) == 0
+        assert calls == ["SL", "CL"]
+        assert {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()} == before
+        # random_start is a field of the recorded specs: changing it re-evaluates
+        changed = overrides + ["attack_eval.random_start=false"]
+        for command in ("evaluate", "sweep"):
+            assert run_cli(tmp_path, command, changed) == 0
+        assert calls == ["SL", "CL", "SL", "CL"]
 
     def test_sweep_records_a_failing_cell_and_goes_on(self, tmp_path, monkeypatch):
         # SL trains end to end, so it has no Partial-AT cell: that cell fails.

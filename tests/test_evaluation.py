@@ -3,7 +3,7 @@ import pytest
 
 from robustcl import attacks, evaluation, models, training
 from robustcl.attacks import AttackSpec
-from robustcl.evaluation import (EvaluationError, evaluate, results_rows,
+from robustcl.evaluation import (evaluate, results_rows,
                                  robust_accuracy, write_results_csv,
                                  read_results_csv, RESULTS_COLUMNS)
 from robustcl.losses import LossConfig

@@ -76,6 +76,7 @@ def test_train_cell_writes_cache_then_hits_it(tmp_path):
     d_p, d_f, _ = experiment.build_splits(cfg, dataset)
     model, manifest = experiment.train_cell(cfg, d_p, d_f, "ST", "SL", 0, tmp_path)
     key = manifest["cell_key"]
+    assert "config_hash" not in manifest  # the cell key names what trained the cell
     assert sorted(os.listdir(tmp_path)) == sorted(
         f"{key}.{ext}" for ext in ("ckpt", "loss.csv", "manifest.json"))
     assert json.loads((tmp_path / f"{key}.manifest.json").read_text()) == manifest
@@ -136,7 +137,11 @@ def test_a_warm_suite_reads_each_checkpoint_once_and_starts_no_pool(monkeypatch)
     def no_pool(*a, **k):
         raise AssertionError("a warm cache started a process pool")
 
+    def no_evaluation(*a, **k):
+        raise AssertionError("a warm cache evaluated a cell")
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(evaluation, "evaluate", no_evaluation)
     loaded = []
     load = models.load_checkpoint
     monkeypatch.setattr(models, "load_checkpoint",
@@ -236,7 +241,8 @@ CACHED_RESULTS = {
               lambda d: directional._cross_upper(None, None, None, "a", "b", d), 0.5,
               {"final_clean_adv_cka": 0.25}),
     "eval": ("k.eval.json",
-             lambda d: directional._eval_cell(None, None, "k", d, "ST", "SL", False)["n_test"],
+             lambda d: experiment.evaluate_cell(None, None, [directional.tm1_attack()],
+                                                "ST", "SL", "k", d).n_test,
              500, {"clean": 0.75, "robust": {}}),
 }
 
@@ -322,3 +328,42 @@ def test_run_directional_writes_under_the_checkout_by_default(tmp_path, monkeypa
     monkeypatch.setattr(directional, "badges", lambda suite: [])
     assert _script("run_directional").main(["--cache-dir", str(tmp_path / "cache")]) == 0
     assert sorted(os.listdir(tmp_path / "runs" / "acceptance")) == ["report.md", "results.csv"]
+
+
+def _cache_pair(tmp_path):
+    """Two copies of a small cell cache: a checkpoint, a manifest, an eval."""
+    caches = [tmp_path / "a", tmp_path / "b"]
+    for cache in caches:
+        cache.mkdir()
+        (cache / "k.ckpt").write_bytes(b"RRLB\x00\x01")
+        (cache / "k.manifest.json").write_text(
+            json.dumps({"cell_key": "k", "runtime_s": 1.5}, indent=2))
+        (cache / "k.eval.json").write_text(json.dumps({"clean": 0.5, "n_test": 10}))
+    return caches
+
+
+def test_compare_cache_passes_equal_caches_up_to_wall_time(tmp_path, capsys):
+    a, b = _cache_pair(tmp_path)
+    # the same values, written differently, and another training wall time
+    (b / "k.eval.json").write_text(json.dumps({"n_test": 10, "clean": 0.5}, indent=4))
+    (b / "k.manifest.json").write_text(json.dumps({"cell_key": "k", "runtime_s": 9.0}))
+    assert _script("compare_cache").main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "3 files, 0 difference(s)\n"
+
+
+def test_compare_cache_lists_each_difference_by_file_and_field(tmp_path, capsys):
+    a, b = _cache_pair(tmp_path)
+    (b / "k.ckpt").write_bytes(b"RRLB\x00\x02")
+    (b / "k.eval.json").write_text(json.dumps({"clean": 0.25, "specs": []}))
+    (a / "k.loss.csv").write_text("epoch,phase,loss\n")
+    (b / "cross_k_j.json").write_text("{}")
+    assert _script("compare_cache").main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "cross_k_j.json: only in b",
+        "k.ckpt: bytes differ",
+        "k.eval.json: clean: 0.5 != 0.25",
+        "k.eval.json: n_test: only in a",
+        "k.eval.json: specs: only in b",
+        "k.loss.csv: only in a",
+        "5 files, 6 difference(s)",
+    ]

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from robustcl import data, losses, models, training
+from robustcl import data, directional, experiment, losses, models, training
 from robustcl.attacks import AttackSpec
 from robustcl.data import AugmentSpec, ViewBatch
 from robustcl.losses import LossConfig, LossError
@@ -162,6 +164,28 @@ class TestPretrain:
         batch = ViewBatch(x=x, x_prime=x, x_double_prime=x, y=d_p.labels[:4])
         with pytest.raises(LossError):
             losses.pretrain_loss(fresh_model(), batch, LossConfig(scheme="SL"))
+
+    @pytest.mark.parametrize("scheme", ["CL", "SCL"])
+    def test_adversarial_scenarios_share_the_pretraining_phase(self, scheme):
+        """AT, Partial-AT and Full-AT differ only after pretraining: on the
+        image fixture their first phase leaves bitwise the same parameters
+        and the same loss curve, so one pretraining could serve all three."""
+        cfg = directional.fixture_config()
+        d_p, _, _ = experiment.build_splits(cfg, experiment.build_dataset(cfg))
+        d_p = d_p.subset(np.arange(512))
+        runs = []
+        for scenario in ("AT", "Partial-AT", "Full-AT"):
+            spec = replace(cfg.scenario_spec(scenario, scheme, seed=0), pretrain_epochs=1)
+            model = models.init_model(cfg.encoder_config(d_p.input_shape), d_p.n_classes,
+                                      cfg.getint("model", "head_dim"), seed=0)
+            phase = training._phases(spec, d_p, d_p)[0]
+            assert phase.name == "pretrain"
+            curve = training._run_phase(model, spec, phase)
+            runs.append((curve, [p.data for p in model.all_params()]))
+        (curve, params), *others = runs
+        for other_curve, other_params in others:
+            assert other_curve == curve
+            assert all(np.array_equal(a, b) for a, b in zip(other_params, params))
 
     def test_loss_decreases(self, gauss_splits):
         d_p, _ = gauss_splits
