@@ -66,60 +66,49 @@ def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(yc.T @ xc) ** 2 / (nx * ny))
 
 
-def _capture(model: ModelBundle, x: np.ndarray) -> list:
-    _, records = models.encode(model, Tensor(x), capture=True)
-    return records
+def _cka_or_nan(x: np.ndarray, y: np.ndarray) -> float:
+    """`linear_cka`, or NaN where a layer's activations are constant."""
+    try:
+        return linear_cka(x, y)
+    except DegenerateActivationsError:
+        return np.nan
 
 
-def _analysis_batch(dataset: Dataset, n_samples: int, seed: int = 0):
-    if n_samples > dataset.n:
-        raise AnalysisError("n_samples exceeds dataset size")
+def _sample(dataset: Dataset, n_samples: int, seed: int):
+    """(inputs, labels) of `n_samples` rows drawn from `dataset` without
+    replacement, or of all of its rows if it has fewer."""
     rng = np.random.default_rng(seed)
-    idx = rng.choice(dataset.n, size=n_samples, replace=False)
+    idx = rng.choice(dataset.n, size=min(n_samples, dataset.n), replace=False)
     return dataset.inputs[idx], dataset.labels[idx]
 
 
-def _adversarial_inputs(model: ModelBundle, x: np.ndarray, y: np.ndarray,
-                        attack: AttackSpec, is_image: bool) -> np.ndarray:
-    batch = ViewBatch(x=Tensor(x), y=y)
-    return attacks.pgd(model, batch, attack.for_data(is_image)).data
+def _activations(model: ModelBundle, x: np.ndarray, y: np.ndarray | None = None,
+                 attack: AttackSpec | None = None) -> list:
+    """Per-layer records of `model` on `x`, or, given an `attack`, on its PGD
+    examples of (x, y), clamped to [0, 1] only when `x` is an image batch."""
+    if attack is not None:
+        batch = ViewBatch(x=Tensor(x), y=y)
+        x = attacks.pgd(model, batch, attack.for_data(x.ndim == 4)).data
+    return models.encode(model, Tensor(x), capture=True)[1]
 
 
-def _grid(records_a: list, records_b: list, n: int, condition: str,
-          model_ids: tuple) -> CKAMatrix:
-    na, nb = len(records_a), len(records_b)
-    values = np.full((na, nb), np.nan)
-    mask = np.zeros((na, nb), dtype=bool)
-    for i, ra in enumerate(records_a):
-        for j, rb in enumerate(records_b):
-            try:
-                values[i, j] = linear_cka(ra.matrix, rb.matrix)
-            except DegenerateActivationsError:
-                mask[i, j] = True
+def _grid(records_a: list, records_b: list, condition: str, model_ids: tuple) -> CKAMatrix:
+    values = np.array([[_cka_or_nan(ra.matrix, rb.matrix) for rb in records_b]
+                       for ra in records_a])
     return CKAMatrix([r.layer_id for r in records_a], [r.layer_id for r in records_b],
-                     values, mask, n, condition, model_ids)
-
-
-def _clean_and_adv(model: ModelBundle, dataset: Dataset, attack: AttackSpec | None,
-                   n_samples: int, seed: int):
-    """(n, clean layer records, adversarial layer records or None)."""
-    n_samples = min(n_samples, dataset.n)
-    x, y = _analysis_batch(dataset, n_samples, seed)
-    clean = _capture(model, x)
-    if attack is None:
-        return n_samples, clean, None
-    x_adv = _adversarial_inputs(model, x, y, attack, dataset.is_image)
-    return n_samples, clean, _capture(model, x_adv)
+                     values, np.isnan(values), len(records_a[0].matrix), condition,
+                     model_ids)
 
 
 def cka_heatmap(model: ModelBundle, dataset: Dataset, attack: AttackSpec | None = None,
                 n_samples: int = 512, seed: int = 0) -> CKAMatrix:
     """All-layer-pairs CKA grid; with an attack, rows come from clean
     activations and columns from adversarial ones."""
-    n_samples, clean, adv = _clean_and_adv(model, dataset, attack, n_samples, seed)
-    if adv is None:
-        return _grid(clean, clean, n_samples, "clean-clean", ("model", "model"))
-    return _grid(clean, adv, n_samples, "clean-adv", ("model", "model"))
+    x, y = _sample(dataset, n_samples, seed)
+    clean = _activations(model, x)
+    if attack is None:
+        return _grid(clean, clean, "clean-clean", ("model", "model"))
+    return _grid(clean, _activations(model, x, y, attack), "clean-adv", ("model", "model"))
 
 
 def divergence_curve(model: ModelBundle, dataset: Dataset, attack: AttackSpec,
@@ -127,34 +116,21 @@ def divergence_curve(model: ModelBundle, dataset: Dataset, attack: AttackSpec,
     """Per-layer CKA between each layer on clean data and the same layer on
     adversarial data: the diagonal of the clean-adv grid, NaN where a layer
     is degenerate, computed without the grid's off-diagonal cells."""
-    _, clean, adv = _clean_and_adv(model, dataset, attack, n_samples, seed)
-    curve = np.full(len(clean), np.nan)
-    for i, (rc, ra) in enumerate(zip(clean, adv)):
-        try:
-            curve[i] = linear_cka(rc.matrix, ra.matrix)
-        except DegenerateActivationsError:
-            pass
-    return curve
+    x, y = _sample(dataset, n_samples, seed)
+    pairs = zip(_activations(model, x), _activations(model, x, y, attack))
+    return np.array([_cka_or_nan(rc.matrix, ra.matrix) for rc, ra in pairs])
 
 
 def cross_model_cka(model_a: ModelBundle, model_b: ModelBundle, dataset: Dataset,
                     attack: AttackSpec | None = None, n_samples: int = 512,
                     seed: int = 0, model_ids: tuple = ("A", "B")) -> CKAMatrix:
-    """Rows from model A's layers, columns from model B's, on shared samples."""
+    """Rows from model A's layers, columns from model B's, on shared samples
+    (each model's own PGD examples of them, given an attack)."""
     if model_a.config.input_shape != model_b.config.input_shape:
         raise AnalysisError("cross_model_cka: input shapes differ")
-    n_samples = min(n_samples, dataset.n)
-    x, y = _analysis_batch(dataset, n_samples, seed)
-    if attack is not None:
-        xa = _adversarial_inputs(model_a, x, y, attack, dataset.is_image)
-        xb = _adversarial_inputs(model_b, x, y, attack, dataset.is_image)
-        condition = "adv-adv"
-    else:
-        xa = xb = x
-        condition = "clean-clean"
-    ra = _capture(model_a, xa)
-    rb = _capture(model_b, xb)
-    return _grid(ra, rb, n_samples, condition, model_ids)
+    x, y = _sample(dataset, n_samples, seed)
+    return _grid(_activations(model_a, x, y, attack), _activations(model_b, x, y, attack),
+                 "clean-clean" if attack is None else "adv-adv", model_ids)
 
 
 def linear_probe(model: ModelBundle, train_set: Dataset, test_set: Dataset,
@@ -167,11 +143,7 @@ def linear_probe(model: ModelBundle, train_set: Dataset, test_set: Dataset,
     else:
         if layer_id not in ids:
             raise AnalysisError(f"unknown layer {layer_id!r}; have {ids}")
-        k = ids.index(layer_id)
-
-        def get(x):
-            recs = _capture(model, np.asarray(x))
-            return recs[k].matrix
+        get = lambda x: _activations(model, np.asarray(x))[ids.index(layer_id)].matrix
 
     a_train = get(train_set.inputs)
     a_test = get(test_set.inputs)

@@ -92,9 +92,7 @@ def _target(model, batch, spec: AttackSpec) -> losses.ContrastiveTarget:
     """The attack's CL or SCL driving loss over the clean batch's embedding."""
     if spec.driving_loss == "SCL" and batch.y is None:
         raise AttackError("SCL attack requires labels")
-    tau = spec.temperature
-    if tau is None:
-        tau = losses.DEFAULT_TAU_CL if spec.driving_loss == "CL" else losses.DEFAULT_TAU_SCL
+    tau = losses.LossConfig(temperature=spec.temperature).tau(spec.driving_loss)
     z_clean = losses._embed(model, batch.x).data
     return losses.ContrastiveTarget(z_clean, spec.driving_loss, tau, batch.y)
 

@@ -13,9 +13,9 @@ import numpy as np
 
 from .attacks import AttackError, AttackSpec
 from .data import AugmentSpec, DataError, check_bar_images, check_synthetic
-from .losses import LossConfig, LossError
-from .models import EncoderConfig, ModelError
-from .training import OptimizerConfig, ScenarioSpec, TrainingError
+from .losses import SCHEMES, LossConfig, LossError
+from .models import EncoderConfig, ModelError, layer_ids
+from .training import SCENARIOS, OptimizerConfig, ScenarioSpec, TrainingError
 
 
 class ConfigError(Exception):
@@ -280,8 +280,10 @@ def load_config(path=None, text: str | None = None, overrides=None) -> Experimen
 def validate(cfg: ExperimentConfig) -> None:
     """Raise ConfigError unless every key parses, a synthetic source's
     generator accepts its arguments, a file source's files exist, the
-    encoder accepts its widths (and a synthetic source's input shape), and
-    the scenario, its training attack and the evaluation attacks build."""
+    encoder accepts its widths (and a synthetic source's input shape), the
+    scenario, its training attack and the evaluation attacks build, the
+    sweep names known scenarios and schemes, and the analysis takes at
+    least 3 samples and probes only the input or the encoder's layers."""
     source = cfg.get("dataset", "source")
     if source not in ("synthetic", "synthetic_images", "idx", "csv"):
         raise ConfigError(f"[dataset] source: unknown value {source!r}")
@@ -295,9 +297,13 @@ def validate(cfg: ExperimentConfig) -> None:
     separation, _, _, shortcut_amp = (cfg.getfloat("dataset", k) for k in (
         "separation", "contrast", "noise_sigma", "shortcut_amp"))
     widths = cfg.getlist("model", "layer_widths", int)
-    for section, key in (("model", "head_dim"), ("analysis", "n_samples")):
-        cfg.getint(section, key)
+    cfg.getint("model", "head_dim")
+    if cfg.getint("analysis", "n_samples") < 3:
+        raise ConfigError("[analysis] n_samples must be >= 3: linear CKA needs 3 samples")
     cfg.getlist("sweep", "seeds", int)
+    for key, names in (("scenarios", SCENARIOS), ("schemes", SCHEMES)):
+        if unknown := [v for v in cfg.getlist("sweep", key) if v not in names]:
+            raise ConfigError(f"[sweep] {key}: unknown {unknown}; have {list(names)}")
     try:
         if source == "synthetic":
             check_synthetic(cfg.get("dataset", "kind"), n, dim, classes, separation)
@@ -316,3 +322,6 @@ def validate(cfg: ExperimentConfig) -> None:
         cfg.eval_attacks(cfg.get("loss", "scheme"))
     except (AttackError, DataError, LossError, ModelError, TrainingError) as exc:
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
+    ids = ["input"] + layer_ids(cfg.get("model", "kind"), widths)
+    if unknown := [v for v in cfg.getlist("analysis", "probe_layers") if v not in ids]:
+        raise ConfigError(f"[analysis] probe_layers: unknown {unknown}; have {ids}")

@@ -137,24 +137,24 @@ def tm2_attack() -> AttackSpec:
                       driving_loss="CL", clamp=(0.0, 1.0), seed=0)
 
 
-def _final_cka(model, test, key, cache_dir, n_analysis=400):
-    def compute():
-        curve = analysis.divergence_curve(model, test, tm1_attack(),
-                                          n_samples=n_analysis, seed=0)
-        return {"final_clean_adv_cka": float(curve[-1])}
+def _cached_value(path, name, compute):
+    """The `name` field of the JSON file at `path` (`experiment.cached_json`),
+    `compute()`d and written on a miss."""
+    return experiment.cached_json(path, lambda: {name: compute()}, keys=(name,))[name]
 
-    return experiment.cached_json(os.path.join(cache_dir, f"{key}.cka.json"), compute,
-                                  keys=("final_clean_adv_cka",))["final_clean_adv_cka"]
+
+def _final_cka(model, test, key, cache_dir, n_analysis=400):
+    return _cached_value(
+        os.path.join(cache_dir, f"{key}.cka.json"), "final_clean_adv_cka",
+        lambda: float(analysis.divergence_curve(model, test, tm1_attack(),
+                                                n_samples=n_analysis, seed=0)[-1]))
 
 
 def _cross_upper(model_a, model_b, test, key_a, key_b, cache_dir, n_analysis=400):
-    def compute():
-        grid = analysis.cross_model_cka(model_a, model_b, test, n_samples=n_analysis,
-                                        seed=0, model_ids=(key_a, key_b))
-        return {"upper_third_mean": analysis.upper_third_mean(grid)}
-
-    return experiment.cached_json(os.path.join(cache_dir, f"cross_{key_a}_{key_b}.json"),
-                                  compute, keys=("upper_third_mean",))["upper_third_mean"]
+    return _cached_value(
+        os.path.join(cache_dir, f"cross_{key_a}_{key_b}.json"), "upper_third_mean",
+        lambda: analysis.upper_third_mean(analysis.cross_model_cka(
+            model_a, model_b, test, n_samples=n_analysis, seed=0, model_ids=(key_a, key_b))))
 
 
 def _seed_results(cfg, trained: dict, test, cache_dir: str, n_analysis: int) -> dict:

@@ -64,11 +64,7 @@ class EncoderConfig:
 
     @property
     def layers(self) -> tuple:
-        """(kind, width) per layer: a conv_small encoder's "conv" blocks,
-        then its one "dense" layer; a dense encoder's "dense" layers."""
-        n_conv = len(self.layer_widths) - 1 if self.kind == "conv_small" else 0
-        return tuple(("conv" if i < n_conv else "dense", w)
-                     for i, w in enumerate(self.layer_widths))
+        return encoder_layers(self.kind, self.layer_widths)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "layer_widths": list(self.layer_widths),
@@ -77,6 +73,18 @@ class EncoderConfig:
     @staticmethod
     def from_dict(d: dict) -> "EncoderConfig":
         return EncoderConfig(d["kind"], tuple(d["layer_widths"]), tuple(d["input_shape"]))
+
+
+def encoder_layers(kind: str, layer_widths) -> tuple:
+    """(kind, width) per layer: a conv_small encoder's "conv" blocks, then
+    its one "dense" layer; a dense encoder's "dense" layers."""
+    n_conv = len(layer_widths) - 1 if kind == "conv_small" else 0
+    return tuple(("conv" if i < n_conv else "dense", w) for i, w in enumerate(layer_widths))
+
+
+def layer_ids(kind: str, layer_widths) -> list:
+    """`L<i>_<kind><width>` per layer, fixed by the encoder kind and widths alone."""
+    return [f"L{i}_{k}{w}" for i, (k, w) in enumerate(encoder_layers(kind, layer_widths))]
 
 
 @dataclass
@@ -119,7 +127,7 @@ class ModelBundle:
             t.grad_tracked = classifier
 
     def layer_ids(self):
-        return [f"L{i}_{kind}{w}" for i, (kind, w) in enumerate(self.config.layers)]
+        return layer_ids(self.config.kind, self.config.layer_widths)
 
 
 def _affine_init(rng: np.random.Generator, fan_in: int, shape_w, shape_b):

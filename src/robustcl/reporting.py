@@ -108,8 +108,7 @@ def append_probe_csv(result, path) -> None:
                 f"{result.test_accuracy!r},{result.n_samples}\n")
 
 
-def write_report(output_dir, results_rows=None, heatmap_svgs=None,
-                 badges=None, path_name="report.md") -> str:
+def write_report(output_dir, results_rows=None, heatmap_svgs=None, badges=None) -> str:
     """Collate results, heatmaps, and directional-check badges into one
     markdown report with the SVGs embedded inline."""
     lines = ["# Experiment report", ""]
@@ -137,7 +136,7 @@ def write_report(output_dir, results_rows=None, heatmap_svgs=None,
             with open(svg_path) as f:
                 lines.append(f.read())
             lines.append("")
-    path = os.path.join(output_dir, path_name)
+    path = os.path.join(output_dir, "report.md")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
     return path

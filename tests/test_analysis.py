@@ -134,10 +134,20 @@ class TestHeatmap:
         curve = divergence_curve(m, d_test, atk, n_samples=64, seed=0)
         assert np.allclose(curve, 1.0, atol=1e-9)
 
-    def test_n_samples_guard(self, trained):
+    def test_n_samples_past_the_dataset_use_all_of_its_rows(self, trained, monkeypatch):
         m, _, d_test = trained
-        with pytest.raises(AnalysisError):
-            analysis._analysis_batch(d_test, d_test.n + 1)
+        seen = []
+        encode = models.encode
+        monkeypatch.setattr(models, "encode", lambda model, x, capture=False:
+                            seen.append(x.data) or encode(model, x, capture))
+        atk = AttackSpec(epsilon=0.0, steps=1, clamp=None)  # its examples are the clean rows
+        n = d_test.n + 1
+        assert cka_heatmap(m, d_test, atk, n_samples=n).n_samples == d_test.n
+        assert cross_model_cka(m, m, d_test, atk, n_samples=n).n_samples == d_test.n
+        assert len(divergence_curve(m, d_test, atk, n_samples=n)) == len(m.layer_ids())
+        rows = np.unique(d_test.inputs, axis=0)
+        assert len(rows) == d_test.n and len(seen) == 6
+        assert all(np.array_equal(np.unique(x, axis=0), rows) for x in seen)
 
 
 class TestCrossModel:

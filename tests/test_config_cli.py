@@ -79,6 +79,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(text="[model]\nkind = resnet50\n")
 
+    @pytest.mark.parametrize("overrides, shape, ids", [
+        ([], (20,), ["L0_dense64", "L1_dense64", "L2_dense32", "L3_dense32", "L4_dense16"]),
+        (["dataset.source=synthetic_images", "model.kind=conv_small",
+          "model.layer_widths=4,8"], (1, 16, 16), ["L0_conv4", "L1_dense8"]),
+    ], ids=["dense", "conv_small"])
+    def test_probe_layers_are_the_input_or_the_encoders_layers(self, overrides, shape, ids):
+        cfg = load_config(text="", overrides=overrides)
+        model = models.init_model(cfg.encoder_config(shape), 2, 4, seed=0)
+        assert model.layer_ids() == ids
+        load_config(text="", overrides=overrides + ["analysis.probe_layers=" + ",".join(
+            ["input"] + ids)])
+        for bad in ("L9_bad", ids[-1] + "0", "Input"):
+            with pytest.raises(ConfigError, match="probe_layers"):
+                load_config(text="", overrides=overrides + [f"analysis.probe_layers={bad}"])
+
     def test_typed_views(self):
         cfg = load_config(text="[loss]\nscheme = SCL\ntemperature = 0.2\n")
         lc = cfg.loss_config()
@@ -243,6 +258,8 @@ class TestCli:
         "scenario.scenario=XX", "augment.erase_patch_prob=2", "loss.scheme=XX",
         "attack_train.epsilon=-1", "attack_eval.epsilons=x", "analysis.n_samples=x",
         "sweep.seeds=x", "dataset.n=1", "dataset.classes=1", "model.layer_widths=5",
+        "sweep.scenarios=ST,XX", "sweep.schemes=SL,FOO", "analysis.n_samples=2",
+        "analysis.probe_layers=L9_bad", "analysis.probe_layers=input,L5_dense16",
     ])
     def test_a_value_that_does_not_parse_or_build_is_a_config_error(
             self, tmp_path, capsys, override):
