@@ -88,14 +88,19 @@ def cmd_train(args) -> int:
 def _trained_model(args):
     """(config, output dir, model, its cache manifest, (D_p, D_f, test)) for
     the commands that read a trained model: the file --checkpoint names
-    (with an empty manifest), or the config's own cell in <output_dir>/cache."""
+    (with an empty manifest; its encoder must be the configured one), or the
+    config's own cell in <output_dir>/cache."""
     cfg = _load(args)
     out = _out_dir(cfg)
     splits = experiment.build_splits(cfg, experiment.build_dataset(cfg))
     if args.checkpoint:
         if not os.path.exists(args.checkpoint):
             raise ValidationFailure(f"checkpoint not found: {args.checkpoint}")
-        return cfg, out, models.load_checkpoint(args.checkpoint), {}, splits
+        model = models.load_checkpoint(args.checkpoint)
+        if model.config != (want := cfg.encoder_config(splits[2].input_shape)):
+            raise ValidationFailure(f"checkpoint encoder {model.config} is not the "
+                                    f"configured encoder {want}")
+        return cfg, out, model, {}, splits
     cache_dir = os.path.join(out, "cache")
     key = experiment.cell_key(cfg, *_own_cell(cfg), splits[0])
     hit = experiment.cached_cell(cache_dir, key)

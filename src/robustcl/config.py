@@ -281,9 +281,10 @@ def validate(cfg: ExperimentConfig) -> None:
     """Raise ConfigError unless every key parses, a synthetic source's
     generator accepts its arguments, a file source's files exist, the
     encoder accepts its widths (and a synthetic source's input shape), the
-    scenario, its training attack and the evaluation attacks build, the
-    sweep names known scenarios and schemes, and the analysis takes at
-    least 3 samples and probes only the input or the encoder's layers."""
+    scenario, its training attack, the evaluation attacks and the sweep
+    schemes' losses build, the sweep names known scenarios and schemes, and
+    the analysis takes at least 3 samples and probes only the input or the
+    encoder's layers."""
     source = cfg.get("dataset", "source")
     if source not in ("synthetic", "synthetic_images", "idx", "csv"):
         raise ConfigError(f"[dataset] source: unknown value {source!r}")
@@ -318,6 +319,8 @@ def validate(cfg: ExperimentConfig) -> None:
                     raise ConfigError(f"[dataset] {key}: no such file: {path!r}")
             EncoderConfig("dense", widths, (1,))
         cfg.scenario_spec()
+        for scheme in cfg.getlist("sweep", "schemes"):
+            cfg.loss_config(scheme)
         cfg.train_attack()
         cfg.eval_attacks(cfg.get("loss", "scheme"))
     except (AttackError, DataError, LossError, ModelError, TrainingError) as exc:

@@ -63,6 +63,9 @@ class LossConfig:
             raise LossError("temperature must be positive")
         if self.alpha < 0 or self.beta < 0:
             raise LossError("alpha and beta must be non-negative")
+        if "+" in self.scheme and len(self.combo_weights) != len(self.scheme.split("+")):
+            raise LossError(f"combo_weights {tuple(self.combo_weights)} must give one "
+                            f"weight per constituent of {self.scheme}")
 
     def tau(self, constituent: str) -> float:
         if self.temperature is not None:
@@ -298,7 +301,8 @@ def contrastive_pair_loss(model, xa: Tensor, xb: Tensor, constituent: str,
 
 
 def pretrain_loss(model, batch, cfg: LossConfig) -> Tensor:
-    """alpha * L(x', x'') + beta * L(x, x_adv) for scheme CL or SCL."""
+    """alpha * L(x', x'') + beta * L(x, x_adv) for scheme CL or SCL; a batch
+    without x_adv has no adversarial term."""
     if cfg.scheme not in ("CL", "SCL"):
         raise LossError(f"pretrain_loss: scheme must be CL or SCL, got {cfg.scheme}")
     if batch.x_prime is None or batch.x_double_prime is None:
@@ -311,9 +315,7 @@ def pretrain_loss(model, batch, cfg: LossConfig) -> Tensor:
         clean = contrastive_pair_loss(model, batch.x_prime, batch.x_double_prime,
                                       cfg.scheme, y, cfg)
         terms.append(T.scale(clean, cfg.alpha))
-    if cfg.beta != 0.0:
-        if batch.x_adv is None:
-            raise LossError("pretrain_loss: beta > 0 requires x_adv")
+    if cfg.beta != 0.0 and batch.x_adv is not None:
         adv = contrastive_pair_loss(model, batch.x, batch.x_adv, cfg.scheme, y, cfg)
         terms.append(T.scale(adv, cfg.beta))
     return functools.reduce(T.add, terms) if terms else Tensor(0.0)
@@ -324,23 +326,13 @@ def _ce_through(model, x: Tensor, y: np.ndarray) -> Tensor:
     return cross_entropy(models.classify(model, rep), y)
 
 
-def finetune_loss(model, batch, cfg: LossConfig, mode: str) -> Tensor:
-    """Fine-tuning objective; caller controls which parameters are tracked.
-
-    standard   -> CE on clean inputs
-    partial_at -> alpha*CE(x) + beta*CE(x_adv), encoder must stay frozen
-    full_at    -> same sum, encoder updates allowed
-    """
-    if mode not in ("standard", "partial_at", "full_at"):
-        raise LossError(f"unknown fine-tuning mode {mode!r}")
+def finetune_loss(model, batch, cfg: LossConfig) -> Tensor:
+    """CE(x) on a clean batch; alpha*CE(x) + beta*CE(x_adv) on one that
+    carries x_adv. The caller controls which parameters are tracked."""
     if batch.y is None:
         raise LossError("finetune_loss: labels required")
-    if mode == "standard":
-        return _ce_through(model, batch.x, batch.y)
     if batch.x_adv is None:
-        raise LossError(f"finetune_loss: {mode} requires x_adv")
-    if mode == "partial_at" and not model.freeze_encoder:
-        raise LossError("partial_at requires freeze_encoder=True")
+        return _ce_through(model, batch.x, batch.y)
     clean = T.scale(_ce_through(model, batch.x, batch.y), cfg.alpha)
     adv = T.scale(_ce_through(model, batch.x_adv, batch.y), cfg.beta)
     return T.add(clean, adv)
@@ -354,12 +346,8 @@ def combined_scheme_loss(model, batch, cfg: LossConfig) -> Tensor:
     """
     if "+" not in cfg.scheme:
         raise LossError(f"combined_scheme_loss: {cfg.scheme} is not a combination")
-    parts = cfg.scheme.split("+")
-    weights = cfg.combo_weights
-    if len(weights) != len(parts):
-        raise LossError("combo_weights length must match the number of constituents")
     terms = []
-    for part, w in zip(parts, weights):
+    for part, w in zip(cfg.scheme.split("+"), cfg.combo_weights):
         if w == 0.0:
             continue
         if part == "SL":

@@ -112,14 +112,13 @@ class ScenarioSpec:
             raise TrainingError("combined schemes are studied under ST only")
         if self.loss is None:
             self.loss = LossConfig(scheme=self.scheme)
+        elif self.loss.scheme != self.scheme:
+            raise TrainingError(f"loss scheme {self.loss.scheme!r} is not the "
+                                f"scenario's scheme {self.scheme!r}")
 
     @property
     def adversarial(self) -> bool:
         return self.scenario != "ST"
-
-    @property
-    def effective_batch_size(self) -> int:
-        return self.adv_batch_size if self.adversarial else self.batch_size
 
 
 @dataclass
@@ -130,53 +129,41 @@ class RunRecord:
 
 @dataclass
 class _Phase:
-    """One training phase: what it trains, on which data, with which loss."""
+    """One training phase: what it trains, on which data, with which loss.
+    An attacking phase trains at `adv_batch_size` on batches with x_adv."""
     name: str  # the loss-curve label
     dataset: Dataset
     epochs: int
-    batch_size: int
     data_seed: int
     seed_prefix: tuple  # per-step seed = hash(seed_prefix + (epoch, step))
     views: bool
     driving_loss: str | None  # the train attack's driving loss; None: no attack
     trains: tuple  # (encoder, head, classifier)
-    loss: Callable  # (model, batch) -> scalar Tensor
+    loss: Callable  # (model, batch, LossConfig) -> scalar Tensor
 
 
 def _phases(spec: ScenarioSpec, d_p: Dataset, d_f: Dataset) -> list:
     """SL and the combined schemes train end-to-end in one phase; the
     combined schemes and CL / SCL then fine-tune the classifier (and, under
     Full-AT, the encoder) in a second phase."""
-    cfg, seed = spec.loss, spec.seed
-    # the losses are looked up at call time, so wrapped module functions apply
+    # the losses are read off the module here, so wrapped module functions apply
+    seed = spec.seed
     if spec.scheme == "SL":
-        mode = "full_at" if spec.adversarial else "standard"
-        return [_Phase("train", d_f, spec.finetune_epochs, spec.effective_batch_size,
-                       seed, (seed,), views=False,
+        return [_Phase("train", d_f, spec.finetune_epochs, seed, (seed,), views=False,
                        driving_loss="CE" if spec.adversarial else None,
-                       trains=(True, False, True),
-                       loss=lambda m, b: losses.finetune_loss(m, b, cfg, mode))]
+                       trains=(True, False, True), loss=losses.finetune_loss)]
     if "+" in spec.scheme:  # ST only
-        first = _Phase("train", d_p, spec.pretrain_epochs, spec.effective_batch_size,
-                       seed, (seed,), views=True, driving_loss=None,
-                       trains=(True, True, True),
-                       loss=lambda m, b: losses.combined_scheme_loss(m, b, cfg))
+        first = _Phase("train", d_p, spec.pretrain_epochs, seed, (seed,), views=True,
+                       driving_loss=None, trains=(True, True, True),
+                       loss=losses.combined_scheme_loss)
     else:
-        pre_cfg = cfg if spec.adversarial else replace(cfg, beta=0.0)
-        first = _Phase("pretrain", d_p, spec.pretrain_epochs, spec.effective_batch_size,
-                       seed, (seed,), views=True,
+        first = _Phase("pretrain", d_p, spec.pretrain_epochs, seed, (seed,), views=True,
                        driving_loss=spec.scheme if spec.adversarial else None,
-                       trains=(True, True, False),
-                       loss=lambda m, b: losses.pretrain_loss(m, b, pre_cfg))
-    full_at = spec.scenario == "Full-AT"
-    adversarial = full_at or spec.scenario == "Partial-AT"
-    mode = "full_at" if full_at else ("partial_at" if adversarial else "standard")
-    second = _Phase("finetune", d_f, spec.finetune_epochs,
-                    spec.adv_batch_size if adversarial else spec.batch_size,
-                    seed + 1, (seed, 1), views=False,
-                    driving_loss="CE" if adversarial else None,
-                    trains=(full_at, False, True),
-                    loss=lambda m, b: losses.finetune_loss(m, b, cfg, mode))
+                       trains=(True, True, False), loss=losses.pretrain_loss)
+    second = _Phase("finetune", d_f, spec.finetune_epochs, seed + 1, (seed, 1), views=False,
+                    driving_loss="CE" if spec.scenario in ("Partial-AT", "Full-AT") else None,
+                    trains=(spec.scenario == "Full-AT", False, True),
+                    loss=losses.finetune_loss)
     return [first, second]
 
 
@@ -191,19 +178,18 @@ def _run_phase(model: ModelBundle, spec: ScenarioSpec, phase: _Phase) -> list:
     encoder, head, classifier = phase.trains
     model.freeze_encoder = not encoder
     model.set_tracking(encoder=encoder, head=head, classifier=classifier)
-    params = ((model.encoder_tensors() if encoder else [])
-              + (model.head_tensors() if head else [])
-              + (model.classifier_tensors() if classifier else []))
-    opt = Adam.from_config(params, spec.optimizer)
+    opt = Adam.from_config([t for t in model.all_params() if t.grad_tracked],
+                           spec.optimizer)
     attack = None
     if phase.driving_loss is not None:
         attack = replace(spec.train_attack, driving_loss=phase.driving_loss)
         attack = attack.for_data(phase.dataset.is_image)
+    batch_size = spec.batch_size if attack is None else spec.adv_batch_size
     curve = []
     for epoch in range(phase.epochs):
         losses_epoch = []
         for step, (xb, yb) in enumerate(
-                data.iter_batches(phase.dataset, phase.batch_size, phase.data_seed, epoch)):
+                data.iter_batches(phase.dataset, batch_size, phase.data_seed, epoch)):
             step_seed = hash(phase.seed_prefix + (epoch, step)) & 0x7FFFFFFF
             batch = ViewBatch(x=Tensor(xb), y=yb)
             if phase.views:
@@ -212,7 +198,7 @@ def _run_phase(model: ModelBundle, spec: ScenarioSpec, phase: _Phase) -> list:
             if attack is not None:
                 batch.x_adv = attacks.pgd(model, batch, replace(attack, seed=step_seed))
             with GradientTape() as tape:
-                loss = phase.loss(model, batch)
+                loss = phase.loss(model, batch, spec.loss)
             opt.step(T.backward(tape, loss))
             value = loss.item()
             if not np.isfinite(value):

@@ -267,6 +267,29 @@ class TestCli:
         assert "config error: " in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("command, overrides", [
+        ("train", ["loss.scheme=SL+CL", "loss.combo_weights=1,2,3"]),
+        ("sweep", ["sweep.schemes=SL,CL+SCL", "loss.combo_weights=1"]),
+    ], ids=["scheme", "sweep-scheme"])
+    def test_combo_weights_give_one_weight_per_constituent(self, tmp_path, capsys,
+                                                           command, overrides):
+        assert run_cli(tmp_path, command, FAST_VECTOR + overrides) == 1
+        assert "config error: LossError: combo_weights" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["evaluate", "cka", "probe"])
+    @pytest.mark.parametrize("saved", ["model.layer_widths=20,5", "dataset.dim=20"],
+                             ids=["widths", "dim"])
+    def test_a_checkpoint_of_another_encoder_exits_1(self, tmp_path, capsys, command, saved):
+        saved_cfg = load_config(text="", overrides=FAST_VECTOR + [saved])
+        ckpt = tmp_path / "other.ckpt"
+        models.save_checkpoint(models.init_model(
+            saved_cfg.encoder_config((saved_cfg.getint("dataset", "dim"),)), 2, 4, 0), ckpt)
+        assert run_cli(tmp_path / "out", command, FAST_VECTOR, checkpoint=str(ckpt)) == 1
+        err = capsys.readouterr().err
+        assert "is not the configured encoder" in err and "(12, 6)" in err
+        assert os.listdir(tmp_path / "out") == []
+
     @pytest.mark.parametrize("source, broken", [
         ("idx", ["model.layer_widths=5"]),
         ("idx", ["model.layer_widths=8,0"]),

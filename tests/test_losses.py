@@ -403,11 +403,14 @@ class TestModelLevelLosses:
                          y=rng.integers(0, 2, 6))
 
     def test_beta_zero_reduces_to_clean_term(self, dense_model, batch):
-        cfg = LossConfig(scheme="CL", alpha=0.7, beta=0.0)
-        loss = losses.pretrain_loss(dense_model, batch, cfg).item()
-        clean = losses.contrastive_pair_loss(dense_model, batch.x_prime,
-                                             batch.x_double_prime, "CL", None, cfg).item()
-        assert abs(loss - 0.7 * clean) < 1e-12
+        clean = losses.contrastive_pair_loss(dense_model, batch.x_prime, batch.x_double_prime,
+                                             "CL", None, LossConfig(scheme="CL")).item()
+        # beta 0 with x_adv, and beta 0.5 on a batch without it (no attack)
+        for beta, x_adv in ((0.0, Tensor(batch.x.data + 0.02)), (0.5, None)):
+            batch.x_adv = x_adv
+            cfg = LossConfig(scheme="CL", alpha=0.7, beta=beta)
+            loss = losses.pretrain_loss(dense_model, batch, cfg).item()
+            assert abs(loss - 0.7 * clean) < 1e-12
 
     def test_alpha_beta_zero(self, dense_model, batch):
         cfg = LossConfig(scheme="CL", alpha=0.0, beta=0.0)
@@ -422,11 +425,6 @@ class TestModelLevelLosses:
         t2 = losses.contrastive_pair_loss(dense_model, batch.x, batch.x_adv,
                                           "CL", None, cfg).item()
         assert abs(loss - 0.5 * (t1 + t2)) < 1e-12
-
-    def test_missing_adv_raises(self, dense_model, batch):
-        cfg = LossConfig(scheme="CL", alpha=0.5, beta=0.5)
-        with pytest.raises(LossError):
-            losses.pretrain_loss(dense_model, batch, cfg)
 
     def test_scl_requires_labels(self, dense_model, batch):
         batch.y = None
@@ -446,16 +444,15 @@ class TestModelLevelLosses:
         dense_model.freeze_encoder = True
         dense_model.set_tracking(encoder=False, head=False, classifier=True)
         with GradientTape() as tape:
-            loss = losses.finetune_loss(dense_model, batch, LossConfig(scheme="SL"),
-                                        "partial_at")
+            loss = losses.finetune_loss(dense_model, batch, LossConfig(scheme="SL"))
         grads = backward(tape, loss)
         assert set(grads) <= set(dense_model.classifier_tensors())
 
     def test_full_at_identity_attack_collapses(self, dense_model, batch):
-        batch.x_adv = Tensor(batch.x.data.copy())
         cfg = LossConfig(scheme="SL", alpha=0.5, beta=0.5)
-        full = losses.finetune_loss(dense_model, batch, cfg, "full_at").item()
-        std = losses.finetune_loss(dense_model, batch, cfg, "standard").item()
+        std = losses.finetune_loss(dense_model, batch, cfg).item()  # no x_adv: CE(x)
+        batch.x_adv = Tensor(batch.x.data.copy())
+        full = losses.finetune_loss(dense_model, batch, cfg).item()
         assert abs(full - (0.5 + 0.5) * std) < 1e-12
 
     def test_full_at_encoder_grad_finite_diff(self, dense_model, batch, rng):
@@ -464,7 +461,7 @@ class TestModelLevelLosses:
         dense_model.set_tracking(encoder=True, head=False, classifier=True)
         w0 = dense_model.encoder_params[0][0]
         with GradientTape() as tape:
-            loss = losses.finetune_loss(dense_model, batch, cfg, "full_at")
+            loss = losses.finetune_loss(dense_model, batch, cfg)
         g_auto = backward(tape, loss)[w0]
         h = 1e-5
         base = w0.data.copy()
@@ -473,10 +470,10 @@ class TestModelLevelLosses:
             for idx in coords:
                 w0.data = base.copy()
                 w0.data[idx] += h
-                fp = losses.finetune_loss(dense_model, batch, cfg, "full_at").item()
+                fp = losses.finetune_loss(dense_model, batch, cfg).item()
                 w0.data = base.copy()
                 w0.data[idx] -= h
-                fm = losses.finetune_loss(dense_model, batch, cfg, "full_at").item()
+                fm = losses.finetune_loss(dense_model, batch, cfg).item()
                 g_fd = (fp - fm) / (2 * h)
                 assert abs(g_auto[idx] - g_fd) / max(1.0, abs(g_fd)) < 1e-4
         finally:
@@ -485,8 +482,7 @@ class TestModelLevelLosses:
     def test_combined_reduction_to_ce(self, dense_model, batch):
         cfg = LossConfig(scheme="SL+CL", combo_weights=(1.0, 0.0))
         combined = losses.combined_scheme_loss(dense_model, batch, cfg).item()
-        ce = losses.finetune_loss(dense_model, batch, LossConfig(scheme="SL"),
-                                  "standard").item()
+        ce = losses.finetune_loss(dense_model, batch, LossConfig(scheme="SL")).item()
         assert abs(combined - ce) < 1e-12
 
     def test_combined_closed_form(self, rng):
@@ -515,7 +511,7 @@ class TestModelLevelLosses:
             loss = losses.combined_scheme_loss(dense_model, batch, cfg)
         g_sum = backward(tape, loss)
         with GradientTape() as tape:
-            ce = losses.finetune_loss(dense_model, batch, LossConfig(scheme="SL"), "standard")
+            ce = losses.finetune_loss(dense_model, batch, LossConfig(scheme="SL"))
         g_ce = backward(tape, ce)
         with GradientTape() as tape:
             cl = losses.contrastive_pair_loss(dense_model, batch.x_prime,

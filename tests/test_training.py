@@ -114,12 +114,75 @@ class TestScenarioSpec:
         with pytest.raises(TrainingError):
             ScenarioSpec(scenario="AT", scheme="CL")
 
-    def test_effective_batch_size(self):
-        st = small_spec(scenario="ST", scheme="CL")
-        at = small_spec(scenario="AT", scheme="CL",
-                        train_attack=AttackSpec(epsilon=0.1, steps=2), adv_batch_size=256)
-        assert st.effective_batch_size == 128
-        assert at.effective_batch_size == 256
+    def test_loss_trains_the_specs_scheme(self):
+        with pytest.raises(TrainingError, match="not the scenario's scheme"):
+            ScenarioSpec(scenario="ST", scheme="CL", loss=LossConfig(scheme="SCL"))
+        spec = ScenarioSpec(scheme="SCL", loss=LossConfig(scheme="SCL", beta=0.1))
+        assert spec.loss.beta == 0.1
+
+
+# (scenario, scheme) -> each phase's (name, (encoder, head, classifier) trained,
+# driving loss)
+PRETRAIN, FINETUNE = (True, True, False), (False, False, True)
+PHASE_TABLE = {
+    ("ST", "SL"): [("train", (True, False, True), None)],
+    ("AT", "SL"): [("train", (True, False, True), "CE")],
+    **{("ST", s): [("pretrain", PRETRAIN, None), ("finetune", FINETUNE, None)]
+       for s in ("CL", "SCL")},
+    **{("AT", s): [("pretrain", PRETRAIN, s), ("finetune", FINETUNE, None)]
+       for s in ("CL", "SCL")},
+    **{("Partial-AT", s): [("pretrain", PRETRAIN, s), ("finetune", FINETUNE, "CE")]
+       for s in ("CL", "SCL")},
+    **{("Full-AT", s): [("pretrain", PRETRAIN, s), ("finetune", (True, False, True), "CE")]
+       for s in ("CL", "SCL")},
+    **{("ST", s): [("train", (True, True, True), None), ("finetune", FINETUNE, None)]
+       for s in ("SL+CL", "CL+SCL", "SL+SCL")},
+}
+
+
+def test_the_phase_table_lists_every_valid_pair():
+    for scenario in training.SCENARIOS:
+        for scheme in losses.SCHEMES:
+            try:
+                small_spec(scenario=scenario, scheme=scheme,
+                           train_attack=AttackSpec(epsilon=0.05, steps=1))
+            except TrainingError:
+                assert (scenario, scheme) not in PHASE_TABLE
+            else:
+                assert (scenario, scheme) in PHASE_TABLE
+
+
+@pytest.mark.parametrize("scenario, scheme", sorted(PHASE_TABLE))
+def test_each_phase_attacks_at_the_adversarial_batch_size(gauss_splits, pgd_specs,
+                                                          monkeypatch, scenario, scheme):
+    """A phase with a driving loss runs PGD on every step and draws its
+    batches at `adv_batch_size`; a phase without one runs no attack and
+    draws them at `batch_size`."""
+    d_p, _ = gauss_splits
+    d_p = d_p.subset(np.arange(96))
+    sizes = []
+    iter_batches = data.iter_batches
+
+    def recording_iter_batches(dataset, batch_size, seed, epoch):
+        sizes.append(batch_size)
+        return iter_batches(dataset, batch_size, seed, epoch)
+
+    monkeypatch.setattr(data, "iter_batches", recording_iter_batches)
+    spec = small_spec(scenario=scenario, scheme=scheme, pretrain_epochs=1,
+                      finetune_epochs=1, batch_size=32, adv_batch_size=48,
+                      train_attack=AttackSpec(epsilon=0.05, steps=1, clamp=None))
+    phases = training._phases(spec, d_p, d_p)
+    table = PHASE_TABLE[scenario, scheme]
+    assert [(p.name, p.trains, p.driving_loss) for p in phases] == table
+    model = fresh_model()
+    for phase in phases:
+        del sizes[:], pgd_specs[:]
+        training._run_phase(model, spec, phase)
+        attacked = phase.driving_loss is not None
+        assert sizes == [spec.adv_batch_size if attacked else spec.batch_size]
+        steps = -(-d_p.n // sizes[0])  # one epoch
+        assert len(pgd_specs) == (steps if attacked else 0)
+        assert all(s.driving_loss == phase.driving_loss for s in pgd_specs)
 
 
 def snapshots_at_finetune(monkeypatch):
@@ -152,7 +215,7 @@ class TestPretrain:
                           train_attack=AttackSpec(epsilon=0.05, steps=2, clamp=None))
         run_scenario(fresh_model(), d_p, d_p, spec)
         steps_per_epoch = sum(1 for _ in data.iter_batches(
-            d_p, spec.effective_batch_size, spec.seed, 0))
+            d_p, spec.adv_batch_size, spec.seed, 0))
         # AT fine-tunes on clean inputs: every attack belongs to pretraining
         assert len(specs) == 2 * steps_per_epoch
         assert {s.driving_loss for s in specs} == {"CL"}
