@@ -80,7 +80,7 @@ def golden_cell(cfg, d_p, d_f, test, scenario: str, scheme: str, train_eps) -> d
     spec = cfg.scenario_spec(scenario=scenario, scheme=scheme, seed=SEED,
                              train_epsilon=train_eps)
     model = models.init_model(cfg.encoder_config(d_p.input_shape), d_p.n_classes,
-                              cfg.getint("model", "head_dim"), SEED)
+                              cfg.get("model", "head_dim"), SEED)
     phases = {}
     for phase in training._phases(spec, d_p, d_f):
         curve = training._run_phase(model, spec, phase)

@@ -1,7 +1,8 @@
 """Command-line surface: gen-data, train, evaluate, cka, probe, sweep, report.
 
 Exit codes: 0 success, 1 config or validation error, 2 runtime failure. All outputs go
-under [experiment] output_dir (overridable via ROBUSTCL_OUTPUT_DIR).
+under [experiment] output_dir; a non-empty ROBUSTCL_OUTPUT_DIR overrides it, applied as
+the last -o override, so config.canonical.ini names the directory used.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ class ValidationFailure(Exception):
 
 
 def _load(args) -> ExperimentConfig:
-    cfg = load_config(args.config, overrides=args.override)
     env_out = os.environ.get("ROBUSTCL_OUTPUT_DIR")
-    if env_out:
-        cfg.sections["experiment"]["output_dir"] = env_out
-    return cfg
+    env = [f"experiment.output_dir={env_out}"] if env_out else []
+    return load_config(args.config, overrides=args.override + env)
 
 
 def _out_dir(cfg: ExperimentConfig) -> str:
@@ -66,7 +65,7 @@ def cmd_gen_data(args) -> int:
 def _own_cell(cfg: ExperimentConfig) -> tuple:
     """The (scenario, scheme, seed) cell that a config names."""
     return (cfg.get("scenario", "scenario"), cfg.get("loss", "scheme"),
-            cfg.getint("experiment", "seed"))
+            cfg.get("experiment", "seed"))
 
 
 def cmd_train(args) -> int:
@@ -130,7 +129,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_cka(args) -> int:
     cfg, out, model, _, (_, _, test) = _trained_model(args)
-    n_samples = cfg.getint("analysis", "n_samples")
+    n_samples = cfg.get("analysis", "n_samples")
     clean = analysis.cka_heatmap(model, test, None, n_samples)
     files = reporting.write_cka_grid(clean, os.path.join(out, "cka_clean_clean"))
     eval_attacks = cfg.eval_attacks(cfg.get("loss", "scheme"))
@@ -147,13 +146,13 @@ def cmd_cka(args) -> int:
 
 def cmd_probe(args) -> int:
     cfg, out, model, _, (d_p, _, test) = _trained_model(args)
-    layers = cfg.getlist("analysis", "probe_layers") or model.layer_ids()
+    layers = cfg.get("analysis", "probe_layers") or model.layer_ids()
     path = os.path.join(out, "probes.csv")
     if os.path.exists(path):
         os.remove(path)
     for layer in layers:
         result = analysis.linear_probe(model, d_p, test, layer,
-                                       seed=cfg.getint("experiment", "seed"))
+                                       seed=cfg.get("experiment", "seed"))
         reporting.append_probe_csv(result, path)
         print(f"probe {layer}: test accuracy {result.test_accuracy:.4f}")
     _write_manifest(cfg, out, [path])

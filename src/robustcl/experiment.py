@@ -18,22 +18,22 @@ from .data import Dataset
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
     source = cfg.get("dataset", "source")
-    seed = cfg.getint("experiment", "seed")
+    seed = cfg.get("experiment", "seed")
     if source == "synthetic":
         return data.gen_synthetic(cfg.get("dataset", "kind"),
-                                  cfg.getint("dataset", "n"),
-                                  cfg.getint("dataset", "dim"),
-                                  cfg.getint("dataset", "classes"),
+                                  cfg.get("dataset", "n"),
+                                  cfg.get("dataset", "dim"),
+                                  cfg.get("dataset", "classes"),
                                   seed=seed,
-                                  separation=cfg.getfloat("dataset", "separation"))
+                                  separation=cfg.get("dataset", "separation"))
     if source == "synthetic_images":
-        return data.gen_bar_images(cfg.getint("dataset", "n"),
-                                   size=cfg.getint("dataset", "size"),
-                                   n_classes=cfg.getint("dataset", "classes"),
+        return data.gen_bar_images(cfg.get("dataset", "n"),
+                                   size=cfg.get("dataset", "size"),
+                                   n_classes=cfg.get("dataset", "classes"),
                                    seed=seed,
-                                   contrast=cfg.getfloat("dataset", "contrast"),
-                                   noise_sigma=cfg.getfloat("dataset", "noise_sigma"),
-                                   shortcut_amp=cfg.getfloat("dataset", "shortcut_amp"))
+                                   contrast=cfg.get("dataset", "contrast"),
+                                   noise_sigma=cfg.get("dataset", "noise_sigma"),
+                                   shortcut_amp=cfg.get("dataset", "shortcut_amp"))
     if source == "idx":
         return data.load_idx(cfg.get("dataset", "images_path"),
                              cfg.get("dataset", "labels_path"))
@@ -44,8 +44,8 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
 
 def build_splits(cfg: ExperimentConfig, dataset: Dataset):
     """Returns (D_p, D_f, test); a zero D_f fraction means D_f = D_p."""
-    fracs = cfg.getlist("dataset", "split", float)
-    seed = cfg.getint("experiment", "seed")
+    fracs = cfg.get("dataset", "split")
+    seed = cfg.get("experiment", "seed")
     if fracs[1] == 0.0:
         d_p, test = data.split(dataset, (fracs[0], fracs[2]), seed)
         return d_p, d_p, test
@@ -70,7 +70,7 @@ def cell_key(cfg: ExperimentConfig, scenario: str, scheme: str, seed: int,
     """Hash identifying one trained model: config + cell + data fingerprint.
     A `train_epsilon` that trains the same model as None (the configured
     epsilon, or any value under ST, which trains no attack) keys as None."""
-    if scenario == "ST" or train_epsilon == cfg.getfloat("attack_train", "epsilon"):
+    if scenario == "ST" or train_epsilon == cfg.get("attack_train", "epsilon"):
         train_epsilon = None
     h = hashlib.sha256()
     relevant = {s: cfg.sections[s] for s in
@@ -146,7 +146,7 @@ def train_cell(cfg: ExperimentConfig, d_p: Dataset, d_f: Dataset,
     spec = cfg.scenario_spec(scenario=scenario, scheme=scheme, seed=seed,
                              train_epsilon=train_epsilon)
     enc_cfg = cfg.encoder_config(d_p.input_shape)
-    model = models.init_model(enc_cfg, d_p.n_classes, cfg.getint("model", "head_dim"), seed)
+    model = models.init_model(enc_cfg, d_p.n_classes, cfg.get("model", "head_dim"), seed)
     record = training.run_scenario(model, d_p, d_f, spec)
     manifest = {**record.manifest, "cell_key": key}
     if cache_dir is not None:
@@ -245,9 +245,9 @@ def scenario_sweep(cfg: ExperimentConfig, cache_dir):
     """Train (`train_cells`) and evaluate (`evaluate_cell`) every (scenario,
     scheme, seed) grid cell, both cached in `cache_dir`. Returns (rows for
     results.csv, list of per-cell error strings)."""
-    jobs = [(sc, sch, seed, None) for sc in cfg.getlist("sweep", "scenarios")
-            for sch in cfg.getlist("sweep", "schemes")
-            for seed in cfg.getlist("sweep", "seeds", int)]
+    jobs = [(sc, sch, seed, None) for sc in cfg.get("sweep", "scenarios")
+            for sch in cfg.get("sweep", "schemes")
+            for seed in cfg.get("sweep", "seeds")]
     if not jobs:
         raise ConfigError("sweep grid is empty")
     d_p, d_f, test = build_splits(cfg, build_dataset(cfg))

@@ -84,6 +84,12 @@ class OptimizerConfig:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        if not (self.lr > 0 and self.eps > 0):
+            raise TrainingError("Adam lr and eps must be > 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise TrainingError("Adam betas must lie in [0, 1)")
+
 
 @dataclass
 class ScenarioSpec:
@@ -104,6 +110,10 @@ class ScenarioSpec:
             raise TrainingError(f"unknown scenario {self.scenario!r}")
         if self.scheme not in losses.SCHEMES:
             raise TrainingError(f"unknown scheme {self.scheme!r}")
+        if min(self.batch_size, self.adv_batch_size) < 2:
+            raise TrainingError("batch sizes must be >= 2: batches of one are skipped")
+        if min(self.pretrain_epochs, self.finetune_epochs) < 0:
+            raise TrainingError("epochs must be >= 0")
         if self.adversarial and (self.train_attack is None or self.train_attack.epsilon <= 0):
             raise TrainingError(f"{self.scenario} requires a train attack with epsilon > 0")
         if self.scheme == "SL" and self.scenario in ("Partial-AT", "Full-AT"):

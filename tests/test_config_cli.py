@@ -9,6 +9,10 @@ from robustcl.analysis import CKAMatrix, ProbeResult
 from robustcl.config import (ConfigError, DEFAULTS, ExperimentConfig,
                              load_config)
 
+# every key whose value can fail to parse: all but the str and [str] ones
+TYPED_KEYS = [f"{section}.{key}" for section, keys in DEFAULTS.items()
+              for key, (kind, _) in keys.items() if kind not in (str, [str])]
+
 FAST_VECTOR = [
     "dataset.n=300", "dataset.dim=10", "dataset.separation=8.0",
     "model.layer_widths=12,6", "model.head_dim=4",
@@ -34,6 +38,30 @@ class TestConfig:
         for section in DEFAULTS:
             assert set(cfg.sections[section]) == set(DEFAULTS[section])
 
+    def test_every_default_parses_under_its_declared_type(self):
+        cfg = load_config(text="")
+        for section, keys in DEFAULTS.items():
+            for key, (kind, _) in keys.items():
+                value = cfg.get(section, key)
+                if isinstance(kind, list):
+                    assert type(value) is list and all(type(v) is kind[0] for v in value)
+                elif kind == float | None:
+                    assert value is None
+                else:
+                    assert type(value) is kind, (section, key)
+
+    def test_get_returns_typed_values(self):
+        cfg = load_config(text="", overrides=[
+            "loss.temperature=0.2", "attack_train.random_start= Yes ",
+            "model.layer_widths= 8, 4", "sweep.schemes=SL, CL", "analysis.probe_layers="])
+        assert cfg.get("loss", "temperature") == 0.2
+        assert cfg.get("attack_train", "random_start") is True
+        assert cfg.get("model", "layer_widths") == [8, 4]
+        assert cfg.get("sweep", "schemes") == ["SL", "CL"]
+        assert cfg.get("analysis", "probe_layers") == []
+        # the raw strings, which name cells and configs, are kept as given
+        assert cfg.sections["model"]["layer_widths"] == " 8, 4"
+
     def test_roundtrip_identical(self):
         cfg = load_config(text="[dataset]\nn = 500\n")
         again = load_config(text=cfg.canonical())
@@ -55,7 +83,7 @@ class TestConfig:
 
     def test_override_applies(self):
         cfg = load_config(text="", overrides=["experiment.seed=9"])
-        assert cfg.getint("experiment", "seed") == 9
+        assert cfg.get("experiment", "seed") == 9
 
     def test_bad_override_format(self):
         with pytest.raises(ConfigError):
@@ -260,12 +288,46 @@ class TestCli:
         "sweep.seeds=x", "dataset.n=1", "dataset.classes=1", "model.layer_widths=5",
         "sweep.scenarios=ST,XX", "sweep.schemes=SL,FOO", "analysis.n_samples=2",
         "analysis.probe_layers=L9_bad", "analysis.probe_layers=input,L5_dense16",
+        "scenario.batch_size=0", "scenario.batch_size=1", "scenario.adv_batch_size=1",
+        "scenario.finetune_epochs=-1", "scenario.pretrain_epochs=-1", "scenario.lr=-1",
+        "scenario.lr=0", "scenario.adam_eps=0", "scenario.adam_beta1=1",
+        "scenario.adam_beta2=-0.1",
     ])
     def test_a_value_that_does_not_parse_or_build_is_a_config_error(
             self, tmp_path, capsys, override):
         assert run_cli(tmp_path, "train", [override]) == 1
         assert "config error: " in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("target", TYPED_KEYS)
+    def test_an_unparsable_value_is_a_config_error_naming_its_key(self, tmp_path, capsys,
+                                                                   target):
+        assert run_cli(tmp_path, "train", [f"{target}=x"]) == 1
+        section, key = target.split(".")
+        assert f"config error: [{section}] {key}: not " in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("text", [
+        "[experiment\nseed = 1\n",
+        "[dataset]\nn = 50\n[experiment\nseed = 1\n",
+        "[dataset]\nn = 50\nn = 60\n",
+        "[dataset]\nn 50\n",
+    ], ids=["unclosed-first-section", "unclosed-section", "duplicate-key", "no-delimiter"])
+    def test_an_ini_file_that_does_not_parse_is_a_config_error(self, tmp_path, capsys,
+                                                               text):
+        ini = tmp_path / "broken.ini"
+        ini.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["gen-data", "-c", str(ini), "-o", f"experiment.output_dir={out}"]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {ini}: ")
+        assert not out.exists()
+
+    def test_a_percent_in_an_ini_value_is_taken_verbatim(self, tmp_path):
+        ini = tmp_path / "percent.ini"
+        out = tmp_path / "o%d"
+        ini.write_text(f"[experiment]\noutput_dir = {out}\n[dataset]\nn = 50\ndim = 4\n")
+        assert cli.main(["gen-data", "-c", str(ini)]) == 0
+        assert f"output_dir = {out}\n" in (out / "config.canonical.ini").read_text()
 
     @pytest.mark.parametrize("command, overrides", [
         ("train", ["loss.scheme=SL+CL", "loss.combo_weights=1,2,3"]),
@@ -284,7 +346,7 @@ class TestCli:
         saved_cfg = load_config(text="", overrides=FAST_VECTOR + [saved])
         ckpt = tmp_path / "other.ckpt"
         models.save_checkpoint(models.init_model(
-            saved_cfg.encoder_config((saved_cfg.getint("dataset", "dim"),)), 2, 4, 0), ckpt)
+            saved_cfg.encoder_config((saved_cfg.get("dataset", "dim"),)), 2, 4, 0), ckpt)
         assert run_cli(tmp_path / "out", command, FAST_VECTOR, checkpoint=str(ckpt)) == 1
         err = capsys.readouterr().err
         assert "is not the configured encoder" in err and "(12, 6)" in err
@@ -442,6 +504,8 @@ class TestCli:
     def test_env_output_dir(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env_out"
         monkeypatch.setenv("ROBUSTCL_OUTPUT_DIR", str(env_dir))
-        rc = cli.main(["gen-data", "-o", "dataset.n=50", "-o", "dataset.dim=4"])
+        rc = cli.main(["gen-data", "-o", "dataset.n=50", "-o", "dataset.dim=4",
+                       "-o", f"experiment.output_dir={tmp_path / 'option_out'}"])
         assert rc == 0
-        assert env_dir.exists()
+        assert os.listdir(tmp_path) == ["env_out"]
+        assert f"output_dir = {env_dir}\n" in (env_dir / "config.canonical.ini").read_text()

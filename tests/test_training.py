@@ -240,7 +240,7 @@ class TestPretrain:
         for scenario in ("AT", "Partial-AT", "Full-AT"):
             spec = replace(cfg.scenario_spec(scenario, scheme, seed=0), pretrain_epochs=1)
             model = models.init_model(cfg.encoder_config(d_p.input_shape), d_p.n_classes,
-                                      cfg.getint("model", "head_dim"), seed=0)
+                                      cfg.get("model", "head_dim"), seed=0)
             phase = training._phases(spec, d_p, d_p)[0]
             assert phase.name == "pretrain"
             curve = training._run_phase(model, spec, phase)
