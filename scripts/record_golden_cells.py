@@ -93,8 +93,8 @@ def golden_cell(cfg, d_p, d_f, test, scenario: str, scheme: str, train_eps) -> d
     batch = ViewBatch(x=Tensor(test.inputs), y=test.labels)
     return {"phases": phases,
             "eval": {"clean": report.clean_accuracy,
-                     "tm1": report.robust[(tm1.threat_model, tm1.epsilon, tm1.steps)],
-                     "tm2": report.robust[(tm2.threat_model, tm2.epsilon, tm2.steps)],
+                     "tm1": report.robust[tm1.robust_key],
+                     "tm2": report.robust[tm2.robust_key],
                      "tm1_x_adv_sha256": sha256([attacks.pgd(model, batch, tm1).data]),
                      "tm2_x_adv_sha256": sha256([attacks.pgd(model, batch, tm2).data])}}
 

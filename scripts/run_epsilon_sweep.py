@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from robustcl import analysis, directional, experiment, reporting
 
@@ -24,7 +25,7 @@ def main(argv=None):
                     help="cell cache (default: the checkout's runs/acceptance/cache)")
     ap.add_argument("--out", default=None,
                     help="artifact directory (default: the checkout's runs/eps_sweep)")
-    ap.add_argument("--n-samples", type=int, default=400)
+    ap.add_argument("--n-samples", type=int, default=directional.N_ANALYSIS)
     args = ap.parse_args(argv)
 
     cache_dir = args.cache_dir or directional.default_cache_dir()
@@ -44,9 +45,7 @@ def main(argv=None):
         reporting.write_divergence_csv(grid, os.path.join(out, f"{tag}_divergence.csv"))
         print(f"eps={eps:.5f}  final-layer clean-adv CKA {grid.diagonal()[-1]:.3f}")
 
-    manifest = {"epsilons": epsilons, "n_samples": grid.n_samples,
-                "attack": {"epsilon": attack.epsilon, "steps": attack.steps,
-                           "driving_loss": attack.driving_loss}}
+    manifest = {"epsilons": epsilons, "n_samples": grid.n_samples, "attack": asdict(attack)}
     with open(os.path.join(out, "sweep_manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
     print(f"artifacts in {out}")

@@ -7,6 +7,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -23,9 +24,9 @@ class ConfigError(Exception):
     pass
 
 
-# section -> key -> (type, default). A type is str, int, float, bool,
-# float | None (empty means None) or [t]: comma-separated t values (empty
-# means []).
+# section -> key -> (type, default). A type is str, int, float (finite),
+# bool, float | None (empty means None) or [t]: comma-separated t values
+# (empty means []).
 DEFAULTS = {
     "experiment": {
         "seed": (int, "0"),
@@ -115,9 +116,12 @@ def _cast(section: str, key: str, kind, value: str):
     if kind == float | None:
         return _cast(section, key, float, value) if value.strip() else None
     try:
-        return _BOOLEANS[value.strip().lower()] if kind is bool else kind(value)
+        got = _BOOLEANS[value.strip().lower()] if kind is bool else kind(value)
     except (KeyError, ValueError):
         raise ConfigError(f"[{section}] {key}: not {kind.__name__}: {value!r}") from None
+    if kind is float and not math.isfinite(got):
+        raise ConfigError(f"[{section}] {key}: not finite: {value!r}")
+    return got
 
 
 @dataclass

@@ -10,6 +10,7 @@ seeds.
 from __future__ import annotations
 
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 from . import analysis, evaluation, experiment
@@ -96,6 +97,8 @@ CELLS = {
 FINAL_CKA = ("ST/CL", "AT/CL/eps=0.0157", "AT/CL", "ST/SL")
 # scenario -> the (CL, SL) cell pair whose cross-scheme CKA is cached
 CROSS = {"AT": ("AT/CL", "AT/SL"), "ST": ("ST/CL", "ST/SL")}
+# test rows (drawn with sample seed 0) behind every cached CKA value
+N_ANALYSIS = 400
 
 
 def package_root() -> Path:
@@ -137,27 +140,29 @@ def tm2_attack() -> AttackSpec:
                       driving_loss="CL", clamp=(0.0, 1.0), seed=0)
 
 
-def _cached_value(path, name, compute):
+def _cached_value(path, name, attack, compute):
     """The `name` field of the JSON file at `path` (`experiment.cached_json`),
-    `compute()`d and written on a miss."""
-    return experiment.cached_json(path, lambda: {name: compute()}, keys=(name,))[name]
+    `compute()`d and written on a miss. The file records the sample count,
+    sample seed and `attack` (None: clean inputs); one of another is a miss."""
+    record = {"n_samples": N_ANALYSIS, "sample_seed": 0, "attack": attack and asdict(attack)}
+    return experiment.cached_json(path, lambda: {name: compute()}, (name,), record=record)[name]
 
 
-def _final_cka(model, test, key, cache_dir, n_analysis=400):
+def _final_cka(model, test, key, cache_dir):
     return _cached_value(
-        os.path.join(cache_dir, f"{key}.cka.json"), "final_clean_adv_cka",
+        os.path.join(cache_dir, f"{key}.cka.json"), "final_clean_adv_cka", tm1_attack(),
         lambda: float(analysis.divergence_curve(model, test, tm1_attack(),
-                                                n_samples=n_analysis, seed=0)[-1]))
+                                                n_samples=N_ANALYSIS, seed=0)[-1]))
 
 
-def _cross_upper(model_a, model_b, test, key_a, key_b, cache_dir, n_analysis=400):
+def _cross_upper(model_a, model_b, test, key_a, key_b, cache_dir):
     return _cached_value(
-        os.path.join(cache_dir, f"cross_{key_a}_{key_b}.json"), "upper_third_mean",
+        os.path.join(cache_dir, f"cross_{key_a}_{key_b}.json"), "upper_third_mean", None,
         lambda: analysis.upper_third_mean(analysis.cross_model_cka(
-            model_a, model_b, test, n_samples=n_analysis, seed=0, model_ids=(key_a, key_b))))
+            model_a, model_b, test, n_samples=N_ANALYSIS, seed=0, model_ids=(key_a, key_b))))
 
 
-def _seed_results(cfg, trained: dict, test, cache_dir: str, n_analysis: int) -> dict:
+def _seed_results(cfg, trained: dict, test, cache_dir: str) -> dict:
     """One seed's evaluations (`experiment.evaluate_cell`) and CKA values,
     all cached, of its `trained` cells, name -> (model, manifest); every
     result is keyed by cell name, or by scenario for the cross-scheme CKA."""
@@ -174,16 +179,15 @@ def _seed_results(cfg, trained: dict, test, cache_dir: str, n_analysis: int) -> 
     key = {name: manifest["cell_key"] for name, (_, manifest) in trained.items()}
     return {
         "cells": cells,
-        "final_cka": {name: _final_cka(trained[name][0], test, key[name], cache_dir, n_analysis)
+        "final_cka": {name: _final_cka(trained[name][0], test, key[name], cache_dir)
                       for name in FINAL_CKA},
         "cross_upper": {scenario: _cross_upper(trained[a][0], trained[b][0], test,
-                                               key[a], key[b], cache_dir, n_analysis)
+                                               key[a], key[b], cache_dir)
                         for scenario, (a, b) in CROSS.items()},
     }
 
 
-def run_suite(seeds=SEEDS, cache_dir=None, cfg=None, log=None,
-              n_analysis: int = 400) -> dict:
+def run_suite(seeds=SEEDS, cache_dir=None, cfg=None, log=None) -> dict:
     """Train every seed's `CELLS` in one `experiment.train_cells` call, then
     evaluate them seed by seed."""
     cfg = cfg or fixture_config()
@@ -197,7 +201,7 @@ def run_suite(seeds=SEEDS, cache_dir=None, cfg=None, log=None,
         trained = dict(zip(CELLS, results))
         if failed := [f"{name}: {got}" for name, got in trained.items() if isinstance(got, str)]:
             raise RuntimeError(f"seed {seed}: " + "; ".join(failed))
-        suite[seed] = _seed_results(cfg, trained, test, cache_dir, n_analysis)
+        suite[seed] = _seed_results(cfg, trained, test, cache_dir)
     return {"seeds": suite}
 
 

@@ -135,11 +135,11 @@ def _stub_leaves(monkeypatch, values_by_seed):
                   for s in specs}
         return evaluation.EvalReport(key, scenario, scheme, 0.9, robust, 500)
 
-    def final_cka(model, test, key, cache_dir, n_analysis=400):
+    def final_cka(model, test, key, cache_dir):
         values, cell = lookup(key)
         return values["cka"][cell]
 
-    def cross_upper(model_a, model_b, test, key_a, key_b, cache_dir, n_analysis=400):
+    def cross_upper(model_a, model_b, test, key_a, key_b, cache_dir):
         values, (scenario, scheme, _) = lookup(key_a)
         assert scheme == "CL" and lookup(key_b)[1] == (scenario, "SL", None)
         return values["cross"][scenario]

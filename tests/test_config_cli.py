@@ -12,6 +12,9 @@ from robustcl.config import (ConfigError, DEFAULTS, ExperimentConfig,
 # every key whose value can fail to parse: all but the str and [str] ones
 TYPED_KEYS = [f"{section}.{key}" for section, keys in DEFAULTS.items()
               for key, (kind, _) in keys.items() if kind not in (str, [str])]
+# every key that must hold finite floats
+FLOAT_KEYS = [f"{section}.{key}" for section, keys in DEFAULTS.items()
+              for key, (kind, _) in keys.items() if kind in (float, float | None, [float])]
 
 FAST_VECTOR = [
     "dataset.n=300", "dataset.dim=10", "dataset.separation=8.0",
@@ -291,7 +294,9 @@ class TestCli:
         "scenario.batch_size=0", "scenario.batch_size=1", "scenario.adv_batch_size=1",
         "scenario.finetune_epochs=-1", "scenario.pretrain_epochs=-1", "scenario.lr=-1",
         "scenario.lr=0", "scenario.adam_eps=0", "scenario.adam_beta1=1",
-        "scenario.adam_beta2=-0.1",
+        "scenario.adam_beta2=-0.1", "loss.temperature=nan", "attack_train.epsilon=inf",
+        "augment.gaussian_noise_sigma=nan", "attack_eval.epsilons=nan", "dataset.contrast=nan",
+        "loss.alpha=nan", "scenario.lr=inf",
     ])
     def test_a_value_that_does_not_parse_or_build_is_a_config_error(
             self, tmp_path, capsys, override):
@@ -299,10 +304,11 @@ class TestCli:
         assert "config error: " in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("target", TYPED_KEYS)
+    @pytest.mark.parametrize("target, value", [pytest.param(t, "x", id=t) for t in TYPED_KEYS]
+                             + [pytest.param(t, "nan", id=f"{t}=nan") for t in FLOAT_KEYS])
     def test_an_unparsable_value_is_a_config_error_naming_its_key(self, tmp_path, capsys,
-                                                                   target):
-        assert run_cli(tmp_path, "train", [f"{target}=x"]) == 1
+                                                                   target, value):
+        assert run_cli(tmp_path, "train", [f"{target}={value}"]) == 1
         section, key = target.split(".")
         assert f"config error: [{section}] {key}: not " in capsys.readouterr().err
         assert os.listdir(tmp_path) == []

@@ -4,6 +4,8 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -229,36 +231,42 @@ def _stub_directional_computations(monkeypatch):
     monkeypatch.setattr(analysis, "upper_third_mean", lambda grid: 0.5)
     monkeypatch.setattr(evaluation, "evaluate", lambda *a, **k: SimpleNamespace(
         clean_accuracy=0.75, n_test=500, classifier_grad_queries_tm2=0,
-        robust={(tm1.threat_model, tm1.epsilon, tm1.steps): 0.375}))
+        robust={tm1.robust_key: 0.375}))
 
 
 # (cache file, call returning the cached value, the value, a payload that
-# parses but lacks a key the caller reads)
+# parses but lacks a key the caller reads, record fields of another run)
 CACHED_RESULTS = {
     "cka": ("k.cka.json", lambda d: directional._final_cka(None, None, "k", d), 0.25,
-            {"upper_third_mean": 0.5}),
+            {"upper_third_mean": 0.5}, {"n_samples": 30}),
     "cross": ("cross_a_b.json",
               lambda d: directional._cross_upper(None, None, None, "a", "b", d), 0.5,
-              {"final_clean_adv_cka": 0.25}),
+              {"final_clean_adv_cka": 0.25}, {"n_samples": 30}),
     "eval": ("k.eval.json",
              lambda d: experiment.evaluate_cell(None, None, [directional.tm1_attack()],
                                                 "ST", "SL", "k", d).n_test,
-             500, {"clean": 0.75, "robust": {}}),
+             500, {"clean": 0.75, "robust": {}},
+             {"specs": [asdict(replace(directional.tm1_attack(), steps=10))]}),
 }
 
 
-@pytest.mark.parametrize("stale", ["empty", "array", "partial"])
+@pytest.mark.parametrize("stale", ["empty", "array", "partial", "other-record"])
 @pytest.mark.parametrize("kind", sorted(CACHED_RESULTS))
 def test_directional_cache_recomputes_a_payload_without_its_keys(
         tmp_path, monkeypatch, kind, stale):
-    name, call, value, partial = CACHED_RESULTS[kind]
+    name, call, value, partial, other = CACHED_RESULTS[kind]
     _stub_directional_computations(monkeypatch)
     path = tmp_path / name
     assert call(str(tmp_path)) == value
     good = path.read_bytes()
-    path.write_text(json.dumps({"empty": {}, "array": [], "partial": partial}[stale]))
-    with pytest.warns(RuntimeWarning, match="unreadable cache file"):
+    path.write_text(json.dumps({"empty": {}, "array": [], "partial": partial,
+                                "other-record": {**json.loads(good), **other}}[stale]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert call(str(tmp_path)) == value
+    # a file of another record, even one holding the right value, is a silent miss
+    assert [(w.category, "unreadable cache file" in str(w.message)) for w in caught] == (
+        [] if stale == "other-record" else [(RuntimeWarning, True)])
     assert path.read_bytes() == good
     assert os.listdir(tmp_path) == [name]
 
@@ -292,7 +300,8 @@ def test_scripts_write_nothing_outside_a_checkout(tmp_path, monkeypatch, name):
 def test_eps_sweep_reads_the_studys_cells(tmp_path):
     """At its default budgets the sweep trains nothing: eps 0, 4/255 and
     8/255 are the seed-0 cells that badge c8 reads, and each final
-    divergence value is that cell's committed final clean-adv CKA."""
+    divergence value is that cell's committed final clean-adv CKA, computed
+    under the same record."""
     committed = Path(directional.default_cache_dir())
     cfg = directional.fixture_config()
     d_p, _, _ = experiment.build_splits(cfg, experiment.build_dataset(cfg))
@@ -318,6 +327,9 @@ def test_eps_sweep_reads_the_studys_cells(tmp_path):
         assert rows[0] == "layer_id,cka_clean_adv"
         final = json.loads((committed / f"{key}.cka.json").read_text())
         assert float(rows[-1].split(",")[1]) == final["final_clean_adv_cka"]
+    # the sweep records its attack and sample count as the CKA files do
+    manifest = json.loads((out / "sweep_manifest.json").read_text())
+    assert (manifest["attack"], manifest["n_samples"]) == (final["attack"], final["n_samples"])
 
 
 def test_run_directional_writes_under_the_checkout_by_default(tmp_path, monkeypatch):
