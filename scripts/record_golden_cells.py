@@ -5,16 +5,17 @@
 
 Trains each of the directional study's 11 cells (`directional.CELLS`) at
 seed 0 for one pretraining and one fine-tuning epoch on the image fixture,
-and the `EXTRA_CELLS` that cover the paths the study does not train (the
-conv encoder, Partial-AT, vector data), and writes `tests/golden_cells.json`. Per cell and per training phase it
-holds the phase's loss curve and the sha256 of every parameter after the
-phase; per cell, the clean, TM-I and TM-II accuracy on the first 64 test
-images and the sha256 of each attack's adversarial images (after one epoch
-the accuracies sit near chance, so the images carry the attack's bits). The
-file is stamped with the numpy version, BLAS build and thread count: other
-builds may round the last bits differently, so the test checks the cells
-only on the same build. A change that moves training bits
-re-records the file in the same commit, and its diff shows which cells moved.
+and the `EXTRA_CELLS` that cover the paths the study does not train
+(Partial-AT, vector data), and writes `tests/golden_cells.json`. Per cell
+and per training phase it holds the phase's loss curve and the sha256 of
+every parameter after the phase; per cell, the clean, TM-I and TM-II
+accuracy on the first 64 test images and the sha256 of each attack's
+adversarial images (after one epoch the accuracies sit near chance, so the
+images carry the attack's bits). The file is stamped with the numpy
+version, BLAS build and thread count: other builds may round the last bits
+differently, so the test checks the cells only on the same build. A change
+that moves training bits re-records the file in the same commit, and its
+diff shows which cells moved.
 """
 
 import hashlib
@@ -41,7 +42,6 @@ EPOCHS = (1, 1)  # (pretrain, fine-tune)
 N_TEST = 64
 # name -> (fixture overrides, scenario, scheme), trained like the study's cells
 EXTRA_CELLS = {
-    "conv_small/ST/CL": (("model.kind=conv_small", "model.layer_widths=4,8,32"), "ST", "CL"),
     "Partial-AT/CL": ((), "Partial-AT", "CL"),
     "Partial-AT/SCL": ((), "Partial-AT", "SCL"),
     "two_gaussians/AT/CL": (("dataset.source=synthetic", "dataset.kind=two_gaussians",

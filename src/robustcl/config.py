@@ -49,7 +49,7 @@ DEFAULTS = {
         "split": ([float], "0.8,0.0,0.2"),  # D_p, D_f, test; D_f fraction 0 -> D_f = D_p
     },
     "model": {
-        "kind": (str, "dense"),
+        "kind": (str, "dense"),  # dense only; kept because cell_key hashes [model]
         "layer_widths": ([int], "64,64,32,32,16"),
         "head_dim": (int, "16"),
     },
@@ -153,12 +153,9 @@ class ExperimentConfig:
     # ---- typed views -------------------------------------------------
 
     def encoder_config(self, input_shape) -> EncoderConfig:
-        kind = self.get("model", "kind")
-        input_shape = tuple(input_shape)
-        if kind == "dense" and len(input_shape) > 1:
-            # dense encoders flatten image inputs in-graph
-            input_shape = (int(np.prod(input_shape)),)
-        return EncoderConfig(kind, tuple(self.get("model", "layer_widths")), input_shape)
+        """The encoder of samples of `input_shape`, which it sees flattened."""
+        return EncoderConfig(tuple(self.get("model", "layer_widths")),
+                             (int(np.prod(input_shape)),))
 
     def loss_config(self, scheme: str | None = None) -> LossConfig:
         scheme = scheme or self.get("loss", "scheme")
@@ -267,22 +264,28 @@ def load_config(path=None, text: str | None = None, overrides=None) -> Experimen
 
 
 def validate(cfg: ExperimentConfig) -> None:
-    """Raise ConfigError unless a synthetic source's generator accepts its
-    arguments, a file source's files exist, the encoder accepts its widths
-    (and a synthetic source's input shape), the scenario, its training
-    attack, the evaluation attacks and the sweep schemes' losses build, the
-    sweep names known scenarios and schemes, and the analysis takes at least
-    3 samples and probes only the input or the encoder's layers."""
+    """Raise ConfigError unless the seeds are non-negative, the split gives
+    D_p and test rows, a synthetic source's generator accepts its arguments,
+    a file source's files exist, the encoder accepts its widths, the
+    scenario, its training attack, the evaluation attacks and the sweep
+    schemes' losses build, the sweep names known scenarios and schemes, and
+    the analysis takes at least 3 samples and probes only the input or the
+    encoder's layers."""
     source = cfg.get("dataset", "source")
     if source not in ("synthetic", "synthetic_images", "idx", "csv"):
         raise ConfigError(f"[dataset] source: unknown value {source!r}")
+    if cfg.get("experiment", "seed") < 0:
+        raise ConfigError("[experiment] seed must be >= 0")
+    if any(s < 0 for s in cfg.get("sweep", "seeds")):
+        raise ConfigError("[sweep] seeds must be >= 0")
     fracs = cfg.get("dataset", "split")
-    if len(fracs) != 3 or abs(sum(fracs) - 1.0) > 1e-9:
-        raise ConfigError("[dataset] split must be three fractions summing to 1")
-    if cfg.get("model", "kind") not in ("dense", "conv_small"):
-        raise ConfigError("[model] kind must be dense or conv_small")
-    n, dim, classes, size = (cfg.get("dataset", k) for k in ("n", "dim", "classes", "size"))
-    widths = cfg.get("model", "layer_widths")
+    if (len(fracs) != 3 or abs(sum(fracs) - 1.0) > 1e-9
+            or not all(0.0 <= f <= 1.0 for f in fracs) or 0.0 in (fracs[0], fracs[2])):
+        raise ConfigError("[dataset] split must be three fractions in [0, 1] summing to 1, "
+                          "with D_p and test above 0")
+    if (kind := cfg.get("model", "kind")) != "dense":
+        raise ConfigError(f"[model] kind must be dense, not {kind!r}")
+    n, dim, classes = (cfg.get("dataset", k) for k in ("n", "dim", "classes"))
     if cfg.get("analysis", "n_samples") < 3:
         raise ConfigError("[analysis] n_samples must be >= 3: linear CKA needs 3 samples")
     for key, names in (("scenarios", SCENARIOS), ("schemes", SCHEMES)):
@@ -292,16 +295,13 @@ def validate(cfg: ExperimentConfig) -> None:
         if source == "synthetic":
             check_synthetic(cfg.get("dataset", "kind"), n, dim, classes,
                             cfg.get("dataset", "separation"))
-            cfg.encoder_config((dim,))
         elif source == "synthetic_images":
             check_bar_images(n, classes, cfg.get("dataset", "shortcut_amp"))
-            cfg.encoder_config((1, size, size))
         else:
-            # no input shape before the files load: check they exist, and the widths
             for key in ("images_path", "labels_path") if source == "idx" else ("csv_path",):
                 if not os.path.isfile(path := cfg.get("dataset", key)):
                     raise ConfigError(f"[dataset] {key}: no such file: {path!r}")
-            EncoderConfig("dense", widths, (1,))
+        cfg.encoder_config((1,))  # the widths alone decide whether it builds
         cfg.scenario_spec()
         for scheme in cfg.get("sweep", "schemes"):
             cfg.loss_config(scheme)
@@ -309,6 +309,6 @@ def validate(cfg: ExperimentConfig) -> None:
         cfg.eval_attacks(cfg.get("loss", "scheme"))
     except (AttackError, DataError, LossError, ModelError, TrainingError) as exc:
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
-    ids = ["input"] + layer_ids(cfg.get("model", "kind"), widths)
+    ids = ["input"] + layer_ids(cfg.get("model", "layer_widths"))
     if unknown := [v for v in cfg.get("analysis", "probe_layers") if v not in ids]:
         raise ConfigError(f"[analysis] probe_layers: unknown {unknown}; have {ids}")

@@ -381,6 +381,9 @@ def split(dataset: Dataset, fractions, seed: int):
     names = [f"{dataset.name}_split{j}" for j in range(len(fractions))]
     for j, chunks in enumerate(parts):
         idx = np.sort(np.concatenate(chunks))
+        if not len(idx):
+            raise DataError(f"split part {j} ({names[j]}, fraction {fractions[j]}) "
+                            "gets no rows")
         out.append(dataset.subset(idx, names[j]))
     return tuple(out)
 

@@ -1,13 +1,11 @@
 """Encoder / projection-head / linear-classifier model bundles.
 
-Two desk-scale encoders are provided: a dense multi-layer perceptron for
-vector data and a small convolutional network (3x3 conv + relu + 2x2 pool
-blocks followed by one dense layer) for image data. Both are one list of
-layers, `EncoderConfig.layers`: conv blocks, then dense layers, which
-`init_model`, `encode` and `layer_ids` each walk in one loop. The
-projection head is a two-layer MLP with a relu in between; the classifier
-is a single affine map on the encoder representation. Every affine layer,
-with its relu where it has one, is one `tensor.dense` node on the tape.
+The encoder is a dense multi-layer perceptron: an image batch is flattened
+once, then each width in `EncoderConfig.layer_widths` is one affine layer
+with a relu. The projection head is a two-layer MLP with a relu in between;
+the classifier is a single affine map on the encoder representation. Every
+affine layer, with its relu where it has one, is one `tensor.dense` node on
+the tape.
 """
 
 from __future__ import annotations
@@ -35,56 +33,38 @@ class CheckpointError(ModelError):
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    kind: str  # "dense" | "conv_small"
-    layer_widths: tuple  # dense: widths; conv_small: channel counts + final dense width
-    input_shape: tuple  # (d,) for dense, (c, h, w) for conv_small
+    layer_widths: tuple
+    input_shape: tuple  # (d,): image samples enter flattened
 
     def __post_init__(self):
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
         object.__setattr__(self, "input_shape", tuple(int(s) for s in self.input_shape))
-        if self.kind not in ("dense", "conv_small"):
-            raise ModelError(f"unknown encoder kind {self.kind!r}")
         if len(self.layer_widths) < 2:
             raise ModelError("encoder needs at least 2 layers")
         if any(w < 1 for w in self.layer_widths):
             raise ModelError("all layer widths must be >= 1")
-        if self.kind == "dense" and len(self.input_shape) != 1:
+        if len(self.input_shape) != 1:
             raise ModelError("dense encoder needs a flat input_shape (d,)")
-        if self.kind == "conv_small":
-            if len(self.input_shape) != 3:
-                raise ModelError("conv_small needs input_shape (c, h, w)")
-            _, h, w = self.input_shape
-            n_blocks = len(self.layer_widths) - 1
-            if h % (2 ** n_blocks) or w % (2 ** n_blocks):
-                raise ModelError("conv_small spatial dims must survive pooling")
 
     @property
     def repr_dim(self) -> int:
         return self.layer_widths[-1]
 
-    @property
-    def layers(self) -> tuple:
-        return encoder_layers(self.kind, self.layer_widths)
-
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "layer_widths": list(self.layer_widths),
+        # "kind" is written so that checkpoints keep their bytes
+        return {"kind": "dense", "layer_widths": list(self.layer_widths),
                 "input_shape": list(self.input_shape)}
 
     @staticmethod
     def from_dict(d: dict) -> "EncoderConfig":
-        return EncoderConfig(d["kind"], tuple(d["layer_widths"]), tuple(d["input_shape"]))
+        if d["kind"] != "dense":
+            raise ModelError(f"unknown encoder kind {d['kind']!r}")
+        return EncoderConfig(tuple(d["layer_widths"]), tuple(d["input_shape"]))
 
 
-def encoder_layers(kind: str, layer_widths) -> tuple:
-    """(kind, width) per layer: a conv_small encoder's "conv" blocks, then
-    its one "dense" layer; a dense encoder's "dense" layers."""
-    n_conv = len(layer_widths) - 1 if kind == "conv_small" else 0
-    return tuple(("conv" if i < n_conv else "dense", w) for i, w in enumerate(layer_widths))
-
-
-def layer_ids(kind: str, layer_widths) -> list:
-    """`L<i>_<kind><width>` per layer, fixed by the encoder kind and widths alone."""
-    return [f"L{i}_{k}{w}" for i, (k, w) in enumerate(encoder_layers(kind, layer_widths))]
+def layer_ids(layer_widths) -> list:
+    """`L<i>_dense<width>` per layer, fixed by the widths alone."""
+    return [f"L{i}_dense{w}" for i, w in enumerate(layer_widths)]
 
 
 @dataclass
@@ -127,7 +107,7 @@ class ModelBundle:
             t.grad_tracked = classifier
 
     def layer_ids(self):
-        return layer_ids(self.config.kind, self.config.layer_widths)
+        return layer_ids(self.config.layer_widths)
 
 
 def _affine_init(rng: np.random.Generator, fan_in: int, shape_w, shape_b):
@@ -143,16 +123,10 @@ def init_model(config: EncoderConfig, n_classes: int, head_dim: int, seed: int) 
         raise ModelError("need n_classes >= 2 and head_dim >= 1")
     rng = np.random.default_rng(seed)
     enc = []
-    shape = config.input_shape  # of one sample entering the next layer
-    for kind, width in config.layers:
-        if kind == "conv":
-            ci, h, w = shape
-            enc.append(_affine_init(rng, ci * 9, (width, ci, 3, 3), (width,)))
-            shape = (width, h // 2, w // 2)
-        else:
-            fan_in = int(np.prod(shape))
-            enc.append(_affine_init(rng, fan_in, (fan_in, width), (width,)))
-            shape = (width,)
+    fan_in = config.input_shape[0]
+    for width in config.layer_widths:
+        enc.append(_affine_init(rng, fan_in, (fan_in, width), (width,)))
+        fan_in = width
     d = config.repr_dim
     head = [_affine_init(rng, d, (d, d), (d,)),
             _affine_init(rng, d, (d, head_dim), (head_dim,))]
@@ -169,27 +143,20 @@ def reinit_classifier(model: ModelBundle, seed: int) -> None:
 
 
 def encode(model: ModelBundle, x: Tensor, capture: bool = False):
-    """Forward through the encoder; optionally capture per-layer activations,
-    each flattened to one row per sample."""
+    """Forward through the encoder; optionally capture each layer's
+    activations, one row per sample."""
     cfg = model.config
-    if cfg.kind == "dense" and x.data.ndim > 2:  # image batches are flattened in-graph
+    if x.data.ndim > 2:  # image batches are flattened in-graph
         x = T.reshape(x, (x.shape[0], -1))
     if x.shape[1:] != cfg.input_shape:
-        raise ModelError(f"{cfg.kind} encoder expects samples of shape {cfg.input_shape}, "
+        raise ModelError(f"encoder expects samples of shape {cfg.input_shape}, "
                          f"got a batch of shape {x.shape}")
-    n = x.shape[0]
     records: list[ActivationRecord] = []
     h = x
-    for (kind, _), (w, b), layer_id in zip(cfg.layers, model.encoder_params,
-                                           model.layer_ids()):
-        if kind == "conv":
-            h = T.maxpool2x2(T.relu(T.conv2d_3x3(h, w, b)))
-        else:
-            if h.data.ndim > 2:
-                h = T.reshape(h, (n, -1))
-            h = T.dense(h, w, b, relu=True)
+    for (w, b), layer_id in zip(model.encoder_params, model.layer_ids()):
+        h = T.dense(h, w, b, relu=True)
         if capture:
-            records.append(ActivationRecord(layer_id, h.data.reshape(n, -1).copy()))
+            records.append(ActivationRecord(layer_id, h.data.copy()))
     return h, records
 
 

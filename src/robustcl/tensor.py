@@ -11,9 +11,11 @@ its input where numpy can, so callers must not write into its result.
 `dense` is an affine layer (matmul, bias add and an optional relu) in one
 node, with the arithmetic of that three-node chain; every model layer goes
 through it. The tests' graph oracles take their other primitives and the
-finite-difference checker from `tests/graph_oracle.py`; only they call
-`sub`, `mul`, `exp` and `log`, kept here because perfbench's tests expect
-more than 40 functions for its layer table to wrap by name.
+finite-difference checker from `tests/graph_oracle.py`. Nothing in the
+package calls `sub`, `mul`, `exp`, `log`, `relu`, `conv2d_3x3` or
+`maxpool2x2` (nor `_im2col` / `_col2im` beneath the conv); only the tests
+do. They are kept here because perfbench's tests expect more than 40
+functions for its layer table to wrap by name.
 
 Every primitive checks its output for finiteness once and names itself in
 the NonFiniteError. Each node's backward closure is called as

@@ -18,14 +18,8 @@ def gauss_splits(gauss_data):
 
 @pytest.fixture()
 def dense_model():
-    cfg = EncoderConfig("dense", (16, 8, 4), (20,))
+    cfg = EncoderConfig((16, 8, 4), (20,))
     return models.init_model(cfg, 2, 4, seed=0)
-
-
-@pytest.fixture()
-def conv_model():
-    cfg = EncoderConfig("conv_small", (4, 8), (1, 8, 8))
-    return models.init_model(cfg, 3, 4, seed=0)
 
 
 @pytest.fixture()

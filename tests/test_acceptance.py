@@ -48,7 +48,7 @@ class TestAutodiffFiniteDifferences:
             d_in = int(rng.integers(3, 7))
             widths = (int(rng.integers(3, 6)), int(rng.integers(2, 5)))
             n_classes = 3
-            m = models.init_model(EncoderConfig("dense", widths, (d_in,)),
+            m = models.init_model(EncoderConfig(widths, (d_in,)),
                                   n_classes, head_dim=3,
                                   seed=int(rng.integers(0, 10000)))
             n = int(rng.integers(2, 5))
@@ -171,7 +171,7 @@ class TestLossOracles:
 @pytest.fixture(scope="module")
 def pgd_model(gauss_splits):
     d_train, _ = gauss_splits
-    m = models.init_model(EncoderConfig("dense", (16, 8, 4), (20,)), 2, 4, seed=0)
+    m = models.init_model(EncoderConfig((16, 8, 4), (20,)), 2, 4, seed=0)
     spec = ScenarioSpec(scenario="ST", scheme="SL", finetune_epochs=10,
                         batch_size=128, optimizer=OptimizerConfig(lr=3e-3),
                         loss=LossConfig(scheme="SL"), seed=0)
@@ -201,7 +201,7 @@ class TestPGDInvariants:
         assert np.array_equal(adv.data, x)
 
     def test_zero_gradient_fixed_point(self, rng):
-        m = models.init_model(EncoderConfig("dense", (8, 4), (20,)), 2, 4, seed=0)
+        m = models.init_model(EncoderConfig((8, 4), (20,)), 2, 4, seed=0)
         w, b = m.classifier_params
         w.data = np.zeros_like(w.data)
         b.data = np.zeros_like(b.data)
@@ -323,7 +323,7 @@ class TestScenarioContracts:
         for scenario, attack in (("ST", None),
                                  ("AT", AttackSpec(epsilon=0.05, steps=2, clamp=None)),
                                  ("Partial-AT", AttackSpec(epsilon=0.05, steps=2, clamp=None))):
-            m = models.init_model(EncoderConfig("dense", (16, 8, 4), (20,)),
+            m = models.init_model(EncoderConfig((16, 8, 4), (20,)),
                                   2, 4, seed=0)
             spec = _tiny_spec(scenario=scenario, scheme="CL", train_attack=attack)
             training.run_scenario(m, d_p, d_p, spec)
@@ -333,7 +333,7 @@ class TestScenarioContracts:
     def test_full_at_changes_encoder(self, gauss_splits, monkeypatch):
         d_p, _ = gauss_splits
         snaps = _encoder_bytes_at_finetune(monkeypatch)
-        m = models.init_model(EncoderConfig("dense", (16, 8, 4), (20,)), 2, 4, seed=0)
+        m = models.init_model(EncoderConfig((16, 8, 4), (20,)), 2, 4, seed=0)
         spec = _tiny_spec(scenario="Full-AT", scheme="CL",
                           train_attack=AttackSpec(epsilon=0.05, steps=2, clamp=None))
         training.run_scenario(m, d_p, d_p, spec)
@@ -342,7 +342,7 @@ class TestScenarioContracts:
 
     def test_threat_model_ii_never_queries_classifier(self, gauss_splits):
         d_p, d_test = gauss_splits
-        m = models.init_model(EncoderConfig("dense", (16, 8, 4), (20,)), 2, 4, seed=0)
+        m = models.init_model(EncoderConfig((16, 8, 4), (20,)), 2, 4, seed=0)
         training.run_scenario(m, d_p, d_p, _tiny_spec(scenario="ST", scheme="CL"))
         spec = AttackSpec(epsilon=0.1, steps=3, random_start=True,
                           driving_loss="CL", clamp=None, seed=0)

@@ -23,7 +23,7 @@ def random_orthogonal(d, rng):
 @pytest.fixture(scope="module")
 def trained(gauss_splits):
     d_train, d_test = gauss_splits
-    cfg = EncoderConfig("dense", (16, 8, 4), (20,))
+    cfg = EncoderConfig((16, 8, 4), (20,))
     m = models.init_model(cfg, 2, 4, seed=0)
     spec = ScenarioSpec(scenario="ST", scheme="SL", finetune_epochs=20,
                         batch_size=128, optimizer=OptimizerConfig(lr=3e-3),
@@ -157,10 +157,11 @@ class TestCrossModel:
         b = cka_heatmap(m, d_test, n_samples=128, seed=0)
         assert np.allclose(a.values, b.values, atol=1e-12, equal_nan=True)
 
-    def test_shape_mismatch(self, trained, conv_model):
+    def test_shape_mismatch(self, trained):
         m, _, d_test = trained
+        other = models.init_model(EncoderConfig((16, 8, 4), (21,)), 2, 4, seed=0)
         with pytest.raises(AnalysisError):
-            cross_model_cka(m, conv_model, d_test)
+            cross_model_cka(m, other, d_test)
 
     def test_adv_adv_condition(self, trained):
         m, _, d_test = trained

@@ -26,7 +26,7 @@ def make_batch(rng, model, n=6, n_classes=2, dim=20):
 def st_model(gauss_splits):
     """A briefly standard-trained model so driving losses have signal."""
     d_train, _ = gauss_splits
-    cfg = EncoderConfig("dense", (16, 8, 4), (20,))
+    cfg = EncoderConfig((16, 8, 4), (20,))
     m = models.init_model(cfg, 2, 4, seed=0)
     spec = ScenarioSpec(scenario="ST", scheme="SL", finetune_epochs=10,
                         batch_size=128,
@@ -140,7 +140,7 @@ class TestPgd:
         # encoder copies x into a 2-vector; classifier makes logits [0, 2x].
         # CE with y=0 is log(1 + exp(2x)), increasing in x, so one signed
         # step of 0.1 from x=0.5 lands exactly on 0.6.
-        cfg = EncoderConfig("dense", (2, 2), (1,))
+        cfg = EncoderConfig((2, 2), (1,))
         m = models.init_model(cfg, 2, 2, seed=0)
         (w1, b1), (w2, b2) = m.encoder_params
         w1.data = np.array([[1.0, 1.0]])
@@ -365,7 +365,7 @@ def _ce_value(model, x, y):
        st.floats(min_value=0.0, max_value=0.3))
 def test_budget_property(seed, epsilon):
     rng = np.random.default_rng(seed)
-    cfg = EncoderConfig("dense", (8, 4), (6,))
+    cfg = EncoderConfig((8, 4), (6,))
     m = models.init_model(cfg, 2, 4, seed=seed % 7)
     x = rng.random((3, 6))
     batch = ViewBatch(x=Tensor(x), y=rng.integers(0, 2, size=3))

@@ -107,14 +107,15 @@ class TestConfig:
     def test_validate_source_and_model(self):
         with pytest.raises(ConfigError):
             load_config(text="[dataset]\nsource = torrent\n")
-        with pytest.raises(ConfigError):
-            load_config(text="[model]\nkind = resnet50\n")
+        for kind in ("resnet50", "conv_small"):
+            with pytest.raises(ConfigError, match=r"\[model\] kind"):
+                load_config(text=f"[model]\nkind = {kind}\n")
 
     @pytest.mark.parametrize("overrides, shape, ids", [
         ([], (20,), ["L0_dense64", "L1_dense64", "L2_dense32", "L3_dense32", "L4_dense16"]),
-        (["dataset.source=synthetic_images", "model.kind=conv_small",
-          "model.layer_widths=4,8"], (1, 16, 16), ["L0_conv4", "L1_dense8"]),
-    ], ids=["dense", "conv_small"])
+        (["dataset.source=synthetic_images", "model.layer_widths=4,8"], (1, 16, 16),
+         ["L0_dense4", "L1_dense8"]),
+    ], ids=["dense", "dense-images"])
     def test_probe_layers_are_the_input_or_the_encoders_layers(self, overrides, shape, ids):
         cfg = load_config(text="", overrides=overrides)
         model = models.init_model(cfg.encoder_config(shape), 2, 4, seed=0)
@@ -296,7 +297,8 @@ class TestCli:
         "scenario.lr=0", "scenario.adam_eps=0", "scenario.adam_beta1=1",
         "scenario.adam_beta2=-0.1", "loss.temperature=nan", "attack_train.epsilon=inf",
         "augment.gaussian_noise_sigma=nan", "attack_eval.epsilons=nan", "dataset.contrast=nan",
-        "loss.alpha=nan", "scenario.lr=inf",
+        "loss.alpha=nan", "scenario.lr=inf", "experiment.seed=-1", "sweep.seeds=-2",
+        "dataset.split=1.2,0.0,-0.2", "dataset.split=0.9,0.1,0.0", "model.kind=conv_small",
     ])
     def test_a_value_that_does_not_parse_or_build_is_a_config_error(
             self, tmp_path, capsys, override):

@@ -375,6 +375,12 @@ class TestSplit:
         with pytest.raises(DataError):
             split(gauss_data, (0.5, 0.2), seed=0)
 
+    def test_a_part_that_rounds_to_no_rows_is_named(self, gauss_data):
+        # 0.0005 of each 500-row class rounds to 0 rows
+        with pytest.raises(DataError, match=r"split part 1 \(.*_split1, fraction 0.0005\) "
+                                            "gets no rows"):
+            split(gauss_data, (0.9995, 0.0005), seed=0)
+
     def test_too_few_samples_per_class(self):
         ds = gen_synthetic("blobs_k", 10, 3, 10, seed=0)
         with pytest.raises(DataError):

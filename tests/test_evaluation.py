@@ -15,7 +15,7 @@ from robustcl.training import OptimizerConfig, ScenarioSpec
 @pytest.fixture(scope="module")
 def trained(gauss_splits):
     d_train, d_test = gauss_splits
-    cfg = EncoderConfig("dense", (16, 8, 4), (20,))
+    cfg = EncoderConfig((16, 8, 4), (20,))
     m = models.init_model(cfg, 2, 4, seed=0)
     spec = ScenarioSpec(scenario="ST", scheme="SL", finetune_epochs=20,
                         batch_size=128, optimizer=OptimizerConfig(lr=3e-3),
@@ -27,7 +27,7 @@ def trained(gauss_splits):
 class TestEvaluate:
     def test_untrained_chance_level(self, gauss_splits):
         _, d_test = gauss_splits
-        m = models.init_model(EncoderConfig("dense", (16, 8, 4), (20,)), 2, 4, seed=5)
+        m = models.init_model(EncoderConfig((16, 8, 4), (20,)), 2, 4, seed=5)
         rep = evaluate(m, d_test, [])
         sigma = np.sqrt(0.25 / d_test.n)
         assert abs(rep.clean_accuracy - 0.5) <= 3 * sigma

@@ -495,7 +495,7 @@ class TestModelLevelLosses:
         # identical embeddings, same class, zero classifier: ln C + ln 3
         from robustcl.models import EncoderConfig, init_model
 
-        m = init_model(EncoderConfig("dense", (4, 3), (5,)), 4, 2, seed=0)
+        m = init_model(EncoderConfig((4, 3), (5,)), 4, 2, seed=0)
         for w, b in m.encoder_params + m.head_params:
             w.data = np.zeros_like(w.data)
             b.data = np.abs(b.data) + 0.1  # same positive bias row everywhere

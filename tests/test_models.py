@@ -15,30 +15,30 @@ def params_equal(a, b):
 
 class TestInit:
     def test_same_seed_identical(self):
-        cfg = EncoderConfig("dense", (8, 4), (16,))
+        cfg = EncoderConfig((8, 4), (16,))
         m1 = init_model(cfg, 3, 2, seed=7)
         m2 = init_model(cfg, 3, 2, seed=7)
         assert params_equal(m1, m2)
 
     def test_parameter_count(self):
-        cfg = EncoderConfig("dense", (8, 4), (16,))
+        cfg = EncoderConfig((8, 4), (16,))
         m = init_model(cfg, 3, 2, seed=0)
         n_enc = sum(t.data.size for t in m.encoder_tensors())
         assert n_enc == (16 * 8 + 8) + (8 * 4 + 4)
 
     def test_head_shape(self):
-        cfg = EncoderConfig("dense", (8, 4), (16,))
+        cfg = EncoderConfig((8, 4), (16,))
         m = init_model(cfg, 3, head_dim=2, seed=0)
         (w1, b1), (w2, b2) = m.head_params
         assert w1.shape == (4, 4) and w2.shape == (4, 2) and b2.shape == (2,)
 
     def test_invalid_config(self):
         with pytest.raises(ModelError):
-            EncoderConfig("dense", (8,), (16,))
+            EncoderConfig((8,), (16,))
         with pytest.raises(ModelError):
-            EncoderConfig("dense", (8, 0), (16,))
+            EncoderConfig((8, 0), (16,))
         with pytest.raises(ModelError):
-            EncoderConfig("conv_small", (4, 8, 16), (1, 6, 6))
+            EncoderConfig((8, 4), (1, 4, 4))  # image samples enter flattened
 
 
 class TestForward:
@@ -52,7 +52,7 @@ class TestForward:
         assert np.array_equal(records[-1].matrix, rep.data)
 
     def test_zero_weight_encoder_bias_pattern(self):
-        cfg = EncoderConfig("dense", (4, 3), (6,))
+        cfg = EncoderConfig((4, 3), (6,))
         m = init_model(cfg, 2, 2, seed=0)
         for w, b in m.encoder_params:
             w.data = np.zeros_like(w.data)
@@ -61,10 +61,10 @@ class TestForward:
         expected = np.maximum(b0 @ np.zeros((4, 3)) + m.encoder_params[1][1].data, 0)
         assert np.allclose(rep.data, np.tile(expected, (2, 1)))
 
-    def test_forward_pure(self, conv_model, rng):
-        x = Tensor(rng.random((3, 1, 8, 8)))
-        r1, _ = models.encode(conv_model, x)
-        r2, _ = models.encode(conv_model, x)
+    def test_forward_pure(self, dense_model, rng):
+        x = Tensor(rng.random((3, 20)))
+        r1, _ = models.encode(dense_model, x)
+        r2, _ = models.encode(dense_model, x)
         assert np.array_equal(r1.data, r2.data)
 
     def test_classify_zero_classifier(self, dense_model, rng):
@@ -90,29 +90,15 @@ class TestForward:
         assert keys
 
     def test_shape_mismatch(self, dense_model):
-        with pytest.raises(ModelError):
-            models.encode(dense_model, Tensor(np.ones((2, 7))))
-
-    def test_conv_shape_mismatch(self, conv_model):
-        for shape in ((2, 64), (2, 1, 8, 6), (2, 2, 8, 8)):
-            with pytest.raises(ModelError, match="conv_small encoder expects"):
-                models.encode(conv_model, Tensor(np.ones(shape)))
-
-    def test_conv_layers_capture_one_row_per_sample(self, conv_model, rng):
-        assert conv_model.config.layers == (("conv", 4), ("dense", 8))
-        assert conv_model.layer_ids() == ["L0_conv4", "L1_dense8"]
-        rep, records = models.encode(conv_model, Tensor(rng.random((3, 1, 8, 8))),
-                                     capture=True)
-        assert [r.layer_id for r in records] == conv_model.layer_ids()
-        assert [r.matrix.shape for r in records] == [(3, 4 * 4 * 4), (3, 8)]
-        assert np.array_equal(records[-1].matrix, rep.data)
+        for shape in ((2, 7), (2, 1, 4, 4)):
+            with pytest.raises(ModelError, match=r"encoder expects samples of shape \(20,\)"):
+                models.encode(dense_model, Tensor(np.ones(shape)))
 
     def test_dense_layers(self, dense_model):
-        assert dense_model.config.layers == (("dense", 16), ("dense", 8), ("dense", 4))
         assert dense_model.layer_ids() == ["L0_dense16", "L1_dense8", "L2_dense4"]
 
     def test_dense_flattens_image_batches(self, rng):
-        cfg = EncoderConfig("dense", (8, 4), (64,))
+        cfg = EncoderConfig((8, 4), (64,))
         m = init_model(cfg, 2, 2, seed=0)
         x = rng.random((3, 1, 8, 8))
         rep_img, _ = models.encode(m, Tensor(x))
@@ -120,7 +106,7 @@ class TestForward:
         assert np.array_equal(rep_img.data, rep_flat.data)
 
     def test_dense_image_gradient_reaches_input(self, rng):
-        cfg = EncoderConfig("dense", (8, 4), (64,))
+        cfg = EncoderConfig((8, 4), (64,))
         m = init_model(cfg, 2, 2, seed=0)
         x = Tensor(rng.random((3, 1, 8, 8)), grad_tracked=True)
         with GradientTape() as tape:
@@ -151,12 +137,12 @@ class TestClassifierAudit:
 
 
 class TestCheckpoint:
-    def test_roundtrip_bitwise(self, tmp_path, conv_model):
+    def test_roundtrip_bitwise(self, tmp_path, dense_model):
         p = tmp_path / "m.ckpt"
-        save_checkpoint(conv_model, p)
+        save_checkpoint(dense_model, p)
         loaded = load_checkpoint(p)
-        assert params_equal(conv_model, loaded)
-        assert loaded.config == conv_model.config
+        assert params_equal(dense_model, loaded)
+        assert loaded.config == dense_model.config
         # byte-identical re-save
         p2 = tmp_path / "m2.ckpt"
         save_checkpoint(loaded, p2)
@@ -183,6 +169,7 @@ class TestCheckpoint:
         lambda h: b"{" + h[1:-1] + b" ",                  # not JSON
         lambda h: h.replace(b'"head_dim"', b'"head_dix"'),  # missing key
         lambda h: h.replace(b'"kind": "dense"', b'"kind": "dens_"'),  # bad config
+        lambda h: h.replace(b'"kind": "dense"', b'"kind": "conv_small"'),  # deleted kind
         lambda h: h.replace(b'"shapes": [', b'"shapes": [7, '),  # not a shape
         lambda h: b"[" + h[1:-1] + b"]",                  # not an object
     ])

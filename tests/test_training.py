@@ -24,7 +24,7 @@ def small_spec(**kw):
 
 
 def fresh_model(seed=0):
-    return models.init_model(EncoderConfig("dense", (16, 8, 4), (20,)), 2, 4, seed=seed)
+    return models.init_model(EncoderConfig((16, 8, 4), (20,)), 2, 4, seed=seed)
 
 
 def encoder_snapshot(model):
