@@ -1,8 +1,9 @@
 """Command-line surface: gen-data, train, evaluate, cka, probe, sweep, report.
 
-Exit codes: 0 success, 1 config or validation error, 2 runtime failure. All outputs go
-under [experiment] output_dir; a non-empty ROBUSTCL_OUTPUT_DIR overrides it, applied as
-the last -o override, so config.canonical.ini names the directory used.
+Exit codes: 0 success, 1 config or validation error, 2 runtime failure (also a sweep of
+which no cell gives a row). All outputs go under [experiment] output_dir, made once the
+dataset and any splits are built; a non-empty ROBUSTCL_OUTPUT_DIR overrides it, applied
+as the last -o override, so config.canonical.ini names the directory used.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ def _write_manifest(cfg: ExperimentConfig, out, files, extra=None) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg)
     dataset = experiment.build_dataset(cfg)
+    out = _out_dir(cfg)
     files = []
     if dataset.is_image:
         ip = os.path.join(out, f"{dataset.name}-images-idx3-ubyte")
@@ -72,8 +73,8 @@ def cmd_train(args) -> int:
     """Train the configured cell into the cell cache under <output_dir>/cache
     (shared with `sweep`)."""
     cfg = _load(args)
-    out = _out_dir(cfg)
     d_p, d_f, _ = experiment.build_splits(cfg, experiment.build_dataset(cfg))
+    out = _out_dir(cfg)
     scenario, scheme, seed = _own_cell(cfg)
     cache_dir = os.path.join(out, "cache")
     _, manifest = experiment.train_cell(cfg, d_p, d_f, scenario, scheme, seed, cache_dir)
@@ -90,8 +91,8 @@ def _trained_model(args):
     (with an empty manifest; its encoder must be the configured one), or the
     config's own cell in <output_dir>/cache."""
     cfg = _load(args)
-    out = _out_dir(cfg)
     splits = experiment.build_splits(cfg, experiment.build_dataset(cfg))
+    out = _out_dir(cfg)
     if args.checkpoint:
         if not os.path.exists(args.checkpoint):
             raise ValidationFailure(f"checkpoint not found: {args.checkpoint}")
@@ -160,9 +161,12 @@ def cmd_probe(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Train, evaluate and tabulate the [sweep] grid; exit 2 when no cell gives a row."""
     cfg = _load(args)
+    # the first cache write makes the output directory, so a failed set-up leaves none
+    cache_dir = os.path.join(cfg.get("experiment", "output_dir"), "cache")
+    rows, errors = experiment.scenario_sweep(cfg, cache_dir)
     out = _out_dir(cfg)
-    rows, errors = experiment.scenario_sweep(cfg, os.path.join(out, "cache"))
     path = os.path.join(out, "results.csv")
     evaluation.write_results_csv(rows, path)
     files = [path]
@@ -174,7 +178,7 @@ def cmd_sweep(args) -> int:
         print(f"{len(errors)} cell(s) failed; see {epath}", file=sys.stderr)
     _write_manifest(cfg, out, files)
     print(f"wrote {len(rows)} result row(s) to {path}")
-    return 0
+    return 0 if rows else 2
 
 
 def cmd_report(args) -> int:

@@ -1,8 +1,9 @@
 """Seeded directional study on the bar-image fixture.
 
-Trains the scenario x scheme grid behind the qualitative robustness claims,
-caches every trained cell and its evaluation on disk, and reduces the
-results to pass/fail badges. The checks are directional (orderings and
+Trains, evaluates and tabulates the scenario x scheme grid behind the
+qualitative robustness claims through `experiment.run_cells`, the cell
+runner of `robustcl sweep`, computes the CKA values the claims read, caches
+all of it on disk, and reduces the results to pass/fail badges. The checks are directional (orderings and
 gaps), evaluated at seeds {0, 1, 2}; each must hold for at least 2 of 3
 seeds.
 """
@@ -13,7 +14,7 @@ import os
 from dataclasses import asdict
 from pathlib import Path
 
-from . import analysis, evaluation, experiment
+from . import analysis, experiment
 from .attacks import AttackSpec
 from .config import ExperimentConfig, load_config
 
@@ -162,46 +163,31 @@ def _cross_upper(model_a, model_b, test, key_a, key_b, cache_dir):
             model_a, model_b, test, n_samples=N_ANALYSIS, seed=0, model_ids=(key_a, key_b))))
 
 
-def _seed_results(cfg, trained: dict, test, cache_dir: str) -> dict:
-    """One seed's evaluations (`experiment.evaluate_cell`) and CKA values,
-    all cached, of its `trained` cells, name -> (model, manifest); every
-    result is keyed by cell name, or by scenario for the cross-scheme CKA."""
-    cells = {}
-    for name, (model, manifest) in trained.items():
-        scenario, scheme, train_eps, need_tm2 = CELLS[name]
-        specs = [tm1_attack()] + ([tm2_attack()] if need_tm2 else [])
-        cells[name] = {
-            "report": experiment.evaluate_cell(model, test, specs, scenario, scheme,
-                                               manifest["cell_key"], cache_dir),
-            "runtime_s": manifest["runtime_s"],
-            "train_epsilon": cfg.train_epsilon(scenario, train_eps),
-        }
-    key = {name: manifest["cell_key"] for name, (_, manifest) in trained.items()}
-    return {
-        "cells": cells,
-        "final_cka": {name: _final_cka(trained[name][0], test, key[name], cache_dir)
-                      for name in FINAL_CKA},
-        "cross_upper": {scenario: _cross_upper(trained[a][0], trained[b][0], test,
-                                               key[a], key[b], cache_dir)
-                        for scenario, (a, b) in CROSS.items()},
-    }
-
-
 def run_suite(seeds=SEEDS, cache_dir=None, cfg=None, log=None) -> dict:
-    """Train every seed's `CELLS` in one `experiment.train_cells` call, then
-    evaluate them seed by seed."""
+    """Run every seed's `CELLS` through one `experiment.run_cells` call, then
+    compute each seed's cached CKA values. A seed's "cells" maps each name to
+    its (model, EvalReport, rows); a failed cell raises RuntimeError."""
     cfg = cfg or fixture_config()
     cache_dir = cache_dir or default_cache_dir()
-    d_p, d_f, test = experiment.build_splits(cfg, experiment.build_dataset(cfg))
-    jobs = [(scenario, scheme, seed, train_eps) for seed in seeds
-            for scenario, scheme, train_eps, _ in CELLS.values()]
-    results = iter(experiment.train_cells(cfg, d_p, d_f, jobs, cache_dir, log))
+    cells = [(scenario, scheme, seed, train_eps, [tm1_attack()] + [tm2_attack()] * need_tm2)
+             for seed in seeds for scenario, scheme, train_eps, need_tm2 in CELLS.values()]
+    test, results = experiment.run_cells(cfg, cells, cache_dir, log)
+    results = iter(results)
     suite = {}
     for seed in seeds:
-        trained = dict(zip(CELLS, results))
-        if failed := [f"{name}: {got}" for name, got in trained.items() if isinstance(got, str)]:
+        done = dict(zip(CELLS, results))
+        if failed := [f"{name}: {got}" for name, got in done.items() if isinstance(got, str)]:
             raise RuntimeError(f"seed {seed}: " + "; ".join(failed))
-        suite[seed] = _seed_results(cfg, trained, test, cache_dir)
+        model = {name: got[0] for name, got in done.items()}
+        key = {name: got[1].model_id for name, got in done.items()}
+        suite[seed] = {
+            "cells": done,
+            "final_cka": {name: _final_cka(model[name], test, key[name], cache_dir)
+                          for name in FINAL_CKA},
+            "cross_upper": {scenario: _cross_upper(model[a], model[b], test, key[a], key[b],
+                                                   cache_dir)
+                            for scenario, (a, b) in CROSS.items()},
+        }
     return {"seeds": suite}
 
 
@@ -220,7 +206,7 @@ def badges(suite) -> list:
     tm1_id, tm2_id = tm1_attack().robust_key, tm2_attack().robust_key
 
     def tm1(res, name):
-        return res["cells"][name]["report"].robust[tm1_id]
+        return res["cells"][name][1].robust[tm1_id]
 
     def c6(res):
         cl = tm1(res, "ST/CL")
@@ -246,7 +232,7 @@ def badges(suite) -> list:
         return at - st >= 0.1, f"upper-third cross CKA AT {at:.3f} vs ST {st:.3f}"
 
     def c10(res):
-        robust = res["cells"]["AT/CL"]["report"].robust
+        robust = res["cells"]["AT/CL"][1].robust
         tm1_acc, tm2_acc = robust[tm1_id], robust[tm2_id]
         return tm2_acc - tm1_acc >= 0.10, f"TM-II {tm2_acc:.3f} vs TM-I {tm1_acc:.3f}"
 
@@ -268,10 +254,5 @@ def results_rows(suite) -> list:
         scenario, scheme, train_eps, _ = CELLS[name]
         return scenario, scheme, train_eps or 0
 
-    rows = []
-    for seed, res in sorted(suite["seeds"].items()):
-        for name in sorted(res["cells"], key=order):
-            cell = res["cells"][name]
-            rows.extend(evaluation.results_rows(cell["report"], seed, cell["runtime_s"],
-                                                cell["train_epsilon"]))
-    return rows
+    return [row for _, res in sorted(suite["seeds"].items())
+            for name in sorted(res["cells"], key=order) for row in res["cells"][name][2]]

@@ -1,6 +1,6 @@
-"""Orchestration: build datasets and models from a config, train scenario
-cells on the usable CPUs and evaluate them, both cached on disk, and run
-evaluation sweeps."""
+"""Orchestration: build datasets and models from a config, and train,
+evaluate and tabulate grids of scenario cells (`run_cells`) on the usable
+CPUs, cached on disk."""
 
 from __future__ import annotations
 
@@ -69,7 +69,10 @@ def cell_key(cfg: ExperimentConfig, scenario: str, scheme: str, seed: int,
              dataset: Dataset, train_epsilon: float | None = None) -> str:
     """Hash identifying one trained model: config + cell + data fingerprint.
     A `train_epsilon` that trains the same model as None (the configured
-    epsilon, or any value under ST, which trains no attack) keys as None."""
+    epsilon, or any value under ST, which trains no attack) keys as None.
+    The `[scenario]` and `[loss]` sections enter whole, so their `scenario`
+    and `scheme` keys, which select only the CLI's own cell, enter every
+    key: one model keys differently under configs that select other cells."""
     if scenario == "ST" or train_epsilon == cfg.get("attack_train", "epsilon"):
         train_epsilon = None
     h = hashlib.sha256()
@@ -188,34 +191,6 @@ def _train_pooled(jobs, workers, *args):
             yield futures[future], future.result()
 
 
-def train_cells(cfg: ExperimentConfig, d_p: Dataset, d_f: Dataset, jobs, cache_dir,
-                log=None) -> list:
-    """(model, manifest), or the error string, of each (scenario, scheme,
-    seed, train_epsilon) job, in job order. Cached cells are read here; the
-    others train through `train_cell`, costliest scenario first, on one
-    worker per usable CPU, or here when fewer than two would be busy."""
-    results = [cached_cell(cache_dir, cell_key(cfg, scenario, scheme, seed, d_p, train_eps))
-               for scenario, scheme, seed, train_eps in jobs]
-    misses = {i: jobs[i] for i in sorted((i for i, hit in enumerate(results) if hit is None),
-                                         key=lambda i: _SCENARIO_RANK.get(jobs[i][0], 0))}
-    args = (cfg, d_p, d_f, cache_dir)
-    workers = min(len(misses), len(os.sched_getaffinity(0)))
-    if workers < 2:
-        done = ((i, _train_job(job, *args)) for i, job in misses.items())
-    else:
-        if log:
-            log(f"training {len(misses)} cells on {workers} workers")
-        done = _train_pooled(misses, workers, *args)
-    for i, got in done:
-        results[i] = got
-        if log:
-            scenario, scheme, seed, eps = jobs[i]
-            name = f"{scenario}/{scheme}" + ("" if eps is None else f"/eps={eps:.4f}")
-            log(f"seed {seed}: {name} " + (f"failed: {got}" if isinstance(got, str) else
-                                           f"trained in {got[1]['runtime_s']:.0f} s"))
-    return results
-
-
 def evaluate_cell(model, test: Dataset, specs, scenario: str, scheme: str,
                   key: str | None = None, cache_dir=None) -> evaluation.EvalReport:
     """`evaluation.evaluate` of cell `key` under the attack `specs`, cached
@@ -241,28 +216,63 @@ def evaluate_cell(model, test: Dataset, specs, scenario: str, scheme: str,
                                  payload["n_test"], payload["tm2_queries"])
 
 
-def scenario_sweep(cfg: ExperimentConfig, cache_dir):
-    """Train (`train_cells`) and evaluate (`evaluate_cell`) every (scenario,
-    scheme, seed) grid cell, both cached in `cache_dir`. Returns (rows for
-    results.csv, list of per-cell error strings)."""
-    jobs = [(sc, sch, seed, None) for sc in cfg.get("sweep", "scenarios")
-            for sch in cfg.get("sweep", "schemes")
-            for seed in cfg.get("sweep", "seeds")]
-    if not jobs:
-        raise ConfigError("sweep grid is empty")
+def run_cells(cfg: ExperimentConfig, cells, cache_dir, log=None):
+    """Train, evaluate and tabulate each (scenario, scheme, seed,
+    train_epsilon, attack specs) cell, all cached in `cache_dir`. Cached
+    cells are read here; the others train through `train_cell`, costliest
+    scenario first, on one worker per usable CPU, or here when fewer than
+    two would be busy. Each trained cell is then evaluated here
+    (`evaluate_cell`). Returns (the test split, per cell in cell order
+    (model, EvalReport, results rows), or the error string of a cell whose
+    training or evaluation failed)."""
     d_p, d_f, test = build_splits(cfg, build_dataset(cfg))
+    jobs = [cell[:4] for cell in cells]
+    results = [cached_cell(cache_dir, cell_key(cfg, scenario, scheme, seed, d_p, train_eps))
+               for scenario, scheme, seed, train_eps in jobs]
+    misses = {i: jobs[i] for i in sorted((i for i, hit in enumerate(results) if hit is None),
+                                         key=lambda i: _SCENARIO_RANK.get(jobs[i][0], 0))}
+    args = (cfg, d_p, d_f, cache_dir)
+    workers = min(len(misses), len(os.sched_getaffinity(0)))
+    if workers < 2:
+        done = ((i, _train_job(job, *args)) for i, job in misses.items())
+    else:
+        if log:
+            log(f"training {len(misses)} cells on {workers} workers")
+        done = _train_pooled(misses, workers, *args)
+    for i, got in done:
+        results[i] = got
+        if log:
+            scenario, scheme, seed, eps = jobs[i]
+            name = f"{scenario}/{scheme}" + ("" if eps is None else f"/eps={eps:.4f}")
+            log(f"seed {seed}: {name} " + (f"failed: {got}" if isinstance(got, str) else
+                                           f"trained in {got[1]['runtime_s']:.0f} s"))
+    for i, got in enumerate(results):
+        if isinstance(got, str):
+            continue
+        (scenario, scheme, seed, train_eps, specs), (model, manifest) = cells[i], got
+        try:  # a failed evaluation is the cell's error, as a failed training is
+            report = evaluate_cell(model, test, specs, scenario, scheme, manifest["cell_key"],
+                                   cache_dir)
+            results[i] = model, report, evaluation.results_rows(
+                report, seed, manifest["runtime_s"], cfg.train_epsilon(scenario, train_eps))
+        except Exception as exc:
+            results[i] = str(exc)
+    return test, results
+
+
+def scenario_sweep(cfg: ExperimentConfig, cache_dir):
+    """`run_cells` of every (scenario, scheme, seed) grid cell of `[sweep]`
+    under its scheme's evaluation attacks. Returns (rows for results.csv,
+    a "<scenario>/<scheme>/s<seed>: <error>" string per failed cell)."""
+    cells = [(sc, sch, seed, None, cfg.eval_attacks(sch)) for sc in cfg.get("sweep", "scenarios")
+             for sch in cfg.get("sweep", "schemes")
+             for seed in cfg.get("sweep", "seeds")]
+    if not cells:
+        raise ConfigError("sweep grid is empty")
     rows, errors = [], []
-    for (scenario, scheme, seed, _), got in zip(jobs, train_cells(cfg, d_p, d_f, jobs,
-                                                                  cache_dir)):
-        cell = f"{scenario}/{scheme}/s{seed}"
-        try:
-            if isinstance(got, str):
-                raise RuntimeError(got)
-            model, manifest = got
-            report = evaluate_cell(model, test, cfg.eval_attacks(scheme), scenario, scheme,
-                                   manifest["cell_key"], cache_dir)
-            rows.extend(evaluation.results_rows(report, seed, manifest["runtime_s"],
-                                                cfg.train_epsilon(scenario)))
-        except Exception as exc:  # sweep continues; failure recorded per cell
-            errors.append(f"{cell}: {exc}")
+    for (scenario, scheme, seed, *_), got in zip(cells, run_cells(cfg, cells, cache_dir)[1]):
+        if isinstance(got, str):
+            errors.append(f"{scenario}/{scheme}/s{seed}: {got}")
+        else:
+            rows.extend(got[2])
     return rows, errors

@@ -493,6 +493,44 @@ class TestCli:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert str(tmp_path / "sweep_errors.txt") in manifest["files"]
 
+    def test_a_sweep_that_gives_no_row_exits_2(self, tmp_path, capsys):
+        overrides = FAST_VECTOR + ["sweep.scenarios=Partial-AT", "sweep.schemes=SL",
+                                   "sweep.seeds=0"]
+        assert run_cli(tmp_path, "sweep", overrides) == 2
+        assert "1 cell(s) failed" in capsys.readouterr().err
+        results = tmp_path / "results.csv"
+        assert results.read_text() == ",".join(evaluation.RESULTS_COLUMNS) + "\n"
+        errors = (tmp_path / "sweep_errors.txt").read_text().splitlines()
+        assert len(errors) == 1 and errors[0].startswith("Partial-AT/SL/s0: ")
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["files"] == sorted([str(results), str(tmp_path / "sweep_errors.txt")])
+
+    def test_a_failed_evaluation_is_the_cells_error(self, tmp_path, monkeypatch):
+        evaluate_cell = experiment.evaluate_cell
+
+        def fail_cl(model, test, specs, scenario, scheme, *a):
+            if scheme == "CL":
+                raise ValueError("attack diverged")
+            return evaluate_cell(model, test, specs, scenario, scheme, *a)
+
+        monkeypatch.setattr(experiment, "evaluate_cell", fail_cl)
+        overrides = FAST_VECTOR + ["sweep.scenarios=ST", "sweep.schemes=SL,CL,SCL",
+                                   "sweep.seeds=0"]
+        assert run_cli(tmp_path, "sweep", overrides) == 0
+        errors = (tmp_path / "sweep_errors.txt").read_text().splitlines()
+        assert errors == ["ST/CL/s0: attack diverged"]
+        rows = evaluation.read_results_csv(tmp_path / "results.csv")
+        assert [(r["scenario"], r["scheme"]) for r in rows] == [("ST", "SL"), ("ST", "SCL")]
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "cka", "probe", "sweep"])
+    def test_a_failed_set_up_leaves_no_output_directory(self, tmp_path, capsys, command):
+        # the D_f fraction passes validation but rounds to no rows of 300
+        out = tmp_path / "out"
+        assert run_cli(out, command, ["dataset.split=0.7999,0.0001,0.2",
+                                      "dataset.n=300"]) == 2
+        assert "gets no rows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_pool_matches_in_process(self, tmp_path, monkeypatch):
         overrides = FAST_VECTOR + ["sweep.scenarios=ST,AT", "sweep.schemes=SL,CL",
                                    "sweep.seeds=0,1"]

@@ -103,9 +103,9 @@ def test_cell_key_names_each_model_once():
     assert key("AT", directional.EPS4) not in (key("AT", None), key("ST", None))
 
 
-def test_train_cells_trains_the_costliest_scenarios_first(tmp_path, monkeypatch):
-    """Misses train Full-AT, then AT and Partial-AT, then ST, each rank in job
-    order; results come back in job order, a failed job as its error."""
+def test_run_cells_trains_the_costliest_scenarios_first(tmp_path, monkeypatch):
+    """Misses train Full-AT, then AT and Partial-AT, then ST, each rank in cell
+    order; results come back in cell order, a failed cell as its error."""
     trained = []
 
     def train_cell(cfg, d_p, d_f, scenario, scheme, seed, cache_dir=None,
@@ -113,24 +113,51 @@ def test_train_cells_trains_the_costliest_scenarios_first(tmp_path, monkeypatch)
         trained.append((scenario, scheme))
         if scenario == "Partial-AT":
             raise ValueError("no such cell")
-        return f"{scenario}/{scheme}", {"runtime_s": 2.0}
+        return f"{scenario}/{scheme}", {"cell_key": f"{scenario}/{scheme}", "runtime_s": 2.0}
+
+    def evaluate_cell(model, test, specs, scenario, scheme, key=None, cache_dir=None):
+        return evaluation.EvalReport(key, scenario, scheme, 0.5, {}, test.n)
 
     monkeypatch.setattr(experiment, "train_cell", train_cell)
+    monkeypatch.setattr(experiment, "evaluate_cell", evaluate_cell)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     cfg = load_config(text="", overrides=TINY)
-    d_p = experiment.build_dataset(cfg)
-    jobs = [("ST", "SL", 0, None), ("AT", "CL", 0, 0.01), ("Partial-AT", "SL", 0, None),
-            ("Full-AT", "CL", 0, None), ("AT", "SCL", 0, None)]
+    cells = [("ST", "SL", 0, None, []), ("AT", "CL", 0, 0.01, []),
+             ("Partial-AT", "SL", 0, None, []), ("Full-AT", "CL", 0, None, []),
+             ("AT", "SCL", 0, None, [])]
     lines = []
-    results = experiment.train_cells(cfg, d_p, d_p, jobs, str(tmp_path), log=lines.append)
+    _, results = experiment.run_cells(cfg, cells, str(tmp_path), log=lines.append)
     assert trained == [("Full-AT", "CL"), ("AT", "CL"), ("Partial-AT", "SL"),
                        ("AT", "SCL"), ("ST", "SL")]
-    assert results == [("ST/SL", {"runtime_s": 2.0}), ("AT/CL", {"runtime_s": 2.0}),
-                       "no such cell", ("Full-AT/CL", {"runtime_s": 2.0}),
-                       ("AT/SCL", {"runtime_s": 2.0})]
+    assert [got if isinstance(got, str) else (got[0], got[1].model_id) for got in results] == [
+        ("ST/SL", "ST/SL"), ("AT/CL", "AT/CL"), "no such cell", ("Full-AT/CL", "Full-AT/CL"),
+        ("AT/SCL", "AT/SCL")]
     assert lines[:3] == ["seed 0: Full-AT/CL trained in 2 s",
                          "seed 0: AT/CL/eps=0.0100 trained in 2 s",
                          "seed 0: Partial-AT/SL failed: no such cell"]
+
+
+def test_a_failed_study_evaluation_names_its_seed_and_cell(tmp_path, monkeypatch):
+    """The study fails as `run_cells` does: a cell whose evaluation raises is
+    that cell's error, and the suite names it with its seed."""
+    def train_cell(cfg, d_p, d_f, scenario, scheme, seed, cache_dir=None,
+                   train_epsilon=None):
+        return "model", {"cell_key": f"{scenario}|{scheme}|{train_epsilon}", "runtime_s": 1.0}
+
+    def evaluate_cell(model, test, specs, scenario, scheme, key=None, cache_dir=None):
+        if key == "AT|SCL|None":
+            raise ValueError("attack diverged")
+        return evaluation.EvalReport(key, scenario, scheme, 0.5, {}, 10)
+
+    monkeypatch.setattr(experiment, "build_dataset", lambda cfg: "dataset")
+    monkeypatch.setattr(experiment, "build_splits", lambda cfg, dataset: ("d_p", "d_f", "test"))
+    monkeypatch.setattr(experiment, "cell_key", lambda cfg, *cell: "|".join(map(str, cell)))
+    monkeypatch.setattr(experiment, "train_cell", train_cell)
+    monkeypatch.setattr(experiment, "evaluate_cell", evaluate_cell)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(RuntimeError) as exc:
+        directional.run_suite(seeds=(0,), cache_dir=str(tmp_path))
+    assert str(exc.value) == "seed 0: AT/SCL: attack diverged"
 
 
 def test_a_warm_suite_reads_each_checkpoint_once_and_starts_no_pool(monkeypatch):
