@@ -63,19 +63,13 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _own_cell(cfg: ExperimentConfig) -> tuple:
-    """The (scenario, scheme, seed) cell that a config names."""
-    return (cfg.get("scenario", "scenario"), cfg.get("loss", "scheme"),
-            cfg.get("experiment", "seed"))
-
-
 def cmd_train(args) -> int:
     """Train the configured cell into the cell cache under <output_dir>/cache
     (shared with `sweep`)."""
     cfg = _load(args)
     d_p, d_f, _ = experiment.build_splits(cfg, experiment.build_dataset(cfg))
     out = _out_dir(cfg)
-    scenario, scheme, seed = _own_cell(cfg)
+    scenario, scheme, seed = cfg.own_cell()
     cache_dir = os.path.join(out, "cache")
     _, manifest = experiment.train_cell(cfg, d_p, d_f, scenario, scheme, seed, cache_dir)
     key = manifest["cell_key"]
@@ -102,7 +96,7 @@ def _trained_model(args):
                                     f"configured encoder {want}")
         return cfg, out, model, {}, splits
     cache_dir = os.path.join(out, "cache")
-    key = experiment.cell_key(cfg, *_own_cell(cfg), splits[0])
+    key = experiment.cell_key(cfg, *cfg.own_cell(), splits[0])
     hit = experiment.cached_cell(cache_dir, key)
     if hit is None:
         raise ValidationFailure(f"no trained cell {key} for this config in {cache_dir}; "
@@ -113,7 +107,7 @@ def _trained_model(args):
 def cmd_evaluate(args) -> int:
     """Evaluate the config's cell (cached beside it) or the --checkpoint model (uncached)."""
     cfg, out, model, manifest, (_, _, test) = _trained_model(args)
-    scenario, scheme, seed = _own_cell(cfg)
+    scenario, scheme, seed = cfg.own_cell()
     key = manifest.get("cell_key")  # None for a --checkpoint model
     report = experiment.evaluate_cell(model, test, cfg.eval_attacks(scheme), scenario,
                                       scheme, key, os.path.join(out, "cache") if key else None)
@@ -133,7 +127,7 @@ def cmd_cka(args) -> int:
     n_samples = cfg.get("analysis", "n_samples")
     clean = analysis.cka_heatmap(model, test, None, n_samples)
     files = reporting.write_cka_grid(clean, os.path.join(out, "cka_clean_clean"))
-    eval_attacks = cfg.eval_attacks(cfg.get("loss", "scheme"))
+    eval_attacks = cfg.eval_attacks(cfg.own_cell()[1])
     if eval_attacks:
         grid = analysis.cka_heatmap(model, test, eval_attacks[-1], n_samples)
         files += reporting.write_cka_grid(grid, os.path.join(out, "cka_clean_adv"))

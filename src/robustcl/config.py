@@ -49,7 +49,6 @@ DEFAULTS = {
         "split": ([float], "0.8,0.0,0.2"),  # D_p, D_f, test; D_f fraction 0 -> D_f = D_p
     },
     "model": {
-        "kind": (str, "dense"),  # dense only; kept because cell_key hashes [model]
         "layer_widths": ([int], "64,64,32,32,16"),
         "head_dim": (int, "16"),
     },
@@ -157,8 +156,13 @@ class ExperimentConfig:
         return EncoderConfig(tuple(self.get("model", "layer_widths")),
                              (int(np.prod(input_shape)),))
 
-    def loss_config(self, scheme: str | None = None) -> LossConfig:
-        scheme = scheme or self.get("loss", "scheme")
+    def own_cell(self) -> tuple:
+        """The (scenario, scheme, seed) cell that the config selects for the
+        CLI's train, evaluate, cka and probe."""
+        return (self.get("scenario", "scenario"), self.get("loss", "scheme"),
+                self.get("experiment", "seed"))
+
+    def loss_config(self, scheme: str) -> LossConfig:
         # The adversarial-term weight is per-objective: SupCon and NT-Xent
         # gradients differ in scale, so a single beta over- or under-weights
         # one of them. beta_scl overrides beta for the SCL scheme when set.
@@ -205,11 +209,8 @@ class ExperimentConfig:
             return None
         return self.get("attack_train", "epsilon") if override is None else override
 
-    def scenario_spec(self, scenario: str | None = None, scheme: str | None = None,
-                      seed: int | None = None,
+    def scenario_spec(self, scenario: str, scheme: str, seed: int | None = None,
                       train_epsilon: float | None = None) -> ScenarioSpec:
-        scenario = scenario or self.get("scenario", "scenario")
-        scheme = scheme or self.get("loss", "scheme")
         eps = self.train_epsilon(scenario, train_epsilon)
         attack = None if eps is None else replace(self.train_attack(), epsilon=eps)
         return ScenarioSpec(
@@ -266,11 +267,11 @@ def load_config(path=None, text: str | None = None, overrides=None) -> Experimen
 def validate(cfg: ExperimentConfig) -> None:
     """Raise ConfigError unless the seeds are non-negative, the split gives
     D_p and test rows, a synthetic source's generator accepts its arguments,
-    a file source's files exist, the encoder accepts its widths, the
-    scenario, its training attack, the evaluation attacks and the sweep
-    schemes' losses build, the sweep names known scenarios and schemes, and
-    the analysis takes at least 3 samples and probes only the input or the
-    encoder's layers."""
+    a file source's files exist, the encoder accepts its widths, the own
+    cell's scenario, its training attack, the evaluation attacks and the
+    sweep schemes' losses build, the sweep names known scenarios and schemes
+    and no value twice, and the analysis takes at least 3 samples and probes
+    only the input or the encoder's layers."""
     source = cfg.get("dataset", "source")
     if source not in ("synthetic", "synthetic_images", "idx", "csv"):
         raise ConfigError(f"[dataset] source: unknown value {source!r}")
@@ -283,14 +284,15 @@ def validate(cfg: ExperimentConfig) -> None:
             or not all(0.0 <= f <= 1.0 for f in fracs) or 0.0 in (fracs[0], fracs[2])):
         raise ConfigError("[dataset] split must be three fractions in [0, 1] summing to 1, "
                           "with D_p and test above 0")
-    if (kind := cfg.get("model", "kind")) != "dense":
-        raise ConfigError(f"[model] kind must be dense, not {kind!r}")
     n, dim, classes = (cfg.get("dataset", k) for k in ("n", "dim", "classes"))
     if cfg.get("analysis", "n_samples") < 3:
         raise ConfigError("[analysis] n_samples must be >= 3: linear CKA needs 3 samples")
     for key, names in (("scenarios", SCENARIOS), ("schemes", SCHEMES)):
         if unknown := [v for v in cfg.get("sweep", key) if v not in names]:
             raise ConfigError(f"[sweep] {key}: unknown {unknown}; have {list(names)}")
+    for key in ("scenarios", "schemes", "seeds"):
+        if len(set(values := cfg.get("sweep", key))) < len(values):
+            raise ConfigError(f"[sweep] {key}: a value repeats in {values}")
     try:
         if source == "synthetic":
             check_synthetic(cfg.get("dataset", "kind"), n, dim, classes,
@@ -302,11 +304,12 @@ def validate(cfg: ExperimentConfig) -> None:
                 if not os.path.isfile(path := cfg.get("dataset", key)):
                     raise ConfigError(f"[dataset] {key}: no such file: {path!r}")
         cfg.encoder_config((1,))  # the widths alone decide whether it builds
-        cfg.scenario_spec()
-        for scheme in cfg.get("sweep", "schemes"):
-            cfg.loss_config(scheme)
+        scenario, scheme, _ = cfg.own_cell()
+        cfg.scenario_spec(scenario, scheme)
+        for sweep_scheme in cfg.get("sweep", "schemes"):
+            cfg.loss_config(sweep_scheme)
         cfg.train_attack()
-        cfg.eval_attacks(cfg.get("loss", "scheme"))
+        cfg.eval_attacks(scheme)
     except (AttackError, DataError, LossError, ModelError, TrainingError) as exc:
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
     ids = ["input"] + layer_ids(cfg.get("model", "layer_widths"))

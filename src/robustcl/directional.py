@@ -57,7 +57,6 @@ shortcut_amp = 0.08
 split = 0.8,0.0,0.2
 
 [model]
-kind = dense
 layer_widths = 128,128,64
 head_dim = 16
 

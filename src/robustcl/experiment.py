@@ -65,18 +65,22 @@ def atomic_path(path):
             os.remove(tmp)
 
 
+# The own-cell selectors and the deleted `[model] kind` key at the values every
+# committed cell key was computed with, so that no committed name moves.
+KEYED_AS = {"scenario": {"scenario": "ST"}, "loss": {"scheme": "SL"}, "model": {"kind": "dense"}}
+
+
 def cell_key(cfg: ExperimentConfig, scenario: str, scheme: str, seed: int,
              dataset: Dataset, train_epsilon: float | None = None) -> str:
-    """Hash identifying one trained model: config + cell + data fingerprint.
-    A `train_epsilon` that trains the same model as None (the configured
-    epsilon, or any value under ST, which trains no attack) keys as None.
-    The `[scenario]` and `[loss]` sections enter whole, so their `scenario`
-    and `scheme` keys, which select only the CLI's own cell, enter every
-    key: one model keys differently under configs that select other cells."""
-    if scenario == "ST" or train_epsilon == cfg.get("attack_train", "epsilon"):
+    """Hash identifying one trained model: the config sections training
+    reads + cell + data fingerprint, so every command keys a model alike
+    whatever cell the config selects (`KEYED_AS`). A `train_epsilon` that
+    trains the same model as None (the configured epsilon, or any value
+    under ST, which trains no attack) keys as None."""
+    if cfg.train_epsilon(scenario, train_epsilon) == cfg.train_epsilon(scenario):
         train_epsilon = None
     h = hashlib.sha256()
-    relevant = {s: cfg.sections[s] for s in
+    relevant = {s: {**cfg.sections[s], **KEYED_AS.get(s, {})} for s in
                 ("dataset", "model", "loss", "scenario", "attack_train", "augment")}
     h.update(json.dumps(relevant, sort_keys=True).encode())
     h.update(f"{scenario}|{scheme}|{seed}|{train_epsilon}|{dataset.fingerprint()}".encode())

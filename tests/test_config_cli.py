@@ -108,7 +108,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(text="[dataset]\nsource = torrent\n")
         for kind in ("resnet50", "conv_small"):
-            with pytest.raises(ConfigError, match=r"\[model\] kind"):
+            with pytest.raises(ConfigError, match=r"unknown key 'kind' in section \[model\]"):
                 load_config(text=f"[model]\nkind = {kind}\n")
 
     @pytest.mark.parametrize("overrides, shape, ids", [
@@ -128,7 +128,7 @@ class TestConfig:
 
     def test_typed_views(self):
         cfg = load_config(text="[loss]\nscheme = SCL\ntemperature = 0.2\n")
-        lc = cfg.loss_config()
+        lc = cfg.loss_config(cfg.own_cell()[1])
         assert lc.scheme == "SCL" and lc.temperature == 0.2
         enc = cfg.encoder_config((20,))
         assert enc.layer_widths == (64, 64, 32, 32, 16)
@@ -272,6 +272,16 @@ class TestCli:
         assert run_cli(tmp_path, "evaluate", FAST_VECTOR) == 0
         assert results.read_bytes() == first
 
+    def test_commands_share_a_cell_whatever_cell_the_config_selects(self, tmp_path):
+        sweep = FAST_VECTOR + ["sweep.scenarios=AT", "sweep.schemes=CL"]
+        own = FAST_VECTOR + ["scenario.scenario=AT", "loss.scheme=CL"]
+        assert run_cli(tmp_path, "sweep", sweep) == 0
+        cache = sorted(os.listdir(tmp_path / "cache"))
+        assert run_cli(tmp_path, "evaluate", own) == 0
+        assert run_cli(tmp_path, "train", own) == 0
+        assert sorted(os.listdir(tmp_path / "cache")) == cache
+        assert len([f for f in cache if f.endswith(".ckpt")]) == 1
+
     @pytest.mark.parametrize("command", ["evaluate", "cka", "probe"])
     @pytest.mark.parametrize("changed", [
         ["loss.scheme=SCL", "scenario.scenario=AT"],
@@ -299,6 +309,7 @@ class TestCli:
         "augment.gaussian_noise_sigma=nan", "attack_eval.epsilons=nan", "dataset.contrast=nan",
         "loss.alpha=nan", "scenario.lr=inf", "experiment.seed=-1", "sweep.seeds=-2",
         "dataset.split=1.2,0.0,-0.2", "dataset.split=0.9,0.1,0.0", "model.kind=conv_small",
+        "sweep.seeds=0,0", "sweep.scenarios=ST,ST", "sweep.schemes=SL,SL",
     ])
     def test_a_value_that_does_not_parse_or_build_is_a_config_error(
             self, tmp_path, capsys, override):

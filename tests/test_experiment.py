@@ -92,8 +92,9 @@ def test_cell_key_names_each_model_once():
     cfg = directional.fixture_config()
     d_p, _, _ = experiment.build_splits(cfg, experiment.build_dataset(cfg))
 
-    def key(scenario, train_epsilon):
-        return experiment.cell_key(cfg, scenario, "CL", 0, d_p, train_epsilon)
+    def key(scenario, train_epsilon, overrides=None):
+        config = load_config(text=directional.FIXTURE_TEXT, overrides=overrides)
+        return experiment.cell_key(config, scenario, "CL", 0, d_p, train_epsilon)
 
     # the committed AT/CL seed-0 cell, under the configured budget spelled out
     assert key("AT", None) == key("AT", directional.EPS8) == "c06d7bea7c50898f"
@@ -101,6 +102,14 @@ def test_cell_key_names_each_model_once():
     assert key("ST", directional.EPS4) == key("ST", 0.0) == key("ST", None)
     # another budget trains another model
     assert key("AT", directional.EPS4) not in (key("AT", None), key("ST", None))
+    # the own-cell selectors pick no model; the pin above has no [model] kind
+    for selectors in (["scenario.scenario=AT", "loss.scheme=CL"],
+                      ["scenario.scenario=Full-AT", "loss.scheme=SCL"],
+                      ["scenario.scenario=Partial-AT", "loss.scheme=CL"], ["loss.scheme=SL+CL"]):
+        assert key("AT", None, selectors) == "c06d7bea7c50898f"
+    # a key that training reads names another model
+    for changed in ("loss.temperature=0.3", "model.layer_widths=128,64"):
+        assert key("AT", None, [changed]) != "c06d7bea7c50898f"
 
 
 def test_run_cells_trains_the_costliest_scenarios_first(tmp_path, monkeypatch):
