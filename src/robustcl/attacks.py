@@ -9,7 +9,9 @@ embedding. That gradient is bitwise the one a tape through the stacked
 clean and adversarial embeddings and the loss would give, so the attack's
 output does not depend on the shortcut. The epsilon-ball bounds are also
 computed and clamped once per attack, and each step moves the iterate and
-clips it into them in place.
+clips it into them in place. The step is `_signed_step`: the bytes of
+`alpha * numpy.sign(g)` from vectorized kernels, since numpy runs float64
+`sign` as a scalar loop that branches on every value.
 """
 
 from __future__ import annotations
@@ -120,13 +122,22 @@ def _driving_loss_grad(model, x_cur: np.ndarray, batch,
     return g
 
 
+def _signed_step(g: np.ndarray, alpha: float) -> np.ndarray:
+    """g, overwritten with the bytes of `alpha * numpy.sign(g)` for alpha > 0
+    and g free of NaN: +-alpha, and +0.0 where g holds either zero."""
+    zero = g == 0
+    np.copysign(alpha, g, out=g)
+    g[zero] = 0.0
+    return g
+
+
 def pgd(model, batch, spec: AttackSpec) -> Tensor:
     """Iterated signed-gradient ascent with l_inf projection.
 
-    sign(0) = 0, so zero-gradient coordinates stay put; steps=0 with
-    random_start=False returns the input unchanged. A CL or SCL attack
-    embeds the clean batch once, into a `losses.ContrastiveTarget`, and
-    each step embeds only the iterate.
+    Each step adds `_signed_step(g, alpha)`, +0.0 at a zero gradient, so
+    zero-gradient coordinates stay put; steps=0 with random_start=False
+    returns the input unchanged. A CL or SCL attack embeds the clean batch
+    once, into a `losses.ContrastiveTarget`; each step embeds the iterate.
     """
     x0 = batch.x.data
     if spec.epsilon == 0.0 or (spec.steps == 0 and not spec.random_start):
@@ -149,8 +160,6 @@ def pgd(model, batch, spec: AttackSpec) -> Tensor:
         target = None if spec.driving_loss == "CE" else _target(model, batch, spec)
         for _ in range(spec.steps):
             g = _driving_loss_grad(model, x, batch, target)  # a fresh array
-            np.sign(g, out=g)
-            g *= spec.alpha
-            x += g  # x is the attack's own array
+            x += _signed_step(g, spec.alpha)  # x is the attack's own array
             np.clip(x, lo, hi, out=x)
     return Tensor(x)

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -78,6 +79,33 @@ def test_clamped_ball_bounds_clip_like_ball_then_box(pairs, epsilon):
     assert np.array_equal(once, twice)
     if not (np.signbit(np.concatenate([x0, x])) & (np.concatenate([x0, x]) == 0.0)).any():
         assert once.tobytes() == twice.tobytes()
+
+
+_SIGN_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_SIGN_EDGES), st.floats(allow_nan=False)),
+                min_size=1, max_size=64),
+       st.sampled_from([2.5 * 8 / 255 / 20, 0.01, 0.5, 1.0, 5e-324, 1e308]))
+@example(_SIGN_EDGES, 0.01)
+def test_signed_step_writes_the_bytes_of_alpha_times_sign(values, alpha):
+    """The step is alpha * np.sign(g) to the byte: +-alpha, and +0.0 at
+    +0.0 and at -0.0 (copysign alone would give -alpha at -0.0)."""
+    g = np.array(values)
+    want = (alpha * np.sign(g)).tobytes()
+    assert attacks._signed_step(g, alpha).tobytes() == want
+
+
+@pytest.mark.parametrize("alpha", [2.5 * 8 / 255 / 20, 0.01, 0.5])
+def test_signed_step_on_a_gradient_sized_array(alpha):
+    g = np.random.default_rng(3).standard_normal((256, 256))
+    g[::7, ::5] = 0.0
+    g[3::7, ::5] = -0.0
+    want = (alpha * np.sign(g)).tobytes()
+    step = attacks._signed_step(g, alpha)
+    assert step is g  # in place, as pgd relies on
+    assert step.tobytes() == want
 
 
 class TestSpec:
@@ -247,11 +275,12 @@ class TestCleanEmbeddingOnce:
         assert not np.array_equal(x_adv, batch.x.data)
         assert np.array_equal(x_adv, _reference_pgd(st_model, batch, spec))
 
-    @pytest.mark.parametrize("n", [208, 244])
-    @pytest.mark.parametrize("driving_loss", ["CL", "SCL"])
+    @pytest.mark.parametrize("n", [208, 244, 256])
+    @pytest.mark.parametrize("driving_loss", ["CE", "CL", "SCL"])
     def test_matches_reference_loop_at_training_batch_sizes(self, st_model, n,
                                                             driving_loss):
-        # 244 is the last batch of a TM-II evaluation of 500 test images
+        # a TM-I or TM-II evaluation of 500 test images attacks batches of
+        # 256 and 244
         batch = make_batch(np.random.default_rng(n), st_model, n=n)
         spec = AttackSpec(epsilon=0.1, steps=3, random_start=True,
                           driving_loss=driving_loss, clamp=(0.0, 1.0), seed=3)
@@ -269,6 +298,23 @@ class TestCleanEmbeddingOnce:
         x_adv = pgd(st_model, batch, spec).data
         assert ((x < 0.0) | (x > 1.0)).any()
         assert x_adv.tobytes() == _reference_pgd(st_model, batch, spec).tobytes()
+
+    @pytest.mark.parametrize("driving_loss", ["CE", "CL"])
+    def test_zero_gradient_pixels_keep_their_random_start(self, st_model, driving_loss):
+        # inputs whose first-layer weight rows are zero get an exactly zero
+        # gradient, while the other inputs move
+        model = copy.deepcopy(st_model)
+        dead = [0, 7, 13]
+        model.encoder_params[0][0].data[dead] = 0.0
+        batch = make_batch(np.random.default_rng(5), model, n=16)
+        spec = AttackSpec(epsilon=0.1, steps=4, random_start=True,
+                          driving_loss=driving_loss, clamp=(0.0, 1.0), seed=2)
+        start = pgd(model, batch, replace(spec, steps=0)).data
+        x_adv = pgd(model, batch, spec).data
+        assert x_adv.tobytes() == _reference_pgd(model, batch, spec).tobytes()
+        assert x_adv[:, dead].tobytes() == start[:, dead].tobytes()
+        live = np.setdiff1d(np.arange(x_adv.shape[1]), dead)
+        assert (x_adv[:, live] != start[:, live]).mean() > 0.5
 
     @pytest.mark.parametrize("driving_loss, calls", [("CE", 3), ("CL", 4), ("SCL", 4)])
     def test_encode_calls(self, st_model, rng, monkeypatch, driving_loss, calls):
