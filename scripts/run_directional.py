@@ -3,6 +3,9 @@
 
 Every trained cell is cached under the cache directory, so reruns (and the
 test suite) reuse the checkpoints instead of retraining.
+
+Exit codes: 0 every badge passes, 1 a badge fails, 2 a cell failed to train
+or evaluate (nothing is written under --out).
 """
 
 import argparse
@@ -28,8 +31,12 @@ def main(argv=None):
     def log(msg):
         print(f"[{time.time() - t0:7.0f}s] {msg}", flush=True)
 
-    suite = directional.run_suite(seeds=tuple(args.seeds),
-                                  cache_dir=args.cache_dir, log=log)
+    try:
+        suite = directional.run_suite(seeds=tuple(args.seeds),
+                                      cache_dir=args.cache_dir, log=log)
+    except RuntimeError as exc:
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return 2
     os.makedirs(out, exist_ok=True)
     rows = directional.results_rows(suite)
     results_path = os.path.join(out, "results.csv")

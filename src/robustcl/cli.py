@@ -109,8 +109,10 @@ def cmd_evaluate(args) -> int:
     cfg, out, model, manifest, (_, _, test) = _trained_model(args)
     scenario, scheme, seed = cfg.own_cell()
     key = manifest.get("cell_key")  # None for a --checkpoint model
-    report = experiment.evaluate_cell(model, test, cfg.eval_attacks(scheme), scenario,
-                                      scheme, key, os.path.join(out, "cache") if key else None)
+    specs = cfg.eval_attacks(scheme)
+    report = (experiment.evaluate_cell(model, test, specs, scenario, scheme, key,
+                                       os.path.join(out, "cache")) if key
+              else evaluation.evaluate(model, test, specs, scenario, scheme))
     # runtime_s reports the (cached) training cost so reruns of this command
     # reproduce results.csv byte for byte
     rows = evaluation.results_rows(report, seed, manifest.get("runtime_s", 0.0),

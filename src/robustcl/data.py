@@ -103,11 +103,6 @@ class AugmentSpec:
         if self.gaussian_noise_sigma < 0:
             raise DataError("noise sigma must be >= 0")
 
-    def is_identity(self) -> bool:
-        return (self.gaussian_noise_sigma == 0 and self.feature_dropout_prob == 0
-                and self.crop_shift_max_pixels == 0 and self.horizontal_flip_prob == 0
-                and self.erase_patch_prob == 0)
-
 
 # ---------------------------------------------------------------------------
 # IDX files
@@ -343,13 +338,13 @@ def _augment_once(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator,
 
 
 def make_views(x: np.ndarray, spec: AugmentSpec, seed: int):
-    """Two independent augmentation draws of the same minibatch."""
+    """Two independent augmentation draws of the same minibatch. With every
+    augmentation at zero, each view is a copy of `x` (images are clipped to
+    [0, 1], where a `Dataset` keeps them)."""
     x = np.asarray(x, dtype=np.float64)
     is_image = x.ndim == 4
     if not is_image and x.ndim != 2:
         raise DataError("make_views expects (n, d) vectors or (n, c, h, w) images")
-    if spec.is_identity():
-        return x.copy(), x.copy()
     rng = np.random.default_rng(seed)
     xp = _augment_once(x, spec, rng, is_image)
     xpp = _augment_once(x, spec, rng, is_image)

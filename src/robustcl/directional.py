@@ -145,7 +145,8 @@ def _cached_value(path, name, attack, compute):
     `compute()`d and written on a miss. The file records the sample count,
     sample seed and `attack` (None: clean inputs); one of another is a miss."""
     record = {"n_samples": N_ANALYSIS, "sample_seed": 0, "attack": attack and asdict(attack)}
-    return experiment.cached_json(path, lambda: {name: compute()}, (name,), record=record)[name]
+    return experiment.cached_json(path, lambda: {name: compute()},
+                                  lambda payload: float(payload[name]), record)
 
 
 def _final_cka(model, test, key, cache_dir):
@@ -196,6 +197,8 @@ def _check_per_seed(suite, fn):
         ok, detail = fn(res)
         flags.append(ok)
         details.append(f"s{seed}: {detail}")
+    if not flags:
+        return False, "no seed"
     passed = sum(flags) >= max(2, len(flags) - 1) if len(flags) >= 3 else all(flags)
     return passed, "; ".join(details)
 

@@ -93,37 +93,36 @@ def entry_paths(cache_dir, key: str) -> dict:
             for ext in ("ckpt", "loss.csv", "manifest.json")}
 
 
-def _read_cached(path, keys=(), load=lambda payload: payload):
-    """`load` of the JSON object at `path`, or None when there is no such
-    file. A file that is unreadable, lacks one of `keys` or that `load`
-    rejects warns and is also None: a miss, recomputed and overwritten."""
+def _read_cached(path, load):
+    """`load` of the JSON value at `path`, or None when there is no such file.
+    A file that is unreadable, or that `load` cannot read (KeyError, TypeError,
+    ValueError), warns and is also None: a miss, recomputed and overwritten."""
     if not os.path.exists(path):
         return None
     try:
         with open(path) as f:
-            payload = json.load(f)
-        if not isinstance(payload, dict) or not all(k in payload for k in keys):
-            raise ValueError(f"not a JSON object with the keys {list(keys)}")
-        return load(payload)
-    except (OSError, ValueError, models.CheckpointError) as exc:
+            return load(json.load(f))
+    except (OSError, KeyError, TypeError, ValueError, models.CheckpointError) as exc:
         warnings.warn(f"unreadable cache file {path} "
                       f"({type(exc).__name__}: {exc}); recomputing",
                       RuntimeWarning, stacklevel=2)
         return None
 
 
-def cached_json(path, compute, keys=(), indent=None, record=None) -> dict:
-    """The JSON object cached at `path` (`_read_cached`), also a miss if it
-    lacks a field of `record` or holds another value there (compared as
-    JSON); on a miss, `compute()` it, add `record` and write it atomically."""
-    record = json.loads(json.dumps(record or {}))  # tuples compare as lists
-    payload = _read_cached(path, keys, lambda got: got if all(
-        got.get(k) == v for k, v in record.items()) else None)
-    if payload is None:
-        payload = {**compute(), **record}
-        with atomic_path(path) as tmp, open(tmp, "w") as f:
-            json.dump(payload, f, indent=indent, sort_keys=True)
-    return payload
+def cached_json(path, compute, load, record, indent=None):
+    """`load` of the JSON object cached at `path` (`_read_cached`). A file
+    that `load` reads but that holds another value in a field of `record`
+    (compared as JSON) is a silent miss. On a miss, `compute()` the object,
+    add `record`, write it atomically and `load` it."""
+    record = json.loads(json.dumps(record))  # tuples compare as lists
+    hit = _read_cached(path, lambda payload: (  # `load` first: a file it cannot read warns
+        load(payload), all(payload.get(k) == v for k, v in record.items())))
+    if hit and hit[1]:
+        return hit[0]
+    payload = {**compute(), **record}
+    with atomic_path(path) as tmp, open(tmp, "w") as f:
+        json.dump(payload, f, indent=indent, sort_keys=True)
+    return load(payload)
 
 
 def cached_cell(cache_dir, key: str):
@@ -136,7 +135,7 @@ def cached_cell(cache_dir, key: str):
             raise ValueError(f"manifest of cell {manifest['cell_key']}, not {key}")
         return models.load_checkpoint(paths["ckpt"]), manifest
 
-    return _read_cached(paths["manifest.json"], ("cell_key",), load)
+    return _read_cached(paths["manifest.json"], load)
 
 
 def train_cell(cfg: ExperimentConfig, d_p: Dataset, d_f: Dataset,
@@ -196,13 +195,10 @@ def _train_pooled(jobs, workers, *args):
 
 
 def evaluate_cell(model, test: Dataset, specs, scenario: str, scheme: str,
-                  key: str | None = None, cache_dir=None) -> evaluation.EvalReport:
+                  key: str, cache_dir) -> evaluation.EvalReport:
     """`evaluation.evaluate` of cell `key` under the attack `specs`, cached
-    in `<cache_dir>/<key>.eval.json` when there is a `cache_dir`. The file
-    records every field of the specs: one of other specs is a miss."""
-    if cache_dir is None:
-        return evaluation.evaluate(model, test, specs, scenario, scheme, key or "model")
-
+    in `<cache_dir>/<key>.eval.json`. The file records every field of the
+    specs: one of other specs is a miss."""
     def robust_id(spec):
         return f"{spec.threat_model}|{spec.epsilon!r}|{spec.steps}"
 
@@ -212,12 +208,15 @@ def evaluate_cell(model, test: Dataset, specs, scenario: str, scheme: str,
                 "robust": {robust_id(s): report.robust[s.robust_key] for s in specs},
                 "tm2_queries": report.classifier_grad_queries_tm2}
 
-    payload = cached_json(os.path.join(cache_dir, f"{key}.eval.json"), compute,
-                          ("clean", "robust", "n_test", "tm2_queries"), indent=2,
-                          record={"specs": [asdict(s) for s in specs]})
-    robust = {s.robust_key: payload["robust"][robust_id(s)] for s in specs}
-    return evaluation.EvalReport(key, scenario, scheme, payload["clean"], robust,
-                                 payload["n_test"], payload["tm2_queries"])
+    def load(payload):  # a number per spec, or null where `evaluate` gives SL no TM-II accuracy
+        robust = {s.robust_key: payload["robust"][robust_id(s)] for s in specs}
+        robust = {k: v if v is None and k[0] == "II" and scheme == "SL" else float(v)
+                  for k, v in robust.items()}
+        return evaluation.EvalReport(key, scenario, scheme, float(payload["clean"]), robust,
+                                     int(payload["n_test"]), int(payload["tm2_queries"]))
+
+    return cached_json(os.path.join(cache_dir, f"{key}.eval.json"), compute, load,
+                       {"specs": [asdict(s) for s in specs]}, indent=2)
 
 
 def run_cells(cfg: ExperimentConfig, cells, cache_dir, log=None):

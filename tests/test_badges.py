@@ -179,3 +179,9 @@ def test_badge_at_its_threshold(monkeypatch, tmp_path, badge, what, edit,
         values_by_seed[seed] = values
     ok, detail = _badges(monkeypatch, tmp_path, values_by_seed)[BADGES[badge]]
     assert ok == passes, f"{what}, seeds {outside} outside: {detail}"
+
+
+def test_a_suite_with_no_seeds_fails_every_claim():
+    got = directional.badges({"seeds": {}})
+    assert sorted(name for name, _, _ in got) == sorted(BADGES.values())
+    assert [(ok, detail) for _, ok, detail in got] == [(False, "no seed")] * len(got)

@@ -234,13 +234,16 @@ def test_directional_cache_recomputes_a_corrupt_file(tmp_path, garble):
         calls.append(1)
         return {"clean": 0.75, "robust": {"I|0.03|20": 0.5}}
 
-    payload = experiment.cached_json(path, compute, indent=2)
+    def load(payload):
+        return payload
+
+    payload = experiment.cached_json(path, compute, load, {}, indent=2)
     good = path.read_bytes()
-    assert experiment.cached_json(path, compute, indent=2) == payload
+    assert experiment.cached_json(path, compute, load, {}, indent=2) == payload
     assert len(calls) == 1
     path.write_bytes(garble(good))
     with pytest.warns(RuntimeWarning, match="unreadable cache file"):
-        again = experiment.cached_json(path, compute, indent=2)
+        again = experiment.cached_json(path, compute, load, {}, indent=2)
     assert again == payload and len(calls) == 2
     assert path.read_bytes() == good
     assert os.listdir(tmp_path) == ["k.eval.json"]
@@ -271,31 +274,33 @@ def _stub_directional_computations(monkeypatch):
 
 
 # (cache file, call returning the cached value, the value, a payload that
-# parses but lacks a key the caller reads, record fields of another run)
+# parses but lacks a key the caller reads, fields that the caller cannot read
+# in a payload with every key, record fields of another run)
 CACHED_RESULTS = {
     "cka": ("k.cka.json", lambda d: directional._final_cka(None, None, "k", d), 0.25,
-            {"upper_third_mean": 0.5}, {"n_samples": 30}),
+            {"upper_third_mean": 0.5}, {"final_clean_adv_cka": "high"}, {"n_samples": 30}),
     "cross": ("cross_a_b.json",
               lambda d: directional._cross_upper(None, None, None, "a", "b", d), 0.5,
-              {"final_clean_adv_cka": 0.25}, {"n_samples": 30}),
+              {"final_clean_adv_cka": 0.25}, {"upper_third_mean": "high"}, {"n_samples": 30}),
     "eval": ("k.eval.json",
              lambda d: experiment.evaluate_cell(None, None, [directional.tm1_attack()],
                                                 "ST", "SL", "k", d).n_test,
-             500, {"clean": 0.75, "robust": {}},
+             500, {"clean": 0.75, "robust": {}}, {"robust": {}},
              {"specs": [asdict(replace(directional.tm1_attack(), steps=10))]}),
 }
 
 
-@pytest.mark.parametrize("stale", ["empty", "array", "partial", "other-record"])
+@pytest.mark.parametrize("stale", ["empty", "array", "partial", "unusable", "other-record"])
 @pytest.mark.parametrize("kind", sorted(CACHED_RESULTS))
 def test_directional_cache_recomputes_a_payload_without_its_keys(
         tmp_path, monkeypatch, kind, stale):
-    name, call, value, partial, other = CACHED_RESULTS[kind]
+    name, call, value, partial, unusable, other = CACHED_RESULTS[kind]
     _stub_directional_computations(monkeypatch)
     path = tmp_path / name
     assert call(str(tmp_path)) == value
     good = path.read_bytes()
     path.write_text(json.dumps({"empty": {}, "array": [], "partial": partial,
+                                "unusable": {**json.loads(good), **unusable},
                                 "other-record": {**json.loads(good), **other}}[stale]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -366,6 +371,18 @@ def test_eps_sweep_reads_the_studys_cells(tmp_path):
     # the sweep records its attack and sample count as the CKA files do
     manifest = json.loads((out / "sweep_manifest.json").read_text())
     assert (manifest["attack"], manifest["n_samples"]) == (final["attack"], final["n_samples"])
+
+
+def test_run_directional_exits_2_on_a_failed_cell(tmp_path, monkeypatch, capsys):
+    def run_suite(**k):
+        raise RuntimeError("seed 0: AT/SCL: attack diverged")
+
+    monkeypatch.setattr(directional, "run_suite", run_suite)
+    out = tmp_path / "out"
+    assert _script("run_directional").main(
+        ["--cache-dir", str(tmp_path / "cache"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "runtime failure: seed 0: AT/SCL: attack diverged\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_run_directional_writes_under_the_checkout_by_default(tmp_path, monkeypatch):
