@@ -2,15 +2,17 @@
 """Sweep the training attack budget for CL pretraining and record how the
 clean-vs-adversarial representation similarity moves with it.
 
-Each budget is a directional-study cell (eps 0 is ST/CL), read through the
-study's cell cache, so the default budgets come for free after
-scripts/run_directional.py has run.
+Each budget is a directional-study cell (eps 0 is ST/CL), run through the
+study's cell runner and cache, so the default budgets come for free after
+scripts/run_directional.py has run; a missing budget trains (logged with a
+time stamp), and one that fails raises RuntimeError before --out is written.
 """
 
 import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import asdict
 
 from robustcl import analysis, directional, experiment, reporting
@@ -30,15 +32,21 @@ def main(argv=None):
 
     cache_dir = args.cache_dir or directional.default_cache_dir()
     out = args.out or directional.checkout_path("runs", "eps_sweep", instead="--out")
-    cfg = directional.fixture_config()
-    d_p, d_f, test = experiment.build_splits(cfg, experiment.build_dataset(cfg))
-    attack = directional.tm1_attack()
+    t0 = time.time()
+
+    def log(msg):
+        print(f"[{time.time() - t0:7.0f}s] {msg}", flush=True)
+
     epsilons = sorted(args.epsilons)
+    cells = [("AT" if eps else "ST", "CL", args.seed, eps or None, None) for eps in epsilons]
+    test, results = experiment.run_cells(directional.fixture_config(), cells, cache_dir, log)
+    for (scenario, *_), eps, got in zip(cells, epsilons, results):
+        if isinstance(got, str):
+            raise RuntimeError(f"{scenario}/CL/eps={eps:g}: {got}")
+    attack = directional.tm1_attack()
 
     os.makedirs(out, exist_ok=True)
-    for eps in epsilons:
-        model, _ = experiment.train_cell(cfg, d_p, d_f, "AT" if eps else "ST", "CL",
-                                         args.seed, cache_dir, eps or None)
+    for eps, (model, _) in zip(epsilons, results):
         grid = analysis.cka_heatmap(model, test, attack, args.n_samples, seed=0)
         tag = f"eps_{eps:g}".replace(".", "p")
         reporting.write_cka_grid(grid, os.path.join(out, tag))

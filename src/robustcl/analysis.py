@@ -134,9 +134,9 @@ def cross_model_cka(model_a: ModelBundle, model_b: ModelBundle, dataset: Dataset
 
 
 def linear_probe(model: ModelBundle, train_set: Dataset, test_set: Dataset,
-                 layer_id: str, probe_epochs: int = 30, lr: float = 1e-3,
-                 seed: int = 0, batch_size: int = 128) -> ProbeResult:
-    """Fit a fresh linear classifier on frozen activations of one layer."""
+                 layer_id: str, probe_epochs: int = 30, seed: int = 0) -> ProbeResult:
+    """Fit a fresh linear classifier on frozen activations of one layer, by
+    Adam at lr 1e-3 on batches of 128."""
     ids = model.layer_ids()
     if layer_id == "input":
         get = lambda x: np.asarray(x).reshape(len(x), -1)
@@ -155,12 +155,12 @@ def linear_probe(model: ModelBundle, train_set: Dataset, test_set: Dataset,
     rng = np.random.default_rng(seed)
     w, b = models._affine_init(rng, d, (d, c), (c,))
     w.grad_tracked = b.grad_tracked = True
-    opt = training.Adam([w, b], lr=lr)
+    opt = training.Adam([w, b], lr=1e-3)
     n = a_train.shape[0]
     for epoch in range(probe_epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, n, 128):
+            idx = order[start:start + 128]
             if len(idx) < 2:
                 continue
             with GradientTape() as tape:

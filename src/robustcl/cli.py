@@ -63,16 +63,24 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _cache_dir(cfg: ExperimentConfig) -> str:
+    """The cell cache, <output_dir>/cache; the first write to it makes the
+    output directory, so a failed set-up leaves none."""
+    return os.path.join(cfg.get("experiment", "output_dir"), "cache")
+
+
 def cmd_train(args) -> int:
-    """Train the configured cell into the cell cache under <output_dir>/cache
-    (shared with `sweep`)."""
+    """Train the configured cell into the cell cache (shared with `sweep`)
+    through `experiment.run_cells`, which reads the cell instead when it is
+    cached there; a cell that fails to train raises RuntimeError naming it."""
     cfg = _load(args)
-    d_p, d_f, _ = experiment.build_splits(cfg, experiment.build_dataset(cfg))
-    out = _out_dir(cfg)
     scenario, scheme, seed = cfg.own_cell()
-    cache_dir = os.path.join(out, "cache")
-    _, manifest = experiment.train_cell(cfg, d_p, d_f, scenario, scheme, seed, cache_dir)
-    key = manifest["cell_key"]
+    cache_dir = _cache_dir(cfg)
+    _, (got,) = experiment.run_cells(cfg, [(scenario, scheme, seed, None, None)], cache_dir)
+    if isinstance(got, str):
+        raise RuntimeError(f"{scenario}/{scheme}/s{seed}: {got}")
+    key = got[1]["cell_key"]
+    out = _out_dir(cfg)
     _write_manifest(cfg, out, experiment.entry_paths(cache_dir, key).values(),
                     {"cell_key": key})
     print(f"trained {scenario}/{scheme} (seed {seed}) -> cell {key} in {cache_dir}")
@@ -95,7 +103,7 @@ def _trained_model(args):
             raise ValidationFailure(f"checkpoint encoder {model.config} is not the "
                                     f"configured encoder {want}")
         return cfg, out, model, {}, splits
-    cache_dir = os.path.join(out, "cache")
+    cache_dir = _cache_dir(cfg)
     key = experiment.cell_key(cfg, *cfg.own_cell(), splits[0])
     hit = experiment.cached_cell(cache_dir, key)
     if hit is None:
@@ -111,7 +119,7 @@ def cmd_evaluate(args) -> int:
     key = manifest.get("cell_key")  # None for a --checkpoint model
     specs = cfg.eval_attacks(scheme)
     report = (experiment.evaluate_cell(model, test, specs, scenario, scheme, key,
-                                       os.path.join(out, "cache")) if key
+                                       _cache_dir(cfg)) if key
               else evaluation.evaluate(model, test, specs, scenario, scheme))
     # runtime_s reports the (cached) training cost so reruns of this command
     # reproduce results.csv byte for byte
@@ -157,11 +165,21 @@ def cmd_probe(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Train, evaluate and tabulate the [sweep] grid; exit 2 when no cell gives a row."""
+    """Train, evaluate and tabulate the [sweep] grid through `experiment.run_cells`;
+    a failed cell goes to sweep_errors.txt, and a sweep with no row exits 2."""
     cfg = _load(args)
-    # the first cache write makes the output directory, so a failed set-up leaves none
-    cache_dir = os.path.join(cfg.get("experiment", "output_dir"), "cache")
-    rows, errors = experiment.scenario_sweep(cfg, cache_dir)
+    cells = [(sc, sch, seed, None, cfg.eval_attacks(sch)) for sc in cfg.get("sweep", "scenarios")
+             for sch in cfg.get("sweep", "schemes")
+             for seed in cfg.get("sweep", "seeds")]
+    if not cells:
+        raise ConfigError("sweep grid is empty")
+    rows, errors = [], []
+    for (scenario, scheme, seed, *_), got in zip(
+            cells, experiment.run_cells(cfg, cells, _cache_dir(cfg))[1]):
+        if isinstance(got, str):
+            errors.append(f"{scenario}/{scheme}/s{seed}: {got}")
+        else:
+            rows.extend(got[2])
     out = _out_dir(cfg)
     path = os.path.join(out, "results.csv")
     evaluation.write_results_csv(rows, path)

@@ -108,7 +108,7 @@ class AugmentSpec:
 # IDX files
 # ---------------------------------------------------------------------------
 
-def load_idx(path_images, path_labels, name: str = "idx") -> Dataset:
+def load_idx(path_images, path_labels) -> Dataset:
     """Load an IDX image/label file pair; pixels are scaled into [0, 1]."""
     with open(path_images, "rb") as f:
         blob = f.read()
@@ -134,7 +134,7 @@ def load_idx(path_images, path_labels, name: str = "idx") -> Dataset:
     if len(lblob) != 8 + ln:
         raise DataError("truncated IDX label payload")
     labels = np.frombuffer(lblob, dtype=np.uint8, offset=8).astype(np.int64)
-    return Dataset(images.astype(np.float64) / 255.0, labels, name, int(labels.max()) + 1)
+    return Dataset(images.astype(np.float64) / 255.0, labels, "idx", int(labels.max()) + 1)
 
 
 def write_idx(dataset: Dataset, path_images, path_labels) -> None:
@@ -156,7 +156,7 @@ def write_idx(dataset: Dataset, path_images, path_labels) -> None:
 # CSV vectors: header "label,f0,f1,...", one row per sample
 # ---------------------------------------------------------------------------
 
-def load_csv(path, name: str = "csv") -> Dataset:
+def load_csv(path) -> Dataset:
     with open(path) as f:
         header = f.readline().strip().split(",")
         if not header or header[0] != "label":
@@ -169,7 +169,7 @@ def load_csv(path, name: str = "csv") -> Dataset:
         feats = np.array([[float(v) for v in r[1:]] for r in rows], dtype=np.float64)
     except ValueError as exc:  # a non-numeric field, or rows of unequal length
         raise DataError(f"malformed CSV file {path}: {exc}") from None
-    return Dataset(feats, labels, name, int(labels.max()) + 1)
+    return Dataset(feats, labels, "csv", int(labels.max()) + 1)
 
 
 def write_csv(dataset: Dataset, path) -> None:

@@ -141,14 +141,10 @@ def cached_cell(cache_dir, key: str):
 def train_cell(cfg: ExperimentConfig, d_p: Dataset, d_f: Dataset,
                scenario: str, scheme: str, seed: int,
                cache_dir=None, train_epsilon: float | None = None):
-    """Train one (scenario, scheme, seed) cell, reusing the cache entry with
-    the same cell key when it reads back (`cached_cell`); a miss trains and
-    writes the entry. Returns (model, manifest)."""
+    """Train one (scenario, scheme, seed) cell, reading no cache: `run_cells`
+    trains only the cells it cannot read. With a `cache_dir`, write the
+    cell's entry there, manifest last. Returns (model, manifest)."""
     key = cell_key(cfg, scenario, scheme, seed, d_p, train_epsilon)
-    if cache_dir is not None:
-        hit = cached_cell(cache_dir, key)
-        if hit is not None:
-            return hit
     spec = cfg.scenario_spec(scenario=scenario, scheme=scheme, seed=seed,
                              train_epsilon=train_epsilon)
     enc_cfg = cfg.encoder_config(d_p.input_shape)
@@ -221,13 +217,15 @@ def evaluate_cell(model, test: Dataset, specs, scenario: str, scheme: str,
 
 def run_cells(cfg: ExperimentConfig, cells, cache_dir, log=None):
     """Train, evaluate and tabulate each (scenario, scheme, seed,
-    train_epsilon, attack specs) cell, all cached in `cache_dir`. Cached
-    cells are read here; the others train through `train_cell`, costliest
-    scenario first, on one worker per usable CPU, or here when fewer than
-    two would be busy. Each trained cell is then evaluated here
-    (`evaluate_cell`). Returns (the test split, per cell in cell order
-    (model, EvalReport, results rows), or the error string of a cell whose
-    training or evaluation failed)."""
+    train_epsilon, attack specs) cell, all cached in `cache_dir`; this is the
+    one reader of the cell cache that trains on a miss. Each cell is read
+    here once (`cached_cell`); the misses train through `train_cell`,
+    costliest scenario first, on one worker per usable CPU, or here when
+    fewer than two would be busy. Each cell with specs is then evaluated
+    here (`evaluate_cell`). Returns (the test split, per cell in cell order
+    (model, EvalReport, results rows), or (model, manifest) for a cell whose
+    specs are None, or the error string of a cell whose training or
+    evaluation failed)."""
     d_p, d_f, test = build_splits(cfg, build_dataset(cfg))
     jobs = [cell[:4] for cell in cells]
     results = [cached_cell(cache_dir, cell_key(cfg, scenario, scheme, seed, d_p, train_eps))
@@ -249,10 +247,10 @@ def run_cells(cfg: ExperimentConfig, cells, cache_dir, log=None):
             name = f"{scenario}/{scheme}" + ("" if eps is None else f"/eps={eps:.4f}")
             log(f"seed {seed}: {name} " + (f"failed: {got}" if isinstance(got, str) else
                                            f"trained in {got[1]['runtime_s']:.0f} s"))
-    for i, got in enumerate(results):
-        if isinstance(got, str):
+    for i, ((scenario, scheme, seed, train_eps, specs), got) in enumerate(zip(cells, results)):
+        if isinstance(got, str) or specs is None:
             continue
-        (scenario, scheme, seed, train_eps, specs), (model, manifest) = cells[i], got
+        model, manifest = got
         try:  # a failed evaluation is the cell's error, as a failed training is
             report = evaluate_cell(model, test, specs, scenario, scheme, manifest["cell_key"],
                                    cache_dir)
@@ -261,21 +259,3 @@ def run_cells(cfg: ExperimentConfig, cells, cache_dir, log=None):
         except Exception as exc:
             results[i] = str(exc)
     return test, results
-
-
-def scenario_sweep(cfg: ExperimentConfig, cache_dir):
-    """`run_cells` of every (scenario, scheme, seed) grid cell of `[sweep]`
-    under its scheme's evaluation attacks. Returns (rows for results.csv,
-    a "<scenario>/<scheme>/s<seed>: <error>" string per failed cell)."""
-    cells = [(sc, sch, seed, None, cfg.eval_attacks(sch)) for sc in cfg.get("sweep", "scenarios")
-             for sch in cfg.get("sweep", "schemes")
-             for seed in cfg.get("sweep", "seeds")]
-    if not cells:
-        raise ConfigError("sweep grid is empty")
-    rows, errors = [], []
-    for (scenario, scheme, seed, *_), got in zip(cells, run_cells(cfg, cells, cache_dir)[1]):
-        if isinstance(got, str):
-            errors.append(f"{scenario}/{scheme}/s{seed}: {got}")
-        else:
-            rows.extend(got[2])
-    return rows, errors

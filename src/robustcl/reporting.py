@@ -46,10 +46,10 @@ def write_cka_pgm(matrix: CKAMatrix, path) -> None:
         f.write(pixels.tobytes())
 
 
-def write_cka_svg(matrix: CKAMatrix, path, cell: int = 32) -> None:
-    """SVG heatmap with axis labels; masked cells are hatched."""
+def write_cka_svg(matrix: CKAMatrix, path) -> None:
+    """SVG heatmap with axis labels, 32 px a cell; masked cells are hatched."""
     h, w = matrix.values.shape
-    margin = 110
+    margin, cell = 110, 32
     width, height = margin + w * cell, margin + h * cell
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">']
     parts.append('<defs><pattern id="hatch" width="6" height="6" '

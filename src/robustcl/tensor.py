@@ -237,14 +237,14 @@ def log(a: Tensor) -> Tensor:
     return _maybe_record(out, [a], lambda g, need: (g / ad,))
 
 
-def unit_rows(a: np.ndarray, eps: float = 1e-12):
+def unit_rows(a: np.ndarray):
     """(a / norms, norms) with norms the (m, 1) row norms of the 2-D array
     `a`. Row-wise arithmetic: a block of rows gets the bits it gets inside
     the whole array."""
     if a.ndim != 2:
         raise TensorError("l2_normalize_rows: 2-D only")
     norms = np.sqrt((a ** 2).sum(axis=1, keepdims=True))
-    if np.any(norms < eps):
+    if np.any(norms < 1e-12):
         raise TensorError("l2_normalize_rows: zero row")
     return a / norms, norms
 
@@ -255,8 +255,8 @@ def unit_rows_grad(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarra
     return (g - y * dot) / norms
 
 
-def l2_normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
-    y, norms = unit_rows(a.data, eps)
+def l2_normalize_rows(a: Tensor) -> Tensor:
+    y, norms = unit_rows(a.data)
     out = Tensor._output(y, "l2_normalize_rows")
     return _maybe_record(out, [a], lambda g, need: (unit_rows_grad(g, y, norms),))
 

@@ -533,6 +533,18 @@ class TestCli:
         rows = evaluation.read_results_csv(tmp_path / "results.csv")
         assert [(r["scenario"], r["scheme"]) for r in rows] == [("ST", "SL"), ("ST", "SCL")]
 
+    def test_a_failed_training_exits_2_and_caches_nothing(self, tmp_path, monkeypatch,
+                                                          capsys):
+        def train_cell(*a, **k):
+            raise ValueError("loss diverged")
+
+        monkeypatch.setattr(experiment, "train_cell", train_cell)
+        out = tmp_path / "out"
+        assert run_cli(out, "train", FAST_VECTOR + ["loss.scheme=CL"]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: RuntimeError: ST/CL/s0: loss diverged\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "evaluate", "cka", "probe", "sweep"])
     def test_a_failed_set_up_leaves_no_output_directory(self, tmp_path, capsys, command):
         # the D_f fraction passes validation but rounds to no rows of 300

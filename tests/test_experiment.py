@@ -82,7 +82,7 @@ def test_train_cell_writes_cache_then_hits_it(tmp_path):
     assert sorted(os.listdir(tmp_path)) == sorted(
         f"{key}.{ext}" for ext in ("ckpt", "loss.csv", "manifest.json"))
     assert json.loads((tmp_path / f"{key}.manifest.json").read_text()) == manifest
-    again, cached = experiment.train_cell(cfg, d_p, d_f, "ST", "SL", 0, tmp_path)
+    again, cached = experiment.cached_cell(tmp_path, key)
     assert cached == manifest
     assert all(np.array_equal(a.data, b.data)
                for a, b in zip(model.all_params(), again.all_params()))
@@ -210,8 +210,13 @@ def test_train_cell_retrains_a_corrupt_cache_entry(tmp_path, ext, garble):
              for e in ("ckpt", "loss.csv", "manifest.json")}
     good = {e: f.read_bytes() for e, f in files.items()}
     files[ext].write_bytes(garble(good[ext]))
-    with pytest.warns(RuntimeWarning, match="unreadable cache file"):
-        again, fresh = experiment.train_cell(cfg, d_p, d_f, "ST", "SL", 0, tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, (got,) = experiment.run_cells(cfg, [("ST", "SL", 0, None, None)], tmp_path)
+    # the runner reads the entry once, so the corrupt file warns once
+    assert [(w.category, "unreadable cache file" in str(w.message)) for w in caught] == [
+        (RuntimeWarning, True)]
+    again, fresh = got
     assert all(np.array_equal(a.data, b.data)
                for a, b in zip(model.all_params(), again.all_params()))
     assert {k: v for k, v in fresh.items() if k != "runtime_s"} == {
@@ -371,6 +376,52 @@ def test_eps_sweep_reads_the_studys_cells(tmp_path):
     # the sweep records its attack and sample count as the CKA files do
     manifest = json.loads((out / "sweep_manifest.json").read_text())
     assert (manifest["attack"], manifest["n_samples"]) == (final["attack"], final["n_samples"])
+
+
+def test_eps_sweep_trains_only_its_missing_budgets(tmp_path, monkeypatch, capsys):
+    """With the 4/255 entry missing, the sweep trains that budget alone, logs
+    it and writes every artifact; once the entry is there, it trains and logs
+    nothing."""
+    committed = Path(directional.default_cache_dir())
+    cfg = directional.fixture_config()
+    d_p, _, _ = experiment.build_splits(cfg, experiment.build_dataset(cfg))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+
+    def copy_entry(name):
+        scenario, scheme, train_eps, _ = directional.CELLS[name]
+        key = experiment.cell_key(cfg, scenario, scheme, 0, d_p, train_eps)
+        for path in experiment.entry_paths(committed, key).values():
+            shutil.copy(path, cache)
+
+    copy_entry("ST/CL")
+    copy_entry("AT/CL")
+    trained = []
+
+    def train_cell(cfg, d_p, d_f, scenario, scheme, seed, cache_dir=None,
+                   train_epsilon=None):
+        trained.append((scenario, scheme, seed, train_epsilon))
+        model = models.init_model(cfg.encoder_config(d_p.input_shape), d_p.n_classes,
+                                  cfg.get("model", "head_dim"), seed)
+        return model, {"cell_key": "untrained", "runtime_s": 0.0}
+
+    monkeypatch.setattr(experiment, "train_cell", train_cell)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    sweep = _script("run_epsilon_sweep")
+    argv = ["--cache-dir", str(cache), "--out", str(tmp_path / "out"), "--n-samples", "40"]
+    assert sweep.main(argv) == 0
+    assert trained == [("AT", "CL", 0, directional.EPS4)]
+    logged = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert [line.split("] ", 1)[1] for line in logged] == [
+        "seed 0: AT/CL/eps=0.0157 trained in 0 s"]
+    tags = ("eps_0", "eps_0p0156863", "eps_0p0313725")
+    assert sorted(os.listdir(tmp_path / "out")) == sorted(
+        [f"{t}{suffix}" for t in tags for suffix in (".csv", ".pgm", ".svg", "_divergence.csv")]
+        + ["sweep_manifest.json"])
+    copy_entry("AT/CL/eps=0.0157")
+    assert sweep.main(argv) == 0
+    assert len(trained) == 1
+    assert not any(line.startswith("[") for line in capsys.readouterr().out.splitlines())
 
 
 def test_run_directional_exits_2_on_a_failed_cell(tmp_path, monkeypatch, capsys):
