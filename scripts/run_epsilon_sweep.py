@@ -5,7 +5,9 @@ clean-vs-adversarial representation similarity moves with it.
 Each budget is a directional-study cell (eps 0 is ST/CL), run through the
 study's cell runner and cache, so the default budgets come for free after
 scripts/run_directional.py has run; a missing budget trains (logged with a
-time stamp), and one that fails raises RuntimeError before --out is written.
+time stamp). If a budget fails, the script prints "runtime failure:
+<message>" to stderr and exits 2 before --out is written, as
+scripts/run_directional.py does on a failed cell.
 """
 
 import argparse
@@ -42,7 +44,8 @@ def main(argv=None):
     test, results = experiment.run_cells(directional.fixture_config(), cells, cache_dir, log)
     for (scenario, *_), eps, got in zip(cells, epsilons, results):
         if isinstance(got, str):
-            raise RuntimeError(f"{scenario}/CL/eps={eps:g}: {got}")
+            print(f"runtime failure: {scenario}/CL/eps={eps:g}: {got}", file=sys.stderr)
+            return 2
     attack = directional.tm1_attack()
 
     os.makedirs(out, exist_ok=True)

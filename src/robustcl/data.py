@@ -64,8 +64,8 @@ class Dataset:
         return self._fingerprint
 
     def subset(self, idx: np.ndarray, name: str | None = None) -> "Dataset":
-        return Dataset(self.inputs[idx].copy(), self.labels[idx].copy(),
-                       name or self.name, self.n_classes)
+        """The rows `idx` (an integer array, so the arrays are fresh copies)."""
+        return Dataset(self.inputs[idx], self.labels[idx], name or self.name, self.n_classes)
 
 
 @dataclass

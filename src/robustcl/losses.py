@@ -16,6 +16,17 @@ graph-built losses as its oracle. The only check left is the finiteness of
 the node's output, under the op name `softmax_xent`; a non-finite
 intermediate propagates into that scalar.
 
+Positives are never dense float masks. NT-Xent and cross-entropy have one
+positive per row, held as a column index (row i's other view, (i + n) mod
+2n, or its label): the node gathers those logits and subtracts the
+positive term of the gradient at those entries only, bit for bit what a
+one-hot mask's row sum and product give (the tests also check negative
+upstreams, where a zero's sign could tell them apart). SupCon's positives
+are a boolean (m, m) mask. The contrastive node runs its row softmax in
+place over its own logit buffer, and its backward turns that buffer into
+the logit gradient, so a pass holds about one (m, m) array;
+cross-entropy's logits belong to its input tensor and are not written.
+
 A PGD attack driven by NT-Xent or SupCon uses `ContrastiveTarget` instead:
 built once per attack around the clean embedding, it returns the loss's
 gradient with respect to the iterate's embedding and records nothing. The
@@ -63,6 +74,8 @@ class LossConfig:
             raise LossError("temperature must be positive")
         if self.alpha < 0 or self.beta < 0:
             raise LossError("alpha and beta must be non-negative")
+        if any(w < 0 for w in self.combo_weights):
+            raise LossError(f"combo_weights {tuple(self.combo_weights)} must be non-negative")
         if "+" in self.scheme and len(self.combo_weights) != len(self.scheme.split("+")):
             raise LossError(f"combo_weights {tuple(self.combo_weights)} must give one "
                             f"weight per constituent of {self.scheme}")
@@ -78,29 +91,22 @@ def _check_tau(tau: float) -> None:
         raise LossError("temperature must be positive")
 
 
-@functools.lru_cache(maxsize=8)
-def _pair_mask(n: int) -> np.ndarray:
-    """Read-only (2n, 2n) NT-Xent positive mask: row i marks its other view."""
-    m = 2 * n
-    mask = np.zeros((m, m))
-    mask[np.arange(m), np.concatenate([np.arange(n) + n, np.arange(n)])] = 1.0
-    mask.flags.writeable = False
-    return mask
-
-
 def _nt_xent_terms(n: int):
-    """(pos_mask, counts, weights, c) of NT-Xent over n stacked pairs."""
-    ones = np.ones(2 * n)
-    return _pair_mask(n), ones, ones, 1.0 / (2 * n)
+    """(pos, counts, weights, c) of NT-Xent over n stacked pairs: row i's
+    one positive is its other view, column (i + n) mod 2n."""
+    m = 2 * n
+    ones = np.ones(m)
+    return (np.arange(m) + n) % m, ones, ones, 1.0 / m
 
 
 def _supcon_terms(y: np.ndarray, m: int):
-    """(pos_mask, counts, weights, c) of SupCon over m rows labelled `y`."""
+    """(pos_mask, counts, weights, c) of SupCon over m rows labelled `y`;
+    the mask is boolean, False on the diagonal."""
     y = np.asarray(y)
     if y.shape != (m,):
         raise LossError("supcon: label count mismatch")
-    pos_mask = (y[:, None] == y[None, :]).astype(np.float64)
-    np.fill_diagonal(pos_mask, 0.0)
+    pos_mask = y[:, None] == y[None, :]
+    np.fill_diagonal(pos_mask, False)
     pos_counts = pos_mask.sum(axis=1)
     anchors = pos_counts > 0
     if not anchors.any():
@@ -136,12 +142,32 @@ def _row_softmax(s: np.ndarray, out=None):
     return mx, e, e.sum(axis=1)
 
 
+def _positive_logits(s: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Each row's sum of its positives' logits. `pos` is one positive column
+    per row (int, (m,)) or a boolean (m, m) mask. A row summed against a
+    one-hot row is exactly its one entry, so the column case gathers it."""
+    if pos.ndim == 1:
+        return s[np.arange(len(s)), pos]
+    return (s * pos).sum(axis=1)
+
+
+def _positive_term(gw: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """gw * the positive mask, the term `_logit_grad` subtracts: `gw` itself
+    for one positive column per row, else the (m, m) product."""
+    return gw if pos.ndim == 1 else gw[:, None] * pos
+
+
 def _logit_grad(e: np.ndarray, r: np.ndarray, gw_counts: np.ndarray,
-                pos_term: np.ndarray) -> np.ndarray:
+                pos: np.ndarray, pos_term: np.ndarray) -> np.ndarray:
     """d loss / d s, written over `e`: e * (gw*counts / r) - gw * pos_mask,
-    with gw = g * c * weights and `pos_term` = gw[:, None] * pos_mask."""
+    with gw = g * c * weights and `pos_term` = `_positive_term(gw, pos)`.
+    With one positive column per row the term is subtracted at those
+    entries only: everywhere else it is gw * 0.0, and x - 0.0 is x."""
     g_s = np.multiply(e, (gw_counts / r)[:, None], out=e)
-    g_s -= pos_term
+    if pos.ndim == 1:
+        g_s[np.arange(len(g_s)), pos] -= pos_term
+    else:
+        g_s -= pos_term
     return g_s
 
 
@@ -155,38 +181,39 @@ def _similarity_input_grad(g_s: np.ndarray, yd: np.ndarray, yt: np.ndarray,
     return g_s @ yt.T + (yd.T @ g_s).T
 
 
-def _softmax_xent(x: Tensor, s: np.ndarray, pos_mask: np.ndarray,
+def _softmax_xent(x: Tensor, s: np.ndarray, pos: np.ndarray,
                   counts: np.ndarray, weights: np.ndarray, c: float,
                   to_input=None) -> Tensor:
     """One tape node: ((lse*counts - pos) * weights).sum() * c over rows of s.
 
     `lse` is each row's log-sum-exp of `s` (the logits, masked already) and
-    `pos` its sum over `pos_mask`. `to_input` maps d loss / d s to the
-    gradient of `x`, the node's one input; without it `s` is `x.data`. Keep
-    the operations and their order: they repeat the primitive graph kept in
-    `tests/test_losses.py`, which makes the trained bits independent of the
-    fusion.
+    `pos` its sum over the positives `pos` (`_positive_logits`). `to_input`
+    maps d loss / d s to the gradient of `x`, the node's one input; without
+    it `s` is `x.data` and is left as it is, else `s` is the node's own
+    buffer and the row softmax overwrites it. Keep the operations and their
+    order: they repeat the primitive graph kept in `tests/test_losses.py`,
+    which makes the trained bits independent of the fusion.
     """
-    mx, e, r = _row_softmax(s)
+    pos_sum = _positive_logits(s, pos)
+    mx, e, r = _row_softmax(s, out=None if to_input is None else s)
     lse = np.log(r) + mx[:, 0]
-    pos = (s * pos_mask).sum(axis=1)
-    out = Tensor._output(((lse * counts - pos) * weights).sum() * c, "softmax_xent")
+    out = Tensor._output(((lse * counts - pos_sum) * weights).sum() * c, "softmax_xent")
 
     def bwd(g, need):
         gw = g * c * weights
-        g_s = _logit_grad(e, r, gw * counts, gw[:, None] * pos_mask)
+        g_s = _logit_grad(e, r, gw * counts, pos, _positive_term(gw, pos))
         return (g_s if to_input is None else to_input(g_s),)
 
     return T._maybe_record(out, [x], bwd)
 
 
-def _similarity_xent(y: Tensor, tau: float, pos_mask: np.ndarray,
+def _similarity_xent(y: Tensor, tau: float, pos: np.ndarray,
                      counts: np.ndarray, weights: np.ndarray, c: float) -> Tensor:
     """The fused loss over the cosine-similarity logits y y^T / tau of the
     l2-normalized rows `y`, each row's self-similarity masked out."""
     k = float(1.0 / tau)
     s, yt = _similarity_logits(y.data, k)
-    return _softmax_xent(y, s, pos_mask, counts, weights, c,
+    return _softmax_xent(y, s, pos, counts, weights, c,
                          lambda g_s: _similarity_input_grad(g_s, y.data, yt, k))
 
 
@@ -217,13 +244,16 @@ class ContrastiveTarget:
     the clean embedding `z_clean` stacked with an iterate's embedding.
 
     Everything that does not change across the attack's steps is built
-    once: the l2-normalized clean rows, the positive mask and its counts
-    and weights (SupCon pairs labels `y` with themselves), the constant
+    once: the l2-normalized clean rows, the positives and their counts and
+    weights (SupCon pairs labels `y` with themselves), the constant
     `gw * pos_mask` term of the logit gradient (the loss is the output, so
-    its upstream gradient is 1) and the m x m work buffer. `grad(z)` then
-    returns d loss / d z alone: the attack reads no loss value, so none is
-    computed, and nothing is recorded on a tape. The caller seeds the
-    encoder tape with it (`tensor.backward(tape, z, grad)`).
+    its upstream gradient is 1) and the m x m work buffer. NT-Xent keeps
+    its positives as the column vector and the term as gw itself, so its
+    one m x m array is the work buffer; SupCon keeps the dense term, since
+    forming it each step would cost more than the step's own softmax.
+    `grad(z)` then returns d loss / d z alone: the attack reads no loss
+    value, so none is computed, and nothing is recorded on a tape. The
+    caller seeds the encoder tape with it (`tensor.backward(tape, z, grad)`).
 
     The arithmetic is the fused node's, in the same order and with every
     matmul at its full (2n, 2n) shape, so the gradient is bitwise the one a
@@ -236,11 +266,11 @@ class ContrastiveTarget:
         _check_tau(tau)
         n = len(z_clean)
         if driving_loss == "CL":
-            pos_mask, counts, weights, c = _nt_xent_terms(n)
+            pos, counts, weights, c = _nt_xent_terms(n)
         elif driving_loss == "SCL":
             if y is None:
                 raise LossError("supcon: labels required")
-            pos_mask, counts, weights, c = _supcon_terms(np.concatenate([y, y]), 2 * n)
+            pos, counts, weights, c = _supcon_terms(np.concatenate([y, y]), 2 * n)
         else:
             raise LossError(f"unknown contrastive loss {driving_loss!r}")
         y_clean, _ = T.unit_rows(z_clean)
@@ -248,7 +278,8 @@ class ContrastiveTarget:
         self._n = n
         self._k = float(1.0 / tau)
         self._gw_counts = gw * counts
-        self._pos_term = gw[:, None] * pos_mask
+        self._pos = pos
+        self._pos_term = _positive_term(gw, pos)
         self._y = np.concatenate([y_clean, np.empty_like(y_clean)])
         self._s = np.empty((2 * n, 2 * n))
 
@@ -258,7 +289,7 @@ class ContrastiveTarget:
         self._y[self._n:] = y_cur
         s, yt = _similarity_logits(self._y, self._k, out=self._s)
         _, e, r = _row_softmax(s, out=s)
-        g_s = _logit_grad(e, r, self._gw_counts, self._pos_term)
+        g_s = _logit_grad(e, r, self._gw_counts, self._pos, self._pos_term)
         g_y = _similarity_input_grad(g_s, self._y, yt, self._k)
         return T.unit_rows_grad(g_y[self._n:], y_cur, norms)
 
@@ -271,10 +302,8 @@ def cross_entropy(logits: Tensor, y: np.ndarray) -> Tensor:
     n, c = logits.shape
     if y.shape != (n,) or y.min() < 0 or y.max() >= c:
         raise LossError("cross_entropy: labels out of range")
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), y] = 1.0
     ones = np.ones(n)
-    return _softmax_xent(logits, logits.data, onehot, ones, ones, 1.0 / n)
+    return _softmax_xent(logits, logits.data, y, ones, ones, 1.0 / n)
 
 
 # ---------------------------------------------------------------------------

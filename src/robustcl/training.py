@@ -177,11 +177,24 @@ def _phases(spec: ScenarioSpec, d_p: Dataset, d_f: Dataset) -> list:
     return [first, second]
 
 
+def _train_step(model: ModelBundle, spec: ScenarioSpec, phase: _Phase, opt: Adam,
+                batch: ViewBatch) -> float:
+    """One optimizer step on `batch`; returns the loss value. The tape, and
+    with it every node's buffers, is freed on return."""
+    with GradientTape() as tape:
+        loss = phase.loss(model, batch, spec.loss)
+    opt.step(T.backward(tape, loss))
+    return loss.item()
+
+
 def _run_phase(model: ModelBundle, spec: ScenarioSpec, phase: _Phase) -> list:
     """Train one phase; returns its (epoch, phase, mean loss) curve.
 
     Under an attack, x_adv is regenerated every step from the current
-    parameters (online min-max training).
+    parameters (online min-max training). A step's tape and loss buffers
+    live only through its own optimizer step (`_train_step`), so they are
+    freed before the next step makes its views and runs its attack; its
+    batch lives until the next batch is drawn.
     """
     if phase.name == "finetune":
         models.reinit_classifier(model, seed=spec.seed + 1)
@@ -207,10 +220,7 @@ def _run_phase(model: ModelBundle, spec: ScenarioSpec, phase: _Phase) -> list:
                 batch.x_prime, batch.x_double_prime = Tensor(xp), Tensor(xpp)
             if attack is not None:
                 batch.x_adv = attacks.pgd(model, batch, replace(attack, seed=step_seed))
-            with GradientTape() as tape:
-                loss = phase.loss(model, batch, spec.loss)
-            opt.step(T.backward(tape, loss))
-            value = loss.item()
+            value = _train_step(model, spec, phase, opt, batch)
             if not np.isfinite(value):
                 raise TrainingError(f"divergence: non-finite loss in the {phase.name} phase")
             losses_epoch.append(value)

@@ -358,6 +358,14 @@ class TestCli:
         assert "config error: LossError: combo_weights" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    def test_negative_combo_weights_exit_1(self, tmp_path, capsys):
+        # a negative weight would make training ascend that constituent's loss
+        overrides = ["loss.scheme=SL+CL", "loss.combo_weights=1,-0.5"]
+        assert run_cli(tmp_path, "train", FAST_VECTOR + overrides) == 1
+        assert ("config error: LossError: combo_weights (1.0, -0.5) must be non-negative"
+                in capsys.readouterr().err)
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("command", ["evaluate", "cka", "probe"])
     @pytest.mark.parametrize("saved", ["model.layer_widths=20,5", "dataset.dim=20"],
                              ids=["widths", "dim"])

@@ -400,6 +400,14 @@ class TestDatasetFingerprint:
         with pytest.raises(ValueError, match="read-only"):
             ds.labels[0] = 1
 
+    def test_subset_is_a_read_only_copy(self, gauss_data):
+        idx = np.array([3, 1, 4])
+        part = gauss_data.subset(idx)
+        for got, parent in ((part.inputs, gauss_data.inputs), (part.labels, gauss_data.labels)):
+            assert np.array_equal(got, parent[idx])
+            assert not np.shares_memory(got, parent)
+            assert not got.flags.writeable
+
     def test_hashes_once(self, monkeypatch):
         import hashlib
 

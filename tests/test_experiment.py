@@ -424,6 +424,20 @@ def test_eps_sweep_trains_only_its_missing_budgets(tmp_path, monkeypatch, capsys
     assert not any(line.startswith("[") for line in capsys.readouterr().out.splitlines())
 
 
+def test_eps_sweep_exits_2_on_a_failed_budget(tmp_path, monkeypatch, capsys):
+    def train_cell(*a, **k):
+        raise RuntimeError("loss diverged")
+
+    monkeypatch.setattr(experiment, "train_cell", train_cell)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    out = tmp_path / "out"
+    assert _script("run_epsilon_sweep").main(
+        ["--cache-dir", str(tmp_path / "cache"), "--out", str(out),
+         "--epsilons", str(directional.EPS4)]) == 2
+    assert capsys.readouterr().err == "runtime failure: AT/CL/eps=0.0156863: loss diverged\n"
+    assert not out.exists()
+
+
 def test_run_directional_exits_2_on_a_failed_cell(tmp_path, monkeypatch, capsys):
     def run_suite(**k):
         raise RuntimeError("seed 0: AT/SCL: attack diverged")

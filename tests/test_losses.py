@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,30 +255,40 @@ def _supcon_labels(rng, m):
 
 
 class TestFusedLossBitIdentity:
-    @pytest.mark.parametrize("m", [2, 6, 512])
-    def test_nt_xent(self, m, rng):
+    # 160 and 416 are the stacked rows of the fixture's last ST batch (80
+    # rows) and last adversarial batch (208 rows). A negative upstream gives
+    # the logit gradient -0.0 entries, where subtracting at the positives
+    # only and subtracting gw * 0.0 everywhere could differ in a zero's sign.
+    BIT_SIZES = [2, 6, 160, 416, 512]
+
+    @pytest.mark.parametrize("upstream", [0.3, -0.3])
+    @pytest.mark.parametrize("m", BIT_SIZES)
+    def test_nt_xent(self, m, upstream, rng):
         za, zb = rng.standard_normal((2, m // 2, 16))
         nodes, graph_nodes = _assert_bitwise(lambda a, b: nt_xent(a, b, 0.2),
                                              lambda a, b: graph_nt_xent(a, b, 0.2),
-                                             [za, zb], upstream=0.3)
+                                             [za, zb], upstream=upstream)
         # concat_rows, l2_normalize_rows and the fused node, then the scale
         assert nodes == 4 < graph_nodes
 
-    @pytest.mark.parametrize("m", [2, 6, 512])
-    def test_supcon(self, m, rng):
+    @pytest.mark.parametrize("upstream", [1.7, -0.3])
+    @pytest.mark.parametrize("m", BIT_SIZES)
+    def test_supcon(self, m, upstream, rng):
         z = rng.standard_normal((m, 16))
         y = _supcon_labels(rng, m)
         nodes, _ = _assert_bitwise(lambda t: supcon(t, y, 0.2),
-                                   lambda t: graph_supcon(t, y, 0.2), [z], upstream=1.7)
+                                   lambda t: graph_supcon(t, y, 0.2), [z],
+                                   upstream=upstream)
         assert nodes == 3
 
-    @pytest.mark.parametrize("m", [2, 6, 512])
-    def test_cross_entropy(self, m, rng):
+    @pytest.mark.parametrize("upstream", [0.5, -0.3])
+    @pytest.mark.parametrize("m", BIT_SIZES)
+    def test_cross_entropy(self, m, upstream, rng):
         logits = 3.0 * rng.standard_normal((m, 10))
         y = rng.integers(0, 10, m)
         nodes, _ = _assert_bitwise(lambda t: cross_entropy(t, y),
                                    lambda t: graph_cross_entropy(t, y), [logits],
-                                   upstream=0.5)
+                                   upstream=upstream)
         assert nodes == 2
 
     @pytest.mark.parametrize("seed", range(10))
@@ -322,17 +334,36 @@ class TestFusedLossBitIdentity:
                 NonFiniteError, match="output of softmax_xent$"):
             cross_entropy(Tensor([[1e308, -1e308]]), np.array([1]))
 
-    def test_cached_masks_read_only_and_unchanged(self, rng):
+    def test_positives_are_indices_and_masks_no_pass_writes(self, rng):
         n = 5
-        za, zb = rng.standard_normal((2, n, 4))
-        _run(lambda a, b: nt_xent(a, b, 0.5), [za, zb], [True, True], 1.0)
-        _run(lambda t: supcon(t, np.zeros(2 * n, dtype=int), 0.5),
-             [np.concatenate([za, zb])], [True], 1.0)
-        pair = losses._pair_mask(n)
-        assert not pair.flags.writeable
-        want = np.zeros((2 * n, 2 * n))
-        want[np.arange(2 * n), (np.arange(2 * n) + n) % (2 * n)] = 1.0
-        assert np.array_equal(pair, want)
+        m = 2 * n
+        cols, *_ = losses._nt_xent_terms(n)
+        assert np.array_equal(cols, (np.arange(m) + n) % m)
+        y = np.array([0, 1, 0, 2, 1, 0, 3, 3, 1, 2])
+        mask, *_ = losses._supcon_terms(y, m)
+        assert mask.dtype == bool and not mask.diagonal().any()
+        assert np.array_equal(mask, (y[:, None] == y) & ~np.eye(m, dtype=bool))
+        # cross-entropy's positive for row i is column y_i, the label array itself
+        seen = []
+        softmax_xent = losses._softmax_xent
+
+        def spy(x, s, pos, *rest, **kw):
+            seen.append((pos, pos.copy()))
+            return softmax_xent(x, s, pos, *rest, **kw)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(losses, "_softmax_xent", spy)
+            za, zb = rng.standard_normal((2, n, 4))
+            _run(lambda a, b: nt_xent(a, b, 0.5), [za, zb], [True, True], -0.3)
+            _run(lambda t: supcon(t, y, 0.5), [np.concatenate([za, zb])], [True], -0.3)
+            labels = y[:n].copy()
+            _run(lambda t: cross_entropy(t, labels), [rng.standard_normal((n, 4))],
+                 [True], -0.3)
+        assert [kept.dtype for _, kept in seen] == [cols.dtype, bool, labels.dtype]
+        assert np.array_equal(seen[0][1], cols) and np.array_equal(seen[1][1], mask)
+        assert seen[2][0] is labels
+        # the forward and backward passes wrote into none of them
+        assert all(np.array_equal(pos, kept) for pos, kept in seen)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +423,36 @@ class TestContrastiveTarget:
             losses.ContrastiveTarget(z, "SCL", 0.1, np.arange(3))
         with pytest.raises(LossError, match="unknown contrastive loss"):
             losses.ContrastiveTarget(z, "CE", 0.1)
+
+
+def _traced_peak(fn):
+    """The peak of traced memory, in bytes above its start, while `fn` runs."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """The fused node's and the target's (2n)^2 float64 buffers, counted."""
+
+    def test_nt_xent_pass_peaks_near_one_logit_array(self, rng):
+        n = 256
+        za, zb = rng.standard_normal((2, n, 16))
+        peak = _traced_peak(lambda: _run(lambda a, b: nt_xent(a, b, 0.5), [za, zb],
+                                         [True, True], 1.0))
+        # the logits, row-softmaxed and turned into their gradient in place
+        assert peak < 1.5 * (2 * n) ** 2 * 8
+
+    def test_cl_target_holds_one_logit_array(self, rng):
+        n = 256
+        target = losses.ContrastiveTarget(rng.standard_normal((n, 16)), "CL", 0.5)
+        square = [name for name, v in vars(target).items()
+                  if isinstance(v, np.ndarray) and v.shape == (2 * n, 2 * n)]
+        assert square == ["_s"]
 
 
 class TestModelLevelLosses:

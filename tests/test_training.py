@@ -1,9 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from robustcl import data, directional, experiment, losses, models, training
+from robustcl import attacks, data, directional, experiment, losses, models, training
 from robustcl.attacks import AttackSpec
 from robustcl.data import AugmentSpec, ViewBatch
 from robustcl.losses import LossConfig, LossError
@@ -249,6 +250,33 @@ class TestPretrain:
         for other_curve, other_params in others:
             assert other_curve == curve
             assert all(np.array_equal(a, b) for a, b in zip(other_params, params))
+
+    def test_a_steps_tape_is_freed_before_the_next_attack(self, monkeypatch):
+        """Step 2's attack starts with no more traced memory than step 1's:
+        step 1's tape, with its (2n)^2 loss buffers, is gone by then."""
+        cfg = directional.fixture_config()
+        d_p, _, _ = experiment.build_splits(cfg, experiment.build_dataset(cfg))
+        d_p = d_p.subset(np.arange(512))
+        spec = replace(cfg.scenario_spec("AT", "CL", seed=0), pretrain_epochs=1)
+        model = models.init_model(cfg.encoder_config(d_p.input_shape), d_p.n_classes,
+                                  cfg.get("model", "head_dim"), seed=0)
+        phase = training._phases(spec, d_p, d_p)[0]
+        at_entry = []
+        pgd = attacks.pgd
+
+        def traced_pgd(*args):
+            at_entry.append(tracemalloc.get_traced_memory()[0])
+            return pgd(*args)
+
+        monkeypatch.setattr(attacks, "pgd", traced_pgd)
+        tracemalloc.start()
+        try:
+            training._run_phase(model, spec, phase)
+        finally:
+            tracemalloc.stop()
+        assert len(at_entry) == 2
+        m = 2 * spec.adv_batch_size
+        assert at_entry[1] - at_entry[0] < m * m * 8
 
     def test_loss_decreases(self, gauss_splits):
         d_p, _ = gauss_splits
