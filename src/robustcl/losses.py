@@ -249,8 +249,8 @@ class ContrastiveTarget:
     `gw * pos_mask` term of the logit gradient (the loss is the output, so
     its upstream gradient is 1) and the m x m work buffer. NT-Xent keeps
     its positives as the column vector and the term as gw itself, so its
-    one m x m array is the work buffer; SupCon keeps the dense term, since
-    forming it each step would cost more than the step's own softmax.
+    one m x m array is the work buffer; SupCon keeps the dense term, the
+    same at every step, rather than form that m x m product again.
     `grad(z)` then returns d loss / d z alone: the attack reads no loss
     value, so none is computed, and nothing is recorded on a tape. The
     caller seeds the encoder tape with it (`tensor.backward(tape, z, grad)`).

@@ -334,7 +334,7 @@ class TestFusedLossBitIdentity:
                 NonFiniteError, match="output of softmax_xent$"):
             cross_entropy(Tensor([[1e308, -1e308]]), np.array([1]))
 
-    def test_positives_are_indices_and_masks_no_pass_writes(self, rng):
+    def test_positives_are_indices_and_masks_no_pass_writes(self, rng, monkeypatch):
         n = 5
         m = 2 * n
         cols, *_ = losses._nt_xent_terms(n)
@@ -343,7 +343,6 @@ class TestFusedLossBitIdentity:
         mask, *_ = losses._supcon_terms(y, m)
         assert mask.dtype == bool and not mask.diagonal().any()
         assert np.array_equal(mask, (y[:, None] == y) & ~np.eye(m, dtype=bool))
-        # cross-entropy's positive for row i is column y_i, the label array itself
         seen = []
         softmax_xent = losses._softmax_xent
 
@@ -351,19 +350,17 @@ class TestFusedLossBitIdentity:
             seen.append((pos, pos.copy()))
             return softmax_xent(x, s, pos, *rest, **kw)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(losses, "_softmax_xent", spy)
-            za, zb = rng.standard_normal((2, n, 4))
-            _run(lambda a, b: nt_xent(a, b, 0.5), [za, zb], [True, True], -0.3)
-            _run(lambda t: supcon(t, y, 0.5), [np.concatenate([za, zb])], [True], -0.3)
-            labels = y[:n].copy()
-            _run(lambda t: cross_entropy(t, labels), [rng.standard_normal((n, 4))],
-                 [True], -0.3)
-        assert [kept.dtype for _, kept in seen] == [cols.dtype, bool, labels.dtype]
-        assert np.array_equal(seen[0][1], cols) and np.array_equal(seen[1][1], mask)
-        assert seen[2][0] is labels
+        monkeypatch.setattr(losses, "_softmax_xent", spy)
+        za, zb = rng.standard_normal((2, n, 4))
+        _run(lambda a, b: nt_xent(a, b, 0.5), [za, zb], [True, True], -0.3)
+        _run(lambda t: supcon(t, y, 0.5), [np.concatenate([za, zb])], [True], -0.3)
+        labels = y[:n]
+        _run(lambda t: cross_entropy(t, labels), [rng.standard_normal((n, 4))], [True], -0.3)
+        # cross-entropy's positive for row i is column y_i
+        for (_, kept), want in zip(seen, (cols, mask, labels)):
+            assert kept.dtype == want.dtype and np.array_equal(kept, want)
         # the forward and backward passes wrote into none of them
-        assert all(np.array_equal(pos, kept) for pos, kept in seen)
+        assert len(seen) == 3 and all(np.array_equal(pos, kept) for pos, kept in seen)
 
 
 # ---------------------------------------------------------------------------
@@ -425,25 +422,19 @@ class TestContrastiveTarget:
             losses.ContrastiveTarget(z, "CE", 0.1)
 
 
-def _traced_peak(fn):
-    """The peak of traced memory, in bytes above its start, while `fn` runs."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-
-
 class TestMemory:
     """The fused node's and the target's (2n)^2 float64 buffers, counted."""
 
     def test_nt_xent_pass_peaks_near_one_logit_array(self, rng):
         n = 256
         za, zb = rng.standard_normal((2, n, 16))
-        peak = _traced_peak(lambda: _run(lambda a, b: nt_xent(a, b, 0.5), [za, zb],
-                                         [True, True], 1.0))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _run(lambda a, b: nt_xent(a, b, 0.5), [za, zb], [True, True], 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
         # the logits, row-softmaxed and turned into their gradient in place
         assert peak < 1.5 * (2 * n) ** 2 * 8
 
