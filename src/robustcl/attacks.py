@@ -1,29 +1,21 @@
 """l_inf PGD attack engine driven by CE, CL, or SCL losses.
 
-A CE step builds its loss on a tape through encoder and classifier. A CL or
-SCL step (Threat Model II: encoder and head only) runs the encoder on the
-iterate alone and seeds that tape with the gradient of the contrastive
-loss with respect to the iterate's embedding, from a
-`losses.ContrastiveTarget` built once per attack around the clean batch's
-embedding. That gradient is bitwise the one a tape through the stacked
-clean and adversarial embeddings and the loss would give, so the attack's
-output does not depend on the shortcut. The epsilon-ball bounds are also
-computed and clamped once per attack, and each step moves the iterate and
-clips it into them in place. The step is `_signed_step`: the bytes of
-`alpha * numpy.sign(g)` from vectorized kernels, since numpy runs float64
-`sign` as a scalar loop that branches on every value.
+Each step is one tape-free `models.input_grad` pass through the encoder and
+the classifier (CE, Threat Model I) or the head (CL or SCL, Threat Model
+II), from the gradient of a target built once per attack (`_target`),
+bitwise the taped gradient. No step records a tape or touches a
+parameter's tracking. The ball is clamped once per attack; each step moves
+the iterate by `_signed_step` and clips it in place (`_project`).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import losses
-from . import tensor as T
-from .tensor import GradientTape, Tensor
+from . import losses, models
+from .tensor import Tensor
 
 DRIVING_LOSSES = ("CE", "CL", "SCL")
 
@@ -77,58 +69,36 @@ class AttackSpec:
         return replace(self, clamp=None)
 
 
-@contextmanager
-def _params_untracked(model):
-    """Attacks differentiate w.r.t. inputs only; keep the tape lean."""
-    saved = [(t, t.grad_tracked) for t in model.all_params()]
-    for t, _ in saved:
-        t.grad_tracked = False
-    try:
-        yield
-    finally:
-        for t, was in saved:
-            t.grad_tracked = was
-
-
-def _target(model, batch, spec: AttackSpec) -> losses.ContrastiveTarget:
-    """The attack's CL or SCL driving loss over the clean batch's embedding."""
+def _target(model, batch, spec: AttackSpec):
+    """(to, target): the branch whose output the driving loss reads
+    (`models.input_grad`), and the loss, whose `grad(out)` is d loss / d out."""
+    if spec.driving_loss == "CE":
+        if batch.y is None:
+            raise AttackError("CE attack requires labels")
+        n = len(batch.x.data)
+        return "classifier", losses.CrossEntropyTarget(batch.y, n, model.n_classes)
     if spec.driving_loss == "SCL" and batch.y is None:
         raise AttackError("SCL attack requires labels")
     tau = losses.LossConfig(temperature=spec.temperature).tau(spec.driving_loss)
-    z_clean = losses._embed(model, batch.x).data
-    return losses.ContrastiveTarget(z_clean, spec.driving_loss, tau, batch.y)
-
-
-def _driving_loss_grad(model, x_cur: np.ndarray, batch,
-                       target: losses.ContrastiveTarget | None) -> np.ndarray:
-    """d loss / d x_cur under the attack's driving loss: cross-entropy
-    through the classifier without a `target`, else the target's
-    contrastive loss through the encoder and head only, its gradient with
-    respect to the embedding seeding the tape."""
-    leaf = Tensor(x_cur, grad_tracked=True)
-    with GradientTape() as tape:
-        if target is None:
-            if batch.y is None:
-                raise AttackError("CE attack requires labels")
-            out = losses._ce_through(model, leaf, batch.y)
-        else:
-            out = losses._embed(model, leaf)
-    grads = T.backward(tape, out, None if target is None else target.grad(out.data))
-    g = grads.get(leaf)
-    if g is None:
-        return np.zeros_like(x_cur)
-    if not np.all(np.isfinite(g)):
-        raise AttackError("non-finite attack gradient")
-    return g
+    z_clean, _ = models.forward_arrays(model, batch.x.data, "head")
+    return "head", losses.ContrastiveTarget(z_clean, spec.driving_loss, tau, batch.y)
 
 
 def _signed_step(g: np.ndarray, alpha: float) -> np.ndarray:
     """g, overwritten with the bytes of `alpha * numpy.sign(g)` for alpha > 0
-    and g free of NaN: +-alpha, and +0.0 where g holds either zero."""
+    and g free of NaN: +-alpha, and +0.0 where g holds either zero, from
+    vectorized kernels (numpy's float64 `sign` branches on every value)."""
     zero = g == 0
     np.copysign(alpha, g, out=g)
     g[zero] = 0.0
     return g
+
+
+def _project(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """x clipped into [lo, hi] in place: `np.clip(x, lo, hi)`'s bytes for finite
+    x, in about half its time (39 against 80 us at 256x1x16x16, one x86 core)."""
+    np.maximum(x, lo, out=x)
+    np.minimum(x, hi, out=x)
 
 
 def pgd(model, batch, spec: AttackSpec) -> Tensor:
@@ -136,8 +106,7 @@ def pgd(model, batch, spec: AttackSpec) -> Tensor:
 
     Each step adds `_signed_step(g, alpha)`, +0.0 at a zero gradient, so
     zero-gradient coordinates stay put; steps=0 with random_start=False
-    returns the input unchanged. A CL or SCL attack embeds the clean batch
-    once, into a `losses.ContrastiveTarget`; each step embeds the iterate.
+    returns the input unchanged.
     """
     x0 = batch.x.data
     if spec.epsilon == 0.0 or (spec.steps == 0 and not spec.random_start):
@@ -151,15 +120,16 @@ def pgd(model, batch, spec: AttackSpec) -> Tensor:
     rng = np.random.default_rng(spec.seed)
     if spec.random_start:
         x = x0 + rng.uniform(-spec.epsilon, spec.epsilon, size=x0.shape)
-        np.clip(x, lo, hi, out=x)
+        _project(x, lo, hi)
     else:
         x = x0.copy()
     if spec.steps == 0:
         return Tensor(x)
-    with _params_untracked(model):
-        target = None if spec.driving_loss == "CE" else _target(model, batch, spec)
-        for _ in range(spec.steps):
-            g = _driving_loss_grad(model, x, batch, target)  # a fresh array
-            x += _signed_step(g, spec.alpha)  # x is the attack's own array
-            np.clip(x, lo, hi, out=x)
+    to, target = _target(model, batch, spec)
+    for _ in range(spec.steps):
+        g = models.input_grad(model, x, to, target.grad)  # a fresh array
+        if not np.isfinite(g).all():
+            raise AttackError("non-finite attack gradient")
+        x += _signed_step(g, spec.alpha)  # x is the attack's own array
+        _project(x, lo, hi)
     return Tensor(x)

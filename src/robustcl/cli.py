@@ -1,8 +1,8 @@
 """Command-line surface: gen-data, train, evaluate, cka, probe, sweep, report.
 
 Exit codes: 0 success, 1 config or validation error, 2 runtime failure (also a sweep of
-which no cell gives a row). All outputs go under [experiment] output_dir, made once the
-dataset and any splits are built; a non-empty ROBUSTCL_OUTPUT_DIR overrides it, applied
+which no cell gives a row). All outputs go under [experiment] output_dir, made once a
+command has its dataset or model; a non-empty ROBUSTCL_OUTPUT_DIR overrides it, applied
 as the last -o override, so config.canonical.ini names the directory used.
 """
 
@@ -91,10 +91,9 @@ def _trained_model(args):
     """(config, output dir, model, its cache manifest, (D_p, D_f, test)) for
     the commands that read a trained model: the file --checkpoint names
     (with an empty manifest; its encoder must be the configured one), or the
-    config's own cell in <output_dir>/cache."""
+    config's own cell in <output_dir>/cache. Only a found model makes the output dir."""
     cfg = _load(args)
     splits = experiment.build_splits(cfg, experiment.build_dataset(cfg))
-    out = _out_dir(cfg)
     if args.checkpoint:
         if not os.path.exists(args.checkpoint):
             raise ValidationFailure(f"checkpoint not found: {args.checkpoint}")
@@ -102,14 +101,14 @@ def _trained_model(args):
         if model.config != (want := cfg.encoder_config(splits[2].input_shape)):
             raise ValidationFailure(f"checkpoint encoder {model.config} is not the "
                                     f"configured encoder {want}")
-        return cfg, out, model, {}, splits
+        return cfg, _out_dir(cfg), model, {}, splits
     cache_dir = _cache_dir(cfg)
     key = experiment.cell_key(cfg, *cfg.own_cell(), splits[0])
     hit = experiment.cached_cell(cache_dir, key)
     if hit is None:
         raise ValidationFailure(f"no trained cell {key} for this config in {cache_dir}; "
                                 f"run `train` with it first, or pass --checkpoint")
-    return (cfg, out, *hit, splits)
+    return (cfg, _out_dir(cfg), *hit, splits)
 
 
 def cmd_evaluate(args) -> int:

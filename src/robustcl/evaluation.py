@@ -46,8 +46,7 @@ def robust_accuracy(model: ModelBundle, dataset: Dataset, attack: AttackSpec) ->
 
 
 def _predict(model: ModelBundle, x: np.ndarray) -> np.ndarray:
-    rep, _ = models.encode(model, Tensor(x))
-    return np.argmax(models.classify(model, rep).data, axis=1)
+    return np.argmax(models.forward_arrays(model, x, "classifier")[0], axis=1)
 
 
 def evaluate(model: ModelBundle, test_data: Dataset, attack_list,

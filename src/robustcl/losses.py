@@ -5,37 +5,27 @@ All entry points l2-normalize embeddings themselves; the cosine-similarity
 formulas silently corrupt gradients otherwise.
 
 NT-Xent, SupCon and cross-entropy are thin wrappers over one fused softmax
-cross-entropy core, `_softmax_xent`, which records a single tape node. For
-the contrastive losses that node also computes the similarity matrix of the
-l2-normalized embeddings, so NT-Xent records three nodes (`concat_rows`,
-`l2_normalize_rows`, the fused node) where the primitive graph recorded 16.
-The node repeats the primitive graph's floating-point operations in the
-same order, with the same matmul operand layouts, so losses and gradients
-are bitwise those of the graph; `tests/test_losses.py` keeps the
-graph-built losses as its oracle. The only check left is the finiteness of
-the node's output, under the op name `softmax_xent`; a non-finite
-intermediate propagates into that scalar.
+cross-entropy tape node, `_softmax_xent`, which for the contrastive losses
+also computes the similarity matrix of the l2-normalized embeddings. It
+repeats the primitive graph's floating-point operations in the same order,
+with the same matmul operand layouts, so losses and gradients are bitwise
+the graph's (`tests/test_losses.py` keeps the graph as its oracle). Its one
+check is the finiteness of its output, under the op name `softmax_xent`.
 
 Positives are never dense float masks. NT-Xent and cross-entropy have one
-positive per row, held as a column index (row i's other view, (i + n) mod
-2n, or its label): the node gathers those logits and subtracts the
-positive term of the gradient at those entries only, bit for bit what a
-one-hot mask's row sum and product give (the tests also check negative
-upstreams, where a zero's sign could tell them apart). SupCon's positives
-are a boolean (m, m) mask. The contrastive node runs its row softmax in
-place over its own logit buffer, and its backward turns that buffer into
-the logit gradient, so a pass holds about one (m, m) array;
-cross-entropy's logits belong to its input tensor and are not written.
+positive per row, a column index (row i's other view, (i + n) mod 2n, or
+its label): the node gathers those logits and subtracts the gradient's
+positive term at those entries only, bit for bit what a one-hot mask's row
+sum and product give. SupCon's positives are a boolean (m, m) mask. The
+contrastive node runs its row softmax in place over its own logit buffer
+and turns that buffer into the logit gradient, so a pass holds about one
+(m, m) array; cross-entropy's logits belong to its input and are not
+written.
 
-A PGD attack driven by NT-Xent or SupCon uses `ContrastiveTarget` instead:
-built once per attack around the clean embedding, it returns the loss's
-gradient with respect to the iterate's embedding and records nothing. The
-attack seeds its encoder tape with that gradient (`tensor.backward(tape,
-z, grad)`), so a step records no concat, normalize or loss node and
-computes no loss value. The target and the node share one copy of the
-logits, row-softmax and input-gradient arithmetic, and the target's
-gradient is bitwise the node's (`tests/test_losses.py` checks it at
-attack batch sizes).
+A PGD attack uses a target instead: `ContrastiveTarget` (around the clean
+embedding) or `CrossEntropyTarget` (around the labels), built once per
+attack. Each returns the gradient with respect to the iterate's embedding
+or logits, bitwise the node's, and computes no loss value.
 """
 
 from __future__ import annotations
@@ -243,22 +233,14 @@ class ContrastiveTarget:
     """The NT-Xent ("CL") or SupCon ("SCL") loss a PGD attack ascends, over
     the clean embedding `z_clean` stacked with an iterate's embedding.
 
-    Everything that does not change across the attack's steps is built
-    once: the l2-normalized clean rows, the positives and their counts and
-    weights (SupCon pairs labels `y` with themselves), the constant
-    `gw * pos_mask` term of the logit gradient (the loss is the output, so
-    its upstream gradient is 1) and the m x m work buffer. NT-Xent keeps
-    its positives as the column vector and the term as gw itself, so its
-    one m x m array is the work buffer; SupCon keeps the dense term, the
-    same at every step, rather than form that m x m product again.
-    `grad(z)` then returns d loss / d z alone: the attack reads no loss
-    value, so none is computed, and nothing is recorded on a tape. The
-    caller seeds the encoder tape with it (`tensor.backward(tape, z, grad)`).
-
-    The arithmetic is the fused node's, in the same order and with every
-    matmul at its full (2n, 2n) shape, so the gradient is bitwise the one a
-    tape through `nt_xent` / `supcon` and the stacking gives. Blocks of
-    those products do not reproduce the full product's bits under BLAS.
+    What does not change across steps is built once: the l2-normalized
+    clean rows, the positives (SupCon pairs labels `y` with themselves),
+    the `gw * pos_mask` term of the logit gradient (upstream 1) and the
+    m x m work buffer, NT-Xent's one m x m array. `grad(z)` returns
+    d loss / d z alone. Its arithmetic is the fused node's, in the same
+    order and with every matmul at its full (2n, 2n) shape, so the gradient
+    is bitwise the taped one; blocks of those products do not reproduce
+    the full product's bits under BLAS.
     """
 
     def __init__(self, z_clean: np.ndarray, driving_loss: str, tau: float,
@@ -294,16 +276,37 @@ class ContrastiveTarget:
         return T.unit_rows_grad(g_y[self._n:], y_cur, norms)
 
 
-def cross_entropy(logits: Tensor, y: np.ndarray) -> Tensor:
-    """Mean of -log softmax(logits)[y]."""
-    if logits.data.ndim != 2 or logits.shape[1] < 2:
+def _ce_labels(y: np.ndarray, n: int, c: int) -> np.ndarray:
+    """`y` as an array, checked to be n labels of c >= 2 classes."""
+    if c < 2:
         raise LossError("cross_entropy: need (n, C) logits with C >= 2")
     y = np.asarray(y)
-    n, c = logits.shape
     if y.shape != (n,) or y.min() < 0 or y.max() >= c:
         raise LossError("cross_entropy: labels out of range")
+    return y
+
+
+def cross_entropy(logits: Tensor, y: np.ndarray) -> Tensor:
+    """Mean of -log softmax(logits)[y]."""
+    if logits.data.ndim != 2:
+        raise LossError("cross_entropy: need (n, C) logits with C >= 2")
+    n, c = logits.shape
     ones = np.ones(n)
-    return _softmax_xent(logits, logits.data, y, ones, ones, 1.0 / n)
+    return _softmax_xent(logits, logits.data, _ce_labels(y, n, c), ones, ones, 1.0 / n)
+
+
+class CrossEntropyTarget:
+    """The cross-entropy a TM-I PGD attack ascends over the (n, c) logits of
+    a batch labelled `y`. `grad(logits)` is the fused node's backward from an
+    upstream 1 (gw = 1/n), with the row softmax in place over `logits`."""
+
+    def __init__(self, y: np.ndarray, n: int, c: int):
+        self._y = _ce_labels(y, n, c)
+        self._gw = np.full(n, 1.0 / n)
+
+    def grad(self, logits: np.ndarray) -> np.ndarray:
+        _, e, r = _row_softmax(logits, out=logits)
+        return _logit_grad(e, r, self._gw, self._y, _positive_term(self._gw, self._y))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ once, then each width in `EncoderConfig.layer_widths` is one affine layer
 with a relu. The projection head is a two-layer MLP with a relu in between;
 the classifier is a single affine map on the encoder representation. Every
 affine layer, with its relu where it has one, is one `tensor.dense` node on
-the tape.
+the tape; `input_grad` runs them with no tape, for PGD.
 """
 
 from __future__ import annotations
@@ -142,9 +142,19 @@ def reinit_classifier(model: ModelBundle, seed: int) -> None:
     model.classifier_params = _affine_init(rng, d, (d, model.n_classes), (model.n_classes,))
 
 
-def encode(model: ModelBundle, x: Tensor, capture: bool = False):
+def _layer(h: Tensor, w: Tensor, b: Tensor, relu: bool, back) -> Tensor:
+    """`tensor.dense`, or with a `back` list its arithmetic with no tape
+    (`tensor.affine`), the layer's weight and relu mask appended to `back`."""
+    if back is None:
+        return T.dense(h, w, b, relu)
+    out, mask = T.affine(h.data, w.data, b.data, relu)
+    back.append((w.data, mask))
+    return out
+
+
+def encode(model: ModelBundle, x: Tensor, capture: bool = False, back=None):
     """Forward through the encoder; optionally capture each layer's
-    activations, one row per sample."""
+    activations, one row per sample. With `back`, see `_layer`."""
     cfg = model.config
     if x.data.ndim > 2:  # image batches are flattened in-graph
         x = T.reshape(x, (x.shape[0], -1))
@@ -154,23 +164,45 @@ def encode(model: ModelBundle, x: Tensor, capture: bool = False):
     records: list[ActivationRecord] = []
     h = x
     for (w, b), layer_id in zip(model.encoder_params, model.layer_ids()):
-        h = T.dense(h, w, b, relu=True)
+        h = _layer(h, w, b, True, back)
         if capture:
             records.append(ActivationRecord(layer_id, h.data.copy()))
     return h, records
 
 
-def project(model: ModelBundle, representation: Tensor) -> Tensor:
+def project(model: ModelBundle, representation: Tensor, back=None) -> Tensor:
     (w1, b1), (w2, b2) = model.head_params
-    h = T.dense(representation, w1, b1, relu=True)
-    return T.dense(h, w2, b2)
+    return _layer(_layer(representation, w1, b1, True, back), w2, b2, False, back)
 
 
-def classify(model: ModelBundle, representation: Tensor) -> Tensor:
+def classify(model: ModelBundle, representation: Tensor, back=None) -> Tensor:
     if model.audit_active and representation.grad_tracked:
         model.classifier_grad_queries += 1
     w, b = model.classifier_params
-    return T.dense(representation, w, b)
+    return _layer(representation, w, b, False, back)
+
+
+def forward_arrays(model: ModelBundle, x: np.ndarray, to: str):
+    """(out, back): `encode` and then `project` (to "head") or `classify`
+    (to "classifier") with no tape on a finite array, bitwise the taped
+    pass; `back` holds each layer's weight and relu mask, for `input_grad`."""
+    back = []
+    rep, _ = encode(model, Tensor._output(x.reshape(len(x), -1), "input", False), back=back)
+    return (project if to == "head" else classify)(model, rep, back).data, back
+
+
+def input_grad(model: ModelBundle, x: np.ndarray, to: str, output_grad) -> np.ndarray:
+    """d loss / d x, bitwise the taped gradient but with no tape, for a loss
+    of `to`'s output whose gradient is `output_grad(out)`: `forward_arrays`,
+    then each layer walked back as `tensor.dense`'s backward does. Under the
+    audit a pass through the classifier counts one query, as `classify` does."""
+    if to == "classifier" and model.audit_active:
+        model.classifier_grad_queries += 1
+    out, back = forward_arrays(model, x, to)
+    g = output_grad(out)
+    for w, mask in reversed(back):
+        g = T.affine_masked(g, mask) @ w.T
+    return g.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

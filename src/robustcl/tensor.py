@@ -10,20 +10,20 @@ its input where numpy can, so callers must not write into its result.
 
 `dense` is an affine layer (matmul, bias add and an optional relu) in one
 node, with the arithmetic of that three-node chain; every model layer goes
-through it. The tests' graph oracles take their other primitives and the
-finite-difference checker from `tests/graph_oracle.py`. Nothing in the
-package calls `sub`, `mul`, `exp`, `log`, `relu`, `conv2d_3x3` or
-`maxpool2x2` (nor `_im2col` / `_col2im` beneath the conv); only the tests
-do. They are kept here because perfbench's tests expect more than 40
-functions for its layer table to wrap by name.
+through it, and `models.input_grad` runs its array arithmetic (`affine`,
+`affine_masked`) with no tape. The tests take their other primitives and
+the finite-difference checker from `tests/graph_oracle.py`. Only the tests
+call `sub`, `mul`, `exp`, `log`, `relu`, `conv2d_3x3` and `maxpool2x2`
+(and `_im2col` / `_col2im`); they stay because perfbench's tests expect
+more than 40 functions for its layer table to wrap by name.
 
 Every primitive checks its output for finiteness once and names itself in
 the NonFiniteError. Each node's backward closure is called as
 `backward_fn(g, need)`: `g` is the gradient of the node's output and `need`
 holds one flag per input, that input's `grad_tracked` read at backward
 time. The closure returns one gradient per input and may return None where
-the flag is False (an untracked weight during an attack, a constant mask),
-skipping that product; backward discards every gradient whose flag is False.
+the flag is False (a frozen weight, a constant mask), skipping that
+product; backward discards every gradient whose flag is False.
 """
 
 from __future__ import annotations
@@ -61,11 +61,12 @@ class Tensor:
         return f"Tensor(shape={self.shape}, tracked={self.grad_tracked})"
 
     @classmethod
-    def _output(cls, data, op: str) -> "Tensor":
-        """A primitive's untracked result, checked for finiteness once."""
+    def _output(cls, data, op: str, check: bool = True) -> "Tensor":
+        """A primitive's untracked result, checked for finiteness once
+        (unless its caller knows the values finite and passes check=False)."""
         t = cls.__new__(cls)
         t.data = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(t.data).all():
+        if check and not np.isfinite(t.data).all():
             raise NonFiniteError(f"non-finite values in output of {op}")
         t.grad_tracked = False
         return t
@@ -101,36 +102,20 @@ def _maybe_record(out: Tensor, inputs, backward_fn) -> Tensor:
     return out
 
 
-def backward(tape: GradientTape, output: Tensor, grad: np.ndarray | None = None):
-    """Reverse pass over `tape`; returns {leaf Tensor: gradient ndarray}.
-
-    The map contains an entry for every grad_tracked leaf reachable from
-    `output` (a tensor no node of this tape produced), keyed by object
-    identity. Every consumer of a node's output comes later on the tape, so
-    the output's gradient is complete when its node is reached; the pass
-    pops it there, and what stays in the map is the leaves. A tape can be
-    consumed only once.
-
-    Without `grad`, `output` must be a scalar and the pass starts from
-    d output / d output = 1. With `grad`, the pass starts from that array,
-    of `output`'s shape: the gradient of some scalar with respect to
-    `output`, computed off the tape. The leaf gradients are then those of
-    that scalar, bit for bit those of a tape that went on to compute it,
-    as long as `grad` repeats the arithmetic of that tape's backward pass
-    down to `output`. PGD seeds an encoder tape this way with the gradient
-    of its contrastive driving loss (`losses.ContrastiveTarget`).
+def backward(tape: GradientTape, output: Tensor):
+    """Reverse pass over `tape` from d output / d output = 1 for a scalar
+    `output`; returns {leaf Tensor: gradient ndarray}, an entry for every
+    grad_tracked leaf reachable from `output` (a tensor no node of this
+    tape produced), keyed by identity. Every consumer of a node's output
+    comes later on the tape, so its gradient is complete when its node is
+    reached; the pass pops it there. A tape can be consumed only once.
     """
     if tape.consumed:
         raise TensorError("tape already consumed by a previous backward pass")
-    if grad is None:
-        if output.data.shape not in ((), (1,)):
-            raise TensorError(f"backward requires a scalar output, got {output.shape}")
-        grad = np.ones_like(output.data)
-    elif np.shape(grad) != output.shape:
-        raise TensorError(f"backward: gradient of shape {np.shape(grad)} "
-                          f"for an output of shape {output.shape}")
+    if output.data.shape not in ((), (1,)):
+        raise TensorError(f"backward requires a scalar output, got {output.shape}")
     tape.consumed = True
-    grads = {output: grad}
+    grads = {output: np.ones_like(output.data)}
     for out, inputs, backward_fn in reversed(tape.nodes):
         g = grads.pop(out, None)
         if g is None:
@@ -179,31 +164,43 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _maybe_record(out, [a], lambda g, need: (g * c,))
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    """An affine layer, x @ w + b over (n, k) x (k, d) + (d,), optionally
-    followed by relu, as one node.
-
-    The arithmetic and its order are those of relu(add(matmul(x, w), b)):
-    the bias is added into the product's buffer, the pre-activation is
-    checked for finiteness once (before relu could hide an inf), and relu
-    clamps that buffer in place. Backward masks g (gradient 0 at 0, as in
-    `relu`), then forms g @ w.T, x.T @ g and g.sum(axis=0) as `need` asks.
-    """
-    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
-            or b.shape != (w.shape[1],)):
-        raise TensorError(f"dense: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
-    xd, wd = x.data, w.data
-    h = xd @ wd
-    h += b.data
+def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool = False):
+    """(out, mask), `dense`'s forward on arrays: an unrecorded Tensor of the
+    bias added into x @ w's buffer, checked for finiteness (before relu
+    could hide an inf), then relu in place; `mask` is h > 0 before it, or
+    None without relu."""
+    h = x @ w
+    h += b
     out = Tensor._output(h, "dense")
     mask = None
     if relu:
         mask = h > 0.0
         np.maximum(h, 0.0, out=h)
+    return out, mask
+
+
+def affine_masked(g: np.ndarray, mask) -> np.ndarray:
+    """d / d pre-activation from d / d h: g * mask (gradient 0 at 0, as in
+    `relu`), or g itself without relu."""
+    return g if mask is None else g * mask
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """An affine layer, x @ w + b over (n, k) x (k, d) + (d,), optionally
+    followed by relu, as one node.
+
+    The arithmetic and its order are those of relu(add(matmul(x, w), b)),
+    in `affine`. Backward masks g (`affine_masked`), then forms g @ w.T,
+    x.T @ g and g.sum(axis=0) as `need` asks.
+    """
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != (w.shape[1],)):
+        raise TensorError(f"dense: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
+    xd, wd = x.data, w.data
+    out, mask = affine(xd, wd, b.data, relu)
 
     def bwd(g, need):
-        if mask is not None:
-            g = g * mask
+        g = affine_masked(g, mask)
         return (g @ wd.T if need[0] else None, xd.T @ g if need[1] else None,
                 g.sum(axis=0) if need[2] else None)
 

@@ -1,4 +1,5 @@
 import copy
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -227,16 +228,29 @@ class TestPgd:
             pgd(dense_model, batch, AttackSpec(epsilon=0.1, steps=1, clamp=None))
 
 
+@contextmanager
+def _params_untracked(model):
+    """The model's parameters untracked, each flag restored on exit."""
+    saved = [(t, t.grad_tracked) for t in model.all_params()]
+    for t, _ in saved:
+        t.grad_tracked = False
+    try:
+        yield
+    finally:
+        for t, was in saved:
+            t.grad_tracked = was
+
+
 def _reference_pgd(model, batch, spec):
-    """PGD written out step by step, re-embedding the clean batch on every
-    step inside the step's tape."""
+    """PGD written out step by step on a tape, re-embedding the clean batch
+    on every step inside the step's tape."""
     x0 = batch.x.data
     rng = np.random.default_rng(spec.seed)
     x = x0.copy()
     if spec.random_start:
         x = project_linf(x0, x0 + rng.uniform(-spec.epsilon, spec.epsilon, size=x0.shape),
                          spec.epsilon, spec.clamp)
-    with attacks._params_untracked(model):
+    with _params_untracked(model):
         for _ in range(spec.steps):
             leaf = Tensor(x, grad_tracked=True)
             with GradientTape() as tape:
@@ -310,17 +324,140 @@ class TestCleanEmbeddingOnce:
 
     @pytest.mark.parametrize("driving_loss, calls", [("CE", 3), ("CL", 4), ("SCL", 4)])
     def test_encode_calls(self, st_model, rng, monkeypatch, driving_loss, calls):
-        counted = []
-        encode = models.encode
-
-        def counting_encode(*args, **kwargs):
-            counted.append(1)
-            return encode(*args, **kwargs)
-
-        monkeypatch.setattr(models, "encode", counting_encode)
+        # one tape-free forward through `encode` per step, plus the clean
+        # embedding of a contrastive target; no step records a tape
+        counted = {"encode": 0, "forward_arrays": 0}
+        for name in counted:
+            def counting(*args, _fn=getattr(models, name), _name=name, **kwargs):
+                counted[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(models, name, counting)
         spec = AttackSpec(epsilon=0.1, steps=3, driving_loss=driving_loss, clamp=None)
         pgd(st_model, make_batch(rng, st_model), spec)
-        assert len(counted) == calls
+        assert counted == {"encode": calls, "forward_arrays": calls}
+
+
+@pytest.fixture(scope="module")
+def image_model():
+    """A model at the directional fixture's widths on 1x16x16 images."""
+    return models.init_model(EncoderConfig((128, 128, 64), (256,)), 10, 16, seed=3)
+
+
+class TestImageBatches:
+    """The flatten of an image batch and the reshape of its input gradient,
+    byte-checked at the fixture's widths and evaluation batch sizes."""
+
+    @pytest.mark.parametrize("n", [244, 256])
+    @pytest.mark.parametrize("driving_loss", ["CE", "CL", "SCL"])
+    def test_matches_reference_loop(self, image_model, n, driving_loss):
+        rng = np.random.default_rng(n)
+        batch = ViewBatch(x=Tensor(rng.random((n, 1, 16, 16))),
+                          y=rng.integers(0, 10, size=n))
+        spec = AttackSpec(epsilon=8 / 255, steps=3, random_start=True,
+                          driving_loss=driving_loss, clamp=(0.0, 1.0), seed=n)
+        x_adv = pgd(image_model, batch, spec).data
+        assert x_adv.shape == (n, 1, 16, 16)
+        start = pgd(image_model, batch, replace(spec, steps=0)).data
+        assert (x_adv != start).mean() > 0.5
+        assert x_adv.tobytes() == _reference_pgd(image_model, batch, spec).tobytes()
+
+
+class TestLiveEncoder:
+    """An attack inside training, with every parameter tracked (as in
+    Full-AT fine-tuning) and a tape open, touches neither."""
+
+    @staticmethod
+    def _state(model):
+        return [t.grad_tracked for t in model.all_params()], list(T._TAPE_STACK)
+
+    @pytest.mark.parametrize("driving_loss", ["CE", "CL", "SCL"])
+    def test_matches_reference_loop_and_leaves_tracking_and_tapes(self, st_model,
+                                                                  driving_loss):
+        model = copy.deepcopy(st_model)
+        model.set_tracking(encoder=True, head=True, classifier=True)
+        batch = make_batch(np.random.default_rng(9), model, n=32)
+        spec = AttackSpec(epsilon=0.1, steps=3, random_start=True,
+                          driving_loss=driving_loss, clamp=(0.0, 1.0), seed=1)
+        with GradientTape() as outer:
+            before = self._state(model)
+            x_adv = pgd(model, batch, spec).data
+            assert self._state(model) == before
+        assert outer.nodes == [] and not T._TAPE_STACK
+        assert x_adv.tobytes() == _reference_pgd(model, batch, spec).tobytes()
+        assert all(t.grad_tracked for t in model.all_params())
+
+    @pytest.mark.parametrize("driving_loss, target", [
+        ("CE", losses.CrossEntropyTarget), ("CL", losses.ContrastiveTarget),
+        ("SCL", losses.ContrastiveTarget)])
+    def test_a_raising_step_leaves_tracking_and_tapes(self, st_model, monkeypatch,
+                                                      driving_loss, target):
+        model = copy.deepcopy(st_model)
+        model.set_tracking(encoder=True, head=False, classifier=True)
+        monkeypatch.setattr(target, "grad", lambda self, out: np.full(out.shape, np.nan))
+        with GradientTape() as outer:
+            before = self._state(model)
+            with pytest.raises(AttackError, match="non-finite attack gradient"):
+                pgd(model, make_batch(np.random.default_rng(2), model),
+                    AttackSpec(epsilon=0.1, steps=2, driving_loss=driving_loss,
+                               clamp=None))
+            assert self._state(model) == before
+        assert outer.nodes == [] and not T._TAPE_STACK
+
+
+class TestStepChecks:
+    """The checks a taped step made, kept by the tape-free one."""
+
+    def test_input_shape(self, st_model, rng):
+        batch = ViewBatch(x=Tensor(rng.random((4, 19))), y=np.zeros(4, dtype=int))
+        with pytest.raises(models.ModelError, match="encoder expects samples"):
+            pgd(st_model, batch, AttackSpec(epsilon=0.1, steps=1, clamp=None))
+
+    @pytest.mark.parametrize("driving_loss", ["CE", "CL"])
+    def test_non_finite_layer_output_names_dense(self, dense_model, rng, driving_loss):
+        w, _ = dense_model.encoder_params[1]
+        w.data = np.full_like(w.data, 1e308)
+        batch = make_batch(rng, dense_model)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                T.NonFiniteError, match="output of dense$"):
+            pgd(dense_model, batch, AttackSpec(epsilon=0.1, steps=1,
+                                               driving_loss=driving_loss, clamp=None))
+
+    def test_ce_labels_are_checked_before_the_first_step(self, dense_model, rng,
+                                                         monkeypatch):
+        monkeypatch.setattr(models, "input_grad", pytest.fail)
+        batch = ViewBatch(x=Tensor(rng.random((4, 20))), y=np.array([0, 1, 2, 0]))
+        with pytest.raises(losses.LossError, match="labels out of range"):
+            pgd(dense_model, batch, AttackSpec(epsilon=0.1, steps=3, clamp=None))
+
+    def test_tm1_steps_count_one_classifier_query_each_under_audit(self, st_model, rng):
+        model = copy.deepcopy(st_model)
+        model.classifier_grad_queries = 0
+        model.audit_active = True
+        pgd(model, make_batch(rng, model), AttackSpec(epsilon=0.1, steps=4, clamp=None))
+        assert model.classifier_grad_queries == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1.0, 2.0)),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=16),
+       st.floats(0.0, 0.5), st.booleans(), st.integers(0, 2**32 - 1))
+@example([(-0.0, -0.0), (-0.0, 0.0), (-0.0, 0.3), (1.5, 0.7), (-0.3, -0.0)], 0.1, True, 0)
+@example([(-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0)], 0.0, False, 0)
+def test_project_writes_the_bytes_of_clip(pairs, epsilon, clamped, seed):
+    """pgd's max-then-min projection is np.clip into the same array bounds,
+    byte for byte, for finite iterates: with -0.0 in x0 or the iterate, and
+    with x0 outside the clamp."""
+    rng = np.random.default_rng(seed)
+    x0, x = (np.concatenate([col, rng.uniform(-0.5, 1.5, 256)])
+             for col in np.array(pairs).T)
+    lo, hi = x0 - epsilon, x0 + epsilon
+    if clamped:
+        np.clip(lo, 0.0, 1.0, out=lo)
+        np.clip(hi, 0.0, 1.0, out=hi)
+    want = np.clip(x, lo, hi).tobytes()
+    attacks._project(x, lo, hi)
+    assert x.tobytes() == want
 
 
 class TestThreatModelII:

@@ -377,7 +377,24 @@ class TestCli:
         assert run_cli(tmp_path / "out", command, FAST_VECTOR, checkpoint=str(ckpt)) == 1
         err = capsys.readouterr().err
         assert "is not the configured encoder" in err and "(12, 6)" in err
-        assert os.listdir(tmp_path / "out") == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "cka", "probe"])
+    @pytest.mark.parametrize("case", ["missing-checkpoint", "no-trained-cell",
+                                      "other-encoder"])
+    def test_a_command_without_its_model_leaves_no_directory(self, tmp_path, capsys,
+                                                             command, case):
+        checkpoint = None
+        if case == "missing-checkpoint":
+            checkpoint = str(tmp_path / "absent.ckpt")
+        elif case == "other-encoder":
+            checkpoint = str(tmp_path / "other.ckpt")
+            models.save_checkpoint(models.init_model(
+                models.EncoderConfig((20, 5), (10,)), 2, 4, 0), checkpoint)
+        out = tmp_path / "out"
+        assert run_cli(out, command, FAST_VECTOR, checkpoint=checkpoint) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("source, broken", [
         ("idx", ["model.layer_widths=5"]),

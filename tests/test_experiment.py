@@ -497,3 +497,73 @@ def test_compare_cache_lists_each_difference_by_file_and_field(tmp_path, capsys)
         "k.loss.csv: only in a",
         "5 files, 6 difference(s)",
     ]
+
+
+_STUB_RUN = '''import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seed = int(args["--seed"])
+with open({log!r}, "a") as f:
+    f.write(f"{{args['--workload']}} {{seed}} {name}\\n")
+rate = {base} + seed
+print("perfbench stub")
+print("provenance " + json.dumps({{"seed": seed}}))
+print(json.dumps({{"correct": seed not in {wrong}, "attempted": 4, "failed": 0, "metrics": {{
+    "examples_per_s": {{"value": rate, "unit": "1/s"}},
+    "peak_rss_mb": {{"value": 60.0, "unit": "MB"}}}}}}))
+'''
+
+
+def _stub_tree(root, name, base, log, wrong=()):
+    (root / name / "perfbench").mkdir(parents=True)
+    (root / name / "perfbench" / "run.py").write_text(
+        _STUB_RUN.format(log=str(log), name=name, base=base, wrong=list(wrong)))
+    (root / name / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "examples_per_s", "unit": "1/s", "better": "higher", "bound": 0.15},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]}))
+    return root / name
+
+
+def _listing(tree):
+    return sorted(str(p.relative_to(tree)) for p in tree.rglob("*"))
+
+
+@pytest.mark.parametrize("change_base, gain", [(120.0, True), (104.0, False)])
+def test_bench_pairs_alternates_trees_and_keeps_every_run(tmp_path, change_base, gain):
+    log = tmp_path / "order.log"
+    parent = _stub_tree(tmp_path, "parent", 100.0, log)
+    change = _stub_tree(tmp_path, "change", change_base, log)
+    before = [_listing(parent), _listing(change)]
+    out = tmp_path / "BENCH.json"
+    seeds = [str(s) for s in range(10)]
+    assert _script("bench_pairs").main([str(parent), str(change), "--workloads", "w",
+                                        "--seeds", *seeds, "--out", str(out)]) == 0
+    assert [_listing(parent), _listing(change)] == before
+    firsts = log.read_text().splitlines()[::2]
+    assert firsts == [f"w {s} {'parent' if s % 2 == 0 else 'change'}" for s in range(10)]
+    got = json.loads(out.read_text())["workloads"]["w"]
+    assert [(r["tree"], r["seed"]) for r in got["runs"]][:4] == [
+        ("parent", 0), ("change", 0), ("change", 1), ("parent", 1)]
+    assert len(got["runs"]) == 20 and all(r["provenance"] for r in got["runs"])
+    rate = got["summary"]["examples_per_s"]
+    # parent 100..109: quartiles of statistics.quantiles(n=4), an IQR of 5.5
+    assert rate["parent"] == {"median": 104.5, "q1": 101.75, "q3": 107.25}
+    assert rate["change_wins"] == 10 and rate["gain"] is gain
+    assert rate["regression"] is False
+    rss = got["summary"]["peak_rss_mb"]
+    assert rss["change_wins"] == 0 and rss["gain"] is False and rss["regression"] is False
+
+
+def test_bench_pairs_exits_1_on_an_incorrect_run(tmp_path):
+    log = tmp_path / "order.log"
+    parent = _stub_tree(tmp_path, "parent", 100.0, log)
+    change = _stub_tree(tmp_path, "change", 50.0, log, wrong=[1])
+    out = tmp_path / "BENCH.json"
+    assert _script("bench_pairs").main([str(parent), str(change), "--workloads", "w",
+                                        "--seeds", "0", "1", "2", "--out", str(out)]) == 1
+    got = json.loads(out.read_text())["workloads"]["w"]
+    assert [r["correct"] for r in got["runs"]] == [True, True, False, True, True, True]
+    rate = got["summary"]["examples_per_s"]  # over the seeds both trees ran correctly
+    assert rate["pairs"] == 2 and rate["regression"] is True
+    with pytest.raises(SystemExit):
+        _script("bench_pairs").main([str(parent), str(change), "--workloads", "w",
+                                     "--seeds", "0", "--out", str(change / "B.json")])

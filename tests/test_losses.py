@@ -422,6 +422,28 @@ class TestContrastiveTarget:
             losses.ContrastiveTarget(z, "CE", 0.1)
 
 
+class TestCrossEntropyTarget:
+    @pytest.mark.parametrize("n", [1, 7, 244, 256])
+    def test_grad_is_the_fused_nodes_bit_for_bit(self, n, rng):
+        y = rng.integers(0, 10, n)
+        target = losses.CrossEntropyTarget(y, n, 10)
+        for _ in range(3):  # built once, read at every step
+            logits = 3.0 * rng.standard_normal((n, 10))
+            leaf = Tensor(logits, grad_tracked=True)
+            with GradientTape() as tape:
+                loss = cross_entropy(leaf, y)
+            want = backward(tape, loss)[leaf]
+            assert _same_bits(target.grad(logits.copy()), want)
+
+    @pytest.mark.parametrize("y, c", [([0, 1, 2], 2), ([0, -1, 1], 2), ([0, 1], 2),
+                                      ([0, 0, 0], 1)])
+    def test_labels_are_checked_like_the_node(self, y, c):
+        with pytest.raises(LossError, match="cross_entropy"):
+            losses.CrossEntropyTarget(np.array(y), 3, c)
+        with pytest.raises(LossError, match="cross_entropy"):
+            cross_entropy(Tensor(np.zeros((3, c))), np.array(y))
+
+
 class TestMemory:
     """The fused node's and the target's (2n)^2 float64 buffers, counted."""
 
