@@ -34,7 +34,6 @@ import numpy as np  # noqa: E402
 from robustcl import (attacks, config, directional, evaluation, experiment,  # noqa: E402
                       models, training)
 from robustcl.data import ViewBatch  # noqa: E402
-from robustcl.tensor import Tensor  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden_cells.json"
 SEED = 0
@@ -90,13 +89,13 @@ def golden_cell(cfg, d_p, d_f, test, scenario: str, scheme: str, train_eps) -> d
     tm1, tm2 = (a.for_data(test.is_image)
                 for a in (directional.tm1_attack(), directional.tm2_attack()))
     report = evaluation.evaluate(model, test, [tm1, tm2], scenario=scenario, scheme=scheme)
-    batch = ViewBatch(x=Tensor(test.inputs), y=test.labels)
+    batch = ViewBatch(x=test.inputs, y=test.labels)
     return {"phases": phases,
             "eval": {"clean": report.clean_accuracy,
                      "tm1": report.robust[tm1.robust_key],
                      "tm2": report.robust[tm2.robust_key],
-                     "tm1_x_adv_sha256": sha256([attacks.pgd(model, batch, tm1).data]),
-                     "tm2_x_adv_sha256": sha256([attacks.pgd(model, batch, tm2).data])}}
+                     "tm1_x_adv_sha256": sha256([attacks.pgd(model, batch, tm1)]),
+                     "tm2_x_adv_sha256": sha256([attacks.pgd(model, batch, tm2)])}}
 
 
 def main():

@@ -87,8 +87,7 @@ def _activations(model: ModelBundle, x: np.ndarray, y: np.ndarray | None = None,
     """Per-layer records of `model` on `x`, or, given an `attack`, on its PGD
     examples of (x, y), clamped to [0, 1] only when `x` is an image batch."""
     if attack is not None:
-        batch = ViewBatch(x=Tensor(x), y=y)
-        x = attacks.pgd(model, batch, attack.for_data(x.ndim == 4)).data
+        x = attacks.pgd(model, ViewBatch(x=x, y=y), attack.for_data(x.ndim == 4))
     return models.encode(model, Tensor(x), capture=True)[1]
 
 

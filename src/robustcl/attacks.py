@@ -1,4 +1,5 @@
-"""l_inf PGD attack engine driven by CE, CL, or SCL losses.
+"""l_inf PGD attack engine driven by CE, CL, or SCL losses, on arrays: a
+batch's inputs go in and the adversarial inputs come out as numpy arrays.
 
 Each step is one tape-free `models.input_grad` pass through the encoder and
 the classifier (CE, Threat Model I) or the head (CL or SCL, Threat Model
@@ -15,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import losses, models
-from .tensor import Tensor
 
 DRIVING_LOSSES = ("CE", "CL", "SCL")
 
@@ -75,12 +75,12 @@ def _target(model, batch, spec: AttackSpec):
     if spec.driving_loss == "CE":
         if batch.y is None:
             raise AttackError("CE attack requires labels")
-        n = len(batch.x.data)
-        return "classifier", losses.CrossEntropyTarget(batch.y, n, model.n_classes)
+        return "classifier", losses.CrossEntropyTarget(batch.y, len(batch.x),
+                                                       model.n_classes)
     if spec.driving_loss == "SCL" and batch.y is None:
         raise AttackError("SCL attack requires labels")
     tau = losses.LossConfig(temperature=spec.temperature).tau(spec.driving_loss)
-    z_clean, _ = models.forward_arrays(model, batch.x.data, "head")
+    z_clean, _ = models.forward_arrays(model, batch.x, "head")
     return "head", losses.ContrastiveTarget(z_clean, spec.driving_loss, tau, batch.y)
 
 
@@ -101,16 +101,16 @@ def _project(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
     np.minimum(x, hi, out=x)
 
 
-def pgd(model, batch, spec: AttackSpec) -> Tensor:
+def pgd(model, batch, spec: AttackSpec) -> np.ndarray:
     """Iterated signed-gradient ascent with l_inf projection.
 
     Each step adds `_signed_step(g, alpha)`, +0.0 at a zero gradient, so
     zero-gradient coordinates stay put; steps=0 with random_start=False
-    returns the input unchanged.
+    returns a copy of the input.
     """
-    x0 = batch.x.data
+    x0 = batch.x
     if spec.epsilon == 0.0 or (spec.steps == 0 and not spec.random_start):
-        return Tensor(x0.copy())
+        return x0.copy()
     # clip(clip(x, x0 -+ eps), clamp) == clip(x, clip(x0 -+ eps, clamp)), bit
     # for bit unless x0 holds -0.0, so each step clips once, into the clamped ball
     lo, hi = x0 - spec.epsilon, x0 + spec.epsilon
@@ -124,7 +124,7 @@ def pgd(model, batch, spec: AttackSpec) -> Tensor:
     else:
         x = x0.copy()
     if spec.steps == 0:
-        return Tensor(x)
+        return x
     to, target = _target(model, batch, spec)
     for _ in range(spec.steps):
         g = models.input_grad(model, x, to, target.grad)  # a fresh array
@@ -132,4 +132,4 @@ def pgd(model, batch, spec: AttackSpec) -> Tensor:
             raise AttackError("non-finite attack gradient")
         x += _signed_step(g, spec.alpha)  # x is the attack's own array
         _project(x, lo, hi)
-    return Tensor(x)
+    return x

@@ -8,8 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor
-
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
@@ -36,6 +34,8 @@ class Dataset:
         n = self.inputs.shape[0]
         if n < 1 or self.labels.shape != (n,):
             raise DataError("inputs/labels size mismatch")
+        if self.inputs.size == 0:
+            raise DataError(f"samples of shape {self.input_shape} hold no values")
         if not np.all(np.isfinite(self.inputs)):
             raise DataError("dataset contains non-finite values")
         if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
@@ -70,11 +70,13 @@ class Dataset:
 
 @dataclass
 class ViewBatch:
-    x: Tensor
-    x_prime: Tensor | None = None
-    x_double_prime: Tensor | None = None
+    """One minibatch's input arrays: the clean x, its two augmentation views
+    and its adversarial x_adv. A loss wraps each array it reads."""
+    x: np.ndarray
+    x_prime: np.ndarray | None = None
+    x_double_prime: np.ndarray | None = None
     y: np.ndarray | None = None
-    x_adv: Tensor | None = None
+    x_adv: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.x.shape[0]

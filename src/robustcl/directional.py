@@ -3,9 +3,9 @@
 Trains, evaluates and tabulates the scenario x scheme grid behind the
 qualitative robustness claims through `experiment.run_cells`, the cell
 runner of `robustcl sweep`, computes the CKA values the claims read, caches
-all of it on disk, and reduces the results to pass/fail badges. The checks are directional (orderings and
-gaps), evaluated at seeds {0, 1, 2}; each must hold for at least 2 of 3
-seeds.
+all of it on disk, and reduces the results to pass/fail badges. The checks
+are directional (orderings and gaps), evaluated at seeds {0, 1, 2}; each
+must hold for at least 2 of 3 seeds.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ from . import attacks, models
 from .attacks import AttackSpec
 from .data import Dataset, ViewBatch
 from .models import ModelBundle
-from .tensor import Tensor
 
 
 @dataclass
@@ -39,9 +38,9 @@ def robust_accuracy(model: ModelBundle, dataset: Dataset, attack: AttackSpec) ->
     for start in range(0, dataset.n, 256):
         x = dataset.inputs[start:start + 256]
         y = dataset.labels[start:start + 256]
-        batch = ViewBatch(x=Tensor(x), y=y)
-        x_adv = attacks.pgd(model, batch, replace(attack, seed=attack.seed + start))
-        correct += int((_predict(model, x_adv.data) == y).sum())
+        x_adv = attacks.pgd(model, ViewBatch(x=x, y=y),
+                            replace(attack, seed=attack.seed + start))
+        correct += int((_predict(model, x_adv) == y).sum())
     return correct / dataset.n
 
 

@@ -313,12 +313,13 @@ class CrossEntropyTarget:
 # model-level losses
 # ---------------------------------------------------------------------------
 
-def _embed(model, x: Tensor) -> Tensor:
-    rep, _ = models.encode(model, x)
+def _embed(model, x: np.ndarray) -> Tensor:
+    """The head's embedding of the batch array `x`, a graph input here."""
+    rep, _ = models.encode(model, Tensor(x))
     return models.project(model, rep)
 
 
-def contrastive_pair_loss(model, xa: Tensor, xb: Tensor, constituent: str,
+def contrastive_pair_loss(model, xa: np.ndarray, xb: np.ndarray, constituent: str,
                           y: np.ndarray | None, cfg: LossConfig) -> Tensor:
     """One contrastive term over a view pair, through encoder + head."""
     za = _embed(model, xa)
@@ -353,8 +354,8 @@ def pretrain_loss(model, batch, cfg: LossConfig) -> Tensor:
     return functools.reduce(T.add, terms) if terms else Tensor(0.0)
 
 
-def _ce_through(model, x: Tensor, y: np.ndarray) -> Tensor:
-    rep, _ = models.encode(model, x)
+def _ce_through(model, x: np.ndarray, y: np.ndarray) -> Tensor:
+    rep, _ = models.encode(model, Tensor(x))
     return cross_entropy(models.classify(model, rep), y)
 
 

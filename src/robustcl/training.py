@@ -18,7 +18,7 @@ from .attacks import AttackSpec
 from .data import AugmentSpec, Dataset, ViewBatch
 from .losses import LossConfig
 from .models import ModelBundle
-from .tensor import GradientTape, Tensor
+from .tensor import GradientTape
 
 SCENARIOS = ("ST", "AT", "Partial-AT", "Full-AT")
 
@@ -214,16 +214,13 @@ def _run_phase(model: ModelBundle, spec: ScenarioSpec, phase: _Phase) -> list:
         for step, (xb, yb) in enumerate(
                 data.iter_batches(phase.dataset, batch_size, phase.data_seed, epoch)):
             step_seed = hash(phase.seed_prefix + (epoch, step)) & 0x7FFFFFFF
-            batch = ViewBatch(x=Tensor(xb), y=yb)
+            batch = ViewBatch(x=xb, y=yb)
             if phase.views:
-                xp, xpp = data.make_views(xb, spec.augment, seed=step_seed)
-                batch.x_prime, batch.x_double_prime = Tensor(xp), Tensor(xpp)
+                batch.x_prime, batch.x_double_prime = data.make_views(
+                    xb, spec.augment, seed=step_seed)
             if attack is not None:
                 batch.x_adv = attacks.pgd(model, batch, replace(attack, seed=step_seed))
-            value = _train_step(model, spec, phase, opt, batch)
-            if not np.isfinite(value):
-                raise TrainingError(f"divergence: non-finite loss in the {phase.name} phase")
-            losses_epoch.append(value)
+            losses_epoch.append(_train_step(model, spec, phase, opt, batch))
         curve.append((epoch, phase.name, float(np.mean(losses_epoch))))
     return curve
 

@@ -208,6 +208,15 @@ class TestProbe:
         final = linear_probe(m, d_train, d_test, ids[-1])
         assert final.test_accuracy >= first.test_accuracy - 0.02
 
+    def test_a_tail_of_one_is_skipped(self, trained, monkeypatch):
+        m, d_train, d_test = trained
+        sizes = []
+        cross_entropy = analysis.losses.cross_entropy
+        monkeypatch.setattr(analysis.losses, "cross_entropy",
+                            lambda logits, y: sizes.append(len(y)) or cross_entropy(logits, y))
+        linear_probe(m, d_train.subset(np.arange(257)), d_test, "input", probe_epochs=2)
+        assert sizes == [128, 128] * 2
+
     def test_unknown_layer(self, trained):
         m, d_train, d_test = trained
         with pytest.raises(AnalysisError):

@@ -21,7 +21,7 @@ from robustcl.training import ScenarioSpec
 def make_batch(rng, model, n=6, n_classes=2, dim=20):
     x = rng.random((n, dim))
     y = rng.integers(0, n_classes, size=n)
-    return ViewBatch(x=Tensor(x), y=y)
+    return ViewBatch(x=x, y=y)
 
 
 @pytest.fixture(scope="module")
@@ -141,12 +141,12 @@ class TestPgd:
         batch = make_batch(rng, dense_model)
         spec = AttackSpec(epsilon=0.0, steps=5, random_start=True, clamp=None)
         x_adv = pgd(dense_model, batch, spec)
-        assert np.array_equal(x_adv.data, batch.x.data)
+        assert np.array_equal(x_adv, batch.x)
 
     def test_zero_steps_identity(self, dense_model, rng):
         batch = make_batch(rng, dense_model)
         spec = AttackSpec(epsilon=0.1, steps=0, random_start=False, clamp=None)
-        assert np.array_equal(pgd(dense_model, batch, spec).data, batch.x.data)
+        assert np.array_equal(pgd(dense_model, batch, spec), batch.x)
 
     def test_zero_gradient_fixed_point(self, dense_model, rng):
         # constant CE loss: zero classifier -> uniform logits -> sign(0) = 0
@@ -155,7 +155,7 @@ class TestPgd:
         b.data = np.zeros_like(b.data)
         batch = make_batch(rng, dense_model)
         spec = AttackSpec(epsilon=0.1, steps=5, random_start=False, clamp=None)
-        assert np.array_equal(pgd(dense_model, batch, spec).data, batch.x.data)
+        assert np.array_equal(pgd(dense_model, batch, spec), batch.x)
 
     def test_one_d_logistic_single_step(self):
         # encoder copies x into a 2-vector; classifier makes logits [0, 2x].
@@ -171,11 +171,11 @@ class TestPgd:
         wc, bc = m.classifier_params
         wc.data = np.array([[0.0, 1.0], [0.0, 1.0]])
         bc.data = np.zeros(2)
-        batch = ViewBatch(x=Tensor(np.array([[0.5]])), y=np.array([0]))
+        batch = ViewBatch(x=np.array([[0.5]]), y=np.array([0]))
         spec = AttackSpec(epsilon=0.1, steps=1, step_size=0.1,
                           random_start=False, clamp=(0.0, 1.0))
         x_adv = pgd(m, batch, spec)
-        assert x_adv.data[0, 0] == pytest.approx(0.6, abs=1e-12)
+        assert x_adv[0, 0] == pytest.approx(0.6, abs=1e-12)
         # brute-force confirmation over the feasible interval
         grid = np.linspace(0.4, 0.6, 201)
         ce = np.log1p(np.exp(2.0 * grid))
@@ -186,8 +186,8 @@ class TestPgd:
         for i in range(20):
             x = rng.random((5, 20))
             y = rng.integers(0, 2, size=5)
-            batch = ViewBatch(x=Tensor(x), y=y)
-            x_adv = pgd(st_model, batch, spec).data
+            batch = ViewBatch(x=x, y=y)
+            x_adv = pgd(st_model, batch, spec)
             assert np.max(np.abs(x_adv - x)) <= 0.07 + 1e-9
             assert x_adv.min() >= 0.0 and x_adv.max() <= 1.0
 
@@ -196,10 +196,10 @@ class TestPgd:
         spec = AttackSpec(epsilon=0.1, steps=3, random_start=True, clamp=None, seed=4)
         a = pgd(st_model, batch, spec)
         b = pgd(st_model, batch, spec)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
         c = pgd(st_model, batch, AttackSpec(epsilon=0.1, steps=3, random_start=True,
                                             clamp=None, seed=5))
-        assert not np.array_equal(a.data, c.data)
+        assert not np.array_equal(a, c)
 
     def test_driving_loss_increases(self, st_model):
         hits = 0
@@ -208,8 +208,8 @@ class TestPgd:
             batch = make_batch(rng, st_model)
             spec = AttackSpec(epsilon=0.15, steps=5, random_start=False, clamp=None)
             x_adv = pgd(st_model, batch, spec)
-            before = _ce_value(st_model, batch.x.data, batch.y)
-            after = _ce_value(st_model, x_adv.data, batch.y)
+            before = _ce_value(st_model, batch.x, batch.y)
+            after = _ce_value(st_model, x_adv, batch.y)
             hits += after >= before
         assert hits >= 19
 
@@ -223,7 +223,7 @@ class TestPgd:
         assert all(p.grad_tracked for p in st_model.all_params())
 
     def test_ce_requires_labels(self, dense_model, rng):
-        batch = ViewBatch(x=Tensor(rng.random((4, 20))), y=None)
+        batch = ViewBatch(x=rng.random((4, 20)), y=None)
         with pytest.raises(AttackError):
             pgd(dense_model, batch, AttackSpec(epsilon=0.1, steps=1, clamp=None))
 
@@ -244,7 +244,7 @@ def _params_untracked(model):
 def _reference_pgd(model, batch, spec):
     """PGD written out step by step on a tape, re-embedding the clean batch
     on every step inside the step's tape."""
-    x0 = batch.x.data
+    x0 = batch.x
     rng = np.random.default_rng(spec.seed)
     x = x0.copy()
     if spec.random_start:
@@ -259,7 +259,7 @@ def _reference_pgd(model, batch, spec):
                     loss = losses.cross_entropy(models.classify(model, rep), batch.y)
                 else:
                     z_clean = losses._embed(model, batch.x)
-                    z_cur = losses._embed(model, leaf)
+                    z_cur = models.project(model, models.encode(model, leaf)[0])
                     if spec.driving_loss == "CL":
                         loss = losses.nt_xent(z_clean, z_cur, losses.DEFAULT_TAU_CL)
                     else:
@@ -277,8 +277,8 @@ class TestCleanEmbeddingOnce:
         batch = make_batch(np.random.default_rng(7), st_model, n=8)
         spec = AttackSpec(epsilon=0.1, steps=4, random_start=True,
                           driving_loss=driving_loss, clamp=(0.0, 1.0), seed=3)
-        x_adv = pgd(st_model, batch, spec).data
-        assert not np.array_equal(x_adv, batch.x.data)
+        x_adv = pgd(st_model, batch, spec)
+        assert not np.array_equal(x_adv, batch.x)
         assert np.array_equal(x_adv, _reference_pgd(st_model, batch, spec))
 
     @pytest.mark.parametrize("n", [208, 244, 256])
@@ -290,7 +290,7 @@ class TestCleanEmbeddingOnce:
         batch = make_batch(np.random.default_rng(n), st_model, n=n)
         spec = AttackSpec(epsilon=0.1, steps=3, random_start=True,
                           driving_loss=driving_loss, clamp=(0.0, 1.0), seed=3)
-        x_adv = pgd(st_model, batch, spec).data
+        x_adv = pgd(st_model, batch, spec)
         assert x_adv.tobytes() == _reference_pgd(st_model, batch, spec).tobytes()
 
     @pytest.mark.parametrize("driving_loss", ["CE", "CL"])
@@ -298,10 +298,10 @@ class TestCleanEmbeddingOnce:
                                                                 driving_loss):
         rng = np.random.default_rng(11)
         x = rng.uniform(-0.3, 1.3, size=(8, 20))
-        batch = ViewBatch(x=Tensor(x), y=rng.integers(0, 2, size=8))
+        batch = ViewBatch(x=x, y=rng.integers(0, 2, size=8))
         spec = AttackSpec(epsilon=0.1, steps=4, random_start=True,
                           driving_loss=driving_loss, clamp=(0.0, 1.0), seed=5)
-        x_adv = pgd(st_model, batch, spec).data
+        x_adv = pgd(st_model, batch, spec)
         assert ((x < 0.0) | (x > 1.0)).any()
         assert x_adv.tobytes() == _reference_pgd(st_model, batch, spec).tobytes()
 
@@ -315,8 +315,8 @@ class TestCleanEmbeddingOnce:
         batch = make_batch(np.random.default_rng(5), model, n=16)
         spec = AttackSpec(epsilon=0.1, steps=4, random_start=True,
                           driving_loss=driving_loss, clamp=(0.0, 1.0), seed=2)
-        start = pgd(model, batch, replace(spec, steps=0)).data
-        x_adv = pgd(model, batch, spec).data
+        start = pgd(model, batch, replace(spec, steps=0))
+        x_adv = pgd(model, batch, spec)
         assert x_adv.tobytes() == _reference_pgd(model, batch, spec).tobytes()
         assert x_adv[:, dead].tobytes() == start[:, dead].tobytes()
         live = np.setdiff1d(np.arange(x_adv.shape[1]), dead)
@@ -351,13 +351,13 @@ class TestImageBatches:
     @pytest.mark.parametrize("driving_loss", ["CE", "CL", "SCL"])
     def test_matches_reference_loop(self, image_model, n, driving_loss):
         rng = np.random.default_rng(n)
-        batch = ViewBatch(x=Tensor(rng.random((n, 1, 16, 16))),
+        batch = ViewBatch(x=rng.random((n, 1, 16, 16)),
                           y=rng.integers(0, 10, size=n))
         spec = AttackSpec(epsilon=8 / 255, steps=3, random_start=True,
                           driving_loss=driving_loss, clamp=(0.0, 1.0), seed=n)
-        x_adv = pgd(image_model, batch, spec).data
+        x_adv = pgd(image_model, batch, spec)
         assert x_adv.shape == (n, 1, 16, 16)
-        start = pgd(image_model, batch, replace(spec, steps=0)).data
+        start = pgd(image_model, batch, replace(spec, steps=0))
         assert (x_adv != start).mean() > 0.5
         assert x_adv.tobytes() == _reference_pgd(image_model, batch, spec).tobytes()
 
@@ -380,7 +380,7 @@ class TestLiveEncoder:
                           driving_loss=driving_loss, clamp=(0.0, 1.0), seed=1)
         with GradientTape() as outer:
             before = self._state(model)
-            x_adv = pgd(model, batch, spec).data
+            x_adv = pgd(model, batch, spec)
             assert self._state(model) == before
         assert outer.nodes == [] and not T._TAPE_STACK
         assert x_adv.tobytes() == _reference_pgd(model, batch, spec).tobytes()
@@ -408,7 +408,7 @@ class TestStepChecks:
     """The checks a taped step made, kept by the tape-free one."""
 
     def test_input_shape(self, st_model, rng):
-        batch = ViewBatch(x=Tensor(rng.random((4, 19))), y=np.zeros(4, dtype=int))
+        batch = ViewBatch(x=rng.random((4, 19)), y=np.zeros(4, dtype=int))
         with pytest.raises(models.ModelError, match="encoder expects samples"):
             pgd(st_model, batch, AttackSpec(epsilon=0.1, steps=1, clamp=None))
 
@@ -425,7 +425,7 @@ class TestStepChecks:
     def test_ce_labels_are_checked_before_the_first_step(self, dense_model, rng,
                                                          monkeypatch):
         monkeypatch.setattr(models, "input_grad", pytest.fail)
-        batch = ViewBatch(x=Tensor(rng.random((4, 20))), y=np.array([0, 1, 2, 0]))
+        batch = ViewBatch(x=rng.random((4, 20)), y=np.array([0, 1, 2, 0]))
         with pytest.raises(losses.LossError, match="labels out of range"):
             pgd(dense_model, batch, AttackSpec(epsilon=0.1, steps=3, clamp=None))
 
@@ -466,11 +466,11 @@ class TestThreatModelII:
 
     def test_single_pair_degenerate(self, dense_model, rng):
         # one positive pair, no negatives: NT-Xent is identically 0
-        batch = ViewBatch(x=Tensor(rng.random((1, 20))), y=np.array([0]))
+        batch = ViewBatch(x=rng.random((1, 20)), y=np.array([0]))
         spec = AttackSpec(epsilon=0.1, steps=3, driving_loss="CL",
                           random_start=False, clamp=None)
         x_adv = pgd(dense_model, batch, spec)
-        assert np.array_equal(x_adv.data, batch.x.data)
+        assert np.array_equal(x_adv, batch.x)
 
     def test_zero_classifier_queries(self, st_model, rng):
         st_model.classifier_grad_queries = 0
@@ -490,7 +490,7 @@ class TestThreatModelII:
         spec = AttackSpec(epsilon=0.05, steps=6, driving_loss="SCL",
                           random_start=True, clamp=None)
         x_adv = pgd(st_model, batch, spec)
-        assert np.max(np.abs(x_adv.data - batch.x.data)) <= 0.05 + 1e-9
+        assert np.max(np.abs(x_adv - batch.x)) <= 0.05 + 1e-9
 
 
 class TestContrastiveAttackErrors:
@@ -498,7 +498,7 @@ class TestContrastiveAttackErrors:
     built the whole loss on its tape."""
 
     def test_scl_without_labels(self, st_model, rng):
-        batch = ViewBatch(x=Tensor(rng.random((4, 20))), y=None)
+        batch = ViewBatch(x=rng.random((4, 20)), y=None)
         with pytest.raises(AttackError, match="SCL attack requires labels"):
             pgd(st_model, batch, AttackSpec(epsilon=0.1, steps=1, driving_loss="SCL",
                                             clamp=None))
@@ -509,7 +509,7 @@ class TestContrastiveAttackErrors:
         x = rng.random((4, 20))
         spec = AttackSpec(epsilon=0.1, steps=0, random_start=True,
                           driving_loss=driving_loss, clamp=None)
-        x_adv = pgd(st_model, ViewBatch(x=Tensor(x), y=None), spec).data
+        x_adv = pgd(st_model, ViewBatch(x=x, y=None), spec)
         assert 0.0 < np.max(np.abs(x_adv - x)) <= 0.1
 
     def test_zero_embedding_row(self, dense_model, rng):
@@ -543,9 +543,9 @@ def test_budget_property(seed, epsilon):
     cfg = EncoderConfig((8, 4), (6,))
     m = models.init_model(cfg, 2, 4, seed=seed % 7)
     x = rng.random((3, 6))
-    batch = ViewBatch(x=Tensor(x), y=rng.integers(0, 2, size=3))
+    batch = ViewBatch(x=x, y=rng.integers(0, 2, size=3))
     spec = AttackSpec(epsilon=epsilon, steps=3, random_start=True,
                       clamp=(0.0, 1.0), seed=seed)
-    x_adv = pgd(m, batch, spec).data
+    x_adv = pgd(m, batch, spec)
     assert np.max(np.abs(x_adv - x)) <= epsilon + 1e-9
     assert x_adv.min() >= 0.0 and x_adv.max() <= 1.0

@@ -442,6 +442,16 @@ class TestCli:
         assert run_cli(tmp_path, "evaluate", FAST_VECTOR, checkpoint=str(bad)) == 2
         assert "runtime failure: CheckpointError" in capsys.readouterr().err
 
+    def test_a_csv_of_labels_alone_exits_2_with_no_output_directory(self, tmp_path,
+                                                                     capsys):
+        csv = tmp_path / "labels.csv"
+        csv.write_text("label\n0\n1\n0\n1\n")
+        out = tmp_path / "out"
+        assert run_cli(out, "train", ["dataset.source=csv", f"dataset.csv_path={csv}"]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: DataError: samples of shape (0,) hold no values\n")
+        assert not out.exists()
+
     def test_evaluate_reads_the_given_checkpoint(self, tmp_path, monkeypatch):
         cfg = load_config(text="", overrides=FAST_VECTOR)
         ckpt = tmp_path / "elsewhere.ckpt"
@@ -479,6 +489,15 @@ class TestCli:
         assert run_cli(tmp_path, "report", FAST_VECTOR) == 0
         report = (tmp_path / "report.md").read_text()
         assert "## Results" in report and "## CKA heatmaps" in report
+
+    def test_a_second_probe_replaces_probes_csv(self, tmp_path):
+        assert run_cli(tmp_path, "train", FAST_VECTOR) == 0
+        assert run_cli(tmp_path, "probe", FAST_VECTOR) == 0
+        probes = tmp_path / "probes.csv"
+        first = probes.read_bytes()
+        assert len(first.splitlines()) == 3  # header + one row per encoder layer
+        assert run_cli(tmp_path, "probe", FAST_VECTOR) == 0
+        assert probes.read_bytes() == first
 
     def test_sweep_rows_and_cache_stability(self, tmp_path):
         overrides = FAST_VECTOR + ["sweep.scenarios=ST", "sweep.schemes=SL,CL",

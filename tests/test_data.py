@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from robustcl.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, AugmentSpec,
                            DataError, Dataset, gen_bar_images, gen_synthetic,
-                           load_csv, load_idx, make_views, split, write_csv,
-                           write_idx)
+                           iter_batches, load_csv, load_idx, make_views, split,
+                           write_csv, write_idx)
 
 
 class TestIdx:
@@ -63,6 +63,13 @@ class TestIdx:
             load_idx(ip, lp)
         assert str(ip) in str(exc.value)
 
+    def test_images_of_zero_rows_hold_no_values(self, tmp_path):
+        ip, lp = tmp_path / "img", tmp_path / "lbl"
+        ip.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 3, 0, 8))
+        lp.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, 3) + bytes([0, 1, 0]))
+        with pytest.raises(DataError, match=r"samples of shape \(1, 0, 8\) hold no values"):
+            load_idx(ip, lp)
+
 
 class TestCsv:
     def test_roundtrip(self, tmp_path, gauss_data):
@@ -88,6 +95,12 @@ class TestCsv:
         with pytest.raises(DataError, match=match) as exc:
             load_csv(p)
         assert str(p) in str(exc.value)
+
+    def test_a_label_column_alone_holds_no_values(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("label\n0\n1\n")
+        with pytest.raises(DataError, match=r"samples of shape \(0,\) hold no values"):
+            load_csv(p)
 
 
 class TestSynthetic:
@@ -388,6 +401,16 @@ class TestSplit:
         ds = gen_synthetic("blobs_k", 10, 3, 10, seed=0)
         with pytest.raises(DataError):
             split(ds, (0.4, 0.3, 0.3), seed=0)
+
+
+@pytest.mark.parametrize("n, batch_size, sizes", [(7, 3, [3, 3]), (9, 4, [4, 4]),
+                                                  (8, 3, [3, 3, 2])])
+def test_iter_batches_skips_a_tail_of_one(n, batch_size, sizes):
+    ds = gen_synthetic("blobs_k", n, 2, 2, seed=0)
+    batches = list(iter_batches(ds, batch_size, seed=1, epoch=0))
+    assert [len(y) for _, y in batches] == sizes
+    rows = np.concatenate([x for x, _ in batches])
+    assert len(np.unique(rows, axis=0)) == sum(sizes)
 
 
 class TestDatasetFingerprint:

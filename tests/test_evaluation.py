@@ -83,7 +83,7 @@ class TestEvaluate:
 
         def querying_pgd(model, batch, spec):
             with GradientTape():
-                rep, _ = models.encode(model, Tensor(batch.x.data, grad_tracked=True))
+                rep, _ = models.encode(model, Tensor(batch.x, grad_tracked=True))
                 models.classify(model, rep)
             return pgd(model, batch, spec)
 

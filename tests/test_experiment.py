@@ -146,6 +146,23 @@ def test_run_cells_trains_the_costliest_scenarios_first(tmp_path, monkeypatch):
                          "seed 0: Partial-AT/SL failed: no such cell"]
 
 
+def test_an_overflowing_cell_comes_back_as_its_error(tmp_path, monkeypatch):
+    init_model = models.init_model
+
+    def overflowing(*a, **k):
+        model = init_model(*a, **k)
+        w, _ = model.encoder_params[1]
+        w.data = np.full_like(w.data, 1e308)
+        return model
+
+    monkeypatch.setattr(models, "init_model", overflowing)
+    cfg = load_config(text="", overrides=TINY)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, results = experiment.run_cells(cfg, [("ST", "SL", 0, None, None)], tmp_path)
+    assert results == ["non-finite values in output of dense"]
+    assert os.listdir(tmp_path) == []
+
+
 def test_a_failed_study_evaluation_names_its_seed_and_cell(tmp_path, monkeypatch):
     """The study fails as `run_cells` does: a cell whose evaluation raises is
     that cell's error, and the suite names it with its seed."""
@@ -194,6 +211,10 @@ def test_a_warm_suite_reads_each_checkpoint_once_and_starts_no_pool(monkeypatch)
 @pytest.mark.parametrize("ext, garble", [
     ("ckpt", lambda b: b[:9] + b"\x04\x00\x00\x00\xff\xff\xff\xff" + b[13:]),
     ("ckpt", lambda b: b[:-16]),
+    ("ckpt", lambda b: b[:4] + (2).to_bytes(4, "little") + b[8:]),  # version
+    ("ckpt", lambda b: b[:9] + len(b).to_bytes(4, "little") + b[13:]),  # header length
+    ("ckpt", lambda b: b.replace(b'"head_dim": ', b'"head_dim":1', 1)),  # shapes
+    ("ckpt", lambda b: b + bytes(8)),  # trailing bytes
     ("manifest.json", lambda b: b[: len(b) // 2]),
     ("manifest.json", lambda b: b"\xff" + b[1:]),
     ("manifest.json", lambda b: b"[]"),
@@ -458,6 +479,43 @@ def test_run_directional_writes_under_the_checkout_by_default(tmp_path, monkeypa
     monkeypatch.setattr(directional, "badges", lambda suite: [])
     assert _script("run_directional").main(["--cache-dir", str(tmp_path / "cache")]) == 0
     assert sorted(os.listdir(tmp_path / "runs" / "acceptance")) == ["report.md", "results.csv"]
+
+
+_STUB_MODULE = '''\
+"""Module docstring."""
+import os
+from sys import argv
+
+
+class Box:
+    """Class docstring."""
+    size = 1
+
+    def grow(self, n):
+        """Method docstring."""
+        if (n and
+                n > 0):
+            return {
+                "n": n,
+            }
+        else:
+            raise ValueError(n)
+
+
+def twice(x):
+    return (lambda y: y if y else 0)(x) * 2
+'''
+
+
+def test_line_coverage_lists_each_statement_none_of_whose_lines_ran():
+    cov = _script("line_coverage")
+    # docstrings, imports, class and def lines are not statements; the if
+    # ran through its second line, the dict return through its middle one
+    assert sorted(cov.statements(_STUB_MODULE)) == [8, 12, 14, 18, 22]
+    assert cov.missed(_STUB_MODULE, {8, 13, 15}) == [
+        (18, "raise ValueError(n)"), (22, "return (lambda y: y if y else 0)(x) * 2")]
+    assert cov.missed(_STUB_MODULE, set()) == [
+        (n, _STUB_MODULE.splitlines()[n - 1].strip()) for n in (8, 12, 14, 18, 22)]
 
 
 def _cache_pair(tmp_path):

@@ -472,12 +472,11 @@ class TestModelLevelLosses:
     @pytest.fixture()
     def batch(self, rng):
         x = rng.random((6, 20))
-        return ViewBatch(x=Tensor(x), x_prime=Tensor(x + 0.01),
-                         x_double_prime=Tensor(x - 0.01),
+        return ViewBatch(x=x, x_prime=x + 0.01, x_double_prime=x - 0.01,
                          y=rng.integers(0, 2, 6))
 
     def test_beta_zero_reduces_to_clean_term(self, dense_model, batch):
-        batch.x_adv = Tensor(batch.x.data + 0.02)
+        batch.x_adv = batch.x + 0.02
         cfg = LossConfig(scheme="CL", alpha=0.7, beta=0.0)
         loss = losses.pretrain_loss(dense_model, batch, cfg).item()
         clean = losses.contrastive_pair_loss(dense_model, batch.x_prime,
@@ -497,7 +496,7 @@ class TestModelLevelLosses:
         assert losses.pretrain_loss(dense_model, batch, cfg).item() == 0.0
 
     def test_identity_attack_duplicates_terms(self, dense_model, batch):
-        batch.x_adv = Tensor(batch.x.data.copy())
+        batch.x_adv = batch.x.copy()
         cfg = LossConfig(scheme="CL", alpha=0.5, beta=0.5)
         loss = losses.pretrain_loss(dense_model, batch, cfg).item()
         t1 = losses.contrastive_pair_loss(dense_model, batch.x_prime,
@@ -512,7 +511,7 @@ class TestModelLevelLosses:
             losses.pretrain_loss(dense_model, batch, LossConfig(scheme="SCL", beta=0.0))
 
     def test_alpha_beta_scaling(self, dense_model, batch):
-        batch.x_adv = Tensor(batch.x.data + 0.02)
+        batch.x_adv = batch.x + 0.02
         base = losses.pretrain_loss(dense_model, batch,
                                     LossConfig(scheme="CL", alpha=0.5, beta=0.5)).item()
         doubled = losses.pretrain_loss(dense_model, batch,
@@ -520,7 +519,7 @@ class TestModelLevelLosses:
         assert abs(doubled - 2.0 * base) < 1e-10
 
     def test_partial_at_grads_exclude_encoder(self, dense_model, batch):
-        batch.x_adv = Tensor(batch.x.data + 0.02)
+        batch.x_adv = batch.x + 0.02
         dense_model.freeze_encoder = True
         dense_model.set_tracking(encoder=False, head=False, classifier=True)
         with GradientTape() as tape:
@@ -531,12 +530,12 @@ class TestModelLevelLosses:
     def test_full_at_identity_attack_collapses(self, dense_model, batch):
         cfg = LossConfig(scheme="SL", alpha=0.5, beta=0.5)
         std = losses.finetune_loss(dense_model, batch, cfg).item()  # no x_adv: CE(x)
-        batch.x_adv = Tensor(batch.x.data.copy())
+        batch.x_adv = batch.x.copy()
         full = losses.finetune_loss(dense_model, batch, cfg).item()
         assert abs(full - (0.5 + 0.5) * std) < 1e-12
 
     def test_full_at_encoder_grad_finite_diff(self, dense_model, batch, rng):
-        batch.x_adv = Tensor(batch.x.data + 0.02)
+        batch.x_adv = batch.x + 0.02
         cfg = LossConfig(scheme="SL")
         dense_model.set_tracking(encoder=True, head=False, classifier=True)
         w0 = dense_model.encoder_params[0][0]
@@ -577,7 +576,7 @@ class TestModelLevelLosses:
         wc.data = np.zeros_like(wc.data)
         bc.data = np.zeros_like(bc.data)
         x = rng.random((2, 5))
-        batch = ViewBatch(x=Tensor(x), x_prime=Tensor(x), x_double_prime=Tensor(x),
+        batch = ViewBatch(x=x, x_prime=x, x_double_prime=x,
                           y=np.zeros(2, dtype=int))
         cfg = LossConfig(scheme="SL+SCL", combo_weights=(1.0, 1.0))
         loss = losses.combined_scheme_loss(m, batch, cfg).item()

@@ -185,6 +185,24 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="malformed checkpoint header"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("garble, match", [
+        (lambda b: b[:4] + (2).to_bytes(4, "little") + b[8:],
+         "unsupported checkpoint version 2"),
+        (lambda b: b[:9] + len(b).to_bytes(4, "little") + b[13:],
+         "truncated checkpoint header"),
+        # head_dim 1<d>, same header length: the declared head shapes no longer fit
+        (lambda b: b.replace(b'"head_dim": ', b'"head_dim":1', 1),
+         "checkpoint shapes do not match declared config"),
+        (lambda b: b + bytes(8), "trailing bytes in checkpoint"),
+    ], ids=["version", "header-past-end", "shapes", "trailing-bytes"])
+    def test_inconsistent_file_raises_checkpoint_error(self, tmp_path, dense_model,
+                                                       garble, match):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(dense_model, p)
+        p.write_bytes(garble(p.read_bytes()))
+        with pytest.raises(CheckpointError, match=f"^{match}$"):
+            load_checkpoint(p)
+
     def test_freeze_flag_single_byte_diff(self, tmp_path, dense_model):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(dense_model, p1)

@@ -14,7 +14,6 @@ import pytest
 
 from robustcl import attacks, directional, evaluation, experiment, models
 from robustcl.data import ViewBatch
-from robustcl.tensor import Tensor
 
 CELLS = [("ST", "SL"), ("ST", "CL"), ("AT", "SL")]
 N_TEST = 256
@@ -56,9 +55,9 @@ class TestTM1Sanity:
     def test_worst_case_over_three_restarts_does_not_beat_one_run(self, committed, cell):
         cells, test = committed
         model, spec = cells[cell], directional.tm1_attack()
-        batch = ViewBatch(x=Tensor(test.inputs), y=test.labels)
+        batch = ViewBatch(x=test.inputs, y=test.labels)
         correct = [evaluation._predict(model, attacks.pgd(
-            model, batch, replace(spec, seed=seed)).data) == test.labels
+            model, batch, replace(spec, seed=seed))) == test.labels
             for seed in range(3)]
         single = _robust(model, test)
         assert correct[0].mean() == single  # restart 0 is the evaluation's run

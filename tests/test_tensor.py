@@ -229,6 +229,23 @@ class TestBackwardSkipsUntrackedInputs:
         assert seen == [(True, track_b_later)]
         assert (b in grads) == track_b_later
 
+    def test_a_node_whose_inputs_were_untracked_before_the_pass_is_skipped(self):
+        a = Tensor([1.0], grad_tracked=True)
+        h = Tensor([2.0], grad_tracked=True)
+        out = Tensor(3.0, grad_tracked=True)
+        seen = []
+
+        def bwd(g, need):
+            seen.append(need)
+            return (g,)
+
+        tape = GradientTape()
+        tape.record(h, [a], bwd)
+        tape.record(out, [h], lambda g, need: (g,))
+        a.grad_tracked = False
+        assert backward(tape, out) == {}
+        assert seen == []
+
 
 def _chain(x, w, b, relu):
     h = G.add(G.matmul(x, w), b)

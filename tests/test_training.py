@@ -9,7 +9,7 @@ from robustcl.attacks import AttackSpec
 from robustcl.data import AugmentSpec, ViewBatch
 from robustcl.losses import LossConfig, LossError
 from robustcl.models import EncoderConfig
-from robustcl.tensor import Tensor
+from robustcl.tensor import NonFiniteError, Tensor
 from robustcl.training import (Adam, RunRecord, ScenarioSpec, TrainingError,
                                run_scenario)
 
@@ -224,7 +224,7 @@ class TestPretrain:
     def test_requires_contrastive_scheme(self, gauss_splits):
         # SL trains in a single phase; the pretraining loss rejects it
         d_p, _ = gauss_splits
-        x = Tensor(d_p.inputs[:4])
+        x = d_p.inputs[:4]
         batch = ViewBatch(x=x, x_prime=x, x_double_prime=x, y=d_p.labels[:4])
         with pytest.raises(LossError):
             losses.pretrain_loss(fresh_model(), batch, LossConfig(scheme="SL"))
@@ -414,6 +414,17 @@ class TestRunScenario:
                            small_spec(scenario="ST", scheme="SL", finetune_epochs=1))
         for key in ("scenario", "scheme", "seed", "dataset_pretrain", "runtime_s"):
             assert key in rec.manifest
+
+
+@pytest.mark.parametrize("scheme", ["SL", "CL"])
+def test_an_overflowing_step_raises_non_finite_error_naming_dense(gauss_splits, scheme):
+    d_p, _ = gauss_splits
+    model = fresh_model()
+    w, _ = model.encoder_params[1]
+    w.data = np.full_like(w.data, 1e308)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteError, match="^non-finite values in output of dense$"):
+        run_scenario(model, d_p, d_p, small_spec(scenario="ST", scheme=scheme))
 
 
 def test_loss_csv_format(tmp_path):
