@@ -58,8 +58,10 @@ class Dataset:
     def fingerprint(self) -> str:
         if self._fingerprint is None:
             h = hashlib.sha256()
-            h.update(np.ascontiguousarray(self.inputs, dtype="<f8").tobytes())
-            h.update(np.ascontiguousarray(self.labels, dtype="<i8").tobytes())
+            # the buffers themselves: a tobytes() copy of the inputs costs
+            # as much memory as the dataset
+            h.update(np.ascontiguousarray(self.inputs, dtype="<f8"))
+            h.update(np.ascontiguousarray(self.labels, dtype="<i8"))
             self._fingerprint = h.hexdigest()[:16]
         return self._fingerprint
 
@@ -237,6 +239,10 @@ def gen_synthetic(kind: str, n: int, dim: int, n_classes: int, seed: int,
     return Dataset(x[perm], labels[perm], f"{kind}_d{dim}_c{n_classes}", n_classes)
 
 
+# images per block of `gen_bar_images`: its draw and arithmetic buffers
+_BAR_BLOCK = 256
+
+
 def gen_bar_images(n: int, size: int = 16, n_classes: int = 10, seed: int = 0,
                    contrast: float = 0.45, noise_sigma: float = 0.12,
                    shortcut_amp: float = 0.0) -> Dataset:
@@ -250,12 +256,14 @@ def gen_bar_images(n: int, size: int = 16, n_classes: int = 10, seed: int = 0,
     feature (coarse enough to survive small crop shifts) that an adversary
     with epsilon >= shortcut_amp can erase or impersonate.
 
-    Only the random draws run per image, in loop order: two jitter integers,
-    then the image's noise. The arithmetic then runs once over the batch,
-    each pixel getting the same operations in the same order as one image
-    at a time would, so the bytes do not depend on the batching. The noise
-    buffer is freed before quantizing, which then works in place: a live
-    copy of the batch at that point raises the peak memory of every set-up.
+    The images are made in blocks of `_BAR_BLOCK`. For each block, only the
+    random draws run per image, in loop order: two jitter integers, then the
+    image's noise. The block's arithmetic then runs straight into its rows of
+    the output, each pixel getting the same operations in the same order as
+    one image at a time would, so the bytes depend neither on the batching
+    nor on the block size. Held at once: the output, one block's noise and
+    class-pattern gather and, from the final permutation on, its permuted
+    copy; at the fixture's 2500 16x16 images that is 2.4x the output.
     """
     check_bar_images(n, n_classes, shortcut_amp)
     rng = np.random.default_rng(seed)
@@ -265,30 +273,33 @@ def gen_bar_images(n: int, size: int = 16, n_classes: int = 10, seed: int = 0,
     block = 4
     grid = -(-size // block)
     coarse = (mask_rng.random((n_classes, grid, grid)) < 0.5).astype(np.float64)
-    class_masks = np.kron(coarse, np.ones((block, block)))[:, :size, :size]
+    stamps = shortcut_amp * np.kron(coarse, np.ones((block, block)))[:, :size, :size]
     labels = (np.arange(n) % n_classes).astype(np.int64)
-    jitter = np.empty((n, 2), dtype=np.int64)
-    noise = np.empty((n, size, size))
-    for i in range(n):
-        jitter[i, 0] = rng.integers(-1, 2)
-        jitter[i, 1] = rng.integers(-1, 2)
-        rng.standard_normal(out=noise[i])
-    r = np.clip(1 + (labels % 5) * (size - 3) // 5 + jitter[:, 0], 0, size - 1)
-    c = np.clip(2 + (labels // 5) * (size - 6) + jitter[:, 1], 0, size - 1)
     images = np.zeros((n, 1, size, size))
-    img = images[:, 0]
-    idx = np.arange(n)
-    img[idx, r, :] += contrast
-    img[idx, :, c] += contrast
-    img += (shortcut_amp * class_masks)[labels]
-    noise *= noise_sigma
-    img += noise
-    del noise
-    np.clip(img, 0.0, 1.0, out=img)
-    # quantize like an 8-bit image file would
-    img *= 255.0
-    np.round(img, out=img)
-    img /= 255.0
+    rows = min(n, _BAR_BLOCK)
+    jitter = np.empty((rows, 2), dtype=np.int64)
+    noise = np.empty((rows, size, size))
+    for start in range(0, n, _BAR_BLOCK):
+        m = min(_BAR_BLOCK, n - start)
+        for i in range(m):
+            jitter[i, 0] = rng.integers(-1, 2)
+            jitter[i, 1] = rng.integers(-1, 2)
+            rng.standard_normal(out=noise[i])
+        k = labels[start:start + m]
+        r = np.clip(1 + (k % 5) * (size - 3) // 5 + jitter[:m, 0], 0, size - 1)
+        c = np.clip(2 + (k // 5) * (size - 6) + jitter[:m, 1], 0, size - 1)
+        img = images[start:start + m, 0]
+        idx = np.arange(m)
+        img[idx, r, :] += contrast
+        img[idx, :, c] += contrast
+        img += stamps[k]
+        noise[:m] *= noise_sigma
+        img += noise[:m]
+        np.clip(img, 0.0, 1.0, out=img)
+        # quantize like an 8-bit image file would
+        img *= 255.0
+        np.round(img, out=img)
+        img /= 255.0
     perm = rng.permutation(n)
     return Dataset(images[perm], labels[perm], f"bars{size}_c{n_classes}", n_classes)
 
@@ -296,6 +307,14 @@ def gen_bar_images(n: int, size: int = 16, n_classes: int = 10, seed: int = 0,
 # ---------------------------------------------------------------------------
 # augmentation views
 # ---------------------------------------------------------------------------
+
+def _add_noise(out: np.ndarray, sigma: float, rng: np.random.Generator) -> None:
+    """out += sigma * N(0, 1), drawn and scaled in one batch-sized buffer."""
+    if sigma > 0:
+        noise = rng.standard_normal(out.shape)
+        noise *= sigma
+        out += noise
+
 
 def _augment_once(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator,
                   is_image: bool) -> np.ndarray:
@@ -326,13 +345,11 @@ def _augment_once(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator,
                     r = int(rng.integers(0, max(1, h - p)))
                     cc = int(rng.integers(0, max(1, w - p)))
                     out[i, :, r:r + p, cc:cc + p] = 0.0
-        if spec.gaussian_noise_sigma > 0:
-            out += rng.standard_normal(out.shape) * spec.gaussian_noise_sigma
+        _add_noise(out, spec.gaussian_noise_sigma, rng)
         np.clip(out, 0.0, 1.0, out=out)
     else:
         out = x.copy()
-        if spec.gaussian_noise_sigma > 0:
-            out += rng.standard_normal(out.shape) * spec.gaussian_noise_sigma
+        _add_noise(out, spec.gaussian_noise_sigma, rng)
         if spec.feature_dropout_prob > 0:
             keep = rng.random(out.shape) >= spec.feature_dropout_prob
             out *= keep

@@ -187,14 +187,25 @@ def _train_step(model: ModelBundle, spec: ScenarioSpec, phase: _Phase, opt: Adam
     return loss.item()
 
 
+def _batch(model: ModelBundle, spec: ScenarioSpec, phase: _Phase, attack, xb: np.ndarray,
+           yb: np.ndarray, seed: int) -> ViewBatch:
+    """The step's batch: x and y, the phase's views and the attack's x_adv,
+    each checked against x and y by `ViewBatch`."""
+    views = data.make_views(xb, spec.augment, seed=seed) if phase.views else (None, None)
+    batch = ViewBatch(xb, *views, y=yb)
+    if attack is None:
+        return batch
+    # replace() re-runs the checks with x_adv in the batch
+    return replace(batch, x_adv=attacks.pgd(model, batch, replace(attack, seed=seed)))
+
+
 def _run_phase(model: ModelBundle, spec: ScenarioSpec, phase: _Phase) -> list:
     """Train one phase; returns its (epoch, phase, mean loss) curve.
 
     Under an attack, x_adv is regenerated every step from the current
-    parameters (online min-max training). A step's tape and loss buffers
-    live only through its own optimizer step (`_train_step`), so they are
-    freed before the next step makes its views and runs its attack; its
-    batch lives until the next batch is drawn.
+    parameters (online min-max training). A step's batch, tape and loss
+    buffers live only through its own optimizer step (`_train_step`), so
+    they are freed before the next step makes its views and runs its attack.
     """
     if phase.name == "finetune":
         models.reinit_classifier(model, seed=spec.seed + 1)
@@ -214,13 +225,8 @@ def _run_phase(model: ModelBundle, spec: ScenarioSpec, phase: _Phase) -> list:
         for step, (xb, yb) in enumerate(
                 data.iter_batches(phase.dataset, batch_size, phase.data_seed, epoch)):
             step_seed = hash(phase.seed_prefix + (epoch, step)) & 0x7FFFFFFF
-            batch = ViewBatch(x=xb, y=yb)
-            if phase.views:
-                batch.x_prime, batch.x_double_prime = data.make_views(
-                    xb, spec.augment, seed=step_seed)
-            if attack is not None:
-                batch.x_adv = attacks.pgd(model, batch, replace(attack, seed=step_seed))
-            losses_epoch.append(_train_step(model, spec, phase, opt, batch))
+            losses_epoch.append(_train_step(
+                model, spec, phase, opt, _batch(model, spec, phase, attack, xb, yb, step_seed)))
         curve.append((epoch, phase.name, float(np.mean(losses_epoch))))
     return curve
 

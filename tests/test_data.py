@@ -1,11 +1,13 @@
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from robustcl.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, AugmentSpec,
-                           DataError, Dataset, gen_bar_images, gen_synthetic,
+from robustcl.data import (_BAR_BLOCK, IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, AugmentSpec,
+                           DataError, Dataset, ViewBatch, gen_bar_images, gen_synthetic,
                            iter_batches, load_csv, load_idx, make_views, split,
                            write_csv, write_idx)
 
@@ -319,6 +321,41 @@ def _oracle_bar_images(n, size=16, n_classes=10, seed=0, contrast=0.45,
     return images[perm], labels[perm]
 
 
+def _whole_batch_bar_images(n, size=16, n_classes=10, seed=0, contrast=0.45,
+                            noise_sigma=0.12, shortcut_amp=0.0):
+    """The bar-image generator over the whole batch at once, as it was before
+    it ran in blocks: the oracle for the block boundaries of
+    `data.gen_bar_images`."""
+    rng = np.random.default_rng(seed)
+    mask_rng = np.random.default_rng(seed + 1000003)
+    grid = -(-size // 4)
+    coarse = (mask_rng.random((n_classes, grid, grid)) < 0.5).astype(np.float64)
+    class_masks = np.kron(coarse, np.ones((4, 4)))[:, :size, :size]
+    labels = (np.arange(n) % n_classes).astype(np.int64)
+    jitter = np.empty((n, 2), dtype=np.int64)
+    noise = np.empty((n, size, size))
+    for i in range(n):
+        jitter[i, 0] = rng.integers(-1, 2)
+        jitter[i, 1] = rng.integers(-1, 2)
+        rng.standard_normal(out=noise[i])
+    r = np.clip(1 + (labels % 5) * (size - 3) // 5 + jitter[:, 0], 0, size - 1)
+    c = np.clip(2 + (labels // 5) * (size - 6) + jitter[:, 1], 0, size - 1)
+    images = np.zeros((n, 1, size, size))
+    img = images[:, 0]
+    idx = np.arange(n)
+    img[idx, r, :] += contrast
+    img[idx, :, c] += contrast
+    img += (shortcut_amp * class_masks)[labels]
+    noise *= noise_sigma
+    img += noise
+    np.clip(img, 0.0, 1.0, out=img)
+    img *= 255.0
+    np.round(img, out=img)
+    img /= 255.0
+    perm = rng.permutation(n)
+    return Dataset(images[perm], labels[perm], f"bars{size}_c{n_classes}", n_classes)
+
+
 class TestBarImagesOracle:
     # size 3 pushes the column bar of classes 5-9 below 0, so the clip acts
     @pytest.mark.parametrize("size", [3, 8, 12, 16, 20, 28])
@@ -343,6 +380,34 @@ class TestBarImagesOracle:
             assert ds.inputs.tobytes() == x.tobytes(), (n, kw)
             assert ds.labels.tobytes() == y.tobytes(), (n, kw)
             assert (ds.name, ds.n_classes) == (f"bars{size}_c{n_classes}", n_classes)
+
+    @pytest.mark.parametrize("n", [10, _BAR_BLOCK - 1, _BAR_BLOCK, _BAR_BLOCK + 1,
+                                   2 * _BAR_BLOCK + 3])
+    @pytest.mark.parametrize("size", [8, 16])
+    def test_blocks_equal_the_whole_batch(self, n, size):
+        for amp in (0.0, 0.08):
+            for seed in (0, 7):
+                kw = dict(size=size, n_classes=10, seed=seed, shortcut_amp=amp)
+                ds, want = gen_bar_images(n, **kw), _whole_batch_bar_images(n, **kw)
+                assert ds.inputs.tobytes() == want.inputs.tobytes(), (n, kw)
+                assert ds.labels.tobytes() == want.labels.tobytes(), (n, kw)
+                assert ds.name == want.name
+
+    def test_fixture_peaks_below_two_and_a_half_outputs(self):
+        """The output, its permuted copy and one block's buffers: a noise
+        buffer of the whole batch would make it 3.2x."""
+        from robustcl import directional, experiment
+
+        cfg = directional.fixture_config()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ds = experiment.build_dataset(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert ds.n == 2500
+        assert peak < 2.5 * ds.inputs.nbytes
 
     def test_fixture_fingerprint_is_pinned(self):
         from robustcl import directional, experiment
@@ -440,6 +505,32 @@ class TestDatasetFingerprint:
         first = ds.fingerprint()
         assert ds.fingerprint() == first and len(calls) == 1
         assert ds.subset(np.arange(ds.n)).fingerprint() == first and len(calls) == 2
+
+
+    def test_hashes_the_buffers_without_copying_them(self):
+        ds = gen_bar_images(2000, size=16, n_classes=10, seed=0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            got = ds.fingerprint()
+            allocated = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert allocated < 64 * 1024  # the inputs alone are 4.1 MB
+        want = hashlib.sha256(ds.inputs.tobytes() + ds.labels.tobytes()).hexdigest()[:16]
+        assert got == want
+
+
+class TestViewBatch:
+    def test_members_must_share_the_leading_dimension(self):
+        x = np.zeros((4, 3))
+        for short in ("x_prime", "x_double_prime", "x_adv"):
+            with pytest.raises(DataError, match="leading dimension"):
+                ViewBatch(x, **{short: x[1:]})
+
+    def test_labels_must_count_the_rows(self):
+        with pytest.raises(DataError, match="label count"):
+            ViewBatch(np.zeros((4, 3)), y=np.zeros(3, dtype=np.int64))
 
 
 def test_dataset_rejects_nonfinite():

@@ -427,6 +427,38 @@ def test_an_overflowing_step_raises_non_finite_error_naming_dense(gauss_splits, 
         run_scenario(model, d_p, d_p, small_spec(scenario="ST", scheme=scheme))
 
 
+@pytest.mark.parametrize("scenario, scheme, phase_index, short", [
+    ("ST", "CL", 0, "views"),
+    ("AT", "SCL", 0, "x_adv"),
+    ("AT", "SL", 0, "x_adv"),
+    ("Full-AT", "CL", 1, "x_adv"),  # the fine-tuning attack
+])
+def test_a_short_view_or_attack_stops_the_step_before_its_loss(
+        gauss_splits, monkeypatch, scenario, scheme, phase_index, short):
+    """Every member of a training batch is checked against its x and y: a
+    view or x_adv one row short raises DataError, and no loss runs."""
+    d_p, _ = gauss_splits
+    called = []
+    for name in ("pretrain_loss", "finetune_loss", "combined_scheme_loss"):
+        monkeypatch.setattr(losses, name, lambda *args, name=name: called.append(name))
+    if short == "views":
+        make_views = data.make_views
+
+        def short_views(x, spec, seed):
+            xp, xpp = make_views(x, spec, seed)
+            return xp, xpp[:-1]
+
+        monkeypatch.setattr(data, "make_views", short_views)
+    else:
+        monkeypatch.setattr(attacks, "pgd", lambda model, batch, spec: batch.x[1:].copy())
+    spec = small_spec(scenario=scenario, scheme=scheme, pretrain_epochs=1, finetune_epochs=1,
+                      train_attack=AttackSpec(epsilon=0.05, steps=1, clamp=None))
+    phase = training._phases(spec, d_p, d_p)[phase_index]
+    with pytest.raises(data.DataError, match="batch members disagree on leading dimension"):
+        training._run_phase(fresh_model(), spec, phase)
+    assert called == []
+
+
 def test_loss_csv_format(tmp_path):
     rec = RunRecord([(0, "pretrain", 1.5), (1, "finetune", 0.25)], {})
     p = tmp_path / "loss.csv"
