@@ -187,8 +187,8 @@ def _train_step(model: ModelBundle, spec: ScenarioSpec, phase: _Phase, opt: Adam
     return loss.item()
 
 
-def _batch(model: ModelBundle, spec: ScenarioSpec, phase: _Phase, attack, xb: np.ndarray,
-           yb: np.ndarray, seed: int) -> ViewBatch:
+def _batch(model: ModelBundle, spec: ScenarioSpec, phase: _Phase, attack: AttackSpec | None,
+           xb: np.ndarray, yb: np.ndarray, seed: int) -> ViewBatch:
     """The step's batch: x and y, the phase's views and the attack's x_adv,
     each checked against x and y by `ViewBatch`."""
     views = data.make_views(xb, spec.augment, seed=seed) if phase.views else (None, None)
