@@ -16,21 +16,28 @@ Positives are never dense float masks. NT-Xent and cross-entropy have one
 positive per row, a column index (row i's other view, (i + n) mod 2n, or
 its label): the node gathers those logits and subtracts the gradient's
 positive term at those entries only, bit for bit what a one-hot mask's row
-sum and product give. SupCon's positives are a boolean (m, m) mask. The
-contrastive node runs its row softmax in place over its own logit buffer
-and turns that buffer into the logit gradient, so a pass holds about one
-(m, m) array; cross-entropy's logits belong to its input and are not
-written.
+sum and product give. SupCon's positives are a boolean (m, m) mask, and its
+products with the mask are formed over fixed blocks of rows, so no float
+(m, m) positive array exists. The contrastive node runs its row softmax in
+place over its own logit buffer and turns that buffer into the logit
+gradient, so a pass holds one float (m, m) array and a few row blocks;
+cross-entropy's logits belong to its input and are not written.
 
 A PGD attack uses a target instead: `ContrastiveTarget` (around the clean
 embedding) or `CrossEntropyTarget` (around the labels), built once per
 attack. Each returns the gradient with respect to the iterate's embedding
 or logits, bitwise the node's, and computes no loss value.
+
+A training phase's loss is a list of weighted terms, `(weight, term)` with
+`term()` the unweighted scalar Tensor (`pretrain_loss`, `finetune_loss`,
+`combined_scheme_loss`). Building the list checks the arguments and runs no
+forward; the training step runs each term on its own tape.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +50,8 @@ SCHEMES = ("CL", "SCL", "SL", "SL+CL", "CL+SCL", "SL+SCL")
 
 DEFAULT_TAU_CL = 0.5
 DEFAULT_TAU_SCL = 0.1
+# rows per block of SupCon's products with its (m, m) positive mask
+_ROW_BLOCK = 64
 
 
 class LossError(Exception):
@@ -132,32 +141,38 @@ def _row_softmax(s: np.ndarray, out=None):
     return mx, e, e.sum(axis=1)
 
 
+def _row_blocks(m: int):
+    """Slices of `_ROW_BLOCK` rows covering m rows."""
+    return (slice(i, i + _ROW_BLOCK) for i in range(0, m, _ROW_BLOCK))
+
+
 def _positive_logits(s: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Each row's sum of its positives' logits. `pos` is one positive column
     per row (int, (m,)) or a boolean (m, m) mask. A row summed against a
-    one-hot row is exactly its one entry, so the column case gathers it."""
+    one-hot row is exactly its one entry, so the column case gathers it;
+    the mask case sums (s * pos) a block of rows at a time, each row with
+    the products and the reduction it gets in the whole array."""
     if pos.ndim == 1:
         return s[np.arange(len(s)), pos]
-    return (s * pos).sum(axis=1)
-
-
-def _positive_term(gw: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """gw * the positive mask, the term `_logit_grad` subtracts: `gw` itself
-    for one positive column per row, else the (m, m) product."""
-    return gw if pos.ndim == 1 else gw[:, None] * pos
+    out = np.empty(len(s))
+    for rows in _row_blocks(len(s)):
+        out[rows] = (s[rows] * pos[rows]).sum(axis=1)
+    return out
 
 
 def _logit_grad(e: np.ndarray, r: np.ndarray, gw_counts: np.ndarray,
-                pos: np.ndarray, pos_term: np.ndarray) -> np.ndarray:
+                pos: np.ndarray, gw: np.ndarray) -> np.ndarray:
     """d loss / d s, written over `e`: e * (gw*counts / r) - gw * pos_mask,
-    with gw = g * c * weights and `pos_term` = `_positive_term(gw, pos)`.
-    With one positive column per row the term is subtracted at those
-    entries only: everywhere else it is gw * 0.0, and x - 0.0 is x."""
+    with gw = g * c * weights. With one positive column per row the term is
+    subtracted at those entries only: everywhere else it is gw * 0.0, and
+    x - 0.0 is x. A mask's term is formed and subtracted a block of rows
+    at a time, the same elementwise products and differences."""
     g_s = np.multiply(e, (gw_counts / r)[:, None], out=e)
     if pos.ndim == 1:
-        g_s[np.arange(len(g_s)), pos] -= pos_term
+        g_s[np.arange(len(g_s)), pos] -= gw
     else:
-        g_s -= pos_term
+        for rows in _row_blocks(len(g_s)):
+            g_s[rows] -= gw[rows, None] * pos[rows]
     return g_s
 
 
@@ -191,7 +206,7 @@ def _softmax_xent(x: Tensor, s: np.ndarray, pos: np.ndarray,
 
     def bwd(g, need):
         gw = g * c * weights
-        g_s = _logit_grad(e, r, gw * counts, pos, _positive_term(gw, pos))
+        g_s = _logit_grad(e, r, gw * counts, pos, gw)
         return (g_s if to_input is None else to_input(g_s),)
 
     return T._maybe_record(out, [x], bwd)
@@ -235,8 +250,9 @@ class ContrastiveTarget:
 
     What does not change across steps is built once: the l2-normalized
     clean rows, the positives (SupCon pairs labels `y` with themselves),
-    the `gw * pos_mask` term of the logit gradient (upstream 1) and the
-    m x m work buffer, NT-Xent's one m x m array. `grad(z)` returns
+    the per-row weights gw of the logit gradient (upstream 1) and the
+    m x m work buffer, its one float m x m array; SupCon's gw * pos_mask
+    term is formed a block of rows at a time at each step. `grad(z)` returns
     d loss / d z alone. Its arithmetic is the fused node's, in the same
     order and with every matmul at its full (2n, 2n) shape, so the gradient
     is bitwise the taped one; blocks of those products do not reproduce
@@ -261,7 +277,7 @@ class ContrastiveTarget:
         self._k = float(1.0 / tau)
         self._gw_counts = gw * counts
         self._pos = pos
-        self._pos_term = _positive_term(gw, pos)
+        self._gw = gw
         self._y = np.concatenate([y_clean, np.empty_like(y_clean)])
         self._s = np.empty((2 * n, 2 * n))
 
@@ -271,7 +287,7 @@ class ContrastiveTarget:
         self._y[self._n:] = y_cur
         s, yt = _similarity_logits(self._y, self._k, out=self._s)
         _, e, r = _row_softmax(s, out=s)
-        g_s = _logit_grad(e, r, self._gw_counts, self._pos, self._pos_term)
+        g_s = _logit_grad(e, r, self._gw_counts, self._pos, self._gw)
         g_y = _similarity_input_grad(g_s, self._y, yt, self._k)
         return T.unit_rows_grad(g_y[self._n:], y_cur, norms)
 
@@ -306,7 +322,7 @@ class CrossEntropyTarget:
 
     def grad(self, logits: np.ndarray) -> np.ndarray:
         _, e, r = _row_softmax(logits, out=logits)
-        return _logit_grad(e, r, self._gw, self._y, _positive_term(self._gw, self._y))
+        return _logit_grad(e, r, self._gw, self._y, self._gw)
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +335,29 @@ def _embed(model, x: np.ndarray) -> Tensor:
     return models.project(model, rep)
 
 
-def contrastive_pair_loss(model, xa: np.ndarray, xb: np.ndarray, constituent: str,
-                          y: np.ndarray | None, cfg: LossConfig) -> Tensor:
-    """One contrastive term over a view pair, through encoder + head."""
-    za = _embed(model, xa)
-    zb = _embed(model, xb)
-    tau = cfg.tau(constituent)
-    if constituent == "CL":
-        return nt_xent(za, zb, tau)
-    if y is None:
+def contrastive_pair_term(model, xa: np.ndarray, xb: np.ndarray, constituent: str,
+                          y: np.ndarray | None, cfg: LossConfig) -> Callable[[], Tensor]:
+    """One contrastive term over a view pair, through encoder + head, as a
+    function of no arguments; the labels are checked here, the forward runs
+    when the term is called."""
+    if constituent != "CL" and y is None:
         raise LossError("SCL constituent requires labels")
-    z = T.concat_rows(za, zb)
-    return supcon(z, np.concatenate([y, y]), tau)
+    tau = cfg.tau(constituent)
+
+    def term() -> Tensor:
+        za = _embed(model, xa)
+        zb = _embed(model, xb)
+        if constituent == "CL":
+            return nt_xent(za, zb, tau)
+        return supcon(T.concat_rows(za, zb), np.concatenate([y, y]), tau)
+
+    return term
 
 
-def pretrain_loss(model, batch, cfg: LossConfig) -> Tensor:
-    """alpha * L(x', x'') + beta * L(x, x_adv) for scheme CL or SCL; a batch
-    without x_adv has no adversarial term."""
+def pretrain_loss(model, batch, cfg: LossConfig) -> list:
+    """alpha * L(x', x'') + beta * L(x, x_adv) for scheme CL or SCL, as the
+    terms [(alpha, L(x', x'')), (beta, L(x, x_adv))]; a term whose weight
+    is 0 is left out, and a batch without x_adv has no adversarial term."""
     if cfg.scheme not in ("CL", "SCL"):
         raise LossError(f"pretrain_loss: scheme must be CL or SCL, got {cfg.scheme}")
     if batch.x_prime is None or batch.x_double_prime is None:
@@ -345,13 +367,12 @@ def pretrain_loss(model, batch, cfg: LossConfig) -> Tensor:
         raise LossError("pretrain_loss: SCL requires labels")
     terms = []
     if cfg.alpha != 0.0:
-        clean = contrastive_pair_loss(model, batch.x_prime, batch.x_double_prime,
-                                      cfg.scheme, y, cfg)
-        terms.append(T.scale(clean, cfg.alpha))
+        terms.append((cfg.alpha, contrastive_pair_term(
+            model, batch.x_prime, batch.x_double_prime, cfg.scheme, y, cfg)))
     if cfg.beta != 0.0 and batch.x_adv is not None:
-        adv = contrastive_pair_loss(model, batch.x, batch.x_adv, cfg.scheme, y, cfg)
-        terms.append(T.scale(adv, cfg.beta))
-    return functools.reduce(T.add, terms) if terms else Tensor(0.0)
+        terms.append((cfg.beta, contrastive_pair_term(
+            model, batch.x, batch.x_adv, cfg.scheme, y, cfg)))
+    return terms
 
 
 def _ce_through(model, x: np.ndarray, y: np.ndarray) -> Tensor:
@@ -359,24 +380,24 @@ def _ce_through(model, x: np.ndarray, y: np.ndarray) -> Tensor:
     return cross_entropy(models.classify(model, rep), y)
 
 
-def finetune_loss(model, batch, cfg: LossConfig) -> Tensor:
-    """CE(x) on a clean batch; alpha*CE(x) + beta*CE(x_adv) on one that
-    carries x_adv. The caller controls which parameters are tracked."""
+def finetune_loss(model, batch, cfg: LossConfig) -> list:
+    """CE(x) on a clean batch, the one term (1.0, CE(x)); alpha*CE(x) +
+    beta*CE(x_adv) on one that carries x_adv. The caller controls which
+    parameters are tracked."""
     if batch.y is None:
         raise LossError("finetune_loss: labels required")
+    clean = functools.partial(_ce_through, model, batch.x, batch.y)
     if batch.x_adv is None:
-        return _ce_through(model, batch.x, batch.y)
-    clean = T.scale(_ce_through(model, batch.x, batch.y), cfg.alpha)
-    adv = T.scale(_ce_through(model, batch.x_adv, batch.y), cfg.beta)
-    return T.add(clean, adv)
+        return [(1.0, clean)]
+    return [(cfg.alpha, clean),
+            (cfg.beta, functools.partial(_ce_through, model, batch.x_adv, batch.y))]
 
 
-def combined_scheme_loss(model, batch, cfg: LossConfig) -> Tensor:
-    """Equal-weight sum of constituent losses for SL+CL, CL+SCL, SL+SCL.
-
-    CE runs through the classifier branch, contrastive constituents through
-    the head branch, all in one joint graph.
-    """
+def combined_scheme_loss(model, batch, cfg: LossConfig) -> list:
+    """The constituents of SL+CL, CL+SCL or SL+SCL, each weighted by its
+    entry of `cfg.combo_weights`; a constituent whose weight is 0 is left
+    out. CE runs through the classifier branch, the contrastive
+    constituents through the head branch."""
     if "+" not in cfg.scheme:
         raise LossError(f"combined_scheme_loss: {cfg.scheme} is not a combination")
     terms = []
@@ -386,11 +407,11 @@ def combined_scheme_loss(model, batch, cfg: LossConfig) -> Tensor:
         if part == "SL":
             if batch.y is None:
                 raise LossError("SL constituent requires labels")
-            terms.append(T.scale(_ce_through(model, batch.x, batch.y), w))
+            term = functools.partial(_ce_through, model, batch.x, batch.y)
         else:
             if batch.x_prime is None or batch.x_double_prime is None:
                 raise LossError(f"{part} constituent requires augmented views")
-            loss = contrastive_pair_loss(model, batch.x_prime, batch.x_double_prime,
+            term = contrastive_pair_term(model, batch.x_prime, batch.x_double_prime,
                                          part, batch.y, cfg)
-            terms.append(T.scale(loss, w))
-    return functools.reduce(T.add, terms) if terms else Tensor(0.0)
+        terms.append((w, term))
+    return terms

@@ -102,20 +102,27 @@ def _maybe_record(out: Tensor, inputs, backward_fn) -> Tensor:
     return out
 
 
-def backward(tape: GradientTape, output: Tensor):
+def backward(tape: GradientTape, output: Tensor, grads: dict | None = None):
     """Reverse pass over `tape` from d output / d output = 1 for a scalar
     `output`; returns {leaf Tensor: gradient ndarray}, an entry for every
     grad_tracked leaf reachable from `output` (a tensor no node of this
     tape produced), keyed by identity. Every consumer of a node's output
     comes later on the tape, so its gradient is complete when its node is
     reached; the pass pops it there. A tape can be consumed only once.
+
+    Given a map `grads`, the pass adds into it and returns it: a leaf's
+    entry becomes entry + this tape's gradient, so running several loss
+    terms' tapes one after another into one map sums their gradients in
+    the order the tapes run.
     """
     if tape.consumed:
         raise TensorError("tape already consumed by a previous backward pass")
     if output.data.shape not in ((), (1,)):
         raise TensorError(f"backward requires a scalar output, got {output.shape}")
     tape.consumed = True
-    grads = {output: np.ones_like(output.data)}
+    grads = {} if grads is None else grads
+    seed = np.ones_like(output.data)
+    grads[output] = grads[output] + seed if output in grads else seed
     for out, inputs, backward_fn in reversed(tape.nodes):
         g = grads.pop(out, None)
         if g is None:

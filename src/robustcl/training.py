@@ -6,6 +6,8 @@ fine-tuning phase. One phase runner trains each with an Adam optimizer."""
 
 from __future__ import annotations
 
+import functools
+import operator
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -149,7 +151,7 @@ class _Phase:
     views: bool
     driving_loss: str | None  # the train attack's driving loss; None: no attack
     trains: tuple  # (encoder, head, classifier)
-    loss: Callable  # (model, batch, LossConfig) -> scalar Tensor
+    loss: Callable  # (model, batch, LossConfig) -> [(weight, term)], see `losses`
 
 
 def _phases(spec: ScenarioSpec, d_p: Dataset, d_f: Dataset) -> list:
@@ -177,14 +179,32 @@ def _phases(spec: ScenarioSpec, d_p: Dataset, d_f: Dataset) -> list:
     return [first, second]
 
 
+def _backward_term(weight: float, term: Callable, grads: dict) -> float:
+    """Run weight * term() on its own tape and add its gradients into
+    `grads`; returns its value. The tape, and with it every node's
+    buffers, is freed on return."""
+    with GradientTape() as tape:
+        loss = T.scale(term(), weight)
+    T.backward(tape, loss, grads)
+    return loss.item()
+
+
 def _train_step(model: ModelBundle, spec: ScenarioSpec, phase: _Phase, opt: Adam,
                 batch: ViewBatch) -> float:
-    """One optimizer step on `batch`; returns the loss value. The tape, and
-    with it every node's buffers, is freed on return."""
-    with GradientTape() as tape:
-        loss = phase.loss(model, batch, spec.loss)
-    opt.step(T.backward(tape, loss))
-    return loss.item()
+    """One optimizer step on `batch`; returns the loss value, the sum of the
+    phase loss's weighted terms in their order.
+
+    Each term runs forward and backward on its own tape, last term first,
+    so only one term's graph is alive at a time. Into the shared map each
+    parameter's gradient is summed in the order one tape over all terms
+    would give (its reverse pass meets the last term first), and the
+    values are summed first to last as that tape's adds would, so the step
+    is bitwise the joint graph's."""
+    grads = {}
+    terms = phase.loss(model, batch, spec.loss)
+    values = [_backward_term(w, term, grads) for w, term in reversed(terms)][::-1]
+    opt.step(grads)
+    return functools.reduce(operator.add, values) if values else 0.0
 
 
 def _batch(model: ModelBundle, spec: ScenarioSpec, phase: _Phase, attack: AttackSpec | None,
@@ -203,9 +223,10 @@ def _run_phase(model: ModelBundle, spec: ScenarioSpec, phase: _Phase) -> list:
     """Train one phase; returns its (epoch, phase, mean loss) curve.
 
     Under an attack, x_adv is regenerated every step from the current
-    parameters (online min-max training). A step's batch, tape and loss
-    buffers live only through its own optimizer step (`_train_step`), so
-    they are freed before the next step makes its views and runs its attack.
+    parameters (online min-max training). A step's batch lives only through
+    its own optimizer step (`_train_step`), and each of its loss terms' tape
+    and buffers only through that term's backward, so all are freed before
+    the next step makes its views and runs its attack.
     """
     if phase.name == "finetune":
         models.reinit_classifier(model, seed=spec.seed + 1)

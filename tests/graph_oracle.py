@@ -8,12 +8,16 @@ that the fused nodes must match bit for bit (`test_losses.py`,
 `test_tensor.py`), and check gradients against central finite
 differences. These primitives record on the real tape through
 `tensor._maybe_record`, so the oracles run the package's `backward`.
+`joint_loss` composes a phase loss's weighted terms into one graph, the
+oracle for the training step's one tape per term.
 
     import graph_oracle as G
     err = G.finite_diff_check(lambda t: G.tsum(T.mul(t, t)), x)
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -82,6 +86,14 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         return (full,)
 
     return _maybe_record(out, [a], bwd)
+
+
+def joint_loss(terms) -> Tensor:
+    """sum of weight * term() over a phase loss's `(weight, term)` list, as
+    one graph: the terms run first to last and are added in that order;
+    0.0 without terms."""
+    scaled = [scale(term(), w) for w, term in terms]
+    return functools.reduce(T.add, scaled) if scaled else Tensor(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -386,7 +386,8 @@ def _tape_attack_grad(z_clean, z, driving_loss, tau, y):
 class TestContrastiveTarget:
     @pytest.mark.parametrize("tau", [None, 0.2])
     @pytest.mark.parametrize("driving_loss", ["CL", "SCL"])
-    @pytest.mark.parametrize("n", [1, 2, 7, 64, 208, 244, 256])
+    # 65 stacks to 130 rows: SupCon's row blocks end in a partial block
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 208, 244, 256])
     def test_grad_is_the_fused_nodes_bit_for_bit(self, n, driving_loss, tau, rng):
         if tau is None:
             tau = losses.DEFAULT_TAU_CL if driving_loss == "CL" else losses.DEFAULT_TAU_SCL
@@ -460,12 +461,90 @@ class TestMemory:
         # the logits, row-softmaxed and turned into their gradient in place
         assert peak < 1.5 * (2 * n) ** 2 * 8
 
-    def test_cl_target_holds_one_logit_array(self, rng):
+    def test_supcon_pass_peaks_near_one_logit_array(self, rng):
+        m = 512
+        z = rng.standard_normal((m, 16))
+        y = _supcon_labels(rng, m)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _run(lambda t: supcon(t, y, 0.1), [z], [True], 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # the logits and their gradient in place, the boolean mask and one
+        # row block of its products; no float (m, m) positive array
+        assert peak < 1.5 * m ** 2 * 8
+
+    @pytest.mark.parametrize("driving_loss", ["CL", "SCL"])
+    def test_target_holds_one_float_logit_array(self, driving_loss, rng):
         n = 256
-        target = losses.ContrastiveTarget(rng.standard_normal((n, 16)), "CL", 0.5)
+        y = rng.integers(0, 10, n)
+        target = losses.ContrastiveTarget(rng.standard_normal((n, 16)), driving_loss, 0.5, y)
         square = [name for name, v in vars(target).items()
-                  if isinstance(v, np.ndarray) and v.shape == (2 * n, 2 * n)]
+                  if isinstance(v, np.ndarray) and v.shape == (2 * n, 2 * n)
+                  and v.dtype == np.float64]
         assert square == ["_s"]
+
+
+class TestSupConRowBlocks:
+    """SupCon's products with its boolean positive mask, formed a block of
+    rows at a time, against the dense (m, m) products."""
+
+    # one block, two and a partial block, eight whole blocks
+    @pytest.mark.parametrize("m", [40, 130, 512])
+    def test_blocked_products_are_the_dense_ones_bit_for_bit(self, m, rng):
+        pos, *_ = losses._supcon_terms(_supcon_labels(rng, m), m)
+        s = rng.standard_normal((m, m))
+        assert _same_bits(losses._positive_logits(s, pos), (s * pos).sum(axis=1))
+        e = rng.random((m, m))
+        r = e.sum(axis=1)
+        gw = rng.standard_normal(m)  # negative weights give -0.0 products
+        gw_counts = gw * rng.integers(1, 5, m)
+        g_s = np.multiply(e, (gw_counts / r)[:, None])
+        assert _same_bits(losses._logit_grad(e.copy(), r, gw_counts, pos, gw),
+                          g_s - gw[:, None] * pos)
+
+
+class TestPhaseLossArgumentChecks:
+    """Every check of a phase loss raises while its term list is built,
+    before any term records a node on the tape."""
+
+    @pytest.mark.parametrize("build, scheme, missing, match", [
+        (losses.pretrain_loss, "CL", "x_prime", "pretrain_loss: batch is missing"),
+        (losses.finetune_loss, "SL", "y", "finetune_loss: labels required"),
+        (losses.combined_scheme_loss, "SL", None, "SL is not a combination"),
+        (losses.combined_scheme_loss, "SL+CL", "y", "SL constituent requires labels"),
+        (losses.combined_scheme_loss, "SL+CL", "x_double_prime",
+         "CL constituent requires augmented views"),
+        # the CL constituent's term is built before the SCL one raises
+        (losses.combined_scheme_loss, "CL+SCL", "y", "SCL constituent requires labels"),
+    ])
+    def test_raises_before_a_node_is_recorded(self, build, scheme, missing, match,
+                                              dense_model, rng):
+        x = rng.random((6, 20))
+        batch = ViewBatch(x=x, x_prime=x + 0.01, x_double_prime=x - 0.01,
+                          y=rng.integers(0, 2, 6), x_adv=x + 0.02)
+        if missing is not None:
+            setattr(batch, missing, None)
+        dense_model.set_tracking(encoder=True, head=True, classifier=True)
+        with GradientTape() as tape, pytest.raises(LossError, match=match):
+            build(dense_model, batch, LossConfig(scheme=scheme))
+        assert tape.nodes == []
+
+    @pytest.mark.parametrize("build, scheme", [
+        (losses.pretrain_loss, "CL"), (losses.pretrain_loss, "SCL"),
+        (losses.finetune_loss, "SL"), (losses.combined_scheme_loss, "SL+CL"),
+        (losses.combined_scheme_loss, "CL+SCL")])
+    def test_building_the_terms_runs_no_forward(self, build, scheme, dense_model, rng):
+        x = rng.random((6, 20))
+        batch = ViewBatch(x=x, x_prime=x + 0.01, x_double_prime=x - 0.01,
+                          y=rng.integers(0, 2, 6), x_adv=x + 0.02)
+        dense_model.set_tracking(encoder=True, head=True, classifier=True)
+        with GradientTape() as tape:
+            terms = build(dense_model, batch, LossConfig(scheme=scheme))
+        assert tape.nodes == [] and len(terms) == 2
+        assert all(isinstance(w, float) and callable(term) for w, term in terms)
 
 
 class TestModelLevelLosses:
@@ -478,31 +557,31 @@ class TestModelLevelLosses:
     def test_beta_zero_reduces_to_clean_term(self, dense_model, batch):
         batch.x_adv = batch.x + 0.02
         cfg = LossConfig(scheme="CL", alpha=0.7, beta=0.0)
-        loss = losses.pretrain_loss(dense_model, batch, cfg).item()
-        clean = losses.contrastive_pair_loss(dense_model, batch.x_prime,
-                                             batch.x_double_prime, "CL", None, cfg).item()
+        loss = G.joint_loss(losses.pretrain_loss(dense_model, batch, cfg)).item()
+        clean = losses.contrastive_pair_term(dense_model, batch.x_prime,
+                                             batch.x_double_prime, "CL", None, cfg)().item()
         assert abs(loss - 0.7 * clean) < 1e-12
 
     def test_missing_adv_drops_adversarial_term(self, dense_model, batch):
         # a batch without x_adv was not attacked: beta > 0 adds nothing
         cfg = LossConfig(scheme="CL", alpha=0.7, beta=0.5)
-        loss = losses.pretrain_loss(dense_model, batch, cfg).item()
-        clean = losses.contrastive_pair_loss(dense_model, batch.x_prime,
-                                             batch.x_double_prime, "CL", None, cfg).item()
+        loss = G.joint_loss(losses.pretrain_loss(dense_model, batch, cfg)).item()
+        clean = losses.contrastive_pair_term(dense_model, batch.x_prime,
+                                             batch.x_double_prime, "CL", None, cfg)().item()
         assert abs(loss - 0.7 * clean) < 1e-12
 
     def test_alpha_beta_zero(self, dense_model, batch):
         cfg = LossConfig(scheme="CL", alpha=0.0, beta=0.0)
-        assert losses.pretrain_loss(dense_model, batch, cfg).item() == 0.0
+        assert G.joint_loss(losses.pretrain_loss(dense_model, batch, cfg)).item() == 0.0
 
     def test_identity_attack_duplicates_terms(self, dense_model, batch):
         batch.x_adv = batch.x.copy()
         cfg = LossConfig(scheme="CL", alpha=0.5, beta=0.5)
-        loss = losses.pretrain_loss(dense_model, batch, cfg).item()
-        t1 = losses.contrastive_pair_loss(dense_model, batch.x_prime,
-                                          batch.x_double_prime, "CL", None, cfg).item()
-        t2 = losses.contrastive_pair_loss(dense_model, batch.x, batch.x_adv,
-                                          "CL", None, cfg).item()
+        loss = G.joint_loss(losses.pretrain_loss(dense_model, batch, cfg)).item()
+        t1 = losses.contrastive_pair_term(dense_model, batch.x_prime,
+                                          batch.x_double_prime, "CL", None, cfg)().item()
+        t2 = losses.contrastive_pair_term(dense_model, batch.x, batch.x_adv,
+                                          "CL", None, cfg)().item()
         assert abs(loss - 0.5 * (t1 + t2)) < 1e-12
 
     def test_scl_requires_labels(self, dense_model, batch):
@@ -512,10 +591,10 @@ class TestModelLevelLosses:
 
     def test_alpha_beta_scaling(self, dense_model, batch):
         batch.x_adv = batch.x + 0.02
-        base = losses.pretrain_loss(dense_model, batch,
-                                    LossConfig(scheme="CL", alpha=0.5, beta=0.5)).item()
-        doubled = losses.pretrain_loss(dense_model, batch,
-                                       LossConfig(scheme="CL", alpha=1.0, beta=1.0)).item()
+        base = G.joint_loss(losses.pretrain_loss(
+            dense_model, batch, LossConfig(scheme="CL", alpha=0.5, beta=0.5))).item()
+        doubled = G.joint_loss(losses.pretrain_loss(
+            dense_model, batch, LossConfig(scheme="CL", alpha=1.0, beta=1.0))).item()
         assert abs(doubled - 2.0 * base) < 1e-10
 
     def test_partial_at_grads_exclude_encoder(self, dense_model, batch):
@@ -523,15 +602,17 @@ class TestModelLevelLosses:
         dense_model.freeze_encoder = True
         dense_model.set_tracking(encoder=False, head=False, classifier=True)
         with GradientTape() as tape:
-            loss = losses.finetune_loss(dense_model, batch, LossConfig(scheme="SL"))
+            loss = G.joint_loss(losses.finetune_loss(dense_model, batch,
+                                                     LossConfig(scheme="SL")))
         grads = backward(tape, loss)
         assert set(grads) <= set(dense_model.classifier_tensors())
 
     def test_full_at_identity_attack_collapses(self, dense_model, batch):
         cfg = LossConfig(scheme="SL", alpha=0.5, beta=0.5)
-        std = losses.finetune_loss(dense_model, batch, cfg).item()  # no x_adv: CE(x)
+        # no x_adv: CE(x)
+        std = G.joint_loss(losses.finetune_loss(dense_model, batch, cfg)).item()
         batch.x_adv = batch.x.copy()
-        full = losses.finetune_loss(dense_model, batch, cfg).item()
+        full = G.joint_loss(losses.finetune_loss(dense_model, batch, cfg)).item()
         assert abs(full - (0.5 + 0.5) * std) < 1e-12
 
     def test_full_at_encoder_grad_finite_diff(self, dense_model, batch, rng):
@@ -540,7 +621,7 @@ class TestModelLevelLosses:
         dense_model.set_tracking(encoder=True, head=False, classifier=True)
         w0 = dense_model.encoder_params[0][0]
         with GradientTape() as tape:
-            loss = losses.finetune_loss(dense_model, batch, cfg)
+            loss = G.joint_loss(losses.finetune_loss(dense_model, batch, cfg))
         g_auto = backward(tape, loss)[w0]
         h = 1e-5
         base = w0.data.copy()
@@ -549,10 +630,10 @@ class TestModelLevelLosses:
             for idx in coords:
                 w0.data = base.copy()
                 w0.data[idx] += h
-                fp = losses.finetune_loss(dense_model, batch, cfg).item()
+                fp = G.joint_loss(losses.finetune_loss(dense_model, batch, cfg)).item()
                 w0.data = base.copy()
                 w0.data[idx] -= h
-                fm = losses.finetune_loss(dense_model, batch, cfg).item()
+                fm = G.joint_loss(losses.finetune_loss(dense_model, batch, cfg)).item()
                 g_fd = (fp - fm) / (2 * h)
                 assert abs(g_auto[idx] - g_fd) / max(1.0, abs(g_fd)) < 1e-4
         finally:
@@ -560,8 +641,9 @@ class TestModelLevelLosses:
 
     def test_combined_reduction_to_ce(self, dense_model, batch):
         cfg = LossConfig(scheme="SL+CL", combo_weights=(1.0, 0.0))
-        combined = losses.combined_scheme_loss(dense_model, batch, cfg).item()
-        ce = losses.finetune_loss(dense_model, batch, LossConfig(scheme="SL")).item()
+        combined = G.joint_loss(losses.combined_scheme_loss(dense_model, batch, cfg)).item()
+        ce = G.joint_loss(losses.finetune_loss(dense_model, batch,
+                                               LossConfig(scheme="SL"))).item()
         assert abs(combined - ce) < 1e-12
 
     def test_combined_closed_form(self, rng):
@@ -579,7 +661,7 @@ class TestModelLevelLosses:
         batch = ViewBatch(x=x, x_prime=x, x_double_prime=x,
                           y=np.zeros(2, dtype=int))
         cfg = LossConfig(scheme="SL+SCL", combo_weights=(1.0, 1.0))
-        loss = losses.combined_scheme_loss(m, batch, cfg).item()
+        loss = G.joint_loss(losses.combined_scheme_loss(m, batch, cfg)).item()
         # SCL constituent sees 4 identical same-class embeddings -> ln 3
         assert abs(loss - (np.log(4) + np.log(3))) < 1e-9
 
@@ -587,14 +669,15 @@ class TestModelLevelLosses:
         cfg = LossConfig(scheme="SL+CL")
         dense_model.set_tracking(encoder=True, head=True, classifier=True)
         with GradientTape() as tape:
-            loss = losses.combined_scheme_loss(dense_model, batch, cfg)
+            loss = G.joint_loss(losses.combined_scheme_loss(dense_model, batch, cfg))
         g_sum = backward(tape, loss)
         with GradientTape() as tape:
-            ce = losses.finetune_loss(dense_model, batch, LossConfig(scheme="SL"))
+            ce = G.joint_loss(losses.finetune_loss(dense_model, batch,
+                                                   LossConfig(scheme="SL")))
         g_ce = backward(tape, ce)
         with GradientTape() as tape:
-            cl = losses.contrastive_pair_loss(dense_model, batch.x_prime,
-                                              batch.x_double_prime, "CL", None, cfg)
+            cl = losses.contrastive_pair_term(dense_model, batch.x_prime,
+                                              batch.x_double_prime, "CL", None, cfg)()
         g_cl = backward(tape, cl)
         for p in dense_model.all_params():
             combined = g_ce.get(p, 0.0) + g_cl.get(p, 0.0)

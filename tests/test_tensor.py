@@ -108,6 +108,19 @@ class TestBackward:
         assert not np.array_equal(expected, c + (np.exp(x_data) + 3.0))
         assert g.tobytes() == expected.tobytes()
 
+    def test_tapes_run_into_one_map_accumulate_in_their_order(self, rng):
+        x_data = rng.standard_normal(64)
+        c = rng.standard_normal(64)
+        x = Tensor(x_data, grad_tracked=True)
+        grads = {}
+        for f in (lambda: T.mul(x, Tensor(c)), lambda: T.exp(x), lambda: T.scale(x, 3.0)):
+            with GradientTape() as tape:
+                out = G.tsum(f())
+            assert backward(tape, out, grads) is grads
+        # the same sum as one tape whose reverse pass meets them in this order
+        assert list(grads) == [x]
+        assert grads[x].tobytes() == ((c + np.exp(x_data)) + 3.0).tobytes()
+
     def test_non_scalar_output_rejected(self):
         x = Tensor([1.0, 2.0], grad_tracked=True)
         with GradientTape() as tape:

@@ -1,15 +1,18 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import graph_oracle as G
 from robustcl import attacks, data, directional, experiment, losses, models, training
 from robustcl.attacks import AttackSpec
 from robustcl.data import AugmentSpec, ViewBatch
 from robustcl.losses import LossConfig, LossError
 from robustcl.models import EncoderConfig
-from robustcl.tensor import NonFiniteError, Tensor
+from robustcl.tensor import GradientTape, NonFiniteError, Tensor, backward
 from robustcl.training import (Adam, RunRecord, ScenarioSpec, TrainingError,
                                run_scenario)
 
@@ -425,6 +428,82 @@ def test_an_overflowing_step_raises_non_finite_error_naming_dense(gauss_splits, 
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             NonFiniteError, match="^non-finite values in output of dense$"):
         run_scenario(model, d_p, d_p, small_spec(scenario="ST", scheme=scheme))
+
+
+class _GradRecorder:
+    """An optimizer that keeps the gradient map of its one step."""
+
+    def step(self, grads):
+        self.grads = grads
+
+
+def _step_batch(rng, n=16, adv=True):
+    x = rng.random((n, 20))
+    return ViewBatch(x=x, x_prime=x + 0.05 * rng.standard_normal(x.shape),
+                     x_double_prime=x - 0.05 * rng.standard_normal(x.shape),
+                     y=rng.integers(0, 2, n),
+                     x_adv=x + 0.02 * rng.standard_normal(x.shape) if adv else None)
+
+
+def _per_term_step(model, phase_loss, cfg, batch):
+    """`_train_step`'s loss value and gradient map for one phase loss."""
+    opt = _GradRecorder()
+    value = training._train_step(model, SimpleNamespace(loss=cfg),
+                                 SimpleNamespace(loss=phase_loss), opt, batch)
+    return value, opt.grads
+
+
+class TestPerTermStep:
+    """A step runs each weighted term of its phase loss on its own tape,
+    last term first, into one gradient map: bitwise one tape over all."""
+
+    @pytest.mark.parametrize("name, cfg, adv", [
+        ("pretrain_loss", LossConfig(scheme="CL"), True),
+        ("pretrain_loss", LossConfig(scheme="CL"), False),
+        ("pretrain_loss", LossConfig(scheme="SCL", alpha=0.7, beta=1.3), True),
+        ("pretrain_loss", LossConfig(scheme="SCL"), False),
+        ("finetune_loss", LossConfig(scheme="SL"), True),
+        ("finetune_loss", LossConfig(scheme="SL"), False),
+        ("combined_scheme_loss", LossConfig(scheme="SL+CL"), False),
+        ("combined_scheme_loss", LossConfig(scheme="CL+SCL", combo_weights=(0.5, 2.0)), False),
+        ("combined_scheme_loss", LossConfig(scheme="CL+SCL", combo_weights=(0.0, 1.0)), False),
+    ])
+    def test_gradients_and_value_are_the_joint_graphs_bit_for_bit(
+            self, name, cfg, adv, dense_model, rng):
+        batch = _step_batch(rng, adv=adv)
+        dense_model.set_tracking(encoder=True, head=True, classifier=True)
+        phase_loss = getattr(losses, name)
+        with GradientTape() as tape:
+            joint = G.joint_loss(phase_loss(dense_model, batch, cfg))
+        want = backward(tape, joint)
+        value, grads = _per_term_step(dense_model, phase_loss, cfg, batch)
+        assert np.float64(value).tobytes() == joint.data.tobytes()
+        assert set(grads) == set(want) >= set(dense_model.encoder_tensors())
+        for p, g in want.items():
+            assert grads[p].dtype == g.dtype and grads[p].tobytes() == g.tobytes()
+
+    def test_no_terms_step_on_zero_gradients(self, dense_model, rng):
+        dense_model.set_tracking(encoder=True, head=True, classifier=False)
+        cfg = LossConfig(scheme="CL", alpha=0.0, beta=0.0)
+        assert _per_term_step(dense_model, losses.pretrain_loss, cfg,
+                              _step_batch(rng)) == (0.0, {})
+
+    def test_each_terms_tape_is_freed_before_the_next_opens(self, dense_model, rng,
+                                                           monkeypatch):
+        opened, alive_at_open = [], []
+
+        class Tape(GradientTape):
+            def __enter__(self):
+                alive_at_open.append([ref() is not None for ref in opened])
+                opened.append(weakref.ref(self))
+                return super().__enter__()
+
+        monkeypatch.setattr(training, "GradientTape", Tape)
+        dense_model.set_tracking(encoder=True, head=True, classifier=False)
+        _per_term_step(dense_model, losses.pretrain_loss, LossConfig(scheme="SCL"),
+                       _step_batch(rng))
+        assert alive_at_open == [[], [False]]
+        assert [ref() for ref in opened] == [None, None]
 
 
 @pytest.mark.parametrize("scenario, scheme, phase_index, short", [
