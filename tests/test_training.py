@@ -482,7 +482,7 @@ class TestPerTermStep:
         for p, g in want.items():
             assert grads[p].dtype == g.dtype and grads[p].tobytes() == g.tobytes()
 
-    def test_no_terms_step_on_zero_gradients(self, dense_model, rng):
+    def test_no_terms_give_zero_and_an_empty_map(self, dense_model, rng):
         dense_model.set_tracking(encoder=True, head=True, classifier=False)
         cfg = LossConfig(scheme="CL", alpha=0.0, beta=0.0)
         assert _per_term_step(dense_model, losses.pretrain_loss, cfg,
