@@ -85,9 +85,8 @@ def golden_cell(cfg, d_p, d_f, test, scenario: str, scheme: str, train_eps) -> d
         curve = training._run_phase(model, spec, phase)
         phases[phase.name] = {"loss_curve": [loss for _, _, loss in curve],
                               "params_sha256": sha256(p.data for p in model.all_params())}
-    # vector data drop the [0, 1] clamp, as `evaluation.robust_accuracy` does
-    tm1, tm2 = (a.for_data(test.is_image)
-                for a in (directional.tm1_attack(), directional.tm2_attack()))
+    # `attacks.pgd` clips to the pixel box on images only, so the vector cell is unclipped
+    tm1, tm2 = directional.tm1_attack(), directional.tm2_attack()
     report = evaluation.evaluate(model, test, [tm1, tm2], scenario=scenario, scheme=scheme)
     batch = ViewBatch(x=test.inputs, y=test.labels)
     return {"phases": phases,

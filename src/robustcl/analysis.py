@@ -85,9 +85,10 @@ def _sample(dataset: Dataset, n_samples: int, seed: int):
 def _activations(model: ModelBundle, x: np.ndarray, y: np.ndarray | None = None,
                  attack: AttackSpec | None = None) -> list:
     """Per-layer records of `model` on `x`, or, given an `attack`, on its PGD
-    examples of (x, y), clamped to [0, 1] only when `x` is an image batch."""
+    examples of (x, y); `attacks.pgd` clips them into the pixel box only
+    when `x` is an image batch."""
     if attack is not None:
-        x = attacks.pgd(model, ViewBatch(x=x, y=y), attack.for_data(x.ndim == 4))
+        x = attacks.pgd(model, ViewBatch(x=x, y=y), attack)
     return models.encode(model, Tensor(x), capture=True)[1]
 
 

@@ -5,13 +5,15 @@ Each step is one tape-free `models.input_grad` pass through the encoder and
 the classifier (CE, Threat Model I) or the head (CL or SCL, Threat Model
 II), from the gradient of a target built once per attack (`_target`),
 bitwise the taped gradient. No step records a tape or touches a
-parameter's tracking. The ball is clamped once per attack; each step moves
-the iterate by `_signed_step` and clips it in place (`_project`).
+parameter's tracking. The ball is clamped once per attack, into the pixel
+box `spec.clamp` for an image batch (`batch.x.ndim == 4`) and never for a
+vector batch, so no caller has to apply that rule; each step moves the
+iterate by `_signed_step` and clips it in place (`_project`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +33,9 @@ class AttackSpec:
     step_size: float | None = None  # None -> 2.5 * epsilon / max(steps, 1)
     random_start: bool = False
     driving_loss: str = "CE"
-    clamp: tuple | None = (0.0, 1.0)  # None disables clamping (vector data)
+    # the pixel box of an image batch; `pgd` never clips a vector batch. It
+    # stays a field because the cached eval and CKA records hold asdict(spec)
+    clamp: tuple | None = (0.0, 1.0)
     temperature: float | None = None
     seed: int = 0
 
@@ -61,12 +65,6 @@ class AttackSpec:
     def robust_key(self) -> tuple:
         """The key of this attack's accuracy in `EvalReport.robust`."""
         return self.threat_model, self.epsilon, self.steps
-
-    def for_data(self, is_image: bool) -> "AttackSpec":
-        """This spec, without the [0, 1] clamp when the data are vectors."""
-        if is_image or self.clamp is None:
-            return self
-        return replace(self, clamp=None)
 
 
 def _target(model, batch, spec: AttackSpec):
@@ -106,7 +104,8 @@ def pgd(model, batch, spec: AttackSpec) -> np.ndarray:
 
     Each step adds `_signed_step(g, alpha)`, +0.0 at a zero gradient, so
     zero-gradient coordinates stay put; steps=0 with random_start=False
-    returns a copy of the input.
+    returns a copy of the input. The ball is clipped into `spec.clamp` only
+    for an image batch, (n, C, H, W); a vector batch, (n, d), is never clipped.
     """
     x0 = batch.x
     if spec.epsilon == 0.0 or (spec.steps == 0 and not spec.random_start):
@@ -114,7 +113,7 @@ def pgd(model, batch, spec: AttackSpec) -> np.ndarray:
     # clip(clip(x, x0 -+ eps), clamp) == clip(x, clip(x0 -+ eps, clamp)), bit
     # for bit unless x0 holds -0.0, so each step clips once, into the clamped ball
     lo, hi = x0 - spec.epsilon, x0 + spec.epsilon
-    if spec.clamp is not None:
+    if spec.clamp is not None and x0.ndim == 4:
         np.clip(lo, *spec.clamp, out=lo)
         np.clip(hi, *spec.clamp, out=hi)
     rng = np.random.default_rng(spec.seed)

@@ -16,7 +16,7 @@ import numpy as np
 from .attacks import AttackError, AttackSpec
 from .data import AugmentSpec, DataError, check_bar_images, check_synthetic
 from .losses import SCHEMES, LossConfig, LossError
-from .models import EncoderConfig, ModelError, layer_ids
+from .models import EncoderConfig, ModelError, check_heads, layer_ids
 from .training import SCENARIOS, OptimizerConfig, ScenarioSpec, TrainingError
 
 
@@ -182,7 +182,7 @@ class ExperimentConfig:
 
     def train_attack(self) -> AttackSpec:
         """The training adversary; each phase sets its driving loss, and
-        `AttackSpec.for_data` drops the clamp on vector data."""
+        `attacks.pgd` clips to its clamp on image batches only."""
         return AttackSpec(**self.values["attack_train"])
 
     def eval_attacks(self, scheme: str) -> list:
@@ -267,7 +267,7 @@ def load_config(path=None, text: str | None = None, overrides=None) -> Experimen
 def validate(cfg: ExperimentConfig) -> None:
     """Raise ConfigError unless the seeds are non-negative, the split gives
     D_p and test rows, a synthetic source's generator accepts its arguments,
-    a file source's files exist, the encoder accepts its widths, the own
+    a file source's files exist, the model accepts its widths, the own
     cell's scenario, its training attack, the evaluation attacks and the
     sweep schemes' losses build, the sweep names known scenarios and schemes
     and no value twice, and the analysis takes at least 3 samples and probes
@@ -303,6 +303,9 @@ def validate(cfg: ExperimentConfig) -> None:
             for key in ("images_path", "labels_path") if source == "idx" else ("csv_path",):
                 if not os.path.isfile(path := cfg.get("dataset", key)):
                     raise ConfigError(f"[dataset] {key}: no such file: {path!r}")
+        # a file source's classes are counted only once it is read: check head_dim alone
+        check_heads(classes if source.startswith("synthetic") else 2,
+                    cfg.get("model", "head_dim"))
         cfg.encoder_config((1,))  # the widths alone decide whether it builds
         scenario, scheme, _ = cfg.own_cell()
         cfg.scenario_spec(scenario, scheme)

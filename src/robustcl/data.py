@@ -106,6 +106,10 @@ class AugmentSpec:
                 raise DataError("augmentation probabilities must lie in [0, 1]")
         if self.gaussian_noise_sigma < 0:
             raise DataError("noise sigma must be >= 0")
+        if self.crop_shift_max_pixels < 0:
+            raise DataError("crop_shift_max_pixels must be >= 0")
+        if self.erase_patch_size < 1:
+            raise DataError("erase_patch_size must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +196,10 @@ def write_csv(dataset: Dataset, path) -> None:
 
 def check_synthetic(kind: str, n: int, dim: int, n_classes: int, separation: float) -> None:
     """Raise DataError unless `gen_synthetic` can generate these arguments."""
-    if n < n_classes:
-        raise DataError("need n >= n_classes")
+    if n < n_classes or n_classes < 2:
+        raise DataError("need n >= n_classes >= 2")
+    if dim < 1:
+        raise DataError("need dim >= 1")
     if separation <= 0:
         raise DataError("separation must be positive")
     if kind == "two_gaussians" and n_classes != 2:
@@ -206,8 +212,8 @@ def check_synthetic(kind: str, n: int, dim: int, n_classes: int, separation: flo
 
 def check_bar_images(n: int, n_classes: int, shortcut_amp: float) -> None:
     """Raise DataError unless `gen_bar_images` can generate these arguments."""
-    if n < n_classes or n_classes > 10:
-        raise DataError("gen_bar_images supports up to 10 classes, n >= n_classes")
+    if n < n_classes or not 2 <= n_classes <= 10:
+        raise DataError("gen_bar_images supports 2 to 10 classes, n >= n_classes")
     if shortcut_amp < 0:
         raise DataError("shortcut_amp must be non-negative")
 

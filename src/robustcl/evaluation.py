@@ -33,7 +33,6 @@ def _accuracy(model: ModelBundle, x: np.ndarray, y: np.ndarray) -> float:
 
 def robust_accuracy(model: ModelBundle, dataset: Dataset, attack: AttackSpec) -> float:
     """Top-1 accuracy on adversarially perturbed test inputs, 256 at a time."""
-    attack = attack.for_data(dataset.is_image)
     correct = 0
     for start in range(0, dataset.n, 256):
         x = dataset.inputs[start:start + 256]

@@ -117,10 +117,15 @@ def _affine_init(rng: np.random.Generator, fan_in: int, shape_w, shape_b):
     return w, b
 
 
-def init_model(config: EncoderConfig, n_classes: int, head_dim: int, seed: int) -> ModelBundle:
-    """Scaled uniform fan-in initialization, fully determined by seed."""
+def check_heads(n_classes: int, head_dim: int) -> None:
+    """Raise ModelError unless `init_model` can build these output widths."""
     if n_classes < 2 or head_dim < 1:
         raise ModelError("need n_classes >= 2 and head_dim >= 1")
+
+
+def init_model(config: EncoderConfig, n_classes: int, head_dim: int, seed: int) -> ModelBundle:
+    """Scaled uniform fan-in initialization, fully determined by seed."""
+    check_heads(n_classes, head_dim)
     rng = np.random.default_rng(seed)
     enc = []
     fan_in = config.input_shape[0]

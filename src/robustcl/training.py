@@ -238,7 +238,6 @@ def _run_phase(model: ModelBundle, spec: ScenarioSpec, phase: _Phase) -> list:
     attack = None
     if phase.driving_loss is not None:
         attack = replace(spec.train_attack, driving_loss=phase.driving_loss)
-        attack = attack.for_data(phase.dataset.is_image)
     batch_size = spec.batch_size if attack is None else spec.adv_batch_size
     curve = []
     for epoch in range(phase.epochs):

@@ -188,7 +188,7 @@ class TestPGDInvariants:
     def test_budget_and_clamp_on_1000_random_attacks(self, pgd_model):
         rng = np.random.default_rng(11)
         for i in range(1000):
-            x = rng.random((2, 20))
+            x = rng.random((2, 1, 4, 5))  # an image batch: pgd clamps images only
             y = rng.integers(0, 2, size=2)
             spec = AttackSpec(epsilon=float(rng.uniform(0.01, 0.3)),
                               steps=int(rng.integers(1, 4)),

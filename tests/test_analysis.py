@@ -85,6 +85,10 @@ class TestLinearCka:
         with pytest.raises(AnalysisError):
             linear_cka(np.zeros((2, 3)), np.zeros((2, 3)))
 
+    def test_mismatched_row_counts_raise(self, rng):
+        with pytest.raises(AnalysisError, match=r"incompatible shapes \(10, 4\), \(9, 4\)"):
+            linear_cka(rng.standard_normal((10, 4)), rng.standard_normal((9, 4)))
+
 
 class TestHeatmap:
     def test_clean_clean_diagonal(self, trained):

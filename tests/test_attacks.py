@@ -18,8 +18,10 @@ from robustcl.tensor import GradientTape, Tensor
 from robustcl.training import ScenarioSpec
 
 
-def make_batch(rng, model, n=6, n_classes=2, dim=20):
-    x = rng.random((n, dim))
+def make_batch(rng, model, n=6, n_classes=2, shape=(20,)):
+    """n samples of `shape`; (1, 4, 5) draws the same values as an image
+    batch, which pgd clips into the pixel box (the encoder flattens it)."""
+    x = rng.random((n, *shape))
     y = rng.integers(0, n_classes, size=n)
     return ViewBatch(x=x, y=y)
 
@@ -125,16 +127,6 @@ class TestSpec:
         assert AttackSpec(epsilon=0.1, steps=1).threat_model == "I"
         assert AttackSpec(epsilon=0.1, steps=1, driving_loss="CL").threat_model == "II"
 
-    def test_for_data_drops_the_clamp_for_vectors_only(self):
-        spec = AttackSpec(epsilon=0.1, steps=2, random_start=True,
-                          driving_loss="SCL", clamp=(0.0, 1.0), seed=5)
-        assert spec.for_data(is_image=True) is spec
-        vec = spec.for_data(is_image=False)
-        assert vec.clamp is None and spec.clamp == (0.0, 1.0)
-        assert replace(vec, clamp=spec.clamp) == spec
-        unclamped = replace(spec, clamp=None)
-        assert unclamped.for_data(is_image=False) is unclamped
-
 
 class TestPgd:
     def test_epsilon_zero_identity(self, dense_model, rng):
@@ -184,12 +176,31 @@ class TestPgd:
     def test_budget_and_clamp_random_attacks(self, st_model, rng):
         spec = AttackSpec(epsilon=0.07, steps=4, random_start=True, clamp=(0.0, 1.0))
         for i in range(20):
-            x = rng.random((5, 20))
+            x = rng.random((5, 1, 4, 5))
             y = rng.integers(0, 2, size=5)
             batch = ViewBatch(x=x, y=y)
             x_adv = pgd(st_model, batch, spec)
             assert np.max(np.abs(x_adv - x)) <= 0.07 + 1e-9
             assert x_adv.min() >= 0.0 and x_adv.max() <= 1.0
+
+    @pytest.mark.parametrize("driving_loss", ["CE", "CL", "SCL"])
+    def test_clamps_image_batches_only(self, st_model, driving_loss):
+        # the same values, clipped into the pixel box as an image batch and
+        # never as a vector batch
+        rng = np.random.default_rng(13)
+        x = rng.random((8, 20))
+        y = rng.integers(0, 2, size=8)
+        spec = AttackSpec(epsilon=0.2, steps=3, random_start=True,
+                          driving_loss=driving_loss, clamp=(0.0, 1.0), seed=4)
+        vec = pgd(st_model, ViewBatch(x=x, y=y), spec)
+        img = pgd(st_model, ViewBatch(x=x.reshape(8, 1, 4, 5), y=y), spec)
+        assert vec.tobytes() == pgd(st_model, ViewBatch(x=x, y=y),
+                                    replace(spec, clamp=None)).tobytes()
+        assert vec.min() < 0.0 and vec.max() > 1.0
+        assert img.shape == (8, 1, 4, 5)
+        assert img.min() >= 0.0 and img.max() <= 1.0
+        assert np.max(np.abs(vec - x)) <= 0.2 + 1e-9
+        assert np.max(np.abs(img.reshape(8, 20) - x)) <= 0.2 + 1e-9
 
     def test_determinism(self, st_model, rng):
         batch = make_batch(rng, st_model)
@@ -274,7 +285,7 @@ def _reference_pgd(model, batch, spec):
 class TestCleanEmbeddingOnce:
     @pytest.mark.parametrize("driving_loss", ["CE", "CL", "SCL"])
     def test_matches_reference_loop(self, st_model, driving_loss):
-        batch = make_batch(np.random.default_rng(7), st_model, n=8)
+        batch = make_batch(np.random.default_rng(7), st_model, n=8, shape=(1, 4, 5))
         spec = AttackSpec(epsilon=0.1, steps=4, random_start=True,
                           driving_loss=driving_loss, clamp=(0.0, 1.0), seed=3)
         x_adv = pgd(st_model, batch, spec)
@@ -287,7 +298,7 @@ class TestCleanEmbeddingOnce:
                                                             driving_loss):
         # a TM-I or TM-II evaluation of 500 test images attacks batches of
         # 256 and 244
-        batch = make_batch(np.random.default_rng(n), st_model, n=n)
+        batch = make_batch(np.random.default_rng(n), st_model, n=n, shape=(1, 4, 5))
         spec = AttackSpec(epsilon=0.1, steps=3, random_start=True,
                           driving_loss=driving_loss, clamp=(0.0, 1.0), seed=3)
         x_adv = pgd(st_model, batch, spec)
@@ -297,7 +308,7 @@ class TestCleanEmbeddingOnce:
     def test_matches_reference_loop_with_inputs_outside_the_clamp(self, st_model,
                                                                 driving_loss):
         rng = np.random.default_rng(11)
-        x = rng.uniform(-0.3, 1.3, size=(8, 20))
+        x = rng.uniform(-0.3, 1.3, size=(8, 1, 4, 5))
         batch = ViewBatch(x=x, y=rng.integers(0, 2, size=8))
         spec = AttackSpec(epsilon=0.1, steps=4, random_start=True,
                           driving_loss=driving_loss, clamp=(0.0, 1.0), seed=5)
@@ -312,12 +323,13 @@ class TestCleanEmbeddingOnce:
         model = copy.deepcopy(st_model)
         dead = [0, 7, 13]
         model.encoder_params[0][0].data[dead] = 0.0
-        batch = make_batch(np.random.default_rng(5), model, n=16)
+        batch = make_batch(np.random.default_rng(5), model, n=16, shape=(1, 4, 5))
         spec = AttackSpec(epsilon=0.1, steps=4, random_start=True,
                           driving_loss=driving_loss, clamp=(0.0, 1.0), seed=2)
-        start = pgd(model, batch, replace(spec, steps=0))
+        start = pgd(model, batch, replace(spec, steps=0)).reshape(16, 20)
         x_adv = pgd(model, batch, spec)
         assert x_adv.tobytes() == _reference_pgd(model, batch, spec).tobytes()
+        x_adv = x_adv.reshape(16, 20)  # a view: the pixels in input-weight order
         assert x_adv[:, dead].tobytes() == start[:, dead].tobytes()
         live = np.setdiff1d(np.arange(x_adv.shape[1]), dead)
         assert (x_adv[:, live] != start[:, live]).mean() > 0.5
@@ -375,7 +387,7 @@ class TestLiveEncoder:
                                                                   driving_loss):
         model = copy.deepcopy(st_model)
         model.set_tracking(encoder=True, head=True, classifier=True)
-        batch = make_batch(np.random.default_rng(9), model, n=32)
+        batch = make_batch(np.random.default_rng(9), model, n=32, shape=(1, 4, 5))
         spec = AttackSpec(epsilon=0.1, steps=3, random_start=True,
                           driving_loss=driving_loss, clamp=(0.0, 1.0), seed=1)
         with GradientTape() as outer:
@@ -542,7 +554,7 @@ def test_budget_property(seed, epsilon):
     rng = np.random.default_rng(seed)
     cfg = EncoderConfig((8, 4), (6,))
     m = models.init_model(cfg, 2, 4, seed=seed % 7)
-    x = rng.random((3, 6))
+    x = rng.random((3, 1, 2, 3))  # the (3, 6) draw as an image batch
     batch = ViewBatch(x=x, y=rng.integers(0, 2, size=3))
     spec = AttackSpec(epsilon=epsilon, steps=3, random_start=True,
                       clamp=(0.0, 1.0), seed=seed)

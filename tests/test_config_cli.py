@@ -149,7 +149,7 @@ class TestConfig:
         assert ("II", 40, "SCL") in tms
         specs_cl = cfg.eval_attacks("CL")
         assert any(s.driving_loss == "CL" for s in specs_cl)
-        # the specs keep the default clamp; AttackSpec.for_data drops it for vectors
+        # the specs keep the default clamp; attacks.pgd applies it to image batches only
         assert all(s.clamp == (0.0, 1.0) for s in specs + specs_cl)
 
 
@@ -310,10 +310,15 @@ class TestCli:
         "loss.alpha=nan", "scenario.lr=inf", "experiment.seed=-1", "sweep.seeds=-2",
         "dataset.split=1.2,0.0,-0.2", "dataset.split=0.9,0.1,0.0", "model.kind=conv_small",
         "sweep.seeds=0,0", "sweep.scenarios=ST,ST", "sweep.schemes=SL,SL",
+        "augment.crop_shift_max_pixels=-2", "augment.erase_patch_size=-3",
+        "augment.erase_patch_size=0", "model.head_dim=0", "dataset.dim=0",
+        "dataset.kind=blobs_k dataset.classes=1", "attack_eval.threat_models=III",
+        "loss.temperature=0", "loss.alpha=-1",
     ])
     def test_a_value_that_does_not_parse_or_build_is_a_config_error(
             self, tmp_path, capsys, override):
-        assert run_cli(tmp_path, "train", [override]) == 1
+        # an entry of several overrides separates them with spaces
+        assert run_cli(tmp_path, "train", override.split()) == 1
         assert "config error: " in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 

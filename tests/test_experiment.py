@@ -146,6 +146,26 @@ def test_run_cells_trains_the_costliest_scenarios_first(tmp_path, monkeypatch):
                          "seed 0: Partial-AT/SL failed: no such cell"]
 
 
+def test_run_cells_logs_its_pool_before_the_cells(tmp_path, monkeypatch):
+    """With two usable CPUs the misses train on two forked workers, and the
+    log names the pool before any cell's line."""
+    def train_cell(cfg, d_p, d_f, scenario, scheme, seed, cache_dir=None,
+                   train_epsilon=None):
+        return f"{scenario}/{scheme}", {"cell_key": f"{scenario}/{scheme}", "runtime_s": 2.0}
+
+    monkeypatch.setattr(experiment, "train_cell", train_cell)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = load_config(text="", overrides=TINY)
+    cells = [("ST", "SL", 0, None, None), ("AT", "CL", 0, None, None),
+             ("ST", "CL", 1, None, None)]
+    lines = []
+    _, results = experiment.run_cells(cfg, cells, str(tmp_path), log=lines.append)
+    assert [model for model, _ in results] == ["ST/SL", "AT/CL", "ST/CL"]
+    assert lines[0] == "training 3 cells on 2 workers"
+    assert sorted(lines[1:]) == ["seed 0: AT/CL trained in 2 s", "seed 0: ST/SL trained in 2 s",
+                                 "seed 1: ST/CL trained in 2 s"]
+
+
 def test_an_overflowing_cell_comes_back_as_its_error(tmp_path, monkeypatch):
     init_model = models.init_model
 

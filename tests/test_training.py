@@ -386,16 +386,25 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("scenario, scheme",
                              [("AT", "SL"), ("AT", "CL"), ("Full-AT", "SCL")])
-    def test_vector_data_attacks_drop_the_clamp(self, gauss_splits, pgd_specs,
+    def test_vector_data_attacks_drop_the_clamp(self, gauss_splits, monkeypatch,
                                                scenario, scheme):
+        # every x_adv of a vector batch is the unclamped attack's, to the byte
         d_p, _ = gauss_splits
-        specs = pgd_specs
+        pgd, outs = attacks.pgd, []
+
+        def recording_pgd(model, batch, spec):
+            x_adv = pgd(model, batch, spec)
+            outs.append((x_adv, pgd(model, batch, replace(spec, clamp=None))))
+            return x_adv
+
+        monkeypatch.setattr(attacks, "pgd", recording_pgd)
         attack = AttackSpec(epsilon=0.05, steps=1)
         assert attack.clamp == (0.0, 1.0)
         spec = small_spec(scenario=scenario, scheme=scheme, pretrain_epochs=1,
                           finetune_epochs=1, train_attack=attack)
         run_scenario(fresh_model(), d_p, d_p, spec)
-        assert specs and all(s.clamp is None for s in specs)
+        assert outs and all(a.tobytes() == b.tobytes() for a, b in outs)
+        assert all(a.min() < 0.0 or a.max() > 1.0 for a, _ in outs)
 
     def test_determinism(self, gauss_splits):
         d_p, _ = gauss_splits
