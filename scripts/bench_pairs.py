@@ -9,14 +9,17 @@ and write every result with a per-metric summary.
 For each workload and seed, both trees run `perfbench/run.py --workload <w>
 --seed <s> --trace 0` from their own directory, at the run length the
 benchmark sets: the parent first for an even seed, the change first for an
-odd one. Each run's result (the last line of its stdout) and provenance are
-kept. Per workload and end-to-end metric of the change tree's
-`BENCHMARK.json`, the summary holds each side's median and quartiles
-(`statistics.quantiles(n=4)`), the pairs the change won (ties count for
-neither), the parent's interquartile range, and two verdicts: `gain`, the
-change won at least nine tenths of the pairs and its median is better by
-more than the parent's IQR; `regression`, its median is worse than the
-parent's by more than the metric's bound. Nothing is written inside either
+odd one. Each run's result (the last line of its stdout), provenance and
+minor page faults (the change of `resource.getrusage(RUSAGE_CHILDREN)
+.ru_minflt` across its subprocess) are kept. Per workload and end-to-end
+metric of the change tree's `BENCHMARK.json`, the summary holds each side's
+median and quartiles (`statistics.quantiles(n=4)`), the pairs the change
+won (ties count for neither), the parent's interquartile range, and two
+verdicts: `gain`, the change won at least nine tenths of the pairs and its
+median is better by more than the parent's IQR; `regression`, its median is
+worse than the parent's by more than the metric's bound. The summary also
+reports each side's median of minor faults, report-only: it is not a
+declared metric and enters no verdict. Nothing is written inside either
 tree (the runs do not write bytecode). Exits 1 if any run does not read
 `correct: true`, else 0; the output is written either way.
 """
@@ -24,6 +27,7 @@ tree (the runs do not write bytecode). Exits 1 if any run does not read
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -31,12 +35,15 @@ from pathlib import Path
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """One untraced perfbench run in `tree`: its result and provenance."""
+    """One untraced perfbench run in `tree`: its result, provenance and
+    minor page faults."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--trace", "0"],
         cwd=tree, env=env, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.splitlines()
     provenance = next((json.loads(line[len("provenance "):]) for line in lines
                        if line.startswith("provenance ")), None)
@@ -44,7 +51,8 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         result = {"correct": False, "error": proc.stderr.strip()[-2000:]}
-    return {"returncode": proc.returncode, "provenance": provenance, **result}
+    return {"returncode": proc.returncode, "provenance": provenance,
+            "minor_faults": faults, **result}
 
 
 def _side(values) -> dict:
@@ -58,9 +66,15 @@ def summarize(runs: list, declared: list) -> dict:
     by_seed = {}
     for run in runs:
         if run.get("correct") is True:
-            by_seed.setdefault(run["seed"], {})[run["tree"]] = run["metrics"]
+            by_seed.setdefault(run["seed"], {})[run["tree"]] = run
     pairs = [(p["parent"], p["change"]) for p in by_seed.values() if len(p) == 2]
     summary = {}
+    if pairs:
+        summary["minor_faults"] = {
+            "report_only": True,
+            "parent": statistics.median(a["minor_faults"] for a, _ in pairs),
+            "change": statistics.median(b["minor_faults"] for _, b in pairs)}
+    pairs = [(a["metrics"], b["metrics"]) for a, b in pairs]
     for metric in declared:
         name, sign = metric["name"], (1 if metric["better"] == "higher" else -1)
         got = [(a[name]["value"], b[name]["value"]) for a, b in pairs

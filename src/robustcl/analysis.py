@@ -79,7 +79,7 @@ def _sample(dataset: Dataset, n_samples: int, seed: int):
     replacement, or of all of its rows if it has fewer."""
     rng = np.random.default_rng(seed)
     idx = rng.choice(dataset.n, size=min(n_samples, dataset.n), replace=False)
-    return dataset.inputs[idx], dataset.labels[idx]
+    return dataset.rows(idx), dataset.labels[idx]
 
 
 def _activations(model: ModelBundle, x: np.ndarray, y: np.ndarray | None = None,
@@ -145,8 +145,8 @@ def linear_probe(model: ModelBundle, train_set: Dataset, test_set: Dataset,
             raise AnalysisError(f"unknown layer {layer_id!r}; have {ids}")
         get = lambda x: _activations(model, np.asarray(x))[ids.index(layer_id)].matrix
 
-    a_train = get(train_set.inputs)
-    a_test = get(test_set.inputs)
+    a_train = get(train_set.rows())
+    a_test = get(test_set.rows())
     std = a_train.std()
     if std < 1e-12:
         raise DegenerateActivationsError(f"constant activations at {layer_id}")

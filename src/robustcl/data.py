@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,58 +16,96 @@ class DataError(Exception):
     pass
 
 
-@dataclass
-class Dataset:
-    inputs: np.ndarray  # (n, d) vectors or (n, c, h, w) images
-    labels: np.ndarray  # (n,) ints in [0, C)
-    name: str
-    n_classes: int
-    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
+# bytes of float64 rows that `Dataset.fingerprint` decodes and hashes at a time
+# (one row, where a row is larger)
+_HASH_CHUNK_BYTES = 32 * 1024
 
-    def __post_init__(self):
-        # read-only views, not copies: the fingerprint is computed once, so a
-        # write through the dataset after hashing must raise, not go stale
-        self.inputs = np.asarray(self.inputs, dtype=np.float64).view()
-        self.labels = np.asarray(self.labels, dtype=np.int64).view()
-        self.inputs.flags.writeable = False
+
+class Dataset:
+    """Samples and their labels, held in read-only arrays.
+
+    Storage follows the dtype of `inputs`: an (n, c, h, w) uint8 array is
+    taken as 8-bit pixel codes k and kept as it is, one byte per pixel,
+    whose value is float64(k) / 255.0, bitwise what both image sources
+    made as float64; any other input is stored as float64. `rows` decodes
+    only the rows asked for, and `inputs` decodes every row when read.
+    The arrays are views, not copies, and read-only: the fingerprint is
+    computed once, so a write through the dataset after hashing must
+    raise, not go stale.
+    """
+
+    def __init__(self, inputs: np.ndarray, labels: np.ndarray, name: str, n_classes: int):
+        x = np.asarray(inputs)
+        if x.dtype != np.uint8 or x.ndim != 4:
+            x = np.asarray(x, dtype=np.float64)
+        self._x = x.view()
+        self.labels = np.asarray(labels, dtype=np.int64).view()
+        self._x.flags.writeable = False
         self.labels.flags.writeable = False
-        n = self.inputs.shape[0]
+        self.name = name
+        self.n_classes = n_classes
+        self._fingerprint = None
+        n = self.n
         if n < 1 or self.labels.shape != (n,):
             raise DataError("inputs/labels size mismatch")
-        if self.inputs.size == 0:
+        if self._x.size == 0:
             raise DataError(f"samples of shape {self.input_shape} hold no values")
-        if not np.all(np.isfinite(self.inputs)):
-            raise DataError("dataset contains non-finite values")
         if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
             raise DataError("label out of range")
-        if self.is_image and (self.inputs.min() < 0.0 or self.inputs.max() > 1.0):
+        if self._x.dtype == np.uint8:
+            return  # codes decode to finite values in [0, 1]
+        if not np.all(np.isfinite(self._x)):
+            raise DataError("dataset contains non-finite values")
+        if self.is_image and (self._x.min() < 0.0 or self._x.max() > 1.0):
             raise DataError("image data must lie in [0, 1]")
 
     @property
     def n(self) -> int:
-        return self.inputs.shape[0]
+        return self._x.shape[0]
 
     @property
     def is_image(self) -> bool:
-        return self.inputs.ndim == 4
+        return self._x.ndim == 4
 
     @property
     def input_shape(self) -> tuple:
-        return self.inputs.shape[1:]
+        return self._x.shape[1:]
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """Every row as one read-only float64 array, decoded on each read."""
+        x = self.rows()
+        x.flags.writeable = False
+        return x
+
+    def rows(self, idx=slice(None)) -> np.ndarray:
+        """The float64 inputs of the rows `idx` (an index, a slice or an
+        integer array), byte for byte `inputs[idx]`; only those rows are
+        decoded."""
+        x = self._x[idx]
+        if x.dtype == np.uint8:
+            x = x.astype(np.float64)
+            x /= 255.0
+        return x
 
     def fingerprint(self) -> str:
         if self._fingerprint is None:
             h = hashlib.sha256()
-            # the buffers themselves: a tobytes() copy of the inputs costs
-            # as much memory as the dataset
-            h.update(np.ascontiguousarray(self.inputs, dtype="<f8"))
+            # the float64 rows a chunk at a time (sha256 streams): the whole
+            # inputs, decoded or as a tobytes() copy, would cost as much
+            # memory as the float64 dataset
+            step = max(1, _HASH_CHUNK_BYTES // (8 * self._x[0].size))
+            for start in range(0, self.n, step):
+                h.update(np.ascontiguousarray(self.rows(slice(start, start + step)),
+                                              dtype="<f8"))
             h.update(np.ascontiguousarray(self.labels, dtype="<i8"))
             self._fingerprint = h.hexdigest()[:16]
         return self._fingerprint
 
     def subset(self, idx: np.ndarray, name: str | None = None) -> "Dataset":
-        """The rows `idx` (an integer array, so the arrays are fresh copies)."""
-        return Dataset(self.inputs[idx], self.labels[idx], name or self.name, self.n_classes)
+        """The rows `idx` (an integer array), gathered as they are stored:
+        the subset of a coded dataset holds codes."""
+        return Dataset(self._x[idx], self.labels[idx], name or self.name, self.n_classes)
 
 
 @dataclass
@@ -117,7 +155,8 @@ class AugmentSpec:
 # ---------------------------------------------------------------------------
 
 def load_idx(path_images, path_labels) -> Dataset:
-    """Load an IDX image/label file pair; pixels are scaled into [0, 1]."""
+    """Load an IDX image/label file pair; the dataset holds the file's pixel
+    bytes as its codes, each read as k / 255 in [0, 1]."""
     with open(path_images, "rb") as f:
         blob = f.read()
     if len(blob) < 16:
@@ -142,16 +181,18 @@ def load_idx(path_images, path_labels) -> Dataset:
     if len(lblob) != 8 + ln:
         raise DataError("truncated IDX label payload")
     labels = np.frombuffer(lblob, dtype=np.uint8, offset=8).astype(np.int64)
-    return Dataset(images.astype(np.float64) / 255.0, labels, "idx", int(labels.max()) + 1)
+    return Dataset(images, labels, "idx", int(labels.max()) + 1)
 
 
 def write_idx(dataset: Dataset, path_images, path_labels) -> None:
     if not dataset.is_image:
         raise DataError("write_idx requires image data")
-    n, c, h, w = dataset.inputs.shape
+    n, (c, h, w) = dataset.n, dataset.input_shape
     if c != 1:
         raise DataError("write_idx supports single-channel images")
-    pixels = np.clip(np.round(dataset.inputs * 255.0), 0, 255).astype(np.uint8)
+    pixels = dataset._x  # the codes, or float64 values to round to codes
+    if pixels.dtype != np.uint8:
+        pixels = np.clip(np.round(pixels * 255.0), 0, 255).astype(np.uint8)
     with open(path_images, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w))
         f.write(pixels.tobytes())
@@ -183,7 +224,7 @@ def load_csv(path) -> Dataset:
 def write_csv(dataset: Dataset, path) -> None:
     if dataset.is_image:
         raise DataError("write_csv requires vector data")
-    d = dataset.inputs.shape[1]
+    d = dataset.input_shape[0]
     with open(path, "w") as f:
         f.write("label," + ",".join(f"f{i}" for i in range(d)) + "\n")
         for y, row in zip(dataset.labels, dataset.inputs):
@@ -267,9 +308,11 @@ def gen_bar_images(n: int, size: int = 16, n_classes: int = 10, seed: int = 0,
     image's noise. The block's arithmetic then runs straight into its rows of
     the output, each pixel getting the same operations in the same order as
     one image at a time would, so the bytes depend neither on the batching
-    nor on the block size. Held at once: the output, one block's noise and
-    class-pattern gather and, from the final permutation on, its permuted
-    copy; at the fixture's 2500 16x16 images that is 2.4x the output.
+    nor on the block size. Each block is rounded to 8-bit codes in its
+    float64 buffer and stored as uint8 (see `Dataset`). Held at once: the
+    uint8 codes, one block's float64 buffers (image, noise and class-pattern
+    gather) and, from the final permutation on, the permuted codes; at the
+    fixture's 2500 16x16 images that is about half the float64 dataset.
     """
     check_bar_images(n, n_classes, shortcut_amp)
     rng = np.random.default_rng(seed)
@@ -281,10 +324,11 @@ def gen_bar_images(n: int, size: int = 16, n_classes: int = 10, seed: int = 0,
     coarse = (mask_rng.random((n_classes, grid, grid)) < 0.5).astype(np.float64)
     stamps = shortcut_amp * np.kron(coarse, np.ones((block, block)))[:, :size, :size]
     labels = (np.arange(n) % n_classes).astype(np.int64)
-    images = np.zeros((n, 1, size, size))
+    codes = np.empty((n, 1, size, size), dtype=np.uint8)
     rows = min(n, _BAR_BLOCK)
     jitter = np.empty((rows, 2), dtype=np.int64)
     noise = np.empty((rows, size, size))
+    block_images = np.empty((rows, size, size))
     for start in range(0, n, _BAR_BLOCK):
         m = min(_BAR_BLOCK, n - start)
         for i in range(m):
@@ -294,7 +338,8 @@ def gen_bar_images(n: int, size: int = 16, n_classes: int = 10, seed: int = 0,
         k = labels[start:start + m]
         r = np.clip(1 + (k % 5) * (size - 3) // 5 + jitter[:m, 0], 0, size - 1)
         c = np.clip(2 + (k // 5) * (size - 6) + jitter[:m, 1], 0, size - 1)
-        img = images[start:start + m, 0]
+        img = block_images[:m]
+        img.fill(0.0)
         idx = np.arange(m)
         img[idx, r, :] += contrast
         img[idx, :, c] += contrast
@@ -302,12 +347,12 @@ def gen_bar_images(n: int, size: int = 16, n_classes: int = 10, seed: int = 0,
         noise[:m] *= noise_sigma
         img += noise[:m]
         np.clip(img, 0.0, 1.0, out=img)
-        # quantize like an 8-bit image file would
+        # quantize like an 8-bit image file would: integral values in [0, 255]
         img *= 255.0
         np.round(img, out=img)
-        img /= 255.0
+        codes[start:start + m, 0] = img
     perm = rng.permutation(n)
-    return Dataset(images[perm], labels[perm], f"bars{size}_c{n_classes}", n_classes)
+    return Dataset(codes[perm], labels[perm], f"bars{size}_c{n_classes}", n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -416,4 +461,4 @@ def iter_batches(dataset: Dataset, batch_size: int, seed: int, epoch: int):
         idx = order[start:start + batch_size]
         if len(idx) < 2:
             continue  # contrastive losses degenerate on singleton tails
-        yield dataset.inputs[idx], dataset.labels[idx]
+        yield dataset.rows(idx), dataset.labels[idx]

@@ -23,20 +23,20 @@ class EvalReport:
     classifier_grad_queries_tm2: int = 0
 
 
-def _accuracy(model: ModelBundle, x: np.ndarray, y: np.ndarray) -> float:
+def _accuracy(model: ModelBundle, dataset: Dataset) -> float:
     correct = 0
-    for start in range(0, len(x), 512):
-        stop = start + 512
-        correct += int((_predict(model, x[start:stop]) == y[start:stop]).sum())
-    return correct / len(x)
+    for start in range(0, dataset.n, 512):
+        rows = slice(start, start + 512)
+        correct += int((_predict(model, dataset.rows(rows)) == dataset.labels[rows]).sum())
+    return correct / dataset.n
 
 
 def robust_accuracy(model: ModelBundle, dataset: Dataset, attack: AttackSpec) -> float:
     """Top-1 accuracy on adversarially perturbed test inputs, 256 at a time."""
     correct = 0
     for start in range(0, dataset.n, 256):
-        x = dataset.inputs[start:start + 256]
-        y = dataset.labels[start:start + 256]
+        rows = slice(start, start + 256)
+        x, y = dataset.rows(rows), dataset.labels[rows]
         x_adv = attacks.pgd(model, ViewBatch(x=x, y=y),
                             replace(attack, seed=attack.seed + start))
         correct += int((_predict(model, x_adv) == y).sum())
@@ -57,7 +57,7 @@ def evaluate(model: ModelBundle, test_data: Dataset, attack_list,
     audited and must stay at zero. At epsilon 0, `attacks.pgd` returns the
     clean inputs, so the entry is the clean accuracy.
     """
-    clean = _accuracy(model, test_data.inputs, test_data.labels)
+    clean = _accuracy(model, test_data)
     robust = {}
     tm2_queries = 0
     for spec in attack_list:

@@ -39,7 +39,7 @@ def _robust(model, test, **changes):
 class TestTM1Sanity:
     def test_robust_accuracy_is_at_most_clean(self, committed, cell):
         cells, test = committed
-        clean = evaluation._accuracy(cells[cell], test.inputs, test.labels)
+        clean = evaluation._accuracy(cells[cell], test)
         assert _robust(cells[cell], test) <= clean
 
     def test_non_increasing_in_epsilon_at_a_fixed_step_size(self, committed, cell):
