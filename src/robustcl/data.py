@@ -26,12 +26,11 @@ class Dataset:
 
     Storage follows the dtype of `inputs`: an (n, c, h, w) uint8 array is
     taken as 8-bit pixel codes k and kept as it is, one byte per pixel,
-    whose value is float64(k) / 255.0, bitwise what both image sources
-    made as float64; any other input is stored as float64. `rows` decodes
-    only the rows asked for, and `inputs` decodes every row when read.
-    The arrays are views, not copies, and read-only: the fingerprint is
-    computed once, so a write through the dataset after hashing must
-    raise, not go stale.
+    each read as float64(k) / 255.0; any other input is stored as float64.
+    `rows` decodes only the rows asked for, and `inputs` decodes every row
+    when read. The arrays are views, not copies, and read-only: the
+    fingerprint is computed once, so a write through the dataset after
+    hashing must raise, not go stale.
     """
 
     def __init__(self, inputs: np.ndarray, labels: np.ndarray, name: str, n_classes: int):
@@ -305,14 +304,15 @@ def gen_bar_images(n: int, size: int = 16, n_classes: int = 10, seed: int = 0,
 
     The images are made in blocks of `_BAR_BLOCK`. For each block, only the
     random draws run per image, in loop order: two jitter integers, then the
-    image's noise. The block's arithmetic then runs straight into its rows of
-    the output, each pixel getting the same operations in the same order as
-    one image at a time would, so the bytes depend neither on the batching
-    nor on the block size. Each block is rounded to 8-bit codes in its
-    float64 buffer and stored as uint8 (see `Dataset`). Held at once: the
+    image's noise. The block's arithmetic then runs in one float64 block
+    buffer, each pixel getting the same operations in the same order as one
+    image at a time would, so the bytes depend neither on the batching nor
+    on the block size. There the block is rounded to 8-bit codes, which go
+    into its rows of the uint8 output (see `Dataset`). Held at once: the
     uint8 codes, one block's float64 buffers (image, noise and class-pattern
     gather) and, from the final permutation on, the permuted codes; at the
-    fixture's 2500 16x16 images that is about half the float64 dataset.
+    fixture's 2500 16x16 images the traced peak is 3.1 MB, 0.6x the 5.12 MB
+    the float64 images would take.
     """
     check_bar_images(n, n_classes, shortcut_amp)
     rng = np.random.default_rng(seed)

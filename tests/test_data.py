@@ -23,6 +23,17 @@ class TestIdx:
         assert np.array_equal(loaded.labels, ds.labels)
         assert np.allclose(loaded.inputs, ds.inputs, atol=1 / 510)
 
+    def test_roundtrip_of_codes_is_byte_exact(self, tmp_path):
+        ds = gen_bar_images(300, size=8, n_classes=4, seed=3, shortcut_amp=0.08)
+        ip, lp = tmp_path / "img", tmp_path / "lbl"
+        write_idx(ds, ip, lp)
+        assert ip.read_bytes()[16:] == np.round(ds.inputs * 255.0).astype(np.uint8).tobytes()
+        loaded = load_idx(ip, lp)
+        assert loaded.inputs.tobytes() == ds.inputs.tobytes()
+        assert loaded._x.dtype == np.uint8
+        write_idx(loaded, tmp_path / "img2", tmp_path / "lbl2")
+        assert (tmp_path / "img2").read_bytes() == ip.read_bytes()
+
     def test_pixel_scaling(self, tmp_path):
         ds = Dataset(np.ones((1, 1, 2, 2)), np.array([0]), "one", 1)
         ip, lp = tmp_path / "img", tmp_path / "lbl"
@@ -415,6 +426,31 @@ class TestBarImagesOracle:
         ds = experiment.build_dataset(directional.fixture_config())
         assert ds.fingerprint() == "338056a0914c3e5c"
 
+    def test_split_fingerprints_are_pinned(self):
+        from robustcl import directional, experiment
+
+        cfg = directional.fixture_config()
+        d_p, d_f, test = experiment.build_splits(cfg, experiment.build_dataset(cfg))
+        assert d_f is d_p
+        assert (d_p.fingerprint(), test.fingerprint()) == ("c3c002e79eda50fe",
+                                                           "d67a7352e36c6a53")
+
+    def test_fixture_and_splits_peak_below_the_float64_dataset(self):
+        """Codes, their permuted copy, one block's float64 buffers and the
+        split's gathered codes: 2500 float64 16x16 images alone are 5.12 MB."""
+        from robustcl import directional, experiment
+
+        cfg = directional.fixture_config()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            splits = experiment.build_splits(cfg, experiment.build_dataset(cfg))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert sum(d.n for d in splits[1:]) == 2500
+        assert peak < 2500 * 256 * 8
+
 
 @pytest.mark.parametrize("lo,hi", [(-2, 3), (-17, 18), (-5, 3 * 2**30)])
 @pytest.mark.parametrize("n", [1, 2, 7, 128])
@@ -519,6 +555,48 @@ class TestDatasetFingerprint:
         assert allocated < 64 * 1024  # the inputs alone are 4.1 MB
         want = hashlib.sha256(ds.inputs.tobytes() + ds.labels.tobytes()).hexdigest()[:16]
         assert got == want
+
+
+class TestPixelCodes:
+    """An (n, c, h, w) uint8 array is held as 8-bit codes k, read as k / 255."""
+
+    def test_every_code_decodes_to_its_float64_quotient(self):
+        codes = np.arange(256, dtype=np.uint8).reshape(64, 1, 2, 2)
+        ds = Dataset(codes, np.zeros(64, dtype=int), "codes", 1)
+        want = codes.astype(np.float64) / 255.0
+        assert ds.inputs.dtype == np.float64 and ds.inputs.tobytes() == want.tobytes()
+        assert not ds.inputs.flags.writeable
+        assert ds.inputs.min() == 0.0 and ds.inputs.max() == 1.0
+
+    @pytest.mark.parametrize("idx", [np.array([5, 0, 7, 7, 299]), np.arange(300)[::-3],
+                                     slice(3, 9), slice(290, 400), slice(None), 4, -1],
+                             ids=["array", "reversed", "slice", "tail", "all", "row", "last"])
+    @pytest.mark.parametrize("coded", [True, False], ids=["codes", "float64"])
+    def test_rows_equal_inputs_byte_for_byte(self, idx, coded):
+        ds = gen_bar_images(300, size=8, n_classes=4, seed=1)
+        if not coded:
+            ds = Dataset(ds.inputs, ds.labels, ds.name, ds.n_classes)
+        got, want = ds.rows(idx), ds.inputs[idx]
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_subset_and_split_keep_one_byte_per_pixel(self):
+        ds = gen_bar_images(500, size=8, n_classes=5, seed=2)
+        parts = split(ds, (0.6, 0.4), seed=0) + (ds.subset(np.array([9, 2, 2])),)
+        for part in (ds,) + parts:
+            assert part._x.dtype == np.uint8 and part._x.nbytes == part.n * 64
+        merged = np.concatenate([p.inputs for p in parts[:2]])
+        assert np.array_equal(np.sort(merged, axis=0), np.sort(ds.inputs, axis=0))
+        assert parts[2].inputs.tobytes() == ds.inputs[[9, 2, 2]].tobytes()
+
+    def test_other_inputs_are_stored_as_float64(self):
+        for x in (np.arange(6, dtype=np.uint8).reshape(3, 2),
+                  np.zeros((2, 1, 2, 2), dtype=np.float32), np.zeros((2, 1, 2, 2), dtype=int)):
+            ds = Dataset(x, np.zeros(len(x), dtype=int), "f", 1)
+            assert ds._x.dtype == np.float64
+            assert ds.inputs.tobytes() == x.astype(np.float64).tobytes()
+        with pytest.raises(DataError, match=r"\[0, 1\]"):
+            Dataset(np.full((2, 1, 2, 2), 255, dtype=np.int16), np.zeros(2, dtype=int), "f", 1)
 
 
 class TestViewBatch:
