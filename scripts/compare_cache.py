@@ -4,7 +4,10 @@
 Checkpoints, loss curves and any other non-JSON file must match byte for
 byte. JSON files (manifests, evaluations, CKA values) are compared by
 value, field by field; a manifest's `runtime_s`, the wall time of its
-training, is left out. Exits 1 if anything differs, else 0.
+training, is left out. Within a field, dicts are compared key by key and
+lists of dicts item by item, so a field's one line names each differing
+key by its path, e.g. `specs[0].seed: 0 != 1; specs[1].clamp: only in a`.
+Exits 1 if anything differs, else 0.
 
     python3 scripts/compare_cache.py runs/acceptance/cache <other cache>
 """
@@ -16,11 +19,29 @@ import sys
 
 # fields that may differ between two runs that trained the same bytes
 IGNORED = {".manifest.json": ("runtime_s",)}
+_MISSING = object()
 
 
 def _read_json(path):
     with open(path) as f:
         return json.load(f)
+
+
+def value_diffs(path, a, b) -> list:
+    """`<path>: <how>` for each difference between the values `a` and `b`
+    (either `_MISSING`), walking dicts by key and equal-length lists of
+    dicts by index; any other pair is compared whole."""
+    if b is _MISSING:
+        return [f"{path}: only in a"]
+    if a is _MISSING:
+        return [f"{path}: only in b"]
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [d for key in sorted(set(a) | set(b))
+                for d in value_diffs(f"{path}.{key}", a.get(key, _MISSING), b.get(key, _MISSING))]
+    if (isinstance(a, list) and isinstance(b, list) and len(a) == len(b)
+            and all(isinstance(v, dict) for v in a + b)):
+        return [d for i, (x, y) in enumerate(zip(a, b)) for d in value_diffs(f"{path}[{i}]", x, y)]
+    return [] if a == b else [f"{path}: {a!r} != {b!r}"]
 
 
 def file_diffs(name, path_a, path_b) -> list:
@@ -37,12 +58,9 @@ def file_diffs(name, path_a, path_b) -> list:
     ignored = next((keys for suffix, keys in IGNORED.items() if name.endswith(suffix)), ())
     diffs = []
     for key in sorted((set(a) | set(b)) - set(ignored)):
-        if key not in b:
-            diffs.append(f"{key}: only in a")
-        elif key not in a:
-            diffs.append(f"{key}: only in b")
-        elif a[key] != b[key]:
-            diffs.append(f"{key}: {a[key]!r} != {b[key]!r}")
+        field = value_diffs(key, a.get(key, _MISSING), b.get(key, _MISSING))
+        if field:
+            diffs.append("; ".join(field))
     return diffs
 
 

@@ -5,9 +5,9 @@ Each step is one tape-free `models.input_grad` pass through the encoder and
 the classifier (CE, Threat Model I) or the head (CL or SCL, Threat Model
 II), from the gradient of a target built once per attack (`_target`),
 bitwise the taped gradient. No step records a tape or touches a
-parameter's tracking. The ball is clamped once per attack, into the pixel
-box `spec.clamp` for an image batch (`batch.x.ndim == 4`) and never for a
-vector batch, so no caller has to apply that rule; each step moves the
+parameter's tracking. The ball is clipped once per attack, into the pixel
+box `data.PIXEL_BOX` for an image batch (`batch.x.ndim == 4`) and never for
+a vector batch, so no caller has to apply that rule; each step moves the
 iterate by `_signed_step` and clips it in place (`_project`).
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses, models
+from . import data, losses, models
 
 DRIVING_LOSSES = ("CE", "CL", "SCL")
 
@@ -33,9 +33,6 @@ class AttackSpec:
     step_size: float | None = None  # None -> 2.5 * epsilon / max(steps, 1)
     random_start: bool = False
     driving_loss: str = "CE"
-    # the pixel box of an image batch; `pgd` never clips a vector batch. It
-    # stays a field because the cached eval and CKA records hold asdict(spec)
-    clamp: tuple | None = (0.0, 1.0)
     temperature: float | None = None
     seed: int = 0
 
@@ -104,18 +101,18 @@ def pgd(model, batch, spec: AttackSpec) -> np.ndarray:
 
     Each step adds `_signed_step(g, alpha)`, +0.0 at a zero gradient, so
     zero-gradient coordinates stay put; steps=0 with random_start=False
-    returns a copy of the input. The ball is clipped into `spec.clamp` only
+    returns a copy of the input. The ball is clipped into `data.PIXEL_BOX` only
     for an image batch, (n, C, H, W); a vector batch, (n, d), is never clipped.
     """
     x0 = batch.x
     if spec.epsilon == 0.0 or (spec.steps == 0 and not spec.random_start):
         return x0.copy()
-    # clip(clip(x, x0 -+ eps), clamp) == clip(x, clip(x0 -+ eps, clamp)), bit
-    # for bit unless x0 holds -0.0, so each step clips once, into the clamped ball
+    # clip(clip(x, x0 -+ eps), box) == clip(x, clip(x0 -+ eps, box)), bit for
+    # bit unless x0 holds -0.0, so each step clips once, into the boxed ball
     lo, hi = x0 - spec.epsilon, x0 + spec.epsilon
-    if spec.clamp is not None and x0.ndim == 4:
-        np.clip(lo, *spec.clamp, out=lo)
-        np.clip(hi, *spec.clamp, out=hi)
+    if x0.ndim == 4:
+        np.clip(lo, *data.PIXEL_BOX, out=lo)
+        np.clip(hi, *data.PIXEL_BOX, out=hi)
     rng = np.random.default_rng(spec.seed)
     if spec.random_start:
         x = x0 + rng.uniform(-spec.epsilon, spec.epsilon, size=x0.shape)

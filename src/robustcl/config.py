@@ -182,7 +182,7 @@ class ExperimentConfig:
 
     def train_attack(self) -> AttackSpec:
         """The training adversary; each phase sets its driving loss, and
-        `attacks.pgd` clips to its clamp on image batches only."""
+        `attacks.pgd` clips image batches into the pixel box."""
         return AttackSpec(**self.values["attack_train"])
 
     def eval_attacks(self, scheme: str) -> list:

@@ -10,6 +10,8 @@ import numpy as np
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# the range of a pixel: images lie in it, and views and PGD clip images into it
+PIXEL_BOX = (0.0, 1.0)
 
 
 class DataError(Exception):
@@ -55,7 +57,7 @@ class Dataset:
             return  # codes decode to finite values in [0, 1]
         if not np.all(np.isfinite(self._x)):
             raise DataError("dataset contains non-finite values")
-        if self.is_image and (self._x.min() < 0.0 or self._x.max() > 1.0):
+        if self.is_image and (self._x.min() < PIXEL_BOX[0] or self._x.max() > PIXEL_BOX[1]):
             raise DataError("image data must lie in [0, 1]")
 
     @property
@@ -346,7 +348,7 @@ def gen_bar_images(n: int, size: int = 16, n_classes: int = 10, seed: int = 0,
         img += stamps[k]
         noise[:m] *= noise_sigma
         img += noise[:m]
-        np.clip(img, 0.0, 1.0, out=img)
+        np.clip(img, *PIXEL_BOX, out=img)
         # quantize like an 8-bit image file would: integral values in [0, 255]
         img *= 255.0
         np.round(img, out=img)
@@ -397,7 +399,7 @@ def _augment_once(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator,
                     cc = int(rng.integers(0, max(1, w - p)))
                     out[i, :, r:r + p, cc:cc + p] = 0.0
         _add_noise(out, spec.gaussian_noise_sigma, rng)
-        np.clip(out, 0.0, 1.0, out=out)
+        np.clip(out, *PIXEL_BOX, out=out)
     else:
         out = x.copy()
         _add_noise(out, spec.gaussian_noise_sigma, rng)

@@ -132,12 +132,12 @@ def fixture_config() -> ExperimentConfig:
 
 def tm1_attack() -> AttackSpec:
     return AttackSpec(epsilon=EPS8, steps=20, random_start=True,
-                      driving_loss="CE", clamp=(0.0, 1.0), seed=0)
+                      driving_loss="CE", seed=0)
 
 
 def tm2_attack() -> AttackSpec:
     return AttackSpec(epsilon=EPS8, steps=40, random_start=True,
-                      driving_loss="CL", clamp=(0.0, 1.0), seed=0)
+                      driving_loss="CL", seed=0)
 
 
 def _cached_value(path, name, attack, compute):

@@ -233,7 +233,8 @@ def run_cells(cfg: ExperimentConfig, cells, cache_dir, log=None):
     misses = {i: jobs[i] for i in sorted((i for i, hit in enumerate(results) if hit is None),
                                          key=lambda i: _SCENARIO_RANK.get(jobs[i][0], 0))}
     args = (cfg, d_p, d_f, cache_dir)
-    workers = min(len(misses), len(os.sched_getaffinity(0)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(len(misses), cpus)
     if workers < 2:
         done = ((i, _train_job(job, *args)) for i, job in misses.items())
     else:

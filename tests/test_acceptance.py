@@ -192,8 +192,7 @@ class TestPGDInvariants:
             y = rng.integers(0, 2, size=2)
             spec = AttackSpec(epsilon=float(rng.uniform(0.01, 0.3)),
                               steps=int(rng.integers(1, 4)),
-                              random_start=bool(rng.integers(0, 2)),
-                              clamp=(0.0, 1.0), seed=i)
+                              random_start=bool(rng.integers(0, 2)), seed=i)
             adv = pgd(pgd_model, ViewBatch(x=x, y=y), spec)
             assert np.max(np.abs(adv - x)) <= spec.epsilon + 1e-9
             assert adv.min() >= 0.0 and adv.max() <= 1.0
@@ -211,7 +210,7 @@ class TestPGDInvariants:
         w.data = np.zeros_like(w.data)
         b.data = np.zeros_like(b.data)
         x = rng.random((3, 20))
-        spec = AttackSpec(epsilon=0.1, steps=5, random_start=False, clamp=None)
+        spec = AttackSpec(epsilon=0.1, steps=5, random_start=False)
         adv = pgd(m, ViewBatch(x=x, y=np.zeros(3, dtype=int)), spec)
         assert np.array_equal(adv, x)
 
@@ -231,8 +230,7 @@ class TestPGDInvariants:
             idx = rng.choice(d_test.n, size=16, replace=False)
             x, y = d_test.inputs[idx], d_test.labels[idx]
             batch = ViewBatch(x=x, y=y)
-            spec = AttackSpec(epsilon=0.2, steps=5, random_start=False,
-                              clamp=None, seed=i)
+            spec = AttackSpec(epsilon=0.2, steps=5, random_start=False, seed=i)
             adv = pgd(pgd_model, batch, spec)
 
             def ce(inp):
@@ -326,8 +324,8 @@ class TestScenarioContracts:
         d_p, _ = gauss_splits
         snaps = _encoder_bytes_at_finetune(monkeypatch)
         for scenario, attack in (("ST", None),
-                                 ("AT", AttackSpec(epsilon=0.05, steps=2, clamp=None)),
-                                 ("Partial-AT", AttackSpec(epsilon=0.05, steps=2, clamp=None))):
+                                 ("AT", AttackSpec(epsilon=0.05, steps=2)),
+                                 ("Partial-AT", AttackSpec(epsilon=0.05, steps=2))):
             m = models.init_model(EncoderConfig((16, 8, 4), (20,)),
                                   2, 4, seed=0)
             spec = _tiny_spec(scenario=scenario, scheme="CL", train_attack=attack)
@@ -340,7 +338,7 @@ class TestScenarioContracts:
         snaps = _encoder_bytes_at_finetune(monkeypatch)
         m = models.init_model(EncoderConfig((16, 8, 4), (20,)), 2, 4, seed=0)
         spec = _tiny_spec(scenario="Full-AT", scheme="CL",
-                          train_attack=AttackSpec(epsilon=0.05, steps=2, clamp=None))
+                          train_attack=AttackSpec(epsilon=0.05, steps=2))
         training.run_scenario(m, d_p, d_p, spec)
         [before] = snaps
         assert _encoder_bytes(m) != before
@@ -350,7 +348,7 @@ class TestScenarioContracts:
         m = models.init_model(EncoderConfig((16, 8, 4), (20,)), 2, 4, seed=0)
         training.run_scenario(m, d_p, d_p, _tiny_spec(scenario="ST", scheme="CL"))
         spec = AttackSpec(epsilon=0.1, steps=3, random_start=True,
-                          driving_loss="CL", clamp=None, seed=0)
+                          driving_loss="CL", seed=0)
         report = evaluation.evaluate(m, d_test, [spec], scenario="ST", scheme="CL")
         assert report.classifier_grad_queries_tm2 == 0
 

@@ -101,7 +101,7 @@ class TestHeatmap:
 
     def test_epsilon_zero_matches_clean(self, trained):
         m, _, d_test = trained
-        atk = AttackSpec(epsilon=0.0, steps=5, clamp=None)
+        atk = AttackSpec(epsilon=0.0, steps=5)
         g0 = cka_heatmap(m, d_test, attack=atk, n_samples=128, seed=0)
         g1 = cka_heatmap(m, d_test, n_samples=128, seed=0)
         assert np.allclose(g0.values, g1.values, atol=1e-9, equal_nan=True)
@@ -109,7 +109,7 @@ class TestHeatmap:
 
     def test_divergence_is_diagonal(self, trained):
         m, _, d_test = trained
-        atk = AttackSpec(epsilon=0.1, steps=5, clamp=None, random_start=False)
+        atk = AttackSpec(epsilon=0.1, steps=5, random_start=False)
         curve = divergence_curve(m, d_test, atk, n_samples=128, seed=0)
         grid = cka_heatmap(m, d_test, attack=atk, n_samples=128, seed=0)
         assert curve.tobytes() == grid.diagonal().tobytes()
@@ -122,7 +122,7 @@ class TestHeatmap:
         dead = copy.deepcopy(m)
         for t in dead.encoder_params[1]:
             t.data[...] = 0.0
-        atk = AttackSpec(epsilon=0.1, steps=5, clamp=None, random_start=False)
+        atk = AttackSpec(epsilon=0.1, steps=5, random_start=False)
         grid = cka_heatmap(dead, d_test, attack=atk, n_samples=128, seed=0)
         calls = []
         cka = analysis.linear_cka
@@ -134,7 +134,7 @@ class TestHeatmap:
 
     def test_divergence_epsilon_zero_all_ones(self, trained):
         m, _, d_test = trained
-        atk = AttackSpec(epsilon=0.0, steps=5, clamp=None)
+        atk = AttackSpec(epsilon=0.0, steps=5)
         curve = divergence_curve(m, d_test, atk, n_samples=64, seed=0)
         assert np.allclose(curve, 1.0, atol=1e-9)
 
@@ -144,7 +144,7 @@ class TestHeatmap:
         encode = models.encode
         monkeypatch.setattr(models, "encode", lambda model, x, capture=False:
                             seen.append(x.data) or encode(model, x, capture))
-        atk = AttackSpec(epsilon=0.0, steps=1, clamp=None)  # its examples are the clean rows
+        atk = AttackSpec(epsilon=0.0, steps=1)  # its examples are the clean rows
         n = d_test.n + 1
         assert cka_heatmap(m, d_test, atk, n_samples=n).n_samples == d_test.n
         assert cross_model_cka(m, m, d_test, atk, n_samples=n).n_samples == d_test.n
@@ -169,7 +169,7 @@ class TestCrossModel:
 
     def test_adv_adv_condition(self, trained):
         m, _, d_test = trained
-        atk = AttackSpec(epsilon=0.05, steps=3, clamp=None)
+        atk = AttackSpec(epsilon=0.05, steps=3)
         grid = cross_model_cka(m, m, d_test, attack=atk, n_samples=64, seed=0)
         assert grid.condition == "adv-adv"
 
@@ -225,6 +225,16 @@ class TestProbe:
         m, d_train, d_test = trained
         with pytest.raises(AnalysisError):
             linear_probe(m, d_train, d_test, "layer99")
+
+    def test_constant_layer_is_degenerate(self, trained):
+        # a zeroed middle layer outputs zeros on every input
+        m, d_train, d_test = trained
+        dead = copy.deepcopy(m)
+        for t in dead.encoder_params[1]:
+            t.data[...] = 0.0
+        layer = dead.layer_ids()[1]
+        with pytest.raises(DegenerateActivationsError, match=f"constant activations at {layer}"):
+            linear_probe(dead, d_train, d_test, layer)
 
 
 @settings(max_examples=25, deadline=None)

@@ -131,13 +131,13 @@ class TestSpec:
 class TestPgd:
     def test_epsilon_zero_identity(self, dense_model, rng):
         batch = make_batch(rng, dense_model)
-        spec = AttackSpec(epsilon=0.0, steps=5, random_start=True, clamp=None)
+        spec = AttackSpec(epsilon=0.0, steps=5, random_start=True)
         x_adv = pgd(dense_model, batch, spec)
         assert np.array_equal(x_adv, batch.x)
 
     def test_zero_steps_identity(self, dense_model, rng):
         batch = make_batch(rng, dense_model)
-        spec = AttackSpec(epsilon=0.1, steps=0, random_start=False, clamp=None)
+        spec = AttackSpec(epsilon=0.1, steps=0, random_start=False)
         assert np.array_equal(pgd(dense_model, batch, spec), batch.x)
 
     def test_zero_gradient_fixed_point(self, dense_model, rng):
@@ -146,7 +146,7 @@ class TestPgd:
         w.data = np.zeros_like(w.data)
         b.data = np.zeros_like(b.data)
         batch = make_batch(rng, dense_model)
-        spec = AttackSpec(epsilon=0.1, steps=5, random_start=False, clamp=None)
+        spec = AttackSpec(epsilon=0.1, steps=5, random_start=False)
         assert np.array_equal(pgd(dense_model, batch, spec), batch.x)
 
     def test_one_d_logistic_single_step(self):
@@ -165,7 +165,7 @@ class TestPgd:
         bc.data = np.zeros(2)
         batch = ViewBatch(x=np.array([[0.5]]), y=np.array([0]))
         spec = AttackSpec(epsilon=0.1, steps=1, step_size=0.1,
-                          random_start=False, clamp=(0.0, 1.0))
+                          random_start=False)
         x_adv = pgd(m, batch, spec)
         assert x_adv[0, 0] == pytest.approx(0.6, abs=1e-12)
         # brute-force confirmation over the feasible interval
@@ -174,7 +174,7 @@ class TestPgd:
         assert grid[np.argmax(ce)] == pytest.approx(0.6)
 
     def test_budget_and_clamp_random_attacks(self, st_model, rng):
-        spec = AttackSpec(epsilon=0.07, steps=4, random_start=True, clamp=(0.0, 1.0))
+        spec = AttackSpec(epsilon=0.07, steps=4, random_start=True)
         for i in range(20):
             x = rng.random((5, 1, 4, 5))
             y = rng.integers(0, 2, size=5)
@@ -184,18 +184,18 @@ class TestPgd:
             assert x_adv.min() >= 0.0 and x_adv.max() <= 1.0
 
     @pytest.mark.parametrize("driving_loss", ["CE", "CL", "SCL"])
-    def test_clamps_image_batches_only(self, st_model, driving_loss):
+    def test_clips_image_batches_only(self, st_model, driving_loss):
         # the same values, clipped into the pixel box as an image batch and
-        # never as a vector batch
+        # never as a vector batch, each to the reference loop's byte
         rng = np.random.default_rng(13)
         x = rng.random((8, 20))
         y = rng.integers(0, 2, size=8)
         spec = AttackSpec(epsilon=0.2, steps=3, random_start=True,
-                          driving_loss=driving_loss, clamp=(0.0, 1.0), seed=4)
-        vec = pgd(st_model, ViewBatch(x=x, y=y), spec)
-        img = pgd(st_model, ViewBatch(x=x.reshape(8, 1, 4, 5), y=y), spec)
-        assert vec.tobytes() == pgd(st_model, ViewBatch(x=x, y=y),
-                                    replace(spec, clamp=None)).tobytes()
+                          driving_loss=driving_loss, seed=4)
+        vec_batch, img_batch = ViewBatch(x=x, y=y), ViewBatch(x=x.reshape(8, 1, 4, 5), y=y)
+        vec, img = pgd(st_model, vec_batch, spec), pgd(st_model, img_batch, spec)
+        assert vec.tobytes() == _reference_pgd(st_model, vec_batch, spec).tobytes()
+        assert img.tobytes() == _reference_pgd(st_model, img_batch, spec).tobytes()
         assert vec.min() < 0.0 and vec.max() > 1.0
         assert img.shape == (8, 1, 4, 5)
         assert img.min() >= 0.0 and img.max() <= 1.0
@@ -204,12 +204,11 @@ class TestPgd:
 
     def test_determinism(self, st_model, rng):
         batch = make_batch(rng, st_model)
-        spec = AttackSpec(epsilon=0.1, steps=3, random_start=True, clamp=None, seed=4)
+        spec = AttackSpec(epsilon=0.1, steps=3, random_start=True, seed=4)
         a = pgd(st_model, batch, spec)
         b = pgd(st_model, batch, spec)
         assert np.array_equal(a, b)
-        c = pgd(st_model, batch, AttackSpec(epsilon=0.1, steps=3, random_start=True,
-                                            clamp=None, seed=5))
+        c = pgd(st_model, batch, AttackSpec(epsilon=0.1, steps=3, random_start=True, seed=5))
         assert not np.array_equal(a, c)
 
     def test_driving_loss_increases(self, st_model):
@@ -217,7 +216,7 @@ class TestPgd:
         for i in range(20):
             rng = np.random.default_rng(100 + i)
             batch = make_batch(rng, st_model)
-            spec = AttackSpec(epsilon=0.15, steps=5, random_start=False, clamp=None)
+            spec = AttackSpec(epsilon=0.15, steps=5, random_start=False)
             x_adv = pgd(st_model, batch, spec)
             before = _ce_value(st_model, batch.x, batch.y)
             after = _ce_value(st_model, x_adv, batch.y)
@@ -228,7 +227,7 @@ class TestPgd:
         st_model.set_tracking(encoder=True, head=True, classifier=True)
         before = [p.data.copy() for p in st_model.all_params()]
         batch = make_batch(rng, st_model)
-        pgd(st_model, batch, AttackSpec(epsilon=0.1, steps=3, clamp=None))
+        pgd(st_model, batch, AttackSpec(epsilon=0.1, steps=3))
         assert all(np.array_equal(p.data, q)
                    for p, q in zip(st_model.all_params(), before))
         assert all(p.grad_tracked for p in st_model.all_params())
@@ -236,7 +235,7 @@ class TestPgd:
     def test_ce_requires_labels(self, dense_model, rng):
         batch = ViewBatch(x=rng.random((4, 20)), y=None)
         with pytest.raises(AttackError):
-            pgd(dense_model, batch, AttackSpec(epsilon=0.1, steps=1, clamp=None))
+            pgd(dense_model, batch, AttackSpec(epsilon=0.1, steps=1))
 
 
 @contextmanager
@@ -254,13 +253,15 @@ def _params_untracked(model):
 
 def _reference_pgd(model, batch, spec):
     """PGD written out step by step on a tape, re-embedding the clean batch
-    on every step inside the step's tape."""
+    on every step inside the step's tape; an image batch is clipped into
+    [0, 1] after the ball, a vector batch never."""
     x0 = batch.x
+    box = (0.0, 1.0) if x0.ndim == 4 else None
     rng = np.random.default_rng(spec.seed)
     x = x0.copy()
     if spec.random_start:
         x = project_linf(x0, x0 + rng.uniform(-spec.epsilon, spec.epsilon, size=x0.shape),
-                         spec.epsilon, spec.clamp)
+                         spec.epsilon, box)
     with _params_untracked(model):
         for _ in range(spec.steps):
             leaf = Tensor(x, grad_tracked=True)
@@ -278,7 +279,7 @@ def _reference_pgd(model, batch, spec):
                                              np.concatenate([batch.y, batch.y]),
                                              losses.DEFAULT_TAU_SCL)
             g = T.backward(tape, loss)[leaf]
-            x = project_linf(x0, x + spec.alpha * np.sign(g), spec.epsilon, spec.clamp)
+            x = project_linf(x0, x + spec.alpha * np.sign(g), spec.epsilon, box)
     return x
 
 
@@ -287,7 +288,7 @@ class TestCleanEmbeddingOnce:
     def test_matches_reference_loop(self, st_model, driving_loss):
         batch = make_batch(np.random.default_rng(7), st_model, n=8, shape=(1, 4, 5))
         spec = AttackSpec(epsilon=0.1, steps=4, random_start=True,
-                          driving_loss=driving_loss, clamp=(0.0, 1.0), seed=3)
+                          driving_loss=driving_loss, seed=3)
         x_adv = pgd(st_model, batch, spec)
         assert not np.array_equal(x_adv, batch.x)
         assert np.array_equal(x_adv, _reference_pgd(st_model, batch, spec))
@@ -300,7 +301,7 @@ class TestCleanEmbeddingOnce:
         # 256 and 244
         batch = make_batch(np.random.default_rng(n), st_model, n=n, shape=(1, 4, 5))
         spec = AttackSpec(epsilon=0.1, steps=3, random_start=True,
-                          driving_loss=driving_loss, clamp=(0.0, 1.0), seed=3)
+                          driving_loss=driving_loss, seed=3)
         x_adv = pgd(st_model, batch, spec)
         assert x_adv.tobytes() == _reference_pgd(st_model, batch, spec).tobytes()
 
@@ -311,7 +312,7 @@ class TestCleanEmbeddingOnce:
         x = rng.uniform(-0.3, 1.3, size=(8, 1, 4, 5))
         batch = ViewBatch(x=x, y=rng.integers(0, 2, size=8))
         spec = AttackSpec(epsilon=0.1, steps=4, random_start=True,
-                          driving_loss=driving_loss, clamp=(0.0, 1.0), seed=5)
+                          driving_loss=driving_loss, seed=5)
         x_adv = pgd(st_model, batch, spec)
         assert ((x < 0.0) | (x > 1.0)).any()
         assert x_adv.tobytes() == _reference_pgd(st_model, batch, spec).tobytes()
@@ -325,7 +326,7 @@ class TestCleanEmbeddingOnce:
         model.encoder_params[0][0].data[dead] = 0.0
         batch = make_batch(np.random.default_rng(5), model, n=16, shape=(1, 4, 5))
         spec = AttackSpec(epsilon=0.1, steps=4, random_start=True,
-                          driving_loss=driving_loss, clamp=(0.0, 1.0), seed=2)
+                          driving_loss=driving_loss, seed=2)
         start = pgd(model, batch, replace(spec, steps=0)).reshape(16, 20)
         x_adv = pgd(model, batch, spec)
         assert x_adv.tobytes() == _reference_pgd(model, batch, spec).tobytes()
@@ -344,7 +345,7 @@ class TestCleanEmbeddingOnce:
                 counted[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(models, name, counting)
-        spec = AttackSpec(epsilon=0.1, steps=3, driving_loss=driving_loss, clamp=None)
+        spec = AttackSpec(epsilon=0.1, steps=3, driving_loss=driving_loss)
         pgd(st_model, make_batch(rng, st_model), spec)
         assert counted == {"encode": calls, "forward_arrays": calls}
 
@@ -366,7 +367,7 @@ class TestImageBatches:
         batch = ViewBatch(x=rng.random((n, 1, 16, 16)),
                           y=rng.integers(0, 10, size=n))
         spec = AttackSpec(epsilon=8 / 255, steps=3, random_start=True,
-                          driving_loss=driving_loss, clamp=(0.0, 1.0), seed=n)
+                          driving_loss=driving_loss, seed=n)
         x_adv = pgd(image_model, batch, spec)
         assert x_adv.shape == (n, 1, 16, 16)
         start = pgd(image_model, batch, replace(spec, steps=0))
@@ -389,7 +390,7 @@ class TestLiveEncoder:
         model.set_tracking(encoder=True, head=True, classifier=True)
         batch = make_batch(np.random.default_rng(9), model, n=32, shape=(1, 4, 5))
         spec = AttackSpec(epsilon=0.1, steps=3, random_start=True,
-                          driving_loss=driving_loss, clamp=(0.0, 1.0), seed=1)
+                          driving_loss=driving_loss, seed=1)
         with GradientTape() as outer:
             before = self._state(model)
             x_adv = pgd(model, batch, spec)
@@ -410,8 +411,7 @@ class TestLiveEncoder:
             before = self._state(model)
             with pytest.raises(AttackError, match="non-finite attack gradient"):
                 pgd(model, make_batch(np.random.default_rng(2), model),
-                    AttackSpec(epsilon=0.1, steps=2, driving_loss=driving_loss,
-                               clamp=None))
+                    AttackSpec(epsilon=0.1, steps=2, driving_loss=driving_loss))
             assert self._state(model) == before
         assert outer.nodes == [] and not T._TAPE_STACK
 
@@ -422,7 +422,7 @@ class TestStepChecks:
     def test_input_shape(self, st_model, rng):
         batch = ViewBatch(x=rng.random((4, 19)), y=np.zeros(4, dtype=int))
         with pytest.raises(models.ModelError, match="encoder expects samples"):
-            pgd(st_model, batch, AttackSpec(epsilon=0.1, steps=1, clamp=None))
+            pgd(st_model, batch, AttackSpec(epsilon=0.1, steps=1))
 
     @pytest.mark.parametrize("driving_loss", ["CE", "CL"])
     def test_non_finite_layer_output_names_dense(self, dense_model, rng, driving_loss):
@@ -432,20 +432,20 @@ class TestStepChecks:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 T.NonFiniteError, match="output of dense$"):
             pgd(dense_model, batch, AttackSpec(epsilon=0.1, steps=1,
-                                               driving_loss=driving_loss, clamp=None))
+                                               driving_loss=driving_loss))
 
     def test_ce_labels_are_checked_before_the_first_step(self, dense_model, rng,
                                                          monkeypatch):
         monkeypatch.setattr(models, "input_grad", pytest.fail)
         batch = ViewBatch(x=rng.random((4, 20)), y=np.array([0, 1, 2, 0]))
         with pytest.raises(losses.LossError, match="labels out of range"):
-            pgd(dense_model, batch, AttackSpec(epsilon=0.1, steps=3, clamp=None))
+            pgd(dense_model, batch, AttackSpec(epsilon=0.1, steps=3))
 
     def test_tm1_steps_count_one_classifier_query_each_under_audit(self, st_model, rng):
         model = copy.deepcopy(st_model)
         model.classifier_grad_queries = 0
         model.audit_active = True
-        pgd(model, make_batch(rng, model), AttackSpec(epsilon=0.1, steps=4, clamp=None))
+        pgd(model, make_batch(rng, model), AttackSpec(epsilon=0.1, steps=4))
         assert model.classifier_grad_queries == 4
 
 
@@ -480,7 +480,7 @@ class TestThreatModelII:
         # one positive pair, no negatives: NT-Xent is identically 0
         batch = ViewBatch(x=rng.random((1, 20)), y=np.array([0]))
         spec = AttackSpec(epsilon=0.1, steps=3, driving_loss="CL",
-                          random_start=False, clamp=None)
+                          random_start=False)
         x_adv = pgd(dense_model, batch, spec)
         assert np.array_equal(x_adv, batch.x)
 
@@ -491,7 +491,7 @@ class TestThreatModelII:
             batch = make_batch(rng, st_model)
             for loss_name in ("CL", "SCL"):
                 spec = AttackSpec(epsilon=0.1, steps=4, driving_loss=loss_name,
-                                  random_start=True, clamp=None)
+                                  random_start=True)
                 pgd(st_model, batch, spec)
         finally:
             st_model.audit_active = False
@@ -500,7 +500,7 @@ class TestThreatModelII:
     def test_budget_holds(self, st_model, rng):
         batch = make_batch(rng, st_model)
         spec = AttackSpec(epsilon=0.05, steps=6, driving_loss="SCL",
-                          random_start=True, clamp=None)
+                          random_start=True)
         x_adv = pgd(st_model, batch, spec)
         assert np.max(np.abs(x_adv - batch.x)) <= 0.05 + 1e-9
 
@@ -512,15 +512,14 @@ class TestContrastiveAttackErrors:
     def test_scl_without_labels(self, st_model, rng):
         batch = ViewBatch(x=rng.random((4, 20)), y=None)
         with pytest.raises(AttackError, match="SCL attack requires labels"):
-            pgd(st_model, batch, AttackSpec(epsilon=0.1, steps=1, driving_loss="SCL",
-                                            clamp=None))
+            pgd(st_model, batch, AttackSpec(epsilon=0.1, steps=1, driving_loss="SCL"))
 
     @pytest.mark.parametrize("driving_loss", ["CL", "SCL"])
     def test_zero_steps_with_random_start_raise_nothing(self, st_model, rng,
                                                         driving_loss):
         x = rng.random((4, 20))
         spec = AttackSpec(epsilon=0.1, steps=0, random_start=True,
-                          driving_loss=driving_loss, clamp=None)
+                          driving_loss=driving_loss)
         x_adv = pgd(st_model, ViewBatch(x=x, y=None), spec)
         assert 0.0 < np.max(np.abs(x_adv - x)) <= 0.1
 
@@ -531,14 +530,14 @@ class TestContrastiveAttackErrors:
         batch = make_batch(rng, dense_model)
         with pytest.raises(T.TensorError, match="zero row"):
             pgd(dense_model, batch, AttackSpec(epsilon=0.1, steps=1,
-                                               driving_loss="CL", clamp=None))
+                                               driving_loss="CL"))
 
     def test_non_finite_gradient(self, st_model, rng, monkeypatch):
         monkeypatch.setattr(losses.ContrastiveTarget, "grad",
                             lambda self, z: np.full(z.shape, np.nan))
         with pytest.raises(AttackError, match="non-finite attack gradient"):
             pgd(st_model, make_batch(rng, st_model),
-                AttackSpec(epsilon=0.1, steps=1, driving_loss="CL", clamp=None))
+                AttackSpec(epsilon=0.1, steps=1, driving_loss="CL"))
 
 
 def _ce_value(model, x, y):
@@ -556,8 +555,7 @@ def test_budget_property(seed, epsilon):
     m = models.init_model(cfg, 2, 4, seed=seed % 7)
     x = rng.random((3, 1, 2, 3))  # the (3, 6) draw as an image batch
     batch = ViewBatch(x=x, y=rng.integers(0, 2, size=3))
-    spec = AttackSpec(epsilon=epsilon, steps=3, random_start=True,
-                      clamp=(0.0, 1.0), seed=seed)
+    spec = AttackSpec(epsilon=epsilon, steps=3, random_start=True, seed=seed)
     x_adv = pgd(m, batch, spec)
     assert np.max(np.abs(x_adv - x)) <= epsilon + 1e-9
     assert x_adv.min() >= 0.0 and x_adv.max() <= 1.0

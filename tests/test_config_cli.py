@@ -149,8 +149,6 @@ class TestConfig:
         assert ("II", 40, "SCL") in tms
         specs_cl = cfg.eval_attacks("CL")
         assert any(s.driving_loss == "CL" for s in specs_cl)
-        # the specs keep the default clamp; attacks.pgd applies it to image batches only
-        assert all(s.clamp == (0.0, 1.0) for s in specs + specs_cl)
 
 
 class TestReporting:

@@ -50,23 +50,30 @@ class TestIdx:
         with pytest.raises(DataError, match="mismatch"):
             load_idx(ip, lp2)
 
-    def test_bad_magic(self, tmp_path):
-        ds = gen_bar_images(4, size=8, n_classes=2, seed=0)
-        ip, lp = tmp_path / "img", tmp_path / "lbl"
-        write_idx(ds, ip, lp)
-        blob = bytearray(ip.read_bytes())
-        blob[3] ^= 0xFF
-        ip.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="magic"):
-            load_idx(ip, lp)
+    @pytest.mark.parametrize("name, damage, match", [
+        ("img", lambda b: b[:15], "truncated IDX image file"),
+        ("img", lambda b: b[:3] + bytes([b[3] ^ 0xFF]) + b[4:], "bad IDX image magic"),
+        ("img", lambda b: b[:-5], "truncated IDX image payload"),
+        ("lbl", lambda b: b[:7], "truncated IDX label file"),
+        ("lbl", lambda b: b[:3] + bytes([b[3] ^ 0xFF]) + b[4:], "bad IDX label magic"),
+        ("lbl", lambda b: b[:-1], "truncated IDX label payload"),
+    ])
+    def test_damaged_files(self, tmp_path, name, damage, match):
+        write_idx(gen_bar_images(4, size=8, n_classes=2, seed=0),
+                  tmp_path / "img", tmp_path / "lbl")
+        path = tmp_path / name
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(DataError, match=match):
+            load_idx(tmp_path / "img", tmp_path / "lbl")
 
-    def test_truncation(self, tmp_path):
-        ds = gen_bar_images(4, size=8, n_classes=2, seed=0)
+    def test_write_requires_single_channel_images(self, tmp_path, gauss_data):
         ip, lp = tmp_path / "img", tmp_path / "lbl"
-        write_idx(ds, ip, lp)
-        ip.write_bytes(ip.read_bytes()[:-5])
-        with pytest.raises(DataError, match="truncated"):
-            load_idx(ip, lp)
+        with pytest.raises(DataError, match="requires image data"):
+            write_idx(gauss_data, ip, lp)
+        rgb = Dataset(np.zeros((2, 3, 4, 4)), np.array([0, 1]), "rgb", 2)
+        with pytest.raises(DataError, match="single-channel"):
+            write_idx(rgb, ip, lp)
+        assert not ip.exists() and not lp.exists()
 
     def test_zero_images(self, tmp_path):
         ip, lp = tmp_path / "img", tmp_path / "lbl"
@@ -109,6 +116,11 @@ class TestCsv:
             load_csv(p)
         assert str(p) in str(exc.value)
 
+    def test_write_requires_vectors(self, tmp_path):
+        with pytest.raises(DataError, match="requires vector data"):
+            write_csv(gen_bar_images(4, size=8, n_classes=2, seed=0), tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_a_label_column_alone_holds_no_values(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("label\n0\n1\n")
@@ -148,6 +160,20 @@ class TestSynthetic:
             gen_synthetic("two_gaussians", 1, 5, 2, seed=0)
         with pytest.raises(DataError):
             gen_synthetic("nope", 10, 5, 2, seed=0)
+
+    @pytest.mark.parametrize("kind, dim, n_classes, separation, match", [
+        ("blobs_k", 5, 3, 0.0, "separation must be positive"),
+        ("two_gaussians", 5, 3, 4.0, "two_gaussians requires n_classes == 2"),
+        ("rings", 1, 2, 4.0, "rings requires dim >= 2"),
+    ])
+    def test_invalid_kind_arguments(self, kind, dim, n_classes, separation, match):
+        with pytest.raises(DataError, match=match):
+            gen_synthetic(kind, 30, dim, n_classes, seed=0, separation=separation)
+
+    @pytest.mark.parametrize("n, n_classes", [(20, 1), (20, 11), (5, 10)])
+    def test_bar_images_class_count_rejected(self, n, n_classes):
+        with pytest.raises(DataError, match="supports 2 to 10 classes"):
+            gen_bar_images(n, n_classes=n_classes)
 
     def test_bar_images_range_and_determinism(self):
         a = gen_bar_images(50, size=16, n_classes=10, seed=1)
@@ -222,6 +248,15 @@ class TestViews:
     def test_invalid_probability(self):
         with pytest.raises(DataError):
             AugmentSpec(horizontal_flip_prob=1.5)
+
+    def test_negative_noise_sigma(self):
+        with pytest.raises(DataError, match="noise sigma"):
+            AugmentSpec(gaussian_noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2, 3), (1, 1, 2, 2, 2)])
+    def test_views_need_vectors_or_images(self, shape):
+        with pytest.raises(DataError, match="make_views expects"):
+            make_views(np.zeros(shape), AugmentSpec(), seed=0)
 
 
 def _oracle_augment_once(x, spec, rng):

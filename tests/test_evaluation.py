@@ -34,7 +34,7 @@ class TestEvaluate:
 
     def test_epsilon_zero_equals_clean(self, trained):
         m, d_test = trained
-        spec = AttackSpec(epsilon=0.0, steps=20, clamp=None)
+        spec = AttackSpec(epsilon=0.0, steps=20)
         rep = evaluate(m, d_test, [spec])
         assert rep.robust[("I", 0.0, 20)] == rep.clean_accuracy
 
@@ -45,7 +45,7 @@ class TestEvaluate:
 
     def test_determinism(self, trained):
         m, d_test = trained
-        specs = [AttackSpec(epsilon=0.1, steps=5, random_start=True, clamp=None)]
+        specs = [AttackSpec(epsilon=0.1, steps=5, random_start=True)]
         a = evaluate(m, d_test, specs)
         b = evaluate(m, d_test, specs)
         assert a.clean_accuracy == b.clean_accuracy
@@ -55,7 +55,7 @@ class TestEvaluate:
         m, d_test = trained
         accs = []
         for eps in (0.05, 0.15, 0.4):
-            spec = AttackSpec(epsilon=eps, steps=10, random_start=True, clamp=None)
+            spec = AttackSpec(epsilon=eps, steps=10, random_start=True)
             accs.append(robust_accuracy(m, d_test, spec))
         assert accs[1] <= accs[0] + 0.01
         assert accs[2] <= accs[1] + 0.01
@@ -63,14 +63,14 @@ class TestEvaluate:
 
     def test_tm2_na_for_sl(self, trained):
         m, d_test = trained
-        spec = AttackSpec(epsilon=0.1, steps=5, driving_loss="CL", clamp=None)
+        spec = AttackSpec(epsilon=0.1, steps=5, driving_loss="CL")
         rep = evaluate(m, d_test, [spec], scheme="SL")
         assert rep.robust[("II", 0.1, 5)] is None
 
     def test_tm2_zero_classifier_queries(self, trained):
         m, d_test = trained
         spec = AttackSpec(epsilon=0.1, steps=3, driving_loss="CL",
-                          random_start=True, clamp=None)
+                          random_start=True)
         rep = evaluate(m, d_test, [spec], scheme="CL")
         assert rep.classifier_grad_queries_tm2 == 0
         assert 0.0 <= rep.robust[("II", 0.1, 3)] <= 1.0
@@ -88,7 +88,7 @@ class TestEvaluate:
             return pgd(model, batch, spec)
 
         monkeypatch.setattr(attacks, "pgd", querying_pgd)
-        specs = [AttackSpec(epsilon=0.1, steps=2, driving_loss=loss, clamp=None)
+        specs = [AttackSpec(epsilon=0.1, steps=2, driving_loss=loss)
                  for loss in ("CE", "CL")]
         rep = evaluate(m, d_test, specs, scheme="CL")
         n_batches = -(-d_test.n // 256)  # robust_accuracy's batch size

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from robustcl import analysis, directional, evaluation, experiment, models
-from robustcl.config import load_config
+from robustcl.config import ConfigError, ExperimentConfig, load_config
 
 TINY = [
     "dataset.n=120", "dataset.dim=6", "dataset.separation=8.0",
@@ -123,6 +123,14 @@ def test_build_splits_with_a_fine_tuning_fraction():
     assert len(set.union(*rows)) == 100  # the three splits are disjoint
 
 
+def test_build_dataset_names_an_unknown_source():
+    # `validate` stops this source first; an unvalidated config reaches the check
+    sections = load_config(text="").sections
+    sections = {**sections, "dataset": {**sections["dataset"], "source": "parquet"}}
+    with pytest.raises(ConfigError, match="unknown dataset source 'parquet'"):
+        experiment.build_dataset(ExperimentConfig(sections))
+
+
 def test_train_cell_writes_cache_then_hits_it(tmp_path):
     cfg = load_config(text="", overrides=TINY)
     dataset = experiment.build_dataset(cfg)
@@ -215,6 +223,20 @@ def test_run_cells_logs_its_pool_before_the_cells(tmp_path, monkeypatch):
     assert lines[0] == "training 3 cells on 2 workers"
     assert sorted(lines[1:]) == ["seed 0: AT/CL trained in 2 s", "seed 0: ST/SL trained in 2 s",
                                  "seed 1: ST/CL trained in 2 s"]
+
+
+def test_run_cells_counts_cpus_where_affinity_is_missing(tmp_path, monkeypatch):
+    """Without `os.sched_getaffinity` (macOS), the worker count falls back to
+    `os.cpu_count()`: one CPU trains the misses here, with no pool."""
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(experiment, "_train_pooled", pytest.fail)
+    cfg = load_config(text="", overrides=TINY)
+    lines = []
+    _, [(model, manifest)] = experiment.run_cells(cfg, [("ST", "SL", 0, None, None)],
+                                                  str(tmp_path), log=lines.append)
+    assert isinstance(model, models.ModelBundle)
+    assert lines == [f"seed 0: ST/SL trained in {manifest['runtime_s']:.0f} s"]
 
 
 def test_an_overflowing_cell_comes_back_as_its_error(tmp_path, monkeypatch):
@@ -616,15 +638,23 @@ def test_compare_cache_lists_each_difference_by_file_and_field(tmp_path, capsys)
     (b / "k.eval.json").write_text(json.dumps({"clean": 0.25, "specs": []}))
     (a / "k.loss.csv").write_text("epoch,phase,loss\n")
     (b / "cross_k_j.json").write_text("{}")
+    # a nested difference is named by its path, one line per field
+    for cache, clamp, spec in ((a, {"clamp": [0.0, 1.0]}, {"seed": 1}),
+                               (b, {}, {"seed": 2, "tau": None})):
+        (cache / "j.cka.json").write_text(json.dumps({"attack": {**clamp, "seed": 0}}))
+        (cache / "j.eval.json").write_text(json.dumps(
+            {"clean": 0.5, "specs": [{"seed": 0, **clamp}, {"steps": 2, **spec}]}))
     assert _script("compare_cache").main([str(a), str(b)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "cross_k_j.json: only in b",
+        "j.cka.json: attack.clamp: only in a",
+        "j.eval.json: specs[0].clamp: only in a; specs[1].seed: 1 != 2; specs[1].tau: only in b",
         "k.ckpt: bytes differ",
         "k.eval.json: clean: 0.5 != 0.25",
         "k.eval.json: n_test: only in a",
         "k.eval.json: specs: only in b",
         "k.loss.csv: only in a",
-        "5 files, 6 difference(s)",
+        "7 files, 8 difference(s)",
     ]
 
 

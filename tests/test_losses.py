@@ -68,6 +68,13 @@ class TestNTXent:
         with pytest.raises(LossError):
             nt_xent(Tensor(z), Tensor(z), 0.0)
 
+    @pytest.mark.parametrize("shape_a, shape_b", [((4, 3), (5, 3)), ((4, 3), (4, 2)),
+                                                  ((4,), (4,))])
+    def test_incompatible_shapes(self, rng, shape_a, shape_b):
+        with pytest.raises(LossError, match="nt_xent: incompatible shapes"):
+            nt_xent(Tensor(rng.standard_normal(shape_a)),
+                    Tensor(rng.standard_normal(shape_b)), 0.5)
+
     def test_gradient_finite_diff(self, rng):
         w = rng.standard_normal((4, 5))
 
@@ -88,6 +95,11 @@ class TestSupCon:
         z = rng.standard_normal((2, 3))
         with pytest.raises(LossError):
             supcon(Tensor(z), np.array([0, 1]), 0.1)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (4,)])
+    def test_fewer_than_two_rows_or_not_a_matrix(self, rng, shape):
+        with pytest.raises(LossError, match="supcon: need an"):
+            supcon(Tensor(rng.standard_normal(shape)), np.zeros(shape[0], dtype=int), 0.1)
 
     @pytest.mark.parametrize("m", [4, 6, 8])
     def test_matches_bruteforce(self, m, rng):
@@ -140,6 +152,11 @@ class TestCrossEntropy:
     def test_label_out_of_range(self, rng):
         with pytest.raises(LossError):
             cross_entropy(Tensor(rng.standard_normal((2, 3))), np.array([0, 3]))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 1)])
+    def test_logits_must_be_a_matrix(self, rng, shape):
+        with pytest.raises(LossError, match="cross_entropy: need"):
+            cross_entropy(Tensor(rng.standard_normal(shape)), np.zeros(2, dtype=int))
 
 
 @settings(max_examples=50, deadline=None)

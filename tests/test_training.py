@@ -174,7 +174,7 @@ def test_each_phase_attacks_at_the_adversarial_batch_size(gauss_splits, pgd_spec
     monkeypatch.setattr(data, "iter_batches", recording_iter_batches)
     spec = small_spec(scenario=scenario, scheme=scheme, pretrain_epochs=1,
                       finetune_epochs=1, batch_size=32, adv_batch_size=48,
-                      train_attack=AttackSpec(epsilon=0.05, steps=1, clamp=None))
+                      train_attack=AttackSpec(epsilon=0.05, steps=1))
     phases = training._phases(spec, d_p, d_p)
     table = PHASE_TABLE[scenario, scheme]
     assert [(p.name, p.trains, p.driving_loss) for p in phases] == table
@@ -216,7 +216,7 @@ class TestPretrain:
         d_p, _ = gauss_splits
         specs = pgd_specs
         spec = small_spec(scenario="AT", scheme="CL", pretrain_epochs=2,
-                          train_attack=AttackSpec(epsilon=0.05, steps=2, clamp=None))
+                          train_attack=AttackSpec(epsilon=0.05, steps=2))
         run_scenario(fresh_model(), d_p, d_p, spec)
         steps_per_epoch = sum(1 for _ in data.iter_batches(
             d_p, spec.adv_batch_size, spec.seed, 0))
@@ -306,7 +306,7 @@ class TestFinetune:
         m = fresh_model()
         snaps = snapshots_at_finetune(monkeypatch)
         spec = small_spec(scenario="Partial-AT", scheme="CL", pretrain_epochs=1,
-                          train_attack=AttackSpec(epsilon=0.05, steps=2, clamp=None))
+                          train_attack=AttackSpec(epsilon=0.05, steps=2))
         run_scenario(m, d_p, d_p, spec)
         [(snap, _)] = snaps
         assert encoder_unchanged(m, snap)
@@ -326,7 +326,7 @@ class TestFinetune:
 
         monkeypatch.setattr(models, "reinit_classifier", marking_reinit)
         spec = small_spec(scenario=scenario, scheme=scheme, pretrain_epochs=1,
-                          train_attack=AttackSpec(epsilon=0.05, steps=2, clamp=None))
+                          train_attack=AttackSpec(epsilon=0.05, steps=2))
         run_scenario(fresh_model(), d_p, d_p, spec)
         [boundary] = at_finetune
         assert {s.driving_loss for s in specs[:boundary]} == {scheme}
@@ -341,7 +341,7 @@ class TestFinetune:
         m = fresh_model()
         snaps = snapshots_at_finetune(monkeypatch)
         spec = small_spec(scenario="Full-AT", scheme="CL", pretrain_epochs=1,
-                          train_attack=AttackSpec(epsilon=0.05, steps=2, clamp=None))
+                          train_attack=AttackSpec(epsilon=0.05, steps=2))
         run_scenario(m, d_p, d_p, spec)
         [(snap, _)] = snaps
         assert not encoder_unchanged(m, snap)
@@ -386,20 +386,21 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("scenario, scheme",
                              [("AT", "SL"), ("AT", "CL"), ("Full-AT", "SCL")])
-    def test_vector_data_attacks_drop_the_clamp(self, gauss_splits, monkeypatch,
-                                               scenario, scheme):
-        # every x_adv of a vector batch is the unclamped attack's, to the byte
+    def test_vector_data_attacks_are_never_clipped(self, gauss_splits, monkeypatch,
+                                                  scenario, scheme):
+        # a step past epsilon lands each coordinate on x0 or x0 +- eps, never boxed
         d_p, _ = gauss_splits
         pgd, outs = attacks.pgd, []
 
         def recording_pgd(model, batch, spec):
             x_adv = pgd(model, batch, spec)
-            outs.append((x_adv, pgd(model, batch, replace(spec, clamp=None))))
+            step = batch.x + spec.alpha * np.sign(x_adv - batch.x)
+            outs.append((x_adv, G.project_linf(batch.x, step, spec.epsilon)))
             return x_adv
 
         monkeypatch.setattr(attacks, "pgd", recording_pgd)
         attack = AttackSpec(epsilon=0.05, steps=1)
-        assert attack.clamp == (0.0, 1.0)
+        assert attack.alpha > attack.epsilon
         spec = small_spec(scenario=scenario, scheme=scheme, pretrain_epochs=1,
                           finetune_epochs=1, train_attack=attack)
         run_scenario(fresh_model(), d_p, d_p, spec)
@@ -540,7 +541,7 @@ def test_a_short_view_or_attack_stops_the_step_before_its_loss(
     else:
         monkeypatch.setattr(attacks, "pgd", lambda model, batch, spec: batch.x[1:].copy())
     spec = small_spec(scenario=scenario, scheme=scheme, pretrain_epochs=1, finetune_epochs=1,
-                      train_attack=AttackSpec(epsilon=0.05, steps=1, clamp=None))
+                      train_attack=AttackSpec(epsilon=0.05, steps=1))
     phase = training._phases(spec, d_p, d_p)[phase_index]
     with pytest.raises(data.DataError, match="batch members disagree on leading dimension"):
         training._run_phase(fresh_model(), spec, phase)
