@@ -14,10 +14,13 @@ minor page faults (the change of `resource.getrusage(RUSAGE_CHILDREN)
 .ru_minflt` across its subprocess) are kept. Per workload and end-to-end
 metric of the change tree's `BENCHMARK.json`, the summary holds each side's
 median and quartiles (`statistics.quantiles(n=4)`), the pairs the change
-won (ties count for neither), the parent's interquartile range, and two
+won (ties count for neither), the parent's interquartile range, and three
 verdicts: `gain`, the change won at least nine tenths of the pairs and its
 median is better by more than the parent's IQR; `regression`, its median is
-worse than the parent's by more than the metric's bound. The summary also
+worse than the parent's by more than the metric's bound; `unresolved`, the
+parent's IQR is wider than the bound (taken relative to the parent's
+median) and not every change run beats every parent run, so the runs cannot
+show the metric unchanged, whatever `regression` reads. The summary also
 reports each side's median of minor faults, report-only: it is not a
 declared metric and enters no verdict. Nothing is written inside either
 tree (the runs do not write bytecode). Exits 1 if any run does not read
@@ -85,13 +88,17 @@ def summarize(runs: list, declared: list) -> dict:
         gap = sign * (change["median"] - parent["median"])
         wins = sum(sign * (b - a) > 0 for a, b in got)
         iqr = parent["q3"] - parent["q1"]
+        bound = metric["bound"] * abs(parent["median"])
+        # the worst change run against the best parent run
+        separated = min(sign * b for _, b in got) > max(sign * a for a, _ in got)
         summary[name] = {
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
             "parent": parent, "change": change, "pairs": len(got), "change_wins": wins,
             "median_change_rel": (change["median"] - parent["median"]) / parent["median"],
             "parent_iqr": iqr,
             "gain": wins >= 0.9 * len(got) and gap > iqr,
-            "regression": -gap > metric["bound"] * abs(parent["median"]),
+            "regression": -gap > bound,
+            "unresolved": iqr > bound and not separated,
         }
     return summary
 

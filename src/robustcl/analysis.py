@@ -115,9 +115,12 @@ def divergence_curve(model: ModelBundle, dataset: Dataset, attack: AttackSpec,
                      n_samples: int = 512, seed: int = 0) -> np.ndarray:
     """Per-layer CKA between each layer on clean data and the same layer on
     adversarial data: the diagonal of the clean-adv grid, NaN where a layer
-    is degenerate, computed without the grid's off-diagonal cells."""
+    is degenerate, computed without the grid's off-diagonal cells. The
+    attack runs before the clean records are captured, so they are not held
+    through it; both passes are deterministic, so the order moves no bit."""
     x, y = _sample(dataset, n_samples, seed)
-    pairs = zip(_activations(model, x), _activations(model, x, y, attack))
+    adv = _activations(model, x, y, attack)
+    pairs = zip(_activations(model, x), adv)
     return np.array([_cka_or_nan(rc.matrix, ra.matrix) for rc, ra in pairs])
 
 

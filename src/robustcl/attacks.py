@@ -115,7 +115,9 @@ def pgd(model, batch, spec: AttackSpec) -> np.ndarray:
         np.clip(hi, *data.PIXEL_BOX, out=hi)
     rng = np.random.default_rng(spec.seed)
     if spec.random_start:
-        x = x0 + rng.uniform(-spec.epsilon, spec.epsilon, size=x0.shape)
+        # drawn into the iterate: u + x0 is x0 + u, bit for bit
+        x = rng.uniform(-spec.epsilon, spec.epsilon, size=x0.shape)
+        x += x0
         _project(x, lo, hi)
     else:
         x = x0.copy()

@@ -199,14 +199,19 @@ def forward_arrays(model: ModelBundle, x: np.ndarray, to: str):
 def input_grad(model: ModelBundle, x: np.ndarray, to: str, output_grad) -> np.ndarray:
     """d loss / d x, bitwise the taped gradient but with no tape, for a loss
     of `to`'s output whose gradient is `output_grad(out)`: `forward_arrays`,
-    then each layer walked back as `tensor.dense`'s backward does. Under the
-    audit a pass through the classifier counts one query, as `classify` does."""
+    then each layer walked back as `tensor.dense`'s backward does, with each
+    relu mask applied in place (`g * mask`'s bytes) on the gradient this pass
+    owns: the product `g @ w.T` of the layer above, as the top layer of
+    either branch has no relu. Under the audit a pass through the classifier
+    counts one query, as `classify` does."""
     if to == "classifier" and model.audit_active:
         model.classifier_grad_queries += 1
     out, back = forward_arrays(model, x, to)
     g = output_grad(out)
     for w, mask in reversed(back):
-        g = T.affine_masked(g, mask) @ w.T
+        if mask is not None:
+            np.multiply(g, mask, out=g)
+        g = g @ w.T
     return g.reshape(x.shape)
 
 

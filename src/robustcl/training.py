@@ -32,8 +32,9 @@ class TrainingError(Exception):
 class Adam:
     """Adam with bias correction; state advances even on zero gradients.
 
-    The moments are updated in place and the step is formed in two
-    per-parameter buffers, with the operand order of the textbook update
+    The moments `m` and `v` are the only state kept between steps. They are
+    updated in place, and each parameter's step is formed in two scratch
+    arrays made inside `step`, with the operand order of the textbook update
     (b2 * v + ((1 - b2) * g) * g, then (lr * m_hat) / (sqrt(v_hat) + eps)),
     so the result is bitwise that of the allocating form. Each parameter's
     `data` is rebound to a new array, never written in place."""
@@ -47,8 +48,6 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        self._m_hat = [np.empty_like(p.data) for p in self.params]
-        self._v_hat = [np.empty_like(p.data) for p in self.params]
 
     @classmethod
     def from_config(cls, params, cfg: "OptimizerConfig") -> "Adam":
@@ -58,16 +57,15 @@ class Adam:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        for p, m, v, m_hat, v_hat in zip(self.params, self.m, self.v,
-                                         self._m_hat, self._v_hat):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = grads.get(p)
             if g is None:
                 g = np.zeros_like(p.data)
             m *= b1
-            np.multiply(g, 1 - b1, out=m_hat)
+            m_hat = np.multiply(g, 1 - b1)
             m += m_hat
             v *= b2
-            np.multiply(g, 1 - b2, out=v_hat)
+            v_hat = np.multiply(g, 1 - b2)
             v_hat *= g
             v += v_hat
             np.divide(m, c1, out=m_hat)

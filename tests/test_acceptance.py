@@ -16,6 +16,7 @@ per core, and in about 240 s on one).
 
 import filecmp
 import functools
+import hashlib
 import importlib.util
 import json
 import time
@@ -429,9 +430,46 @@ class TestCacheFreshness:
 # criteria 6-10: seeded directional reproductions (cached image fixture)
 # ---------------------------------------------------------------------------
 
+def _files(cache: Path) -> dict:
+    """name -> (size, sha256) of every file in `cache`."""
+    return {p.name: (p.stat().st_size, hashlib.sha256(p.read_bytes()).hexdigest())
+            for p in cache.iterdir() if p.is_file()}
+
+
+def _read_only(cache: Path, run):
+    """`run()`, failing afterwards if it added, removed or changed any file
+    of `cache`, which it names: a record of the committed cache that differs
+    from the code's would be rewritten in place (`experiment.cached_json`),
+    not reported."""
+    before = _files(cache)
+    result = run()
+    after = _files(cache)
+    changed = sorted(n for n in before.keys() | after.keys() if before.get(n) != after.get(n))
+    if changed:
+        pytest.fail(f"the run changed cache files: {', '.join(changed)}")
+    return result
+
+
+def test_read_only_names_each_file_a_run_changed(tmp_path):
+    for name in ("a.eval.json", "b.cka.json", "c.ckpt"):
+        (tmp_path / name).write_text("{}")
+    assert _read_only(tmp_path, lambda: 7) == 7
+    # the same bytes written again are no change
+    assert _read_only(tmp_path, lambda: (tmp_path / "a.eval.json").write_text("{}")) == 2
+
+    def rewrite():
+        (tmp_path / "b.cka.json").write_text("[]")  # same size, other bytes
+        (tmp_path / "c.ckpt").unlink()
+        (tmp_path / "d.eval.json").write_text("{}")
+
+    with pytest.raises(pytest.fail.Exception,
+                       match="changed cache files: b.cka.json, c.ckpt, d.eval.json$"):
+        _read_only(tmp_path, rewrite)
+
+
 @pytest.fixture(scope="session")
 def suite():
-    return directional.run_suite()
+    return _read_only(Path(directional.default_cache_dir()), directional.run_suite)
 
 
 @pytest.fixture(scope="session")
@@ -467,7 +505,7 @@ class TestDirectionalClaims:
 
 class TestEndToEndDeterminism:
     def test_rerun_from_cache_reproduces_results_csv_bytes(self, suite, tmp_path):
-        rerun = directional.run_suite()
+        rerun = _read_only(Path(directional.default_cache_dir()), directional.run_suite)
         blobs = []
         for tag, s in (("a", suite), ("b", rerun)):
             path = tmp_path / f"results_{tag}.csv"

@@ -1,11 +1,12 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustcl import analysis, data, models, training
+from robustcl import analysis, attacks, data, models, training
 from robustcl.analysis import (AnalysisError, DegenerateActivationsError,
                                cka_heatmap, cross_model_cka, divergence_curve,
                                linear_cka, linear_probe, upper_third_mean)
@@ -131,6 +132,32 @@ class TestHeatmap:
         assert curve.tobytes() == grid.diagonal().tobytes()
         assert len(calls) == len(dead.layer_ids()) == 3
         assert not np.isnan(curve[0]) and np.isnan(curve[1:]).all()
+
+    def test_divergence_captures_the_clean_records_after_the_attack(self, monkeypatch):
+        """At the fixture's widths and n = 400 images, the traced memory at
+        the attack's entry (the sampled batch) is below the size of the
+        clean records, so they are not held through the attack."""
+        widths, n = (128, 128, 64), 400
+        rng = np.random.default_rng(0)
+        images = data.Dataset(rng.integers(0, 256, (n, 1, 16, 16), dtype=np.uint8),
+                              rng.integers(0, 10, n), "codes", 10)
+        m = models.init_model(EncoderConfig(widths, (256,)), 10, 16, seed=0)
+        at_entry = []
+        pgd = attacks.pgd
+
+        def traced_pgd(*args):
+            at_entry.append(tracemalloc.get_traced_memory()[0])
+            return pgd(*args)
+
+        monkeypatch.setattr(attacks, "pgd", traced_pgd)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            divergence_curve(m, images, AttackSpec(epsilon=8 / 255, steps=1), n_samples=n)
+        finally:
+            tracemalloc.stop()
+        assert len(at_entry) == 1
+        assert at_entry[0] - start < n * sum(widths) * 8
 
     def test_divergence_epsilon_zero_all_ones(self, trained):
         m, _, d_test = trained

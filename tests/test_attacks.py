@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -373,6 +374,24 @@ class TestImageBatches:
         start = pgd(image_model, batch, replace(spec, steps=0))
         assert (x_adv != start).mean() > 0.5
         assert x_adv.tobytes() == _reference_pgd(image_model, batch, spec).tobytes()
+
+    def test_random_start_is_drawn_into_the_iterate(self, image_model):
+        """A random start with no steps holds the ball's two bounds and the
+        iterate, and no separate noise array. At 64 images the batch is
+        under the 256 KiB from which numpy may elide the temporary of
+        `x0 + noise` on its own."""
+        rng = np.random.default_rng(0)
+        batch = ViewBatch(x=rng.random((64, 1, 16, 16)), y=rng.integers(0, 10, 64))
+        spec = AttackSpec(epsilon=8 / 255, steps=0, random_start=True)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            x_adv = pgd(image_model, batch, spec)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert x_adv.tobytes() == _reference_pgd(image_model, batch, spec).tobytes()
+        assert peak < 3.5 * batch.x.nbytes
 
 
 class TestLiveEncoder:

@@ -670,16 +670,19 @@ faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 print(json.dumps({{"correct": seed not in {wrong}, "attempted": 4, "failed": 0,
                   "own_faults": faults, "metrics": {{
     "examples_per_s": {{"value": rate, "unit": "1/s"}},
+    "setup_s": {{"value": {setup} + seed, "unit": "s"}},
     "peak_rss_mb": {{"value": 60.0, "unit": "MB"}}}}}}))
 '''
 
 
-def _stub_tree(root, name, base, log, wrong=()):
+def _stub_tree(root, name, base, log, wrong=(), setup=10.0):
     (root / name / "perfbench").mkdir(parents=True)
     (root / name / "perfbench" / "run.py").write_text(
-        _STUB_RUN.format(log=str(log), name=name, base=base, wrong=list(wrong)))
+        _STUB_RUN.format(log=str(log), name=name, base=base, wrong=list(wrong),
+                         setup=setup))
     (root / name / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
         {"name": "examples_per_s", "unit": "1/s", "better": "higher", "bound": 0.15},
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
         {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]}))
     return root / name
 
@@ -712,6 +715,29 @@ def test_bench_pairs_alternates_trees_and_keeps_every_run(tmp_path, change_base,
     assert rate["regression"] is False
     rss = got["summary"]["peak_rss_mb"]
     assert rss["change_wins"] == 0 and rss["gain"] is False and rss["regression"] is False
+    assert rate["unresolved"] is False and rss["unresolved"] is False
+
+
+# the parent's setup_s is 10..19 s: an IQR of 5.5 s against a bound of
+# 0.25 * 14.5 = 3.625 s
+@pytest.mark.parametrize("change_setup, gain, unresolved", [
+    (0.0, True, False),  # 0..9 s: every change run beats every parent run
+    (5.0, False, True),  # 5..14 s: better, but the runs overlap
+    (12.0, False, True),  # 12..21 s: worse by 2 s, within the bound
+])
+def test_bench_pairs_reads_a_spread_wider_than_the_bound_as_unresolved(
+        tmp_path, change_setup, gain, unresolved):
+    log = tmp_path / "order.log"
+    parent = _stub_tree(tmp_path, "parent", 100.0, log)
+    change = _stub_tree(tmp_path, "change", 100.0, log, setup=change_setup)
+    out = tmp_path / "BENCH.json"
+    assert _script("bench_pairs").main([str(parent), str(change), "--workloads", "w",
+                                        "--seeds", *map(str, range(10)),
+                                        "--out", str(out)]) == 0
+    setup = json.loads(out.read_text())["workloads"]["w"]["summary"]["setup_s"]
+    assert setup["parent"] == {"median": 14.5, "q1": 11.75, "q3": 17.25}
+    assert (setup["gain"], setup["regression"], setup["unresolved"]) == (
+        gain, False, unresolved)
 
 
 def test_bench_pairs_exits_1_on_an_incorrect_run(tmp_path):

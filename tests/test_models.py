@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import graph_oracle as G
-from robustcl import models
+from robustcl import losses, models
 from robustcl import tensor as T
 from robustcl.models import (CheckpointError, EncoderConfig, ModelError,
                              init_model, load_checkpoint, save_checkpoint)
@@ -114,6 +116,27 @@ class TestForward:
             out = G.tmean(rep)
         grads = backward(tape, out)
         assert x in grads and grads[x].shape == (3, 1, 8, 8)
+
+
+def test_input_grad_masks_each_layers_gradient_in_place():
+    """A 256-row image batch's input gradient at the fixture's widths peaks
+    at that gradient, one layer's gradient, the boolean relu masks and half
+    a layer's slack; a masked copy of a layer's gradient is a whole layer
+    more."""
+    n, widths = 256, (128, 128, 64)
+    m = init_model(EncoderConfig(widths, (256,)), 10, 16, seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.random((n, 1, 16, 16))
+    target = losses.CrossEntropyTarget(rng.integers(0, 10, n), n, 10)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        g = models.input_grad(m, x, "classifier", target.grad)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert g.shape == x.shape
+    assert peak < g.nbytes + 1.5 * n * max(widths) * 8 + n * sum(widths)
 
 
 class TestClassifierAudit:

@@ -83,6 +83,17 @@ class TestAdam:
                 assert params[i].data.tobytes() == data[i].tobytes(), (t, i)
                 assert params[i].data is not before[i]  # rebound, not written
 
+    def test_holds_only_its_moments_between_steps(self, rng):
+        params = [Tensor(rng.standard_normal(s)) for s in [(5, 3), (3,)]]
+        opt = Adam(params, lr=0.01)
+        for _ in range(2):
+            opt.step({p: rng.standard_normal(p.shape) for p in params})
+            held = {name: v for name, v in vars(opt).items()
+                    if isinstance(v, np.ndarray)
+                    or (isinstance(v, list) and any(isinstance(a, np.ndarray) for a in v))}
+            assert sorted(held) == ["m", "v"]
+            assert [a.shape for a in held["m"] + held["v"]] == [p.shape for p in params] * 2
+
     def test_from_config_matches_explicit_arguments(self):
         cfg = training.OptimizerConfig(lr=0.02, beta1=0.8, beta2=0.99, eps=1e-6)
         p, q = Tensor(np.array([1.0, -2.0])), Tensor(np.array([1.0, -2.0]))
