@@ -139,7 +139,8 @@ def cross_model_cka(model_a: ModelBundle, model_b: ModelBundle, dataset: Dataset
 def linear_probe(model: ModelBundle, train_set: Dataset, test_set: Dataset,
                  layer_id: str, probe_epochs: int = 30, seed: int = 0) -> ProbeResult:
     """Fit a fresh linear classifier on frozen activations of one layer, by
-    Adam at lr 1e-3 on batches of 128."""
+    Adam at lr 1e-3 (`OptimizerConfig`'s default betas and eps) on batches
+    of 128."""
     ids = model.layer_ids()
     if layer_id == "input":
         get = lambda x: np.asarray(x).reshape(len(x), -1)
@@ -158,7 +159,7 @@ def linear_probe(model: ModelBundle, train_set: Dataset, test_set: Dataset,
     rng = np.random.default_rng(seed)
     w, b = models._affine_init(rng, d, (d, c), (c,))
     w.grad_tracked = b.grad_tracked = True
-    opt = training.Adam([w, b], lr=1e-3)
+    opt = training.Adam([w, b], training.OptimizerConfig(lr=1e-3))
     n = a_train.shape[0]
     for epoch in range(probe_epochs):
         order = rng.permutation(n)

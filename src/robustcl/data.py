@@ -135,7 +135,7 @@ class AugmentSpec:
     feature_dropout_prob: float = 0.1
     # images
     crop_shift_max_pixels: int = 2
-    horizontal_flip_prob: float = 0.5
+    horizontal_flip_prob: float = 0.0
     erase_patch_prob: float = 0.3
     erase_patch_size: int = 4
 

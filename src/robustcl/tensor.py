@@ -10,12 +10,13 @@ its input where numpy can, so callers must not write into its result.
 
 `dense` is an affine layer (matmul, bias add and an optional relu) in one
 node, with the arithmetic of that three-node chain; every model layer goes
-through it, and `models.input_grad` runs its array arithmetic (`affine`,
-`affine_masked`) with no tape. The tests take their other primitives and
-the finite-difference checker from `tests/graph_oracle.py`. Only the tests
-call `sub`, `mul`, `exp`, `log`, `relu`, `conv2d_3x3` and `maxpool2x2`
-(and `_im2col` / `_col2im`); they stay because perfbench's tests expect
-more than 40 functions for its layer table to wrap by name.
+through it, and `models.input_grad` runs its forward arithmetic (`affine`)
+with no tape and its own in-place backward. The tests take their other
+primitives and the finite-difference checker from `tests/graph_oracle.py`.
+Only the tests call `add`, `sub`, `mul`, `exp`, `log`, `relu`,
+`conv2d_3x3` and `maxpool2x2` (and `_im2col` / `_col2im`); they stay
+because perfbench's tests expect more than 40 functions for its layer
+table to wrap by name.
 
 Every primitive checks its output for finiteness once and names itself in
 the NonFiniteError. Each node's backward closure is called as
@@ -186,19 +187,13 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool = False):
     return out, mask
 
 
-def affine_masked(g: np.ndarray, mask) -> np.ndarray:
-    """d / d pre-activation from d / d h: g * mask (gradient 0 at 0, as in
-    `relu`), or g itself without relu."""
-    return g if mask is None else g * mask
-
-
 def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """An affine layer, x @ w + b over (n, k) x (k, d) + (d,), optionally
     followed by relu, as one node.
 
     The arithmetic and its order are those of relu(add(matmul(x, w), b)),
-    in `affine`. Backward masks g (`affine_masked`), then forms g @ w.T,
-    x.T @ g and g.sum(axis=0) as `need` asks.
+    in `affine`. Backward masks g into a new array (gradient 0 at 0, as in
+    `relu`), then forms g @ w.T, x.T @ g and g.sum(axis=0) as `need` asks.
     """
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
             or b.shape != (w.shape[1],)):
@@ -207,7 +202,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     out, mask = affine(xd, wd, b.data, relu)
 
     def bwd(g, need):
-        g = affine_masked(g, mask)
+        if mask is not None:
+            g = g * mask  # not in place: `add` hands one g to both its inputs
         return (g @ wd.T if need[0] else None, xd.T @ g if need[1] else None,
                 g.sum(axis=0) if need[2] else None)
 

@@ -32,30 +32,25 @@ class TrainingError(Exception):
 class Adam:
     """Adam with bias correction; state advances even on zero gradients.
 
-    The moments `m` and `v` are the only state kept between steps. They are
-    updated in place, and each parameter's step is formed in two scratch
-    arrays made inside `step`, with the operand order of the textbook update
+    The hyperparameters are `cfg`'s, range-checked when it was built; each
+    `step` reads them from it, and the optimizer keeps no copy. The moments
+    `m` and `v` are the only state kept between steps. They are updated in
+    place, and each parameter's step is formed in two scratch arrays made
+    inside `step`, with the operand order of the textbook update
     (b2 * v + ((1 - b2) * g) * g, then (lr * m_hat) / (sqrt(v_hat) + eps)),
     so the result is bitwise that of the allocating form. Each parameter's
     `data` is rebound to a new array, never written in place."""
 
-    def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, cfg: OptimizerConfig):
         self.params = list(params)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.cfg = cfg
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    @classmethod
-    def from_config(cls, params, cfg: "OptimizerConfig") -> "Adam":
-        return cls(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
-
     def step(self, grads: dict) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        lr, b1, b2, eps = self.cfg.lr, self.cfg.beta1, self.cfg.beta2, self.cfg.eps
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = grads.get(p)
@@ -70,9 +65,9 @@ class Adam:
             v += v_hat
             np.divide(m, c1, out=m_hat)
             np.divide(v, c2, out=v_hat)
-            m_hat *= self.lr
+            m_hat *= lr
             np.sqrt(v_hat, out=v_hat)
-            v_hat += self.eps
+            v_hat += eps
             m_hat /= v_hat
             p.data = p.data - m_hat
 
@@ -231,8 +226,7 @@ def _run_phase(model: ModelBundle, spec: ScenarioSpec, phase: _Phase) -> list:
     encoder, head, classifier = phase.trains
     model.freeze_encoder = not encoder
     model.set_tracking(encoder=encoder, head=head, classifier=classifier)
-    opt = Adam.from_config([t for t in model.all_params() if t.grad_tracked],
-                           spec.optimizer)
+    opt = Adam([t for t in model.all_params() if t.grad_tracked], spec.optimizer)
     attack = None
     if phase.driving_loss is not None:
         attack = replace(spec.train_attack, driving_loss=phase.driving_loss)

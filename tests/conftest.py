@@ -1,9 +1,33 @@
 import robustcl  # noqa: F401  (first: pins one BLAS thread before numpy loads)
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from robustcl import attacks, data, models
 from robustcl.models import EncoderConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+# the committed artifacts that no test may write
+COMMITTED = ("runs/acceptance/**/*", "tests/golden_cells.json", "perfbench/reference.json")
+
+
+def _committed_files() -> dict:
+    """path under the checkout -> sha256 of every committed artifact."""
+    return {p.relative_to(ROOT).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for pattern in COMMITTED for p in ROOT.glob(pattern) if p.is_file()}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def committed_files_unchanged():
+    """Fail at the end of the session, naming each committed artifact that a
+    test added, removed or changed."""
+    before = _committed_files()
+    yield
+    after = _committed_files()
+    changed = sorted(n for n in before.keys() | after.keys() if before.get(n) != after.get(n))
+    assert not changed, f"the tests changed committed files: {', '.join(changed)}"
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,8 @@ that the fused nodes must match bit for bit (`test_losses.py`,
 differences. These primitives record on the real tape through
 `tensor._maybe_record`, so the oracles run the package's `backward`.
 `joint_loss` composes a phase loss's weighted terms into one graph, the
-oracle for the training step's one tape per term.
+oracle for the training step's one tape per term; `brute_nt_xent` and
+`brute_supcon` are the contrastive losses written out by the definition.
 
     import graph_oracle as G
     err = G.finite_diff_check(lambda t: G.tsum(T.mul(t, t)), x)
@@ -94,6 +95,40 @@ def joint_loss(terms) -> Tensor:
     0.0 without terms."""
     scaled = [scale(term(), w) for w, term in terms]
     return functools.reduce(T.add, scaled) if scaled else Tensor(0.0)
+
+
+# ---------------------------------------------------------------------------
+# contrastive losses, by the definition, one anchor at a time
+# ---------------------------------------------------------------------------
+
+def brute_nt_xent(za, zb, tau):
+    """NT-Xent of the positive pairs (za[i], zb[i])."""
+    z = np.concatenate([za, zb])
+    z = z / np.linalg.norm(z, axis=1, keepdims=True)
+    m, n = len(z), len(za)
+    total = 0.0
+    for i in range(m):
+        p = i + n if i < n else i - n
+        num = np.exp(z[i] @ z[p] / tau)
+        den = sum(np.exp(z[i] @ z[k] / tau) for k in range(m) if k != i)
+        total += -np.log(num / den)
+    return total / m
+
+
+def brute_supcon(z, y, tau):
+    """SupCon over labels y; anchors without a positive are left out of
+    the mean."""
+    z = z / np.linalg.norm(z, axis=1, keepdims=True)
+    m = len(z)
+    vals = []
+    for i in range(m):
+        pos = [p for p in range(m) if p != i and y[p] == y[i]]
+        if not pos:
+            continue
+        den = sum(np.exp(z[i] @ z[a] / tau) for a in range(m) if a != i)
+        s = sum(np.log(np.exp(z[i] @ z[p] / tau) / den) for p in pos)
+        vals.append(-s / len(pos))
+    return float(np.mean(vals))
 
 
 # ---------------------------------------------------------------------------

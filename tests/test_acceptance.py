@@ -6,7 +6,7 @@ pinned tolerances.
 
 Part 2 (seeded directional checks): the qualitative robustness claims on
 the calibrated image fixture at seeds {0, 1, 2}; each claim must hold for
-at least 2 of 3 seeds. These tests read the cell cache under
+at least 2 of 3 seeds. These tests run on copies of the cell cache under
 runs/acceptance/cache; run scripts/run_directional.py first to populate it
 (a cold cache retrains all 33 cells: their manifests record 1293 s of
 training, written by an older, slower build of the training code; the
@@ -19,13 +19,14 @@ import functools
 import hashlib
 import importlib.util
 import json
+import shutil
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graph_oracle import finite_diff_check, project_linf
+from graph_oracle import brute_nt_xent, brute_supcon, finite_diff_check, project_linf
 from robustcl import (analysis, directional, evaluation, experiment, losses,
                       models, training)
 from robustcl.attacks import AttackSpec, pgd
@@ -103,33 +104,6 @@ class TestAutodiffFiniteDifferences:
 # ---------------------------------------------------------------------------
 # criterion 2: loss oracles
 # ---------------------------------------------------------------------------
-
-def brute_nt_xent(za, zb, tau):
-    z = np.concatenate([za, zb])
-    z = z / np.linalg.norm(z, axis=1, keepdims=True)
-    m, n = len(z), len(za)
-    total = 0.0
-    for i in range(m):
-        p = i + n if i < n else i - n
-        num = np.exp(z[i] @ z[p] / tau)
-        den = sum(np.exp(z[i] @ z[k] / tau) for k in range(m) if k != i)
-        total += -np.log(num / den)
-    return total / m
-
-
-def brute_supcon(z, y, tau):
-    z = z / np.linalg.norm(z, axis=1, keepdims=True)
-    m = len(z)
-    vals = []
-    for i in range(m):
-        pos = [p for p in range(m) if p != i and y[p] == y[i]]
-        if not pos:
-            continue
-        den = sum(np.exp(z[i] @ z[a] / tau) for a in range(m) if a != i)
-        s = sum(np.log(np.exp(z[i] @ z[p] / tau) / den) for p in pos)
-        vals.append(-s / len(pos))
-    return float(np.mean(vals))
-
 
 class TestLossOracles:
     def test_200_random_batches_within_1e10(self):
@@ -436,40 +410,48 @@ def _files(cache: Path) -> dict:
             for p in cache.iterdir() if p.is_file()}
 
 
-def _read_only(cache: Path, run):
-    """`run()`, failing afterwards if it added, removed or changed any file
-    of `cache`, which it names: a record of the committed cache that differs
-    from the code's would be rewritten in place (`experiment.cached_json`),
-    not reported."""
-    before = _files(cache)
-    result = run()
-    after = _files(cache)
+def _on_copy(cache: Path, copy: Path, run):
+    """`run(copy)` on a fresh copy of `cache` made at `copy`, failing
+    afterwards if the run added, removed or changed any file of the copy,
+    which it names. A record of the committed cache that differs from the
+    code's is rewritten in place (`experiment.cached_json`), not reported,
+    so a run on the committed directory would leave it rewritten."""
+    shutil.copytree(cache, copy)
+    result = run(str(copy))
+    before, after = _files(cache), _files(copy)
     changed = sorted(n for n in before.keys() | after.keys() if before.get(n) != after.get(n))
     if changed:
         pytest.fail(f"the run changed cache files: {', '.join(changed)}")
     return result
 
 
-def test_read_only_names_each_file_a_run_changed(tmp_path):
+def test_on_copy_names_each_file_a_run_changed(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
     for name in ("a.eval.json", "b.cka.json", "c.ckpt"):
-        (tmp_path / name).write_text("{}")
-    assert _read_only(tmp_path, lambda: 7) == 7
+        (cache / name).write_text("{}")
+    committed = _files(cache)
+    assert _on_copy(cache, tmp_path / "1", lambda copy: 7) == 7
     # the same bytes written again are no change
-    assert _read_only(tmp_path, lambda: (tmp_path / "a.eval.json").write_text("{}")) == 2
+    assert _on_copy(cache, tmp_path / "2",
+                    lambda copy: (Path(copy) / "a.eval.json").write_text("{}")) == 2
 
-    def rewrite():
-        (tmp_path / "b.cka.json").write_text("[]")  # same size, other bytes
-        (tmp_path / "c.ckpt").unlink()
-        (tmp_path / "d.eval.json").write_text("{}")
+    def rewrite(copy):
+        (Path(copy) / "b.cka.json").write_text("[]")  # same size, other bytes
+        (Path(copy) / "c.ckpt").unlink()
+        (Path(copy) / "d.eval.json").write_text("{}")
 
     with pytest.raises(pytest.fail.Exception,
                        match="changed cache files: b.cka.json, c.ckpt, d.eval.json$"):
-        _read_only(tmp_path, rewrite)
+        _on_copy(cache, tmp_path / "3", rewrite)
+    assert _files(cache) == committed
 
 
 @pytest.fixture(scope="session")
-def suite():
-    return _read_only(Path(directional.default_cache_dir()), directional.run_suite)
+def suite(tmp_path_factory):
+    return _on_copy(Path(directional.default_cache_dir()),
+                    tmp_path_factory.mktemp("suite") / "cache",
+                    lambda copy: directional.run_suite(cache_dir=copy))
 
 
 @pytest.fixture(scope="session")
@@ -505,7 +487,8 @@ class TestDirectionalClaims:
 
 class TestEndToEndDeterminism:
     def test_rerun_from_cache_reproduces_results_csv_bytes(self, suite, tmp_path):
-        rerun = _read_only(Path(directional.default_cache_dir()), directional.run_suite)
+        rerun = _on_copy(Path(directional.default_cache_dir()), tmp_path / "cache",
+                         lambda copy: directional.run_suite(cache_dir=copy))
         blobs = []
         for tag, s in (("a", suite), ("b", rerun)):
             path = tmp_path / f"results_{tag}.csv"
@@ -514,18 +497,26 @@ class TestEndToEndDeterminism:
         assert blobs[0] == blobs[1]
 
     def test_warm_script_rewrites_the_committed_results_and_report(self, tmp_path):
-        """`scripts/run_directional.py` on the committed cache writes the
-        committed results.csv and report.md byte for byte, and writes no
-        file in the cache."""
+        """`scripts/run_directional.py` on a copy of the committed cache
+        writes the committed results.csv and report.md byte for byte, and
+        writes no file in the cache."""
         root = Path(__file__).resolve().parents[1]
-        cache = Path(directional.default_cache_dir())
-        before = {p.name: p.stat().st_mtime_ns for p in cache.iterdir()}
         spec = importlib.util.spec_from_file_location(
             "run_directional", root / "scripts" / "run_directional.py")
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
-        assert script.main(["--out", str(tmp_path)]) == 0
+        cache, out = tmp_path / "cache", tmp_path / "out"
+
+        def mtimes():
+            return {p.name: p.stat().st_mtime_ns for p in cache.iterdir()}
+
+        def run(copy):
+            before = mtimes()
+            assert script.main(["--cache-dir", copy, "--out", str(out)]) == 0
+            return before
+
+        before = _on_copy(Path(directional.default_cache_dir()), cache, run)
         committed = root / "runs" / "acceptance"
         for name in ("results.csv", "report.md"):
-            assert filecmp.cmp(tmp_path / name, committed / name, shallow=False), name
-        assert {p.name: p.stat().st_mtime_ns for p in cache.iterdir()} == before
+            assert filecmp.cmp(out / name, committed / name, shallow=False), name
+        assert mtimes() == before

@@ -8,6 +8,7 @@ from robustcl import cli, evaluation, experiment, models, reporting
 from robustcl.analysis import CKAMatrix, ProbeResult
 from robustcl.config import (ConfigError, DEFAULTS, ExperimentConfig,
                              load_config)
+from robustcl.training import ScenarioSpec
 
 # every key whose value can fail to parse: all but the str and [str] ones
 TYPED_KEYS = [f"{section}.{key}" for section, keys in DEFAULTS.items()
@@ -52,6 +53,10 @@ class TestConfig:
                     assert value is None
                 else:
                     assert type(value) is kind, (section, key)
+
+    def test_spec_defaults_are_the_config_defaults(self):
+        # the dataclass defaults and the config's describe one scenario
+        assert ScenarioSpec() == load_config(text="").scenario_spec("ST", "SL")
 
     def test_get_returns_typed_values(self):
         cfg = load_config(text="", overrides=[

@@ -6,39 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graph_oracle as G
-from graph_oracle import finite_diff_check
+from graph_oracle import brute_nt_xent, brute_supcon, finite_diff_check
 from robustcl import losses, models
 from robustcl import tensor as T
 from robustcl.data import ViewBatch
 from robustcl.losses import LossConfig, LossError, cross_entropy, nt_xent, supcon
 from robustcl.tensor import GradientTape, NonFiniteError, Tensor, backward
-
-
-def brute_nt_xent(za, zb, tau):
-    z = np.concatenate([za, zb])
-    z = z / np.linalg.norm(z, axis=1, keepdims=True)
-    m, n = len(z), len(za)
-    total = 0.0
-    for i in range(m):
-        p = i + n if i < n else i - n
-        num = np.exp(z[i] @ z[p] / tau)
-        den = sum(np.exp(z[i] @ z[k] / tau) for k in range(m) if k != i)
-        total += -np.log(num / den)
-    return total / m
-
-
-def brute_supcon(z, y, tau):
-    z = z / np.linalg.norm(z, axis=1, keepdims=True)
-    m = len(z)
-    vals = []
-    for i in range(m):
-        pos = [p for p in range(m) if p != i and y[p] == y[i]]
-        if not pos:
-            continue
-        den = sum(np.exp(z[i] @ z[a] / tau) for a in range(m) if a != i)
-        s = sum(np.log(np.exp(z[i] @ z[p] / tau) / den) for p in pos)
-        vals.append(-s / len(pos))
-    return float(np.mean(vals))
 
 
 class TestNTXent:

@@ -13,8 +13,8 @@ from robustcl.data import AugmentSpec, ViewBatch
 from robustcl.losses import LossConfig, LossError
 from robustcl.models import EncoderConfig
 from robustcl.tensor import GradientTape, NonFiniteError, Tensor, backward
-from robustcl.training import (Adam, RunRecord, ScenarioSpec, TrainingError,
-                               run_scenario)
+from robustcl.training import (Adam, OptimizerConfig, RunRecord, ScenarioSpec,
+                               TrainingError, run_scenario)
 
 
 def small_spec(**kw):
@@ -42,21 +42,21 @@ def encoder_unchanged(model, snap):
 class TestAdam:
     def test_first_step_is_signed(self):
         p = Tensor(np.array([1.0, -1.0]))
-        opt = Adam([p], lr=0.1)
+        opt = Adam([p], OptimizerConfig(lr=0.1))
         opt.step({p: np.array([3.0, -0.5])})
         # with zeroed state the first bias-corrected step is lr * sign(g)
         assert np.allclose(p.data, [0.9, -0.9], atol=1e-6)
 
     def test_state_advances_on_zero_grads(self):
         p = Tensor(np.array([1.0]))
-        opt = Adam([p], lr=0.1)
+        opt = Adam([p], OptimizerConfig(lr=0.1))
         opt.step({})
         assert opt.t == 1
         assert np.array_equal(p.data, [1.0])
 
     def test_converges_on_quadratic(self):
         p = Tensor(np.array([10.0]))
-        opt = Adam([p], lr=0.05)
+        opt = Adam([p], OptimizerConfig(lr=0.05))
         for _ in range(2000):
             opt.step({p: 2.0 * (p.data - 3.0)})
         assert abs(p.data[0] - 3.0) < 1e-3
@@ -64,7 +64,7 @@ class TestAdam:
     def test_in_place_update_bitwise_equals_the_allocating_form(self, rng):
         shapes = [(5, 3), (3,), (4,)]
         params = [Tensor(rng.standard_normal(s)) for s in shapes]
-        opt = Adam(params, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
+        opt = Adam(params, OptimizerConfig(lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6))
         data = [p.data.copy() for p in params]
         m = [np.zeros(s) for s in shapes]
         v = [np.zeros(s) for s in shapes]
@@ -85,7 +85,7 @@ class TestAdam:
 
     def test_holds_only_its_moments_between_steps(self, rng):
         params = [Tensor(rng.standard_normal(s)) for s in [(5, 3), (3,)]]
-        opt = Adam(params, lr=0.01)
+        opt = Adam(params, OptimizerConfig(lr=0.01))
         for _ in range(2):
             opt.step({p: rng.standard_normal(p.shape) for p in params})
             held = {name: v for name, v in vars(opt).items()
@@ -93,16 +93,6 @@ class TestAdam:
                     or (isinstance(v, list) and any(isinstance(a, np.ndarray) for a in v))}
             assert sorted(held) == ["m", "v"]
             assert [a.shape for a in held["m"] + held["v"]] == [p.shape for p in params] * 2
-
-    def test_from_config_matches_explicit_arguments(self):
-        cfg = training.OptimizerConfig(lr=0.02, beta1=0.8, beta2=0.99, eps=1e-6)
-        p, q = Tensor(np.array([1.0, -2.0])), Tensor(np.array([1.0, -2.0]))
-        built = Adam.from_config([p], cfg)
-        explicit = Adam([q], lr=0.02, beta1=0.8, beta2=0.99, eps=1e-6)
-        for g in ([0.3, -1.0], [2.0, 0.1], [-0.5, 0.0]):
-            built.step({p: np.array(g)})
-            explicit.step({q: np.array(g)})
-        assert np.array_equal(p.data, q.data)
 
 
 class TestScenarioSpec:
