@@ -7,12 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import attacks, losses, models, training
+from . import attacks, data, losses, models, training
 from . import tensor as T
 from .attacks import AttackSpec
 from .data import Dataset, ViewBatch
 from .models import ModelBundle
-from .tensor import GradientTape, Tensor
+from .tensor import Tensor
 
 
 class AnalysisError(Exception):
@@ -140,7 +140,9 @@ def linear_probe(model: ModelBundle, train_set: Dataset, test_set: Dataset,
                  layer_id: str, probe_epochs: int = 30, seed: int = 0) -> ProbeResult:
     """Fit a fresh linear classifier on frozen activations of one layer, by
     Adam at lr 1e-3 (`OptimizerConfig`'s default betas and eps) on batches
-    of 128."""
+    of 128. It trains as a phase does: the training activations, held as a
+    `Dataset`, are batched by `data.iter_batches` and each batch is one
+    `training._train_step` on its cross-entropy."""
     ids = model.layer_ids()
     if layer_id == "input":
         get = lambda x: np.asarray(x).reshape(len(x), -1)
@@ -156,28 +158,21 @@ def linear_probe(model: ModelBundle, train_set: Dataset, test_set: Dataset,
         raise DegenerateActivationsError(f"constant activations at {layer_id}")
     d = a_train.shape[1]
     c = train_set.n_classes
-    rng = np.random.default_rng(seed)
-    w, b = models._affine_init(rng, d, (d, c), (c,))
+    w, b = models._affine_init(np.random.default_rng(seed), d, (d, c), (c,))
     w.grad_tracked = b.grad_tracked = True
     opt = training.Adam([w, b], training.OptimizerConfig(lr=1e-3))
-    n = a_train.shape[0]
+    features = Dataset(a_train, train_set.labels, layer_id, c)
     for epoch in range(probe_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, 128):
-            idx = order[start:start + 128]
-            if len(idx) < 2:
-                continue
-            with GradientTape() as tape:
-                logits = T.dense(Tensor(a_train[idx]), w, b)
-                loss = losses.cross_entropy(logits, train_set.labels[idx])
-            opt.step(T.backward(tape, loss))
+        for xb, yb in data.iter_batches(features, 128, seed, epoch):
+            training._train_step(opt, [(1.0, lambda: losses.cross_entropy(
+                T.dense(Tensor(xb), w, b), yb))])
 
     def acc(a, yv):
         logits = a @ w.data + b.data
         return float((np.argmax(logits, axis=1) == yv).mean())
 
     return ProbeResult(layer_id, acc(a_train, train_set.labels),
-                       acc(a_test, test_set.labels), n)
+                       acc(a_test, test_set.labels), features.n)
 
 
 def upper_third_mean(matrix: CKAMatrix) -> float:

@@ -151,14 +151,13 @@ def cmd_cka(args) -> int:
 def cmd_probe(args) -> int:
     cfg, out, model, _, (d_p, _, test) = _trained_model(args)
     layers = cfg.get("analysis", "probe_layers") or model.layer_ids()
-    path = os.path.join(out, "probes.csv")
-    if os.path.exists(path):
-        os.remove(path)
+    results = []
     for layer in layers:
-        result = analysis.linear_probe(model, d_p, test, layer,
-                                       seed=cfg.get("experiment", "seed"))
-        reporting.append_probe_csv(result, path)
-        print(f"probe {layer}: test accuracy {result.test_accuracy:.4f}")
+        results.append(analysis.linear_probe(model, d_p, test, layer,
+                                             seed=cfg.get("experiment", "seed")))
+        print(f"probe {layer}: test accuracy {results[-1].test_accuracy:.4f}")
+    path = os.path.join(out, "probes.csv")
+    reporting.write_probe_csv(results, path)
     _write_manifest(cfg, out, [path])
     return 0
 

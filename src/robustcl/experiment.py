@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 
 from . import data, evaluation, models, training
-from .config import ConfigError, ExperimentConfig
+from .config import DEFAULTS, ConfigError, ExperimentConfig
 from .data import Dataset
 
 
@@ -65,25 +65,28 @@ def atomic_path(path):
             os.remove(tmp)
 
 
-# The own-cell selectors and the deleted `[model] kind` key at the values every
-# committed cell key was computed with, so that no committed name moves.
-KEYED_AS = {"scenario": {"scenario": "ST"}, "loss": {"scheme": "SL"}, "model": {"kind": "dense"}}
+# The own-cell selectors, the deleted `[model] kind` key and the training budget
+# at the values every committed cell key was computed with, so no name moves.
+KEYED_AS = {"scenario": {"scenario": "ST"}, "loss": {"scheme": "SL"}, "model": {"kind": "dense"},
+            "attack_train": {"epsilon": DEFAULTS["attack_train"]["epsilon"][1]}}
 
 
 def cell_key(cfg: ExperimentConfig, scenario: str, scheme: str, seed: int,
              dataset: Dataset, train_epsilon: float | None = None) -> str:
     """Hash identifying one trained model: the config sections training
     reads + cell + data fingerprint, so every command keys a model alike
-    whatever cell the config selects (`KEYED_AS`). A `train_epsilon` that
-    trains the same model as None (the configured epsilon, or any value
-    under ST, which trains no attack) keys as None."""
-    if cfg.train_epsilon(scenario, train_epsilon) == cfg.train_epsilon(scenario):
-        train_epsilon = None
+    whatever cell the config selects (`KEYED_AS`). The budget the cell
+    trains at (`train_epsilon`, else `[attack_train] epsilon`) is keyed as
+    None under ST, which trains no attack, or at the default budget, so a
+    budget has one key whether a study or the config sets it."""
+    eps = cfg.train_epsilon(scenario, train_epsilon)
+    if eps == float(KEYED_AS["attack_train"]["epsilon"]):
+        eps = None
     h = hashlib.sha256()
     relevant = {s: {**cfg.sections[s], **KEYED_AS.get(s, {})} for s in
                 ("dataset", "model", "loss", "scenario", "attack_train", "augment")}
     h.update(json.dumps(relevant, sort_keys=True).encode())
-    h.update(f"{scenario}|{scheme}|{seed}|{train_epsilon}|{dataset.fingerprint()}".encode())
+    h.update(f"{scenario}|{scheme}|{seed}|{eps}|{dataset.fingerprint()}".encode())
     return h.hexdigest()[:16]
 
 

@@ -159,7 +159,8 @@ def _layer(h: Tensor, w: Tensor, b: Tensor, relu: bool, back) -> Tensor:
 
 def encode(model: ModelBundle, x: Tensor, capture: bool = False, back=None):
     """Forward through the encoder; optionally capture each layer's
-    activations, one row per sample. With `back`, see `_layer`."""
+    activations, one row per sample: the layer's own fresh output array,
+    which nothing writes afterwards. With `back`, see `_layer`."""
     cfg = model.config
     if x.data.ndim > 2:  # image batches are flattened in-graph
         x = T.reshape(x, (x.shape[0], -1))
@@ -171,7 +172,7 @@ def encode(model: ModelBundle, x: Tensor, capture: bool = False, back=None):
     for (w, b), layer_id in zip(model.encoder_params, model.layer_ids()):
         h = _layer(h, w, b, True, back)
         if capture:
-            records.append(ActivationRecord(layer_id, h.data.copy()))
+            records.append(ActivationRecord(layer_id, h.data))
     return h, records
 
 

@@ -98,14 +98,12 @@ def write_divergence_csv(matrix: CKAMatrix, path) -> None:
             f.write(f"{lid},{float(v)!r}\n")
 
 
-def append_probe_csv(result, path) -> None:
-    """ProbeResult rows appended to probes.csv (header on first write)."""
-    new = not os.path.exists(path)
-    with open(path, "a") as f:
-        if new:
-            f.write("layer_id,train_accuracy,test_accuracy,n_samples\n")
-        f.write(f"{result.layer_id},{result.train_accuracy!r},"
-                f"{result.test_accuracy!r},{result.n_samples}\n")
+def write_probe_csv(results, path) -> None:
+    """One row per ProbeResult, under a header."""
+    with open(path, "w") as f:
+        f.write("layer_id,train_accuracy,test_accuracy,n_samples\n")
+        for r in results:
+            f.write(f"{r.layer_id},{r.train_accuracy!r},{r.test_accuracy!r},{r.n_samples}\n")
 
 
 def write_report(output_dir, results_rows=None, heatmap_svgs=None, badges=None) -> str:

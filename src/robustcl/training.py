@@ -182,10 +182,11 @@ def _backward_term(weight: float, term: Callable, grads: dict) -> float:
     return loss.item()
 
 
-def _train_step(model: ModelBundle, spec: ScenarioSpec, phase: _Phase, opt: Adam,
-                batch: ViewBatch) -> float:
-    """One optimizer step on `batch`; returns the loss value, the sum of the
-    phase loss's weighted terms in their order.
+def _train_step(opt: Adam, terms: list) -> float:
+    """One optimizer step on a loss's `(weight, term)` list (see `losses`);
+    returns the loss value, the sum of the weighted terms in their order.
+    Every training loop of the package, each phase's and the linear probe's,
+    steps through here.
 
     Each term runs forward and backward on its own tape, last term first,
     so only one term's graph is alive at a time. Into the shared map each
@@ -194,7 +195,6 @@ def _train_step(model: ModelBundle, spec: ScenarioSpec, phase: _Phase, opt: Adam
     values are summed first to last as that tape's adds would, so the step
     is bitwise the joint graph's."""
     grads = {}
-    terms = phase.loss(model, batch, spec.loss)
     values = [_backward_term(w, term, grads) for w, term in reversed(terms)][::-1]
     opt.step(grads)
     return functools.reduce(operator.add, values) if values else 0.0
@@ -237,8 +237,8 @@ def _run_phase(model: ModelBundle, spec: ScenarioSpec, phase: _Phase) -> list:
         for step, (xb, yb) in enumerate(
                 data.iter_batches(phase.dataset, batch_size, phase.data_seed, epoch)):
             step_seed = hash(phase.seed_prefix + (epoch, step)) & 0x7FFFFFFF
-            losses_epoch.append(_train_step(
-                model, spec, phase, opt, _batch(model, spec, phase, attack, xb, yb, step_seed)))
+            losses_epoch.append(_train_step(opt, phase.loss(
+                model, _batch(model, spec, phase, attack, xb, yb, step_seed), spec.loss)))
         curve.append((epoch, phase.name, float(np.mean(losses_epoch))))
     return curve
 

@@ -208,13 +208,13 @@ class TestReporting:
         # masked cells are written empty; the rest as float reprs
         assert p.read_text().splitlines() == [",L0,L1", "L0,0.5,", "L1,0.25,1.0"]
 
-    def test_probe_csv_header_once(self, tmp_path):
+    def test_probe_csv_one_header_and_a_row_per_result(self, tmp_path):
         p = tmp_path / "probes.csv"
-        reporting.append_probe_csv(ProbeResult("L0", 0.9, 0.8, 100), p)
-        reporting.append_probe_csv(ProbeResult("L1", 0.95, 0.85, 100), p)
-        lines = p.read_text().splitlines()
-        assert lines[0].startswith("layer_id,")
-        assert len(lines) == 3
+        p.write_text("stale\n")
+        reporting.write_probe_csv([ProbeResult("L0", 0.9, 0.8, 100),
+                                   ProbeResult("L1", 0.95, 0.85, 100)], p)
+        assert p.read_text().splitlines() == [
+            "layer_id,train_accuracy,test_accuracy,n_samples", "L0,0.9,0.8,100", "L1,0.95,0.85,100"]
 
     def test_report_badges_and_svg(self, tmp_path):
         svg = tmp_path / "x.svg"

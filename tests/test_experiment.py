@@ -159,7 +159,10 @@ def test_cell_key_names_each_model_once():
     assert key("AT", None) == key("AT", directional.EPS8) == "c06d7bea7c50898f"
     # ST trains no attack, so no budget renames it
     assert key("ST", directional.EPS4) == key("ST", 0.0) == key("ST", None)
-    # another budget trains another model
+    # another budget trains another model, under one key however it is given
+    eps4 = f"attack_train.epsilon={directional.EPS4!r}"
+    assert key("AT", directional.EPS4) == key("AT", None, [eps4]) == "4f322da8889a25db"
+    assert key("AT", directional.EPS4, [eps4]) == "4f322da8889a25db"
     assert key("AT", directional.EPS4) not in (key("AT", None), key("ST", None))
     # the own-cell selectors pick no model; the pin above has no [model] kind
     for selectors in (["scenario.scenario=AT", "loss.scheme=CL"],
@@ -169,6 +172,16 @@ def test_cell_key_names_each_model_once():
     # a key that training reads names another model
     for changed in ("loss.temperature=0.3", "model.layer_widths=128,64"):
         assert key("AT", None, [changed]) != "c06d7bea7c50898f"
+
+
+def test_every_study_cell_names_a_committed_manifest():
+    cfg = directional.fixture_config()
+    d_p, _, _ = experiment.build_splits(cfg, experiment.build_dataset(cfg))
+    cache = Path(directional.default_cache_dir())
+    keys = {experiment.cell_key(cfg, scenario, scheme, seed, d_p, eps)
+            for seed in directional.SEEDS for scenario, scheme, eps, _ in directional.CELLS.values()}
+    assert len(keys) == len(directional.SEEDS) * len(directional.CELLS) == 33
+    assert keys == {p.name.split(".")[0] for p in cache.glob("*.manifest.json")}
 
 
 def test_run_cells_trains_the_costliest_scenarios_first(tmp_path, monkeypatch):
@@ -288,8 +301,12 @@ def test_a_warm_suite_reads_each_checkpoint_once_and_starts_no_pool(monkeypatch)
     def no_evaluation(*a, **k):
         raise AssertionError("a warm cache evaluated a cell")
 
+    def no_training(*a, **k):  # one miss would train here, into the committed cache
+        raise AssertionError("a warm cache trained a cell")
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(evaluation, "evaluate", no_evaluation)
+    monkeypatch.setattr(experiment, "train_cell", no_training)
     loaded = []
     load = models.load_checkpoint
     monkeypatch.setattr(models, "load_checkpoint",

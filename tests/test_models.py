@@ -52,6 +52,8 @@ class TestForward:
         rep, records = models.encode(dense_model, Tensor(rng.random((5, 20))), capture=True)
         assert [r.matrix.shape for r in records] == [(5, 16), (5, 8), (5, 4)]
         assert np.array_equal(records[-1].matrix, rep.data)
+        # a record is the layer's output itself, not a copy of it
+        assert np.shares_memory(records[-1].matrix, rep.data)
 
     def test_zero_weight_encoder_bias_pattern(self):
         cfg = EncoderConfig((4, 3), (6,))

@@ -1,7 +1,6 @@
 import tracemalloc
 import weakref
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -459,8 +458,7 @@ def _step_batch(rng, n=16, adv=True):
 def _per_term_step(model, phase_loss, cfg, batch):
     """`_train_step`'s loss value and gradient map for one phase loss."""
     opt = _GradRecorder()
-    value = training._train_step(model, SimpleNamespace(loss=cfg),
-                                 SimpleNamespace(loss=phase_loss), opt, batch)
+    value = training._train_step(opt, phase_loss(model, batch, cfg))
     return value, opt.grads
 
 
